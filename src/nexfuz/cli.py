@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 any error (bad input, missing
-files, exceeded caps).  All rationals on the command line and in files are
+files, exceeded caps, an internal failure such as a witness that fails
+verification).  Exit 1 is only ever a verdict.  All rationals on the command line and in files are
 exact: "a/b", integers, or decimal strings.
 """
 
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .lp import CapExceeded
+from .lp import CapExceeded, LpError
 from .logics import LOGIC_NAMES, get_logic
 from .metricspace import MetricSpace
 from .models import FiniteModel, eval_formula
@@ -146,6 +147,10 @@ def main(argv=None) -> int:
         return _run_validate(args)
     except (CliError, CapExceeded, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, LpError, AssertionError) as exc:
+        # Internal failures: reported, never mistaken for an UNSAT verdict.
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -31,9 +31,9 @@ from ..liftings import metric_diamond_value
 from ..metricspace import MetricSpace
 from ..numerics import Interval, ONE, ZERO
 from ..onestep import (
-    ChildSolver,
     Conclusion,
     OneStepLogic,
+    SearchSteps,
     SearchSuccess,
     TransitionWitness,
     exact_over_vars,
@@ -225,7 +225,7 @@ class MetricLogic(OneStepLogic):
                     f"internal: realized metric value {value} escapes {lit.interval}"
                 )
 
-    def search(self, gamma: Sequent, solve_child: ChildSolver) -> SearchSuccess | None:
+    def search_steps(self, gamma: Sequent) -> SearchSteps:
         """Per-state independent choice search, equivalent to enumerating
         whole choice patterns: a pattern succeeds iff each state has a
         locally admissible choice subset with a satisfiable child."""
@@ -266,7 +266,7 @@ class MetricLogic(OneStepLogic):
                         lk.upper_interval()
                     )
                 seq = exact_over_vars(cell, variables)
-                result = solve_child(seq)
+                result = yield seq
                 if result.sat:
                     found = (tuple(sorted(constrain)), allowed[0], seq, result)
                     break

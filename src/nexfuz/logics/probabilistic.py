@@ -38,9 +38,9 @@ from .. import lp
 from ..liftings import generally_value, more_than_value
 from ..numerics import Comp, EMPTY, Interval, ONE, UNIT, ZERO
 from ..onestep import (
-    ChildSolver,
     Conclusion,
     OneStepLogic,
+    SearchSteps,
     SearchSuccess,
     TransitionWitness,
     exact_over_vars,
@@ -302,7 +302,7 @@ class ProbabilisticLogic(OneStepLogic):
 
     # -- decision procedure ---------------------------------------------------
 
-    def search(self, gamma: Sequent, solve_child: ChildSolver) -> SearchSuccess | None:
+    def search_steps(self, gamma: Sequent) -> SearchSteps:
         """Vector-level decision equivalent to enumerating configurations.
 
         A conclusion's sequent depends only on its vector, so a satisfiable
@@ -335,7 +335,7 @@ class ProbabilisticLogic(OneStepLogic):
 
         good: list[tuple[ConfigVector, Sequent, object]] = []
         for vec, seq in consistent:
-            result = solve_child(seq)
+            result = yield seq
             if result.sat:
                 good.append((vec, seq, result))
         if not good:

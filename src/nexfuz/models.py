@@ -7,7 +7,9 @@ A model is a finite coalgebra of one of four kinds plus an atom valuation:
 * "metric":        per-state labelled fuzzy edges over a metric label space;
 * "metric-crisp":  as "metric" with degrees restricted to {0, 1}.
 
-Evaluation is exact and memoized per (state, subformula) within one call.
+Evaluation is exact and memoized per (state, subformula), within one call
+or, through a table the caller keeps, across calls.  A solve grows its
+witness in a `WitnessDag`.
 """
 
 from __future__ import annotations
@@ -172,55 +174,92 @@ class FiniteModel:
             fh.write("\n")
 
 
-def eval_formula(model: FiniteModel, state: str, formula: Formula) -> Fraction:
-    """Exact truth degree of `formula` at `state`."""
-    memo: dict[tuple[str, Formula], Fraction] = {}
+def eval_formula(
+    model: FiniteModel,
+    state: str,
+    formula: Formula,
+    memo: dict[tuple[str, Formula], Fraction] | None = None,
+) -> Fraction:
+    """Exact truth degree of `formula` at `state`.
 
-    def ev(x: str, f: Formula) -> Fraction:
-        key = (x, f)
+    Values are memoized per (state, subformula) in `memo`, a fresh table
+    unless the caller passes one to share between calls on an unchanged
+    model.  Evaluation runs on an explicit stack, so formula depth is not
+    bounded by the interpreter's recursion limit.
+    """
+    if memo is None:
+        memo = {}
+    top = (state, formula)
+    value = memo.get(top)
+    if value is not None:
+        return value
+    stack = [top]
+    while stack:
+        key = stack[-1]
         if key in memo:
-            return memo[key]
+            stack.pop()
+            continue
+        x, f = key
+        if isinstance(f, Modal):
+            needed = [(y, f.arg) for y in _targets(model, x)]
+        elif isinstance(f, (Neg, Minus)):
+            needed = [(x, f.arg)]
+        elif isinstance(f, And):
+            needed = [(x, f.left), (x, f.right)]
+        else:
+            needed = ()
+        missing = [k for k in needed if k not in memo]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
         if isinstance(f, Zero):
             value = ZERO
         elif isinstance(f, Atom):
             value = model.atom_value(x, f.name)
+        elif isinstance(f, Neg):
+            value = ONE - memo[x, f.arg]
+        elif isinstance(f, Minus):
+            value = max(ZERO, memo[x, f.arg] - f.c)
+        elif isinstance(f, And):
+            value = min(memo[x, f.left], memo[x, f.right])
+        elif isinstance(f, Modal):
+            value = _modal(model, x, f, memo)
         elif isinstance(f, Var):
             raise ModelError("cannot evaluate a truth variable in a model")
-        elif isinstance(f, Neg):
-            value = ONE - ev(x, f.arg)
-        elif isinstance(f, Minus):
-            value = max(ZERO, ev(x, f.arg) - f.c)
-        elif isinstance(f, And):
-            value = min(ev(x, f.left), ev(x, f.right))
-        elif isinstance(f, Modal):
-            value = _modal(model, x, f, ev)
         else:
             raise ModelError(f"not a formula: {f!r}")
         memo[key] = value
-        return value
-
-    return ev(state, formula)
+    return memo[top]
 
 
-def _modal(model: FiniteModel, x: str, f: Modal, ev) -> Fraction:
-    op = f.op
+def _targets(model: FiniteModel, x: str):
+    row = model.successors(x)
+    if model.kind in ("prob", "fuzzyrel"):
+        return row
+    return [y for _, y in row]
+
+
+def _modal(model: FiniteModel, x: str, f: Modal, memo) -> Fraction:
+    """The modal operator's lifting over the successors' memoized values."""
+    op, arg = f.op, f.arg
     row = model.successors(x)
     if isinstance(op, Diamond):
         if model.kind != "fuzzyrel":
             raise ModelError(f"diamond evaluated on a {model.kind!r} model")
-        return diamond_value([(d, ev(y, f.arg)) for y, d in row.items()])
+        return diamond_value([(d, memo[y, arg]) for y, d in row.items()])
     if isinstance(op, Generally):
         if model.kind != "prob":
             raise ModelError(f"'generally' evaluated on a {model.kind!r} model")
-        return generally_value([(w, ev(y, f.arg)) for y, w in row.items()])
+        return generally_value([(w, memo[y, arg]) for y, w in row.items()])
     if isinstance(op, MoreThan):
         if model.kind != "prob":
             raise ModelError(f"M{{p}} evaluated on a {model.kind!r} model")
-        return more_than_value([(w, ev(y, f.arg)) for y, w in row.items()], op.p)
+        return more_than_value([(w, memo[y, arg]) for y, w in row.items()], op.p)
     if isinstance(op, MetricDiamond):
         if model.kind not in ("metric", "metric-crisp"):
             raise ModelError(f"metric diamond evaluated on a {model.kind!r} model")
-        triples = [(label, d, ev(y, f.arg)) for (label, y), d in row.items()]
+        triples = [(label, d, memo[y, arg]) for (label, y), d in row.items()]
         return metric_diamond_value(triples, op.label, op.c, model.space)
     raise ModelError(f"unknown modal operator {op!r}")
 
@@ -237,77 +276,113 @@ def check_sequent(model: FiniteModel, state: str, seq: Sequent) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def assemble_witness(
-    kind: str,
-    witness: TransitionWitness,
-    children: list[tuple[FiniteModel, str]],
-    space: MetricSpace | None = None,
-) -> tuple[FiniteModel, str]:
-    """Disjoint union of child witnesses under a fresh root state.
+class WitnessDag:
+    """The witness model one solve grows, shared by all its sub-solves.
 
-    Child state names are prefixed to keep them disjoint; the root's
-    transition structure targets each child's designated state.  For the
-    probabilistic kind the witness may declare one extra successor beyond
-    the children (no modal constraints at this layer); an inert dummy state
-    with a self-loop is created for it.
+    The solver adds one state per satisfiable sequent, after the states of
+    that sequent's successors, so the structure is a DAG: a sub-verdict
+    reached from several places is one shared state, not a copy.  States
+    are numbered in the order they are added; one inert `sink` state with a
+    self-loop serves every probabilistic witness that needs a dummy
+    successor.  Values at the states are cached in one table for the whole
+    solve, which stays valid because a state never changes once added.
+
+    `witness(root)` extracts the states reachable from a root as a
+    `FiniteModel`, named s0 (the root), s1, ... in breadth-first order, with
+    the sink keeping its name.
     """
-    if witness.kind != kind:
-        raise ModelError(f"witness kind {witness.kind!r} does not match {kind!r}")
-    for child, _ in children:
-        if child.kind != kind:
-            raise ModelError(f"child kind {child.kind!r} does not match {kind!r}")
 
-    root = "s0"
-    states: list[str] = [root]
-    trans: dict = {}
-    atoms: dict[str, dict[str, Fraction]] = {root: dict(witness.atom_values)}
+    def __init__(self, kind: str, space: MetricSpace | None = None):
+        if kind not in KINDS:
+            raise ModelError(f"unknown model kind {kind!r}")
+        # States are ints while the DAG grows; names are given on extraction.
+        self.model = FiniteModel(kind, (), {}, {}, space)
+        self.values: dict[tuple[int, Formula], Fraction] = {}
+        self.sink: int | None = None
 
-    targets: list[str] = []
-    for k, (child, child_state) in enumerate(children):
-        prefix = f"c{k}."
-        for y in child.states:
-            states.append(prefix + y)
-        for y, row in child.trans.items():
-            if kind in ("prob", "fuzzyrel"):
-                trans[prefix + y] = {prefix + z: d for z, d in row.items()}
+    def _new_state(self, row: dict, atoms: dict[str, Fraction]) -> int:
+        x = len(self.model.trans)
+        self.model.trans[x] = row
+        self.model.atoms[x] = atoms
+        return x
+
+    def add(
+        self,
+        witness: TransitionWitness,
+        targets: list[int],
+        atoms: dict[str, Fraction] | None = None,
+    ) -> int:
+        """Add a state whose transitions follow `witness`, one edge per
+        target state, and return it.
+
+        Edges that reach one target twice merge: probability weights add,
+        fuzzy and metric degrees take the maximum, which leaves every
+        modal operator's value unchanged.  A probabilistic witness may have
+        one edge more than targets; that edge goes to the sink.
+        """
+        kind = self.model.kind
+        if witness.kind != kind:
+            raise ModelError(f"witness kind {witness.kind!r} does not match {kind!r}")
+        edges, targets = witness.edges, list(targets)
+        if kind == "prob" and len(edges) == len(targets) + 1:
+            if self.sink is None:
+                self.sink = len(self.model.trans)
+                self._new_state({self.sink: ONE}, {})
+            targets.append(self.sink)
+        if len(edges) != len(targets):
+            raise ModelError(f"{kind} witness arity mismatch")
+        row: dict = {}
+        for target, edge in zip(targets, edges):
+            if kind == "prob":
+                if edge != ZERO:
+                    row[target] = row.get(target, ZERO) + edge
+            elif kind == "fuzzyrel":
+                if edge != ZERO:
+                    row[target] = max(row.get(target, ZERO), edge)
             else:
-                trans[prefix + y] = {
-                    (label, prefix + z): d for (label, z), d in row.items()
-                }
-        for y, row in child.atoms.items():
-            atoms[prefix + y] = dict(row)
-        targets.append(prefix + child_state)
+                label, degree = edge
+                if degree != ZERO:
+                    row[label, target] = max(row.get((label, target), ZERO), degree)
+        if kind == "prob":
+            total = sum(row.values(), ZERO)
+            if total != ONE:
+                raise ModelError(f"witness distribution sums to {total}, not 1")
+        return self._new_state(row, dict(atoms or {}))
 
-    edges = witness.edges
-    if kind == "prob":
-        if len(edges) == len(children) + 1:
-            dummy = "sink"
-            states.append(dummy)
-            trans[dummy] = {dummy: ONE}
-            atoms[dummy] = {}
-            targets.append(dummy)
-        elif len(edges) != len(children):
-            raise ModelError("probabilistic witness arity mismatch")
-        trans[root] = {}
-        for target, weight in zip(targets, edges):
-            if weight != ZERO:
-                trans[root][target] = trans[root].get(target, ZERO) + weight
-        total = sum(trans[root].values(), ZERO)
-        if total != ONE:
-            raise ModelError(f"witness distribution sums to {total}, not 1")
-    elif kind == "fuzzyrel":
-        if len(edges) != len(children):
-            raise ModelError("fuzzy witness arity mismatch")
-        trans[root] = {
-            target: degree for target, degree in zip(targets, edges) if degree != ZERO
-        }
-    else:
-        if len(edges) != len(children):
-            raise ModelError("metric witness arity mismatch")
-        trans[root] = {}
-        for target, (label, degree) in zip(targets, edges):
-            if degree != ZERO:
-                trans[root][(label, target)] = degree
+    def value(self, state: int, formula: Formula) -> Fraction:
+        """Exact truth degree of `formula` at `state`, through the cache."""
+        return eval_formula(self.model, state, formula, self.values)
 
-    model = FiniteModel(kind, tuple(states), trans, atoms, space, root)
-    return model, root
+    def witness(self, root: int) -> FiniteModel:
+        """The states reachable from `root`, renamed, as a finite model."""
+        kind, trans, atoms = self.model.kind, self.model.trans, self.model.atoms
+        plain = kind in ("prob", "fuzzyrel")
+        names = {root: "s0"}
+        order = [root]
+        count = 1
+        for x in order:  # grows while it is read: breadth-first
+            for key in trans[x]:
+                y = key if plain else key[1]
+                if y in names:
+                    continue
+                if y == self.sink:
+                    names[y] = "sink"
+                else:
+                    names[y] = f"s{count}"
+                    count += 1
+                order.append(y)
+        out_trans: dict = {}
+        for x in order:
+            row = trans[x]
+            if plain:
+                out_trans[names[x]] = {names[y]: d for y, d in row.items()}
+            else:
+                out_trans[names[x]] = {(label, names[y]): d for (label, y), d in row.items()}
+        return FiniteModel(
+            kind,
+            tuple(names[x] for x in order),
+            out_trans,
+            {names[x]: atoms[x] for x in order},
+            self.model.space,
+            "s0",
+        )

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -6,14 +6,16 @@ variables to the guarded subformulas.  Instance logics consume saturated
 end-sequents over modal labels and produce *conclusions*: alternative lists
 of exact sequents over the variables describing admissible successor states,
 together with a `realize` construction that turns concrete successor truth
-values into an actual transition structure.
+values into an actual transition structure.  The search for a conclusion
+whose successor sequents are all satisfiable is a generator the solver
+drives (`OneStepLogic.search_steps`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Generator, Iterator, Sequence
 
 from .numerics import Interval, UNIT
 from .sequents import Sequent, SequentError
@@ -41,22 +43,37 @@ def top_level_decompose(seq: Sequent) -> Decomposition:
     binding: dict[Var, Formula] = {}
 
     def rewrite(f: Formula) -> Formula:
-        if isinstance(f, (Zero, Atom)):
-            return f
-        if isinstance(f, Var):
-            raise SequentError("input formulas must not contain truth variables")
-        if isinstance(f, Neg):
-            return Neg(rewrite(f.arg))
-        if isinstance(f, Minus):
-            return Minus(rewrite(f.arg), f.c)
-        if isinstance(f, And):
-            return And(rewrite(f.left), rewrite(f.right))
-        if isinstance(f, Modal):
-            v = Var(f"v{len(variables) + 1}")
-            variables.append(v)
-            binding[v] = f.arg
-            return Modal(f.op, v)
-        raise TypeError(f"not a formula: {f!r}")
+        # Post-order over the propositional layer with an explicit stack:
+        # `todo` holds nodes to visit (False) or to rebuild (True), `done`
+        # the rewritten children, left before right.
+        todo: list[tuple[Formula, bool]] = [(f, False)]
+        done: list[Formula] = []
+        while todo:
+            g, rebuild = todo.pop()
+            if rebuild:
+                if isinstance(g, Neg):
+                    done.append(Neg(done.pop()))
+                elif isinstance(g, Minus):
+                    done.append(Minus(done.pop(), g.c))
+                else:
+                    right = done.pop()
+                    done.append(And(done.pop(), right))
+            elif isinstance(g, Modal):
+                v = Var(f"v{len(variables) + 1}")
+                variables.append(v)
+                binding[v] = g.arg
+                done.append(Modal(g.op, v))
+            elif isinstance(g, (Zero, Atom)):
+                done.append(g)
+            elif isinstance(g, (Neg, Minus)):
+                todo += [(g, True), (g.arg, False)]
+            elif isinstance(g, And):
+                todo += [(g, True), (g.right, False), (g.left, False)]
+            elif isinstance(g, Var):
+                raise SequentError("input formulas must not contain truth variables")
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+        return done[0]
 
     lifted = Sequent((rewrite(f), i) for f, i in seq.items())
     return Decomposition(tuple(variables), binding, lifted)
@@ -90,14 +107,10 @@ class TransitionWitness:
 
     kind: str
     edges: tuple
-    atom_values: dict[str, Fraction] = field(default_factory=dict)
 
     @property
     def successor_count(self) -> int:
         return len(self.edges)
-
-    def with_atoms(self, values: dict[str, Fraction]) -> TransitionWitness:
-        return replace(self, atom_values=dict(values))
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +128,18 @@ class Conclusion:
 
 
 ChildSolver = Callable[[Sequent], "object"]
-# The solver passes a callable mapping a variable sequent to a child result;
-# the result object must be truthy iff satisfiable and carry `value_of(var)`
-# giving the exact truth value of the bound formula in the child witness.
-
-
-class ChildResult(Protocol):
-    sat: bool
-
-    def value_of(self, var: Var) -> Fraction: ...
+# `OneStepLogic.search` takes a callable mapping a variable sequent to a
+# child outcome, the object `search_steps` receives for it (see there).
 
 
 @dataclass
 class SearchSuccess:
     conclusion: Conclusion
-    children: list  # one ChildResult per conclusion sequent
+    children: list  # one child outcome per conclusion sequent
+
+
+# Yields child sequents, receives child outcomes, returns the result.
+SearchSteps = Generator[Sequent, object, "SearchSuccess | None"]
 
 
 class OneStepLogic:
@@ -163,23 +173,55 @@ class OneStepLogic:
         """
         raise NotImplementedError
 
-    def search(self, gamma: Sequent, solve_child: ChildSolver) -> SearchSuccess | None:
+    def search_steps(self, gamma: Sequent) -> SearchSteps:
         """Find a conclusion whose sequents are all satisfiable.
 
-        The default iterates `conclusions` in order; instances may override
+        This is the search protocol between an instance logic and the
+        solver.  `gamma` holds the modal literals of an end-sequent (the
+        solver pins its atom literals itself).  The search is a generator:
+
+        * it yields a variable sequent whenever it needs to know whether
+          the successor state that sequent describes is satisfiable;
+        * the solver sends back a *child outcome* for each yielded sequent:
+          `outcome.sat` tells whether it is satisfiable and, when it is,
+          `outcome.value_of(var)` is the exact truth value, at the child
+          witness state, of the formula the variable stands for;
+        * it returns a `SearchSuccess` naming the conclusion and the
+          outcomes of its sequents, in order, or None when no conclusion
+          has all its sequents satisfiable.
+
+        The solver drives every generator from one loop with an explicit
+        stack, so the search depth is never bounded by Python recursion;
+        an implementation must not call back into the solver itself.  The
+        values an outcome reports are the ones `realize` later receives as
+        `tau`.
+
+        The default iterates `conclusions` in order and yields each
+        conclusion's sequents until one fails.  Instances may override it
         with an equivalent decision procedure when plain enumeration is too
         large, preserving the verdict.
         """
         for conclusion in self.conclusions(gamma):
             children = []
             for q in conclusion.sequents:
-                result = solve_child(q)
-                if not result.sat:
+                outcome = yield q
+                if not outcome.sat:
                     break
-                children.append(result)
+                children.append(outcome)
             else:
                 return SearchSuccess(conclusion, children)
         return None
+
+    def search(self, gamma: Sequent, solve_child: ChildSolver) -> SearchSuccess | None:
+        """Run `search_steps`, answering each yielded sequent with
+        `solve_child`, so that tests can run a search on its own."""
+        steps = self.search_steps(gamma)
+        try:
+            q = next(steps)
+            while True:
+                q = steps.send(solve_child(q))
+        except StopIteration as stop:
+            return stop.value
 
 
 def split_atoms(gamma: Sequent) -> tuple[list[tuple[str, Interval]], Sequent]:
@@ -194,59 +236,6 @@ def split_atoms(gamma: Sequent) -> tuple[list[tuple[str, Interval]], Sequent]:
         else:
             raise SequentError(f"end-sequent label is neither modal nor atom: {label!r}")
     return atoms, modal
-
-
-class WithAtoms(OneStepLogic):
-    """Wrapper adding atom literals (nullary modalities) to an instance logic.
-
-    Atom literals need no successors: they only pin the root's atom values.
-    Contradictory atom bounds yield no conclusions; otherwise the inner
-    logic's conclusions pass through unchanged and `realize` attaches the
-    chosen atom values to the witness.  `declared_atoms` optionally extends
-    the atom signature; unused declared atoms default to value 0 in
-    witnesses and can never change a verdict.
-    """
-
-    def __init__(self, inner: OneStepLogic, declared_atoms: Iterable[str] = ()):
-        self.inner = inner
-        self.name = inner.name
-        self.kind = inner.kind
-        self.space = getattr(inner, "space", None)
-        self.declared_atoms = tuple(sorted(set(declared_atoms)))
-
-    def supports(self, op: ModalOp) -> bool:
-        return self.inner.supports(op)
-
-    def _atom_values(self, atoms: list[tuple[str, Interval]]) -> dict[str, Fraction] | None:
-        values: dict[str, Fraction] = {name: Fraction(0) for name in self.declared_atoms}
-        for name, interval in atoms:
-            if interval.is_empty:
-                return None
-            values[name] = interval.pick()
-        return values
-
-    def conclusions(self, gamma: Sequent) -> Iterator[Conclusion]:
-        atoms, modal = split_atoms(gamma)
-        if self._atom_values(atoms) is None:
-            return
-        yield from self.inner.conclusions(modal)
-
-    def realize(self, gamma, conclusion, tau) -> TransitionWitness:
-        atoms, modal = split_atoms(gamma)
-        values = self._atom_values(atoms)
-        if values is None:
-            raise SequentError("realize called on contradictory atom bounds")
-        return self.inner.realize(modal, conclusion, tau).with_atoms(values)
-
-    def search(self, gamma: Sequent, solve_child: ChildSolver) -> SearchSuccess | None:
-        atoms, modal = split_atoms(gamma)
-        if self._atom_values(atoms) is None:
-            return None
-        return self.inner.search(modal, solve_child)
-
-
-def with_atoms(logic: OneStepLogic, declared_atoms: Iterable[str] = ()) -> OneStepLogic:
-    return WithAtoms(logic, declared_atoms)
 
 
 def modal_literals(gamma: Sequent) -> list[tuple[ModalOp, Var, Interval]]:

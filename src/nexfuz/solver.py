@@ -1,17 +1,24 @@
-"""Recursive satisfiability with witness extraction.
+"""Satisfiability with witness extraction.
 
-The decision procedure, per recursion level:
+The decision procedure, per modal level:
 
 1. split the input sequent into a propositional layer over fresh truth
    variables plus bindings of the variables to the guarded subformulas;
 2. saturate the propositional layer, enumerating open end-sequents;
-3. for each end-sequent, ask the instance logic for a conclusion whose
-   variable sequents are all recursively satisfiable (after substituting
-   the bound formulas back in);
+3. for each end-sequent, pin its atom literals (contradictory bounds close
+   it) and ask the instance logic for a conclusion whose variable sequents
+   are all satisfiable (after substituting the bound formulas back in);
 4. on success, feed the children's exact truth values to the instance's
-   realize construction and join the child witnesses under a fresh root.
+   realize construction and add the resulting state, over the children's
+   states, to the solve's witness DAG.
 
-Recursion depth is bounded by the modal depth of the input.  All
+Each sequent being solved is one frame on an explicit stack.  A frame runs
+its instance search, a generator (see `OneStepLogic.search_steps`), until
+the search asks about a child sequent not solved yet; a frame for that
+child goes on top, and its verdict is sent back to the search when it is
+done.  So the stack depth is bounded by the modal depth of the input, never
+by the interpreter's recursion limit.  Every distinct sequent is solved
+once, and each satisfiable one is one state of the witness DAG.  All
 nondeterminism is resolved by exhaustive, deterministically ordered
 backtracking, so verdicts and witnesses are reproducible.
 """
@@ -23,16 +30,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lp import CapExceeded
-from .models import FiniteModel, assemble_witness, check_sequent, eval_formula
-from .numerics import Comp, Interval
+from .models import FiniteModel, WitnessDag, check_sequent
+from .numerics import ZERO, Comp, Interval
 from .onestep import (
-    Decomposition,
     OneStepLogic,
-    WithAtoms,
+    SearchSuccess,
     split_atoms,
     substitute,
     top_level_decompose,
-    with_atoms,
 )
 from .prop_tableau import saturate
 from .sequents import Sequent
@@ -81,21 +86,39 @@ class Verdict:
         return self.sat
 
 
-class _ChildOutcome:
-    """Adapter giving the instance logics access to child truth values."""
+class _Child:
+    """A child outcome as the instance searches receive it: the child
+    sequent's state in the witness DAG, or None when it is unsatisfiable."""
 
-    __slots__ = ("verdict", "binding")
+    __slots__ = ("state", "binding", "dag")
 
-    def __init__(self, verdict: Verdict, binding: dict[Var, Formula]):
-        self.verdict = verdict
+    def __init__(self, state: int | None, binding: dict[Var, Formula], dag: WitnessDag):
+        self.state = state
         self.binding = binding
+        self.dag = dag
 
     @property
     def sat(self) -> bool:
-        return self.verdict.sat
+        return self.state is not None
 
     def value_of(self, var: Var) -> Fraction:
-        return eval_formula(self.verdict.model, self.verdict.state, self.binding[var])
+        return self.dag.value(self.state, self.binding[var])
+
+
+class _Frame:
+    """One sequent being solved: its variable binding, its stream of
+    end-sequents and the instance search over the current end-sequent."""
+
+    __slots__ = ("seq", "depth", "binding", "ends", "modal", "atoms", "steps")
+
+    def __init__(self, seq: Sequent, depth: int, binding: dict[Var, Formula], ends):
+        self.seq = seq
+        self.depth = depth
+        self.binding = binding
+        self.ends = ends
+        self.modal: Sequent | None = None  # the current end-sequent's modal part
+        self.atoms: dict[str, Fraction] | None = None  # and its atom values
+        self.steps = None  # the instance search over `modal`, once started
 
 
 def _check_signature(seq: Sequent, logic: OneStepLogic) -> None:
@@ -103,6 +126,19 @@ def _check_signature(seq: Sequent, logic: OneStepLogic) -> None:
         for sub in subformulas(f):
             if isinstance(sub, Modal) and not logic.supports(sub.op):
                 raise ValueError(f"modality {sub.op} is not part of logic {logic.name!r}")
+
+
+def _atom_values(
+    atoms: list[tuple[str, Interval]], defaults: dict[str, Fraction]
+) -> dict[str, Fraction] | None:
+    """A state's atom values: each atom literal pins its atom inside its
+    interval, declared atoms default to 0.  None for a contradictory bound."""
+    values = dict(defaults)
+    for name, interval in atoms:
+        if interval.is_empty:
+            return None
+        values[name] = interval.pick()
+    return values
 
 
 def sat(
@@ -117,20 +153,20 @@ def sat(
 
     Returns a verdict carrying a checkable witness model on success.  With
     `verify` (defaulting to the interpreter's debug mode) the witness is
-    model-checked against the input before returning.
+    model-checked against the input before returning.  `declared_atoms`
+    extends the atom signature: every witness state gives them value 0
+    unless an atom literal pins them, so they never change a verdict.
     """
     caps = caps or SolverCaps.from_env()
     stats = stats if stats is not None else SolveStats()
     if verify is None:
         verify = __debug__
-    wrapped = logic if isinstance(logic, WithAtoms) else with_atoms(logic, declared_atoms)
-    _check_signature(seq, wrapped)
-    space = wrapped.space
-    memo: dict[Sequent, Verdict] = {}
+    _check_signature(seq, logic)
+    dag = WitnessDag(logic.kind, logic.space)
+    defaults = {name: ZERO for name in sorted(set(declared_atoms))}
+    memo: dict[Sequent, int | None] = {}  # sequent -> its DAG state, None if UNSAT
 
-    def solve(current: Sequent, depth: int) -> Verdict:
-        if current in memo:
-            return memo[current]
+    def open_frame(current: Sequent, depth: int) -> _Frame:
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         stats._bump(stats.level_input_size, depth, current.combined_size())
@@ -140,49 +176,78 @@ def sat(
                 f"{len(decomp.variables)} modal literals in one layer "
                 f"(cap {caps.max_layer_literals})"
             )
-        verdict = Verdict(False)
-        for gamma_g in saturate(
+        ends = saturate(
             decomp.lifted,
             stack_hook=lambda d: stats._bump(stats.level_peak_stack, depth, d),
-        ):
-            stats._bump(stats.level_peak_size, depth, gamma_g.combined_size())
-            found = wrapped.search(gamma_g, _solver_for(decomp, depth))
-            if found is not None:
-                verdict = _build_witness(gamma_g, found, decomp)
-                break
-        memo[current] = verdict
-        return verdict
+        )
+        return _Frame(current, depth, decomp.binding, ends)
 
-    def _solver_for(decomp: Decomposition, depth: int):
-        def solve_child(q: Sequent) -> _ChildOutcome:
-            child_seq = substitute(q, decomp.binding)
-            stats._bump(stats.level_peak_size, depth, child_seq.combined_size())
-            return _ChildOutcome(solve(child_seq, depth + 1), decomp.binding)
+    def advance(frame: _Frame, outcome: _Child | None) -> Sequent | None:
+        """Run the frame, `outcome` answering its pending request, until it
+        asks for an unsolved child sequent (returned) or its verdict is in
+        the memo (None returned)."""
+        while True:
+            if frame.steps is None:
+                gamma = next(frame.ends, None)
+                if gamma is None:
+                    memo[frame.seq] = None
+                    return None
+                stats._bump(stats.level_peak_size, frame.depth, gamma.combined_size())
+                atoms, modal = split_atoms(gamma)
+                values = _atom_values(atoms, defaults)
+                if values is None:
+                    continue
+                frame.modal, frame.atoms = modal, values
+                frame.steps = logic.search_steps(modal)
+                outcome = None
+            try:
+                q = frame.steps.send(outcome)
+            except StopIteration as stop:
+                frame.steps = None
+                if stop.value is not None:
+                    memo[frame.seq] = add_state(frame, stop.value)
+                    return None
+                continue
+            child = substitute(q, frame.binding)
+            stats._bump(stats.level_peak_size, frame.depth, child.combined_size())
+            if child not in memo:
+                return child
+            outcome = _Child(memo[child], frame.binding, dag)
 
-        return solve_child
-
-    def _build_witness(gamma_g: Sequent, found, decomp: Decomposition) -> Verdict:
+    def add_state(frame: _Frame, found: SearchSuccess) -> int:
         children = found.children
 
         def tau(j: int, var: Var) -> Fraction:
             return children[j].value_of(var)
 
-        witness = wrapped.realize(gamma_g, found.conclusion, tau)
+        witness = logic.realize(frame.modal, found.conclusion, tau)
         if witness.kind == "prob":
-            n_modal = len(split_atoms(gamma_g)[1])
             support = sum(1 for w in witness.edges if w != 0)
-            stats.witness_branching.append((n_modal, support))
-        model, root = assemble_witness(
-            wrapped.kind,
-            witness,
-            [(c.verdict.model, c.verdict.state) for c in children],
-            space,
-        )
-        return Verdict(True, model, root)
+            stats.witness_branching.append((len(frame.modal), support))
+        return dag.add(witness, [c.state for c in children], frame.atoms)
 
-    result = solve(seq, 0)
-    if result.sat and verify and not check_sequent(result.model, result.state, seq):
-        raise AssertionError("witness model fails to satisfy the input sequent")
+    stack = [open_frame(seq, 0)]
+    outcome = None
+    while stack:
+        frame = stack[-1]
+        child = advance(frame, outcome)
+        if child is not None:
+            stack.append(open_frame(child, frame.depth + 1))
+            outcome = None
+            continue
+        stack.pop()
+        if stack:
+            outcome = _Child(memo[frame.seq], stack[-1].binding, dag)
+
+    root = memo[seq]
+    result = Verdict(False)
+    if root is not None:
+        model = dag.witness(root)
+        result = Verdict(True, model, model.root)
+        # A fresh evaluation of the finished model, independent of the
+        # values cached while it was built.
+        if verify and not check_sequent(model, model.root, seq):
+            raise AssertionError("witness model fails to satisfy the input sequent")
     if stats.max_depth > max((modal_depth(f) for f, _ in seq.items()), default=0):
         raise AssertionError("recursion exceeded the modal depth of the input")
     return result

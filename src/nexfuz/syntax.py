@@ -8,6 +8,7 @@ are treated as nullary modal operators and therefore appear as leaves.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,58 +93,126 @@ class MetricDiamond(ModalOp):
 # Formulas
 # ---------------------------------------------------------------------------
 
+# Hash-consing (Filliatre & Conchon, "Type-safe modular hash-consing", 2006):
+# every live formula node is registered here under its class index and
+# children, so constructing a node equal to a live one returns that very
+# object.  Equality of formulas is therefore identity, and a node's hash,
+# size and modal depth are computed once, from its children's, when it is
+# first built.  The table holds nodes weakly: it never keeps a formula alive.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
 
 class Formula:
-    __slots__ = ()
+    """An immutable, hash-consed formula node.
+
+    `size` is the syntactic size with rational constants measured in binary
+    digits; `modal_depth` is the nesting depth of modal operators.
+    """
+
+    __slots__ = ("_hash", "size", "modal_depth", "__weakref__")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"formulas are immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"formulas are immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, slot) for slot in type(self).__slots__))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}<{to_text(self)}>"
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+def _node(key: tuple, size: int, depth: int):
+    """Build and register the node for intern key `(class index, *fields)`,
+    the class index pointing into `_CLASSES`."""
+    cls = _CLASSES[key[0]]
+    node = object.__new__(cls)
+    for slot, value in zip(cls.__slots__, key[1:]):
+        object.__setattr__(node, slot, value)
+    object.__setattr__(node, "_hash", hash(key))
+    object.__setattr__(node, "size", size)
+    object.__setattr__(node, "modal_depth", depth)
+    _NODES[key] = node
+    return node
+
+
 class Zero(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        key = (0,)
+        return _NODES.get(key) or _node(key, 1, 0)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        key = (1, name)
+        return _NODES.get(key) or _node(key, 1, 0)
 
 
-@dataclass(frozen=True)
 class Var(Formula):
     """A placeholder truth variable; only used inside one-step sequents."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        key = (2, name)
+        return _NODES.get(key) or _node(key, 1, 0)
 
 
-@dataclass(frozen=True)
 class Neg(Formula):
-    arg: Formula
+    __slots__ = ("arg",)
+
+    def __new__(cls, arg: Formula):
+        key = (3, arg)
+        return _NODES.get(key) or _node(key, arg.size + 1, arg.modal_depth)
 
 
-@dataclass(frozen=True)
 class Minus(Formula):
     """Truncated subtraction of a constant: value max(0, arg - c)."""
 
-    arg: Formula
-    c: Fraction
+    __slots__ = ("arg", "c")
 
-    def __post_init__(self):
-        if not ZERO <= self.c <= ONE:
-            raise NumericError(f"shift constant {self.c} outside [0, 1]")
+    def __new__(cls, arg: Formula, c: Fraction):
+        key = (4, arg, c)
+        node = _NODES.get(key)
+        if node is not None:
+            return node
+        if not ZERO <= c <= ONE:
+            raise NumericError(f"shift constant {c} outside [0, 1]")
+        size = arg.size + bit_length(c.numerator) + bit_length(c.denominator) + 1
+        return _node(key, size, arg.modal_depth)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        key = (5, left, right)
+        return _NODES.get(key) or _node(
+            key, left.size + right.size + 1, max(left.modal_depth, right.modal_depth)
+        )
 
 
-@dataclass(frozen=True)
 class Modal(Formula):
-    op: ModalOp
-    arg: Formula
+    __slots__ = ("op", "arg")
+
+    def __new__(cls, op: ModalOp, arg: Formula):
+        key = (6, op, arg)
+        return _NODES.get(key) or _node(key, arg.size + op.size(), arg.modal_depth + 1)
+
+
+_CLASSES = (Zero, Atom, Var, Neg, Minus, And, Modal)
 
 
 def Or(left: Formula, right: Formula) -> Formula:
@@ -158,17 +227,7 @@ def Or(left: Formula, right: Formula) -> Formula:
 
 def size(f: Formula) -> int:
     """Syntactic size with rational constants measured in binary digits."""
-    if isinstance(f, (Zero, Atom, Var)):
-        return 1
-    if isinstance(f, Neg):
-        return size(f.arg) + 1
-    if isinstance(f, Minus):
-        return size(f.arg) + bit_length(f.c.numerator) + bit_length(f.c.denominator) + 1
-    if isinstance(f, And):
-        return size(f.left) + size(f.right) + 1
-    if isinstance(f, Modal):
-        return size(f.arg) + f.op.size()
-    raise TypeError(f"not a formula: {f!r}")
+    return f.size
 
 
 def subformulas(f: Formula) -> set[Formula]:
@@ -206,15 +265,7 @@ def prop_subformulas(f: Formula) -> set[Formula]:
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, (Zero, Atom, Var)):
-        return 0
-    if isinstance(f, (Neg, Minus)):
-        return modal_depth(f.arg)
-    if isinstance(f, And):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, Modal):
-        return modal_depth(f.arg) + 1
-    raise TypeError(f"not a formula: {f!r}")
+    return f.modal_depth
 
 
 def atoms_of(f: Formula) -> set[str]:
@@ -298,15 +349,15 @@ class _Parser:
         return f
 
     def parse_unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "sym" and value == "~":
-            self.next()
-            return Neg(self.parse_unary())
-        if kind == "ident":
-            if value == "not":
+        # A prefix chain is read in a loop and applied innermost first, so
+        # its length is not bounded by the interpreter's recursion limit.
+        ops: list[ModalOp | None] = []  # None stands for negation
+        while True:
+            kind, value, pos = self.peek()
+            if (kind, value) in (("sym", "~"), ("ident", "not")):
                 self.next()
-                return Neg(self.parse_unary())
-            if value == "dia":
+                ops.append(None)
+            elif (kind, value) == ("ident", "dia"):
                 self.next()
                 if self.peek()[:2] == ("sym", "{"):
                     self.next()
@@ -314,18 +365,24 @@ class _Parser:
                     self.expect_sym(",")
                     c = self.parse_constant()
                     self.expect_sym("}")
-                    return Modal(MetricDiamond(label, c), self.parse_unary())
-                return Modal(Diamond(), self.parse_unary())
-            if value == "G":
+                    ops.append(MetricDiamond(label, c))
+                else:
+                    ops.append(Diamond())
+            elif (kind, value) == ("ident", "G"):
                 self.next()
-                return Modal(Generally(), self.parse_unary())
-            if value == "M":
+                ops.append(Generally())
+            elif (kind, value) == ("ident", "M"):
                 self.next()
                 self.expect_sym("{")
                 p = self.parse_constant()
                 self.expect_sym("}")
-                return Modal(MoreThan(p), self.parse_unary())
-        return self.parse_primary()
+                ops.append(MoreThan(p))
+            else:
+                break
+        f = self.parse_primary()
+        for op in reversed(ops):
+            f = Neg(f) if op is None else Modal(op, f)
+        return f
 
     def parse_primary(self) -> Formula:
         kind, value, pos = self.next()
@@ -394,27 +451,33 @@ def _prec(f: Formula) -> int:
     return 5
 
 
-def _fmt(f: Formula, min_prec: int) -> str:
-    p = _prec(f)
-    if isinstance(f, Zero):
-        s = "0"
-    elif isinstance(f, (Atom, Var)):
-        s = f.name
-    elif isinstance(f, Neg):
-        s = "~" + _fmt(f.arg, _PREC_UNARY)
-    elif isinstance(f, Modal):
-        s = f"{f.op} " + _fmt(f.arg, _PREC_UNARY)
-    elif isinstance(f, Minus):
-        s = _fmt(f.arg, _PREC_SHIFT) + f" - {f.c}"
-    elif isinstance(f, And):
-        s = _fmt(f.left, _PREC_AND) + " & " + _fmt(f.right, _PREC_AND + 1)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    if p < min_prec:
-        return f"({s})"
-    return s
-
-
 def to_text(f: Formula) -> str:
-    """Canonical concrete syntax; `parse(to_text(f)) == f`."""
-    return _fmt(f, 0)
+    """Canonical concrete syntax; `parse(to_text(f)) is f`."""
+    pieces: list[str] = []
+    # Work list of pending output, last item first: a string is emitted as
+    # is, a (formula, min_prec) pair is expanded into its parts.
+    todo: list = [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        g, min_prec = item
+        if isinstance(g, Zero):
+            parts = ["0"]
+        elif isinstance(g, (Atom, Var)):
+            parts = [g.name]
+        elif isinstance(g, Neg):
+            parts = ["~", (g.arg, _PREC_UNARY)]
+        elif isinstance(g, Modal):
+            parts = [f"{g.op} ", (g.arg, _PREC_UNARY)]
+        elif isinstance(g, Minus):
+            parts = [(g.arg, _PREC_SHIFT), f" - {g.c}"]
+        elif isinstance(g, And):
+            parts = [(g.left, _PREC_AND), " & ", (g.right, _PREC_AND + 1)]
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        if _prec(g) < min_prec:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(pieces)

@@ -1,6 +1,8 @@
 import json
 
+import nexfuz.solver
 from nexfuz.cli import main
+from nexfuz.lp import LpError
 from nexfuz.models import FiniteModel
 
 
@@ -92,6 +94,32 @@ class TestSolve:
         assert code == 0
         records = [json.loads(line) for line in err.strip().splitlines()]
         assert any(r["rule"] == "Neg" for r in records)
+
+
+class TestErrorContract:
+    """A failure inside the solver exits 2 with an `error:` line; exit 1
+    means UNSAT only."""
+
+    @staticmethod
+    def solve_raising(capsys, monkeypatch, exc):
+        def failing_sat(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(nexfuz.solver, "sat", failing_sat)
+        return run(capsys, "solve", "--logic", "alc", "--formula", "dia a")
+
+    def test_recursion_error_exit_two(self, capsys, monkeypatch):
+        code, out, err = self.solve_raising(capsys, monkeypatch, RecursionError("too deep"))
+        assert code == 2 and out == "" and err.startswith("error:") and "too deep" in err
+
+    def test_lp_error_exit_two(self, capsys, monkeypatch):
+        code, out, err = self.solve_raising(capsys, monkeypatch, LpError("singular basis"))
+        assert code == 2 and out == "" and err.startswith("error:") and "singular basis" in err
+
+    def test_witness_verification_failure_exit_two(self, capsys, monkeypatch):
+        exc = AssertionError("witness model fails to satisfy the input sequent")
+        code, out, err = self.solve_raising(capsys, monkeypatch, exc)
+        assert code == 2 and out == "" and err.startswith("error:") and "witness" in err
 
 
 class TestEvalAndValidate:

@@ -4,13 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import rand_formula, rand_metric_space, rand_model
+from helpers import ATOMS, rand_formula, rand_metric_space, rand_model
 
 from nexfuz.metricspace import MetricSpace, MetricSpaceError
 from nexfuz.models import (
     FiniteModel,
     ModelError,
-    assemble_witness,
+    WitnessDag,
     check_sequent,
     eval_formula,
 )
@@ -125,44 +125,67 @@ class TestCheckSequent:
         assert check_sequent(one_successor_model(), "x", Sequent())
 
 
+def rand_dag_state(rng, dag, kind, n_states):
+    """Add `n_states` random states to `dag` with random values for every
+    atom, each state after the first over a nonempty set of earlier ones
+    (the first state of a probabilistic DAG goes to the sink); returns the
+    last state."""
+    added = []
+    for _ in range(n_states):
+        targets = rng.sample(added, rng.randint(1, len(added))) if added else []
+        atoms = {a: F(rng.randint(0, 8), 8) for a in ATOMS}
+        if kind == "prob":
+            weights = [rng.randint(1, 8) for _ in targets] or [1]
+            edges = tuple(F(w, sum(weights)) for w in weights)
+        else:
+            edges = tuple(F(rng.randint(0, 8), 8) for _ in targets)
+        added.append(dag.add(TransitionWitness(kind, edges), targets, atoms))
+    return added[-1]
+
+
 class TestAssemble:
     def test_no_children(self):
-        model, root = assemble_witness("fuzzyrel", TransitionWitness("fuzzyrel", ()), [])
+        dag = WitnessDag("fuzzyrel")
+        model = dag.witness(dag.add(TransitionWitness("fuzzyrel", ()), []))
+        root = model.root
         assert model.states == ("s0",)
         assert eval_formula(model, root, parse("dia 0")) == 0
 
     def test_point_mass_chain(self):
-        child = FiniteModel("prob", ("u",), {"u": {"u": F(1)}}, {"u": {"a": F(1, 3)}})
-        model, root = assemble_witness(
-            "prob", TransitionWitness("prob", (F(1),)), [(child, "u")]
-        )
+        dag = WitnessDag("prob")
+        u = dag.add(TransitionWitness("prob", (F(1),)), [], {"a": F(1, 3)})
+        model = dag.witness(dag.add(TransitionWitness("prob", (F(1),)), [u]))
+        root = model.root
         assert eval_formula(model, root, parse("G a")) == F(1, 3)
 
     def test_child_values_preserved(self):
         rng = random.Random(3)
         for _ in range(30):
             kind = rng.choice(["prob", "fuzzyrel"])
-            child = rand_model(rng, kind, rng.randint(1, 3))
+            dag = WitnessDag(kind)
+            # Two states at least, so that no probabilistic value needs the sink.
+            child = rand_dag_state(rng, dag, kind, rng.randint(2, 4))
             f = rand_formula(rng, {"prob": "lgen", "fuzzyrel": "alc"}[kind], 1, max_den=8)
-            x = child.states[0]
-            before = eval_formula(child, x, f)
+            before = eval_formula(dag.witness(child), "s0", f)
             witness = (
                 TransitionWitness("prob", (F(1),))
                 if kind == "prob"
                 else TransitionWitness("fuzzyrel", (F(1, 2),))
             )
-            model, root = assemble_witness(kind, witness, [(child, x)])
-            assert eval_formula(model, f"c0.{x}", f) == before
+            model = dag.witness(dag.add(witness, [child]))
+            (x,) = model.successors(model.root)
+            assert eval_formula(model, x, f) == before
 
     def test_kind_mismatch(self):
-        child = one_successor_model()
+        dag = WitnessDag("prob")
         with pytest.raises(ModelError):
-            assemble_witness("prob", TransitionWitness("prob", (F(1),)), [(child, "x")])
+            dag.add(TransitionWitness("fuzzyrel", (F(1),)), [])
 
     def test_prob_weights_must_sum_to_one(self):
-        child = FiniteModel("prob", ("u",), {"u": {"u": F(1)}}, {"u": {}})
+        dag = WitnessDag("prob")
+        u = dag.add(TransitionWitness("prob", (F(1),)), [])
         with pytest.raises(ModelError):
-            assemble_witness("prob", TransitionWitness("prob", (F(1, 2),)), [(child, "u")])
+            dag.add(TransitionWitness("prob", (F(1, 2),)), [u])
 
 
 class TestJsonAndValidate:

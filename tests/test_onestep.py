@@ -2,14 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from nexfuz.logics import get_logic
+from nexfuz.logics import FuzzyAlcLogic, get_logic
 from nexfuz.numerics import EMPTY, Interval, UNIT
 from nexfuz.onestep import (
     split_atoms,
     substitute,
     top_level_decompose,
-    with_atoms,
 )
+from nexfuz.solver import sat
 from nexfuz.sequents import Sequent, SequentError
 from nexfuz.syntax import And, Atom, Diamond, Modal, Neg, Var, Zero, parse
 
@@ -111,32 +111,50 @@ class TestSubstitute:
 
 
 class TestWithAtoms:
+    """Atom literals: the solver pins them on the witness state and hands
+    the instance logic only the modal part of each end-sequent."""
+
+    @staticmethod
+    def recording_alc(seen: list):
+        class RecordingAlc(FuzzyAlcLogic):
+            def search_steps(self, gamma):
+                seen.append(gamma)
+                return super().search_steps(gamma)
+
+        return RecordingAlc()
+
     def test_transparent_without_atoms(self):
         inner = get_logic("alc")
-        wrapped = with_atoms(inner)
+        seen = []
+        wrapped = self.recording_alc(seen)
+        assert sat(Sequent([(parse("dia a"), iv("3/5", 1))]), wrapped)
         gamma = Sequent([(Modal(Diamond(), V1), iv("3/5", 1))])
-        assert [c.sequents for c in wrapped.conclusions(gamma)] == [
+        assert seen[0] == gamma
+        assert [c.sequents for c in wrapped.conclusions(seen[0])] == [
             c.sequents for c in inner.conclusions(gamma)
         ]
 
     def test_atoms_only_yields_empty_conclusion(self):
-        wrapped = with_atoms(get_logic("alc"))
-        gamma = Sequent([(A, iv("3/10", "3/5"))])
-        cs = list(wrapped.conclusions(gamma))
+        seen = []
+        verdict = sat(Sequent([(A, iv("3/10", "3/5"))]), self.recording_alc(seen))
+        cs = list(get_logic("alc").conclusions(seen[0]))
         assert len(cs) == 1 and cs[0].sequents == ()
+        assert verdict and verdict.model.states == (verdict.state,)
+        assert verdict.model.successors(verdict.state) == {}
+        declared = sat(Sequent([(A, iv("3/10", "3/5"))]), get_logic("alc"),
+                       declared_atoms=("b",))
+        assert declared.model.atoms[declared.state]["b"] == 0
 
     def test_contradictory_atom_bounds(self):
-        wrapped = with_atoms(get_logic("alc"))
-        gamma = Sequent([(A, EMPTY)])
-        assert list(wrapped.conclusions(gamma)) == []
+        seen = []
+        assert not sat(Sequent([(A, EMPTY)]), self.recording_alc(seen))
+        assert seen == []
 
     def test_realize_attaches_atom_values(self):
-        wrapped = with_atoms(get_logic("alc"))
-        gamma = Sequent([(Modal(Diamond(), V1), iv("3/5", 1)), (A, iv(0, "1/5"))])
-        conclusion = next(wrapped.conclusions(gamma))
-        witness = wrapped.realize(gamma, conclusion, lambda j, v: F(4, 5))
-        assert witness.atom_values == {"a": F(1, 10)}
-        assert witness.edges  # modal part untouched
+        seq = Sequent([(parse("dia b"), iv("3/5", 1)), (A, iv(0, "1/5"))])
+        verdict = sat(seq, get_logic("alc"))
+        assert verdict.model.atoms[verdict.state] == {"a": F(1, 10)}
+        assert verdict.model.successors(verdict.state)  # modal part untouched
 
     def test_split(self):
         gamma = Sequent([(A, UNIT), (Modal(Diamond(), V1), UNIT)])

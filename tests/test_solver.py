@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,12 +8,12 @@ from helpers import rand_formula, rand_metric_space, rand_model, rand_sequent
 
 from nexfuz.lp import CapExceeded
 from nexfuz.logics import get_logic
-from nexfuz.models import check_sequent, eval_formula
+from nexfuz.models import FiniteModel, check_sequent, eval_formula
 from nexfuz.numerics import Comp, Interval
 from nexfuz.onestep import OneStepLogic
 from nexfuz.sequents import Sequent
 from nexfuz.solver import SolveStats, SolverCaps, sat, sat_threshold
-from nexfuz.syntax import modal_depth, parse
+from nexfuz.syntax import Neg, modal_depth, parse, to_text
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
@@ -202,3 +203,85 @@ class TestRecursionShape:
             base = sat(seq, get_logic("lgen")).sat
             again = sat(seq, get_logic("lgen")).sat  # fresh instance, extra atoms unused
             assert base == again
+
+
+def g_chain(nesting: int) -> str:
+    """`G(f) & ~G ~(f)` nested over an atom: SAT at 1/2, with the two
+    literals of each level sharing their argument."""
+    f = "a"
+    for _ in range(nesting):
+        f = f"G({f}) & ~G ~({f})"
+    return f
+
+
+class TestDeepInputs:
+    """Deep inputs run in linear time, at the interpreter's default
+    recursion limit."""
+
+    @pytest.fixture(autouse=True)
+    def default_recursion_limit(self):
+        assert sys.getrecursionlimit() <= 1000
+
+    def test_deep_diamond_chain_sat(self):
+        seq = Sequent([(parse("dia " * 1000 + "a"), iv("1/2", 1))])
+        verdict = sat(seq, ALC, verify=False)
+        assert verdict.sat
+        verdict.model.validate()
+        assert check_sequent(verdict.model, verdict.state, seq)
+
+    def test_deep_diamond_chain_unsat(self):
+        seq = Sequent([(parse("dia " * 1000 + "(a & ~a)"), iv("3/4", 1))])
+        assert not sat(seq, ALC).sat
+
+    def test_deep_parse_print_and_eval(self):
+        text = "dia " * 1000 + "a"
+        f = parse(text)
+        assert f.modal_depth == 1000
+        assert to_text(f) == text
+        assert parse(to_text(f)) is f
+        states = tuple(f"x{i}" for i in range(3))
+        model = FiniteModel(
+            "fuzzyrel",
+            states,
+            {"x0": {"x1": F(3, 4)}, "x1": {"x2": F(1, 2), "x1": F(1, 3)}, "x2": {"x2": F(1)}},
+            {x: {"a": F(2, 3)} for x in states},
+        )
+        model.validate()
+        assert eval_formula(model, "x0", f) == F(1, 2)
+        assert eval_formula(model, "x0", Neg(f)) == F(1, 2)
+
+    def test_equal_deep_subtrees(self):
+        deep = "dia " * 500 + "a"
+        f = parse(f"{deep} & {deep}")
+        assert f.left is f.right
+        seq = Sequent([(f, iv("1/2", 1))])
+        stats = SolveStats()
+        verdict = sat(seq, ALC, stats=stats)
+        assert verdict.sat and check_sequent(verdict.model, verdict.state, seq)
+        assert stats.max_depth == 500
+
+    def test_parallel_edges_to_a_shared_child_merge(self):
+        # Both literals of the root's end-sequent ask for a successor with
+        # a >= 1/2: one memoized child, reached by one merged edge.
+        seq = Sequent([(parse("dia a & dia a"), iv("1/2", 1))])
+        stats = SolveStats()
+        verdict = sat(seq, ALC, stats=stats)
+        assert verdict.sat and stats.nodes == 2
+        model = verdict.model
+        row = model.successors(verdict.state)
+        assert len(row) == 1 and model.states == ("s0", "s1")
+        assert row["s1"] >= F(1, 2)
+        assert check_sequent(model, verdict.state, seq)
+
+    @pytest.mark.parametrize(
+        "nesting, states_before", [(2, 11), (3, 23), (4, 47), (5, 95), (6, 191)]
+    )
+    def test_g_chain_witness_is_shared(self, nesting, states_before):
+        seq = Sequent([(parse(g_chain(nesting)), iv("1/2", 1))])
+        stats = SolveStats()
+        verdict = sat(seq, get_logic("lgen"), stats=stats)
+        assert verdict.sat
+        verdict.model.validate()
+        states = len(verdict.model.states)
+        assert states < states_before
+        assert states <= stats.nodes + 1  # a state per SAT sequent, and the sink

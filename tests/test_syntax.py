@@ -154,3 +154,46 @@ class TestPrinter:
         assert to_text(Neg(Minus(Atom("a"), F(1, 2)))) == "~(a - 1/2)"
         assert to_text(Minus(Neg(Atom("a")), F(1, 2))) == "~a - 1/2"
         assert to_text(Modal(Diamond(), And(Atom("a"), Atom("b")))) == "dia (a & b)"
+
+
+def reference_size(f) -> int:
+    """The syntactic size by direct recursion over the tree."""
+    if isinstance(f, (Zero, Atom)):
+        return 1
+    if isinstance(f, Neg):
+        return reference_size(f.arg) + 1
+    if isinstance(f, Minus):
+        bits = max(1, f.c.numerator.bit_length()) + max(1, f.c.denominator.bit_length())
+        return reference_size(f.arg) + bits + 1
+    if isinstance(f, And):
+        return reference_size(f.left) + reference_size(f.right) + 1
+    op_size = 1
+    if isinstance(f.op, MoreThan):
+        op_size = max(1, f.op.p.numerator.bit_length()) + max(1, f.op.p.denominator.bit_length())
+    return reference_size(f.arg) + op_size
+
+
+def reference_depth(f) -> int:
+    """The modal depth by direct recursion over the tree."""
+    if isinstance(f, (Zero, Atom)):
+        return 0
+    if isinstance(f, (Neg, Minus)):
+        return reference_depth(f.arg)
+    if isinstance(f, And):
+        return max(reference_depth(f.left), reference_depth(f.right))
+    return reference_depth(f.arg) + 1
+
+
+class TestInterning:
+    @given(formulas())
+    def test_equal_formulas_are_one_object(self, f):
+        assert parse(to_text(f)) is f
+
+    @given(formulas())
+    def test_cached_measures_match_recursive_definitions(self, f):
+        assert f.size == size(f) == reference_size(f)
+        assert f.modal_depth == modal_depth(f) == reference_depth(f)
+
+    def test_formulas_are_immutable(self):
+        with pytest.raises(AttributeError):
+            Atom("a").name = "b"
