@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .lp import CapExceeded, LpError
+from .lp import CapExceeded
 from .logics import LOGIC_NAMES, get_logic
 from .metricspace import MetricSpace
 from .models import FiniteModel, eval_formula
@@ -71,7 +71,7 @@ def _load_logic(args) -> object:
 
 def _run_solve(args) -> int:
     logic = _load_logic(args)
-    caps = SolverCaps.from_env()
+    caps = SolverCaps()
     if args.max_literals is not None:
         caps.max_layer_literals = args.max_literals
     if args.trace:
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     except (CliError, CapExceeded, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, LpError, AssertionError) as exc:
+    except Exception as exc:
         # Internal failures: reported, never mistaken for an UNSAT verdict.
         print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

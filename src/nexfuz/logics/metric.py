@@ -29,7 +29,7 @@ from typing import Iterator
 
 from ..liftings import metric_diamond_value
 from ..metricspace import MetricSpace
-from ..numerics import Interval, ONE, ZERO
+from ..numerics import Interval, ONE, UNIT, ZERO
 from ..onestep import (
     Conclusion,
     OneStepLogic,
@@ -175,7 +175,7 @@ class MetricLogic(OneStepLogic):
                 cell = {s.var: s.lower_interval()}
                 for k in constrained[s.index]:
                     lk = by_index[k]
-                    cell[lk.var] = cell.get(lk.var, Interval.full()).intersect(
+                    cell[lk.var] = cell.get(lk.var, UNIT).intersect(
                         lk.upper_interval()
                     )
                 sequents.append(exact_over_vars(cell, variables))
@@ -262,7 +262,7 @@ class MetricLogic(OneStepLogic):
                 cell = {s.var: s.lower_interval()}
                 for k in constrain:
                     lk = by_index[k]
-                    cell[lk.var] = cell.get(lk.var, Interval.full()).intersect(
+                    cell[lk.var] = cell.get(lk.var, UNIT).intersect(
                         lk.upper_interval()
                     )
                 seq = exact_over_vars(cell, variables)

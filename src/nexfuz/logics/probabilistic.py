@@ -21,22 +21,27 @@ bound is non-strict: with two successor values 1 and 4/5 carrying masses
 below 4/5 is exactly 7/10.
 
 A successor state is classified by which threshold sets it belongs to,
-giving a 0/1 vector with two coordinates per literal.  A *configuration* is
-a set of such vectors; it supports a satisfying distribution iff weights
-summing to one exist whose per-coordinate sums meet the mass bounds, and by
-Caratheodory at most 2n+1 vectors are ever needed.
+giving a 0/1 vector with two coordinates per literal.  Variables are
+distinct, so each literal's bit pair depends on its own variable only: of
+its four pairs at most three are consistent (bit 0 is the complement ray of
+the threshold set), each standing for one value interval, and the
+consistent vectors are the product of these per-literal cells.  A
+*configuration* is a set of such vectors; it supports a satisfying
+distribution iff weights summing to one exist whose per-coordinate sums
+meet the mass bounds, and by Caratheodory at most 2n+1 vectors are ever
+needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .. import lp
 from ..liftings import generally_value, more_than_value
-from ..numerics import Comp, EMPTY, Interval, ONE, UNIT, ZERO
+from ..numerics import Comp, Interval, ONE, ZERO
 from ..onestep import (
     Conclusion,
     OneStepLogic,
@@ -116,59 +121,38 @@ def bounds_of(gamma: Sequent) -> list[LiteralBounds]:
     return [literal_bounds(op, var, interval) for op, var, interval in lits]
 
 
-def vector_intervals(vec: ConfigVector, bounds: Sequence[LiteralBounds]) -> dict[Var, Interval] | None:
-    """Decode a 0/1 vector into per-variable value intervals.
+def literal_cells(lb: LiteralBounds) -> list[tuple[tuple[int, int], Interval]]:
+    """The consistent (lower bit, upper bit) pairs of one literal, in
+    lexicographic order, each with the value interval it stands for.
 
-    Bit 2i selects membership in literal i's lower set (its complement ray
-    when 0), bit 2i+1 membership in the upper set.  Returns None when the
-    decoded constraints are contradictory (no state can look like this).
+    Bit 1 is membership in the literal's threshold ray, bit 0 membership in
+    the ray's complement.  The two rays never both exclude a value, so at
+    most three of the four pairs are consistent, and (1, 1) always is.
     """
-    out: dict[Var, Interval] = {}
-    for i, lb in enumerate(bounds):
-        lower = lb.lower_set if vec[2 * i] else _ray_negation(lb.lower_set)
-        upper = lb.upper_set if vec[2 * i + 1] else _ray_negation(lb.upper_set)
-        cell = lower.intersect(upper)
-        prev = out.get(lb.var, UNIT)
-        cell = prev.intersect(cell)
-        if cell.is_empty:
-            return None
-        out[lb.var] = cell
-    return out
+    lower, upper = lb.lower_set, lb.upper_set
+    lower_rays = (Interval.from_comparison(lower.lower_comp().negation(), lower.lo), lower)
+    upper_rays = (Interval.from_comparison(upper.upper_comp().negation(), upper.hi), upper)
+    cells = []
+    for lo_bit, lo_ray in enumerate(lower_rays):
+        for hi_bit, hi_ray in enumerate(upper_rays):
+            cell = lo_ray.intersect(hi_ray)
+            if not cell.is_empty:
+                cells.append(((lo_bit, hi_bit), cell))
+    return cells
 
 
-def _ray_negation(ray: Interval) -> Interval:
-    """Complement of a threshold ray inside [0,1]."""
-    if ray == UNIT:
-        return EMPTY
-    if ray.lo == ZERO and not ray.lo_open:
-        # [0, b> complement: <b, 1]
-        return Interval.make(ray.hi, ONE, lo_open=not ray.hi_open)
-    # <a, 1] complement: [0, a>
-    return Interval.make(ZERO, ray.lo, hi_open=not ray.lo_open)
+def consistent_vectors(bounds: Sequence[LiteralBounds]) -> Iterator[tuple[ConfigVector, Sequent]]:
+    """Every 0/1 vector some successor state can have, lexicographically,
+    with the exact variable sequent such a state must satisfy.
 
-
-def enum_config_vectors(n: int) -> list[ConfigVector]:
-    """All 0/1 vectors of length 2n, lexicographically."""
-    out = []
-    for code in range(1 << (2 * n)):
-        out.append(tuple((code >> (2 * n - 1 - k)) & 1 for k in range(2 * n)))
-    return out
-
-
-def enum_configurations(n: int, cap: int = DEFAULT_ENUM_LITERALS) -> Iterator[tuple[ConfigVector, ...]]:
-    """All sets of distinct vectors of size 1..2n+1, sizes ascending then lex.
-
-    For n = 0 the single empty configuration is produced.
+    Bits 2i and 2i+1 belong to literal i alone (variables are distinct), so
+    the consistent vectors are the product of the per-literal cells.
     """
-    if n > cap:
-        raise lp.CapExceeded(f"configuration enumeration over {n} literals (cap {cap})")
-    if n == 0:
-        yield ()
-        return
-    vectors = enum_config_vectors(n)
-    for k in range(1, 2 * n + 2):
-        for combo in combinations(vectors, k):
-            yield combo
+    variables = [lb.var for lb in bounds]
+    for combo in product(*(literal_cells(lb) for lb in bounds)):
+        vec = tuple(bit for bits, _ in combo for bit in bits)
+        cells = {var: cell for var, (_, cell) in zip(variables, combo)}
+        yield vec, exact_over_vars(cells, variables)
 
 
 def mass_system(cfg: Sequence[ConfigVector], conds: Sequence[MassBound | None]) -> lp.LinSystem:
@@ -227,12 +211,11 @@ class _ProbData:
 class ProbabilisticLogic(OneStepLogic):
     kind = "prob"
 
-    def __init__(self, flavor: str, enum_cap: int = DEFAULT_ENUM_LITERALS):
+    def __init__(self, flavor: str):
         if flavor not in ("lgen", "mp"):
             raise ValueError(f"unknown probabilistic flavor {flavor!r}")
         self.flavor = flavor
         self.name = flavor
-        self.enum_cap = enum_cap
 
     def supports(self, op: ModalOp) -> bool:
         if self.flavor == "lgen":
@@ -249,32 +232,34 @@ class ProbabilisticLogic(OneStepLogic):
     def conclusions(self, gamma: Sequent) -> Iterator[Conclusion]:
         """Conclusions indexed by feasible configurations in enumeration order.
 
-        A configuration is emitted when its weight system is solvable and
-        every vector decodes to realizable value intervals.
+        Configurations are sets of 1..2n+1 distinct consistent vectors,
+        sizes ascending then lexicographic; one is emitted when its weight
+        system is solvable.  With no modal literals the single empty
+        configuration is the only conclusion.
         """
         self._ops(gamma)
         if any(i.is_empty for _, i in gamma.items()):
             return
         bounds = bounds_of(gamma)
-        variables = [lb.var for lb in bounds]
-        decode = {
-            vec: vector_intervals(vec, bounds)
-            for vec in enum_config_vectors(len(bounds))
-        }
-        conds = _flat_conditions(bounds)
+        n = len(bounds)
+        if n > DEFAULT_ENUM_LITERALS:
+            raise lp.CapExceeded(
+                f"configuration enumeration over {n} literals (cap {DEFAULT_ENUM_LITERALS})"
+            )
+        if n == 0:
+            yield Conclusion(0, (), _ProbData((), ()))
+            return
+        consistent = list(consistent_vectors(bounds))
         index = 0
-        for cfg in enum_configurations(len(bounds), self.enum_cap):
-            decoded = [decode[vec] for vec in cfg]
-            if any(d is None for d in decoded):
-                continue
-            if not _mass_possible(cfg, conds):
-                continue
-            weights = config_feasible(cfg, bounds)
-            if weights is None:
-                continue
-            sequents = tuple(exact_over_vars(d, variables) for d in decoded)
-            yield Conclusion(index, sequents, _ProbData(tuple(cfg), tuple(weights)))
-            index += 1
+        for k in range(1, 2 * n + 2):
+            for combo in combinations(consistent, k):
+                cfg = tuple(vec for vec, _ in combo)
+                weights = config_feasible(cfg, bounds)
+                if weights is None:
+                    continue
+                sequents = tuple(seq for _, seq in combo)
+                yield Conclusion(index, sequents, _ProbData(cfg, tuple(weights)))
+                index += 1
 
     def realize(self, gamma, conclusion, tau) -> TransitionWitness:
         self._ops(gamma)
@@ -315,19 +300,10 @@ class ProbabilisticLogic(OneStepLogic):
         if any(i.is_empty for _, i in gamma.items()):
             return None
         bounds = bounds_of(gamma)
-        n = len(bounds)
-        variables = [lb.var for lb in bounds]
-        if n == 0:
+        if not bounds:
             return SearchSuccess(Conclusion(0, (), _ProbData((), ())), [])
         conds = _flat_conditions(bounds)
-
-        consistent: list[tuple[ConfigVector, Sequent]] = []
-        for vec in enum_config_vectors(n):
-            decoded = vector_intervals(vec, bounds)
-            if decoded is not None:
-                consistent.append((vec, exact_over_vars(decoded, variables)))
-        if not consistent:
-            return None
+        consistent = list(consistent_vectors(bounds))
         # Quick refutation before any recursion: even with every vector
         # available the masses may be unachievable.
         if self._weights_over([vec for vec, _ in consistent], conds) is None:

@@ -65,7 +65,10 @@ class MetricSpace:
             dist = data["dist"]
         except (TypeError, KeyError) as exc:
             raise MetricSpaceError("metric space JSON needs 'labels' and 'dist'") from exc
-        matrix = [[parse_rational(v) for v in row] for row in dist]
+        try:
+            matrix = [[parse_rational(v) for v in row] for row in dist]
+        except (AttributeError, TypeError) as exc:
+            raise MetricSpaceError("metric space 'dist' must be rows of rationals") from exc
         return MetricSpace.make(labels, matrix)
 
     @staticmethod

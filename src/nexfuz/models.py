@@ -147,18 +147,24 @@ class FiniteModel:
         if "metric" in data:
             space = MetricSpace.from_json(data["metric"])
         trans: dict = {}
-        if kind in ("prob", "fuzzyrel"):
-            for x, row in raw_trans.items():
-                trans[x] = {y: parse_rational(d) for y, d in row.items()}
-        else:
-            for x, row in raw_trans.items():
-                trans[x] = {
-                    (e["label"], e["to"]): parse_rational(e["deg"]) for e in row
-                }
-        atoms = {
-            x: {a: parse_rational(v) for a, v in row.items()}
-            for x, row in raw_atoms.items()
-        }
+        try:
+            if kind in ("prob", "fuzzyrel"):
+                for x, row in raw_trans.items():
+                    trans[x] = {y: parse_rational(d) for y, d in row.items()}
+            else:
+                for x, row in raw_trans.items():
+                    trans[x] = {
+                        (e["label"], e["to"]): parse_rational(e["deg"]) for e in row
+                    }
+            atoms = {
+                x: {a: parse_rational(v) for a, v in row.items()}
+                for x, row in raw_atoms.items()
+            }
+        except (AttributeError, TypeError, KeyError) as exc:
+            raise ModelError(
+                "model JSON rows must map states to degrees (metric edges: "
+                f"'label', 'to', 'deg'); malformed entry: {exc!r}"
+            ) from exc
         model = FiniteModel(kind, states, trans, atoms, space, data.get("root"))
         model.validate()
         return model

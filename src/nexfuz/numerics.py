@@ -100,14 +100,6 @@ _DUAL = {Comp.LT: Comp.GT, Comp.GT: Comp.LT, Comp.LE: Comp.GE, Comp.GE: Comp.LE}
 _FLIP = {Comp.LT: Comp.LE, Comp.LE: Comp.LT, Comp.GT: Comp.GE, Comp.GE: Comp.GT}
 
 
-def comp_dual(op: Comp) -> Comp:
-    return op.dual()
-
-
-def comp_negate(op: Comp) -> Comp:
-    return op.flipped_strictness()
-
-
 @dataclass(frozen=True)
 class Interval:
     """A sub-interval of [0, 1] with independently open/closed endpoints.
@@ -134,10 +126,6 @@ class Interval:
     @staticmethod
     def point(q) -> Interval:
         return Interval.make(q, q)
-
-    @staticmethod
-    def full() -> Interval:
-        return UNIT
 
     @staticmethod
     def from_lower(a: Fraction, op: Comp) -> Interval:

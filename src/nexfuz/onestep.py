@@ -28,9 +28,6 @@ class Decomposition:
     binding: dict[Var, Formula]
     lifted: Sequent
 
-    def __iter__(self):
-        return iter((self.variables, self.binding, self.lifted))
-
 
 def top_level_decompose(seq: Sequent) -> Decomposition:
     """Replace each outermost modal argument with a fresh variable.

@@ -121,7 +121,13 @@ class Sequent:
             raise SequentError("sequent JSON needs a 'literals' list") from exc
         literals = []
         for entry in raw:
-            literals.append((parse(entry["formula"]), parse_interval(entry["interval"])))
+            try:
+                formula, interval = entry["formula"], entry["interval"]
+            except (TypeError, KeyError) as exc:
+                raise SequentError(
+                    f"sequent literal {entry!r} needs 'formula' and 'interval'"
+                ) from exc
+            literals.append((parse(formula), parse_interval(interval)))
         return Sequent(literals)
 
     def dumps(self) -> str:

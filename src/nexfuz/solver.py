@@ -25,7 +25,6 @@ backtracking, so verdicts and witnesses are reproducible.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,22 +42,12 @@ from .prop_tableau import saturate
 from .sequents import Sequent
 from .syntax import Formula, Modal, Var, modal_depth, subformulas
 
-MAX_LITERALS_ENV = "NEXFUZ_MAX_LITERALS"
-
 
 @dataclass
 class SolverCaps:
     """Explicit limits; exceeding one raises CapExceeded, never UNSAT."""
 
     max_layer_literals: int = 8
-
-    @staticmethod
-    def from_env() -> SolverCaps:
-        caps = SolverCaps()
-        raw = os.environ.get(MAX_LITERALS_ENV)
-        if raw:
-            caps.max_layer_literals = int(raw)
-        return caps
 
 
 @dataclass
@@ -157,7 +146,7 @@ def sat(
     extends the atom signature: every witness state gives them value 0
     unless an atom literal pins them, so they never change a verdict.
     """
-    caps = caps or SolverCaps.from_env()
+    caps = caps or SolverCaps()
     stats = stats if stats is not None else SolveStats()
     if verify is None:
         verify = __debug__

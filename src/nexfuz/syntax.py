@@ -268,10 +268,6 @@ def modal_depth(f: Formula) -> int:
     return f.modal_depth
 
 
-def atoms_of(f: Formula) -> set[str]:
-    return {g.name for g in subformulas(f) if isinstance(g, Atom)}
-
-
 # ---------------------------------------------------------------------------
 # Concrete syntax
 # ---------------------------------------------------------------------------

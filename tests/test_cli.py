@@ -121,6 +121,32 @@ class TestErrorContract:
         code, out, err = self.solve_raising(capsys, monkeypatch, exc)
         assert code == 2 and out == "" and err.startswith("error:") and "witness" in err
 
+    @staticmethod
+    def solve_sequent_file(capsys, tmp_path, literals):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"literals": literals}))
+        return run(capsys, "solve", "--logic", "alc", "--sequent", str(path))
+
+    def test_sequent_entry_without_interval_exit_two(self, capsys, tmp_path):
+        code, out, err = self.solve_sequent_file(capsys, tmp_path, [{"formula": "dia a"}])
+        assert code == 2 and out == "" and err.startswith("error:") and "interval" in err
+
+    def test_sequent_entry_string_exit_two(self, capsys, tmp_path):
+        code, out, err = self.solve_sequent_file(capsys, tmp_path, ["dia a"])
+        assert code == 2 and out == "" and err.startswith("error:") and "interval" in err
+
+    def test_metric_edge_without_label_exit_two(self, capsys, tmp_path):
+        model = {
+            "kind": "metric",
+            "states": ["x"],
+            "trans": {"x": [{"to": "x", "deg": "1"}]},
+            "metric": {"labels": ["e"], "dist": [["0"]]},
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run(capsys, "validate", "--model", str(path))
+        assert code == 2 and out == "" and err.startswith("error:") and "label" in err
+
 
 class TestEvalAndValidate:
     def test_eval_model(self, capsys, tmp_path):

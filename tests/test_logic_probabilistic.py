@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -10,10 +11,9 @@ from nexfuz.logics import get_logic
 from nexfuz.logics.probabilistic import (
     bounds_of,
     config_feasible,
-    enum_config_vectors,
-    enum_configurations,
+    consistent_vectors,
     literal_bounds,
-    vector_intervals,
+    literal_cells,
 )
 from nexfuz.lp import CapExceeded, caratheodory_reduce
 from nexfuz.numerics import Comp, Interval
@@ -74,20 +74,42 @@ class TestLiteralBounds:
 
 class TestEnumeration:
     def test_counts_for_one_literal(self):
-        assert len(list(enum_configurations(1))) == 14  # C(4,1)+C(4,2)+C(4,3)
+        # Consistent vectors 01 < 10 < 11; every set of them in size-then-lex
+        # order is a conclusion when its weights are feasible.
+        gamma = Sequent([(g_lit(1), iv("1/4", "3/4"))])
+        combos = [
+            ((0, 1),), ((1, 0),), ((1, 1),),
+            ((0, 1), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1)),
+            ((0, 1), (1, 0), (1, 1)),
+        ]
+        bounds = bounds_of(gamma)
+        feasible = [cfg for cfg in combos if config_feasible(cfg, bounds) is not None]
+        got = list(LGEN.conclusions(gamma))
+        assert [c.data.cfg for c in got] == feasible
+        assert [c.index for c in got] == list(range(len(feasible))) == list(range(5))
 
     def test_zero_literals(self):
-        assert list(enum_configurations(0)) == [()]
+        (c,) = LGEN.conclusions(Sequent())
+        assert c.index == 0 and c.sequents == () and c.data.cfg == ()
 
     def test_first_configuration(self):
-        assert next(iter(enum_configurations(1))) == ((0, 0),)
+        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
+        first = next(iter(LGEN.conclusions(gamma)))
+        assert first.index == 0 and first.data.cfg == ((1, 1),)
 
     def test_cap(self):
+        gamma = Sequent((g_lit(i), iv("1/4", "3/4")) for i in range(1, 8))
         with pytest.raises(CapExceeded):
-            list(enum_configurations(7))
+            next(iter(LGEN.conclusions(gamma)))
 
     def test_vectors_lexicographic(self):
-        assert enum_config_vectors(1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        gamma = Sequent([(g_lit(1), iv("1/4", "3/4")), (g_lit(2), iv("1/2", 1))])
+        vecs = [vec for vec, _ in consistent_vectors(bounds_of(gamma))]
+        assert vecs == [
+            (0, 1, 0, 1), (0, 1, 1, 1),
+            (1, 0, 0, 1), (1, 0, 1, 1),
+            (1, 1, 0, 1), (1, 1, 1, 1),
+        ]
 
 
 class TestConfigFeasible:
@@ -111,21 +133,43 @@ class TestConfigFeasible:
 
 class TestVectorDecoding:
     def test_both_bits_set(self):
-        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
-        bounds = bounds_of(gamma)
-        cells = vector_intervals((1, 1), bounds)
-        assert cells == {Var("v1"): iv("1/2", 1)}
+        (lb,) = bounds_of(Sequent([(g_lit(1), iv("1/2", 1))]))
+        assert ((1, 1), iv("1/2", 1)) in literal_cells(lb)
 
     def test_low_bit_clear(self):
-        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
-        bounds = bounds_of(gamma)
-        assert vector_intervals((0, 1), bounds) == {Var("v1"): iv(0, "1/2", hi_open=True)}
+        (lb,) = bounds_of(Sequent([(g_lit(1), iv("1/2", 1))]))
+        assert ((0, 1), iv(0, "1/2", hi_open=True)) in literal_cells(lb)
 
     def test_inconsistent_vector(self):
-        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
-        bounds = bounds_of(gamma)
         # Clearing the vacuous upper bit demands value > 1: impossible.
-        assert vector_intervals((1, 0), bounds) is None
+        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
+        assert [bits for bits, _ in literal_cells(bounds_of(gamma)[0])] == [(0, 1), (1, 1)]
+        assert [vec for vec, _ in consistent_vectors(bounds_of(gamma))] == [(0, 1), (1, 1)]
+
+    def test_vector_sequents(self):
+        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
+        assert list(consistent_vectors(bounds_of(gamma))) == [
+            ((0, 1), Sequent([(Var("v1"), iv(0, "1/2", hi_open=True))])),
+            ((1, 1), Sequent([(Var("v1"), iv("1/2", 1))])),
+        ]
+
+    def test_cells_partition_the_unit_interval(self):
+        # Over a grid of literal intervals, every grid value lies in exactly
+        # the cell of its own membership bits, and every cell is nonempty.
+        grid = [F(k, 4) for k in range(5)]
+        flags = (False, True)
+        for lo, hi, lo_open, hi_open in product(grid, grid, flags, flags):
+            interval = iv(lo, hi, lo_open, hi_open)
+            if interval.is_empty:
+                continue
+            for op in (Generally(), MoreThan(F(1, 3))):
+                lb = literal_bounds(op, Var("v"), interval)
+                cells = literal_cells(lb)
+                assert all(not cell.is_empty for _, cell in cells)
+                assert (1, 1) in dict(cells) and (0, 0) not in dict(cells)
+                for x in (F(k, 8) for k in range(9)):
+                    bits = (int(lb.lower_set.contains(x)), int(lb.upper_set.contains(x)))
+                    assert [b for b, c in cells if c.contains(x)] == [bits]
 
 
 class TestConclusions:
@@ -214,7 +258,8 @@ class TestRoundTrip:
 
 class TestSoundnessSampling:
     """States of a random satisfying one-step model classify into a feasible
-    configuration (after support reduction)."""
+    configuration (after support reduction), and each state's own
+    classification is a consistent vector whose cell holds its values."""
 
     def _run(self, flavor, seed):
         rng = random.Random(seed)
@@ -258,6 +303,12 @@ class TestSoundnessSampling:
                     vec.append(1 if lb.lower_set.contains(tau[(x, i)]) else 0)
                     vec.append(1 if lb.upper_set.contains(tau[(x, i)]) else 0)
                 vecs.append(tuple(vec))
+            cells = dict(consistent_vectors(bounds))
+            for x, vec in enumerate(vecs):
+                assert vec in cells, (gamma, vec)
+                for lb in bounds:
+                    i = int(lb.var.name[1:]) - 1
+                    assert cells[vec][lb.var].contains(tau[(x, i)]), (gamma, vec)
             merged: dict[tuple, F] = {}
             for x, vec in enumerate(vecs):
                 merged[vec] = merged.get(vec, F(0)) + weights[x]

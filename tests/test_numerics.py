@@ -10,8 +10,6 @@ from nexfuz.numerics import (
     Interval,
     NumericError,
     UNIT,
-    comp_dual,
-    comp_negate,
     format_interval,
     parse_interval,
     parse_rational,
@@ -115,20 +113,20 @@ class TestIntersect:
 
 class TestCompOps:
     def test_dual_table(self):
-        assert comp_dual(Comp.GT) is Comp.LT
-        assert comp_dual(Comp.GE) is Comp.LE
-        assert comp_dual(Comp.LT) is Comp.GT
-        assert comp_dual(Comp.LE) is Comp.GE
+        assert Comp.GT.dual() is Comp.LT
+        assert Comp.GE.dual() is Comp.LE
+        assert Comp.LT.dual() is Comp.GT
+        assert Comp.LE.dual() is Comp.GE
 
     def test_negate_table(self):
-        assert comp_negate(Comp.GT) is Comp.GE
-        assert comp_negate(Comp.GE) is Comp.GT
-        assert comp_negate(Comp.LT) is Comp.LE
-        assert comp_negate(Comp.LE) is Comp.LT
+        assert Comp.GT.flipped_strictness() is Comp.GE
+        assert Comp.GE.flipped_strictness() is Comp.GT
+        assert Comp.LT.flipped_strictness() is Comp.LE
+        assert Comp.LE.flipped_strictness() is Comp.LT
 
     def test_dual_involution(self):
         for op in Comp:
-            assert comp_dual(comp_dual(op)) is op
+            assert op.dual().dual() is op
 
     def test_negation_is_logical_complement(self):
         rng = random.Random(7)

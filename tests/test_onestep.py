@@ -24,25 +24,25 @@ def iv(lo, hi, lo_open=False, hi_open=False):
 class TestDecompose:
     def test_fresh_variable_per_occurrence(self):
         seq = Sequent([(parse("dia a & ~(dia a)"), iv("1/2", 1))])
-        variables, binding, lifted = top_level_decompose(seq)
-        assert [v.name for v in variables] == ["v1", "v2"]
-        assert binding == {V1: A, V2: A}
+        d = top_level_decompose(seq)
+        assert [v.name for v in d.variables] == ["v1", "v2"]
+        assert d.binding == {V1: A, V2: A}
         expected = Sequent(
             [(And(Modal(Diamond(), V1), Neg(Modal(Diamond(), V2))), iv("1/2", 1))]
         )
-        assert lifted == expected
+        assert d.lifted == expected
 
     def test_zero_under_modality(self):
         seq = Sequent([(parse("dia 0"), UNIT)])
-        variables, binding, lifted = top_level_decompose(seq)
-        assert binding == {V1: Zero()}
-        assert lifted == Sequent([(Modal(Diamond(), V1), UNIT)])
+        d = top_level_decompose(seq)
+        assert d.binding == {V1: Zero()}
+        assert d.lifted == Sequent([(Modal(Diamond(), V1), UNIT)])
 
     def test_atoms_stay_nullary(self):
         seq = Sequent([(A, UNIT)])
-        variables, binding, lifted = top_level_decompose(seq)
-        assert variables == ()
-        assert lifted == seq
+        d = top_level_decompose(seq)
+        assert d.variables == ()
+        assert d.lifted == seq
 
     def test_each_variable_occurs_exactly_once(self):
         import random
@@ -52,7 +52,7 @@ class TestDecompose:
         rng = random.Random(9)
         for _ in range(40):
             seq = rand_sequent(rng, "alc", depth=3, max_den=8)
-            variables, binding, lifted = top_level_decompose(seq)
+            d = top_level_decompose(seq)
 
             def count(f, v):
                 if f == v:
@@ -67,16 +67,16 @@ class TestDecompose:
                     return count(f.left, v) + count(f.right, v)
                 return 0
 
-            for v in variables:
-                assert sum(count(f, v) for f, _ in lifted.items()) == 1
+            for v in d.variables:
+                assert sum(count(f, v) for f, _ in d.lifted.items()) == 1
 
     def test_substituting_back_restores_input(self):
         seq = Sequent([(parse("(dia (a & b) - 1/4) & ~dia 0"), iv(0, "3/4"))])
-        variables, binding, lifted = top_level_decompose(seq)
+        d = top_level_decompose(seq)
 
         def restore(f):
             if isinstance(f, Var):
-                return binding[f]
+                return d.binding[f]
             if isinstance(f, Modal):
                 return Modal(f.op, restore(f.arg))
             if isinstance(f, And):
@@ -89,7 +89,7 @@ class TestDecompose:
                 return Minus(restore(f.arg), f.c)
             return f
 
-        assert Sequent((restore(f), i) for f, i in lifted.items()) == seq
+        assert Sequent((restore(f), i) for f, i in d.lifted.items()) == seq
 
 
 class TestSubstitute:

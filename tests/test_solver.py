@@ -59,13 +59,6 @@ class TestBasics:
         with pytest.raises(CapExceeded):
             sat(seq, ALC, caps=caps)
 
-    def test_cap_from_environment(self, monkeypatch):
-        monkeypatch.setenv("NEXFUZ_MAX_LITERALS", "1")
-        assert SolverCaps.from_env().max_layer_literals == 1
-        seq = Sequent([(parse("dia a & dia b"), iv(0, 1))])
-        with pytest.raises(CapExceeded):
-            sat(seq, ALC)
-
     def test_expectation_modality_rejected(self):
         with pytest.raises(ValueError, match="arithmetically entangled"):
             get_logic("probably")
