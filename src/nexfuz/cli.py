@@ -12,14 +12,14 @@ import argparse
 import json
 import sys
 
+from . import solver
 from .lp import CapExceeded
 from .logics import LOGIC_NAMES, get_logic
 from .metricspace import MetricSpace
 from .models import FiniteModel, eval_formula
-from .numerics import Comp, format_rational, parse_unit_rational
+from .numerics import Comp, Interval, format_rational, parse_unit_rational
 from .prop_tableau import trace_to_json
 from .sequents import Sequent
-from .solver import SolverCaps, sat, sat_threshold
 from .syntax import parse
 
 _CMP = {"lt": Comp.LT, "le": Comp.LE, "gt": Comp.GT, "ge": Comp.GE}
@@ -45,7 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--p", default="1/2", help="threshold rational (default 1/2)")
     solve.add_argument("--metric-space", help="metric space JSON (metric logics)")
     solve.add_argument("--witness", help="write the witness model JSON here on SAT")
-    solve.add_argument("--trace", action="store_true", help="print tableau steps as JSON")
+    solve.add_argument(
+        "--trace", action="store_true", help="print every tableau step of the solve as JSON"
+    )
     solve.add_argument("--json", action="store_true", help="machine-readable output")
     solve.add_argument("--max-literals", type=int, help="modal literals allowed per layer")
 
@@ -71,19 +73,17 @@ def _load_logic(args) -> object:
 
 def _run_solve(args) -> int:
     logic = _load_logic(args)
-    caps = SolverCaps()
+    caps = solver.SolverCaps()
     if args.max_literals is not None:
         caps.max_layer_literals = args.max_literals
-    if args.trace:
-        _print_saturation_trace(args, logic)
     if args.sequent:
         with open(args.sequent, "r", encoding="utf-8") as fh:
             seq = Sequent.from_json(json.load(fh))
-        verdict = sat(seq, logic, caps=caps)
     else:
-        formula = parse(args.formula)
         p = parse_unit_rational(args.p)
-        verdict = sat_threshold(formula, _CMP[args.cmp], p, logic, caps=caps)
+        seq = Sequent([(parse(args.formula), Interval.from_comparison(_CMP[args.cmp], p))])
+    trace = _print_rule if args.trace else None
+    verdict = solver.sat(seq, logic, caps=caps, trace=trace)
     witness_json = verdict.model.to_json() if verdict.sat else None
     if args.witness and verdict.sat:
         verdict.model.dump(args.witness)
@@ -95,26 +95,8 @@ def _run_solve(args) -> int:
     return 0 if verdict.sat else 1
 
 
-def _print_saturation_trace(args, logic) -> None:
-    from .onestep import top_level_decompose
-    from .prop_tableau import saturate
-
-    if args.sequent:
-        with open(args.sequent, "r", encoding="utf-8") as fh:
-            seq = Sequent.from_json(json.load(fh))
-    else:
-        from .numerics import Interval
-
-        formula = parse(args.formula)
-        p = parse_unit_rational(args.p)
-        seq = Sequent([(formula, Interval.from_comparison(_CMP[args.cmp], p))])
-    decomp = top_level_decompose(seq)
-
-    def emit(rule, premise, conclusions):
-        print(json.dumps(trace_to_json(rule, premise, conclusions)), file=sys.stderr)
-
-    for _ in saturate(decomp.lifted, trace=emit):
-        pass
+def _print_rule(rule, premise, conclusions) -> None:
+    print(json.dumps(trace_to_json(rule, premise, conclusions)), file=sys.stderr)
 
 
 def _run_eval(args) -> int:

@@ -11,10 +11,8 @@ under every upper bound whose interval does meet it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
-from ..liftings import diamond_value
-from ..numerics import Interval, ONE, ZERO
 from ..onestep import (
     Conclusion,
     OneStepLogic,
@@ -48,42 +46,26 @@ class FuzzyAlcLogic(OneStepLogic):
         if any(interval.is_empty for _, interval in lits):
             return
         variables = [var for var, _ in lits]
-        uppers = [
-            Interval.make(ZERO, interval.hi, hi_open=interval.hi_open)
-            for _, interval in lits
-        ]
         sequents = []
-        for i, (v_i, interval_i) in enumerate(lits):
-            cell: dict = {v_i: Interval.make(interval_i.lo, ONE, lo_open=interval_i.lo_open)}
-            for j, (v_j, _) in enumerate(lits):
-                if j != i and interval_i.intersect(uppers[j]).is_empty:
-                    cell[v_j] = uppers[j]
+        for v_i, interval_i in lits:
+            cell = {v_i: interval_i.lower_ray()}
+            for v_j, interval_j in lits:
+                upper = interval_j.upper_ray()
+                if v_j != v_i and interval_i.intersect(upper).is_empty:
+                    cell[v_j] = upper
             sequents.append(exact_over_vars(cell, variables))
         yield Conclusion(0, tuple(sequents))
 
     def realize(self, gamma, conclusion, tau) -> TransitionWitness:
         lits = self._literals(gamma)
-        uppers = [
-            Interval.make(ZERO, interval.hi, hi_open=interval.hi_open)
-            for _, interval in lits
-        ]
         degrees = []
-        for i, (v_i, interval_i) in enumerate(lits):
-            allowed = Interval.make(interval_i.lo, ONE, lo_open=interval_i.lo_open)
-            for j in range(len(lits)):
-                if not interval_i.intersect(uppers[j]).is_empty:
-                    allowed = allowed.intersect(uppers[j])
+        for _, interval_i in lits:
+            allowed = interval_i.lower_ray()
+            for _, interval_j in lits:
+                upper = interval_j.upper_ray()
+                if not interval_i.intersect(upper).is_empty:
+                    allowed = allowed.intersect(upper)
             if allowed.is_empty:
                 raise SequentError("internal: empty degree range in diamond realize")
             degrees.append(allowed.pick())
-        witness = TransitionWitness("fuzzyrel", tuple(degrees))
-        _check_roundtrip(lits, conclusion, tau, degrees)
-        return witness
-
-
-def _check_roundtrip(lits, conclusion: Conclusion, tau: Callable, degrees) -> None:
-    """Re-evaluate each literal's lifting on the realized structure."""
-    for var, interval in lits:
-        edges = [(degrees[j], tau(j, var)) for j in range(len(degrees))]
-        if not interval.contains(diamond_value(edges)):
-            raise SequentError("internal: realized diamond value escapes its interval")
+        return TransitionWitness("fuzzyrel", tuple(degrees))

@@ -27,7 +27,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from ..liftings import metric_diamond_value
 from ..metricspace import MetricSpace
 from ..numerics import Interval, ONE, UNIT, ZERO
 from ..onestep import (
@@ -51,26 +50,6 @@ class _Lit:
     reach: Fraction
     interval: Interval
 
-    @property
-    def lower_vacuous(self) -> bool:
-        return self.interval.lo == ZERO and not self.interval.lo_open
-
-    @property
-    def upper_vacuous(self) -> bool:
-        return self.interval.hi == ONE and not self.interval.hi_open
-
-    def lower_ok(self, value: Fraction) -> bool:
-        return self.interval.lower_comp().holds(value, self.interval.lo)
-
-    def upper_ok(self, value: Fraction) -> bool:
-        return self.interval.upper_comp().holds(value, self.interval.hi)
-
-    def lower_interval(self) -> Interval:
-        return Interval.make(self.interval.lo, ONE, lo_open=self.interval.lo_open)
-
-    def upper_interval(self) -> Interval:
-        return Interval.make(ZERO, self.interval.hi, hi_open=self.interval.hi_open)
-
 
 @dataclass(frozen=True)
 class _MetricData:
@@ -79,6 +58,20 @@ class _MetricData:
     state_lits: tuple[int, ...]  # literal index realized by each state
     constrained: tuple[tuple[int, ...], ...]  # per state: literals whose value is capped
     labels: tuple[str, ...]  # per state: the chosen edge label
+
+
+@dataclass
+class _Layer:
+    """What every conclusion of one end-sequent shares: its literals, the
+    states (literals with a non-vacuous lower bound), each literal's lower
+    and upper reach, and, per state, the upper bounds it must choose for."""
+
+    lits: list[_Lit]
+    states: list[_Lit]
+    variables: list[Var]
+    lower_reach: dict[int, list[str]]
+    upper_reach: dict[int, set[str]]
+    paired: dict[int, list[int]]  # state index -> paired literal indices
 
 
 class MetricLogic(OneStepLogic):
@@ -102,183 +95,140 @@ class MetricLogic(OneStepLogic):
             raise SequentError("duplicate variables in an end-sequent")
         return lits
 
-    def _lower_reach(self, lit: _Lit) -> list[str]:
-        """Labels m whose truncated slack c - d can meet the lower bound."""
-        out = []
-        for m in self.space.labels:
-            slack = max(ZERO, lit.reach - self.space.dist(lit.label, m))
-            if lit.lower_ok(slack):
-                out.append(m)
-        return out
+    def _reach(self, lit: _Lit) -> tuple[list[str], set[str]]:
+        """The labels m whose truncated slack c - d(l, m) can meet the lower
+        bound (lower reach, in label order), and those whose slack alone
+        already exceeds the upper bound (upper reach)."""
+        lower_ray, upper_ray = lit.interval.lower_ray(), lit.interval.upper_ray()
+        lower, upper = [], set()
+        distances = self.space.matrix[self.space.index(lit.label)]
+        for m, d in zip(self.space.labels, distances):
+            slack = max(ZERO, lit.reach - d)
+            if lower_ray.contains(slack):
+                lower.append(m)
+            if not upper_ray.contains(slack):
+                upper.add(m)
+        return lower, upper
 
-    def _upper_reach(self, lit: _Lit) -> set[str]:
-        """Labels m whose slack alone already exceeds the upper bound."""
-        out = set()
-        for m in self.space.labels:
-            slack = max(ZERO, lit.reach - self.space.dist(lit.label, m))
-            if not lit.upper_ok(slack):
-                out.add(m)
-        return out
-
-    def _pairs(self, lits: list[_Lit], states: list[_Lit]):
-        """Interacting (upper bound, state) pairs needing an explicit choice."""
-        lower_reach = {s.index: self._lower_reach(s) for s in states}
-        upper_reach = {k.index: self._upper_reach(k) for k in lits}
-        pairs = []
+    def _layer(self, gamma: Sequent) -> _Layer | None:
+        """The shared prelude of the rule, or None when `gamma` has no
+        conclusion: an empty literal, or a state no label can serve."""
+        lits = self._literals(gamma)
+        if any(lit.interval.is_empty for lit in lits):
+            return None
+        states = [lit for lit in lits if lit.interval.lower_ray() != UNIT]
+        lower_reach, upper_reach = {}, {}
+        for lit in lits:
+            lower_reach[lit.index], upper_reach[lit.index] = self._reach(lit)
+        if any(not lower_reach[s.index] for s in states):
+            return None
+        # (upper bound k, state j) pairs that interact through a shared
+        # label and need an explicit choice.  A vacuous upper bound has an
+        # empty upper reach, since slacks lie in [0, 1].
+        paired: dict[int, list[int]] = {s.index: [] for s in states}
         for k in lits:
-            if k.upper_vacuous:
-                continue
             for j in states:
                 if not upper_reach[k.index] & set(lower_reach[j.index]):
                     continue
                 if not self.crisp:
                     # Degree-dodging handles the pair when j's lower bound
                     # and k's upper bound share an admissible degree.
-                    if not j.lower_interval().intersect(k.upper_interval()).is_empty:
+                    lower, upper = j.interval.lower_ray(), k.interval.upper_ray()
+                    if not lower.intersect(upper).is_empty:
                         continue
-                pairs.append((k.index, j.index))
-        return pairs, lower_reach, upper_reach
+                paired[j.index].append(k.index)
+        variables = [lit.var for lit in lits]
+        return _Layer(lits, states, variables, lower_reach, upper_reach, paired)
+
+    def _state(
+        self, layer: _Layer, s: _Lit, constrain: list[int]
+    ) -> tuple[str, Sequent] | None:
+        """State s's edge label and sequent when it caps the values of the
+        paired literals in `constrain` and steers its label out of the upper
+        reach of the other paired literals; None when no label is left."""
+        avoid = set()
+        for k in layer.paired[s.index]:
+            if k not in constrain:
+                avoid |= layer.upper_reach[k]
+        allowed = [m for m in layer.lower_reach[s.index] if m not in avoid]
+        if not allowed:
+            return None
+        cell = {s.var: s.interval.lower_ray()}
+        for k in constrain:
+            lk = layer.lits[k]
+            cell[lk.var] = cell.get(lk.var, UNIT).intersect(lk.interval.upper_ray())
+        return allowed[0], exact_over_vars(cell, layer.variables)
 
     def conclusions(self, gamma: Sequent) -> Iterator[Conclusion]:
-        lits = self._literals(gamma)
-        if any(lit.interval.is_empty for lit in lits):
+        layer = self._layer(gamma)
+        if layer is None:
             return
-        states = [lit for lit in lits if not lit.lower_vacuous]
-        by_index = {lit.index: lit for lit in lits}
-        variables = [lit.var for lit in lits]
-        pairs, lower_reach, upper_reach = self._pairs(lits, states)
-        for s in states:
-            if not lower_reach[s.index]:
-                return
+        pairs = sorted((k, s.index) for s in layer.states for k in layer.paired[s.index])
         index = 0
         for pattern in product((True, False), repeat=len(pairs)):
             # True: constrain the value of v_k at state j; False: steer the label.
-            constrained: dict[int, list[int]] = {s.index: [] for s in states}
-            avoided: dict[int, set[str]] = {s.index: set() for s in states}
+            constrained: dict[int, list[int]] = {s.index: [] for s in layer.states}
             for choice, (k, j) in zip(pattern, pairs):
                 if choice:
                     constrained[j].append(k)
-                else:
-                    avoided[j] |= upper_reach[k]
-            labels = []
-            ok = True
-            for s in states:
-                allowed = [m for m in lower_reach[s.index] if m not in avoided[s.index]]
-                if not allowed:
-                    ok = False
+            built = []
+            for s in layer.states:
+                state = self._state(layer, s, constrained[s.index])
+                if state is None:
                     break
-                labels.append(allowed[0])
-            if not ok:
-                continue
-            sequents = []
-            for s in states:
-                cell = {s.var: s.lower_interval()}
-                for k in constrained[s.index]:
-                    lk = by_index[k]
-                    cell[lk.var] = cell.get(lk.var, UNIT).intersect(
-                        lk.upper_interval()
-                    )
-                sequents.append(exact_over_vars(cell, variables))
-            data = _MetricData(
-                tuple(s.index for s in states),
-                tuple(tuple(sorted(constrained[s.index])) for s in states),
-                tuple(labels),
-            )
-            yield Conclusion(index, tuple(sequents), data)
-            index += 1
+                built.append(state)
+            else:
+                data = _MetricData(
+                    tuple(s.index for s in layer.states),
+                    tuple(tuple(constrained[s.index]) for s in layer.states),
+                    tuple(label for label, _ in built),
+                )
+                yield Conclusion(index, tuple(seq for _, seq in built), data)
+                index += 1
 
     def realize(self, gamma, conclusion, tau) -> TransitionWitness:
-        lits = self._literals(gamma)
-        by_index = {lit.index: lit for lit in lits}
         data: _MetricData = conclusion.data
-        upper_reach = {lit.index: self._upper_reach(lit) for lit in lits}
+        if self.crisp:
+            return TransitionWitness(self.kind, tuple((label, ONE) for label in data.labels))
+        lits = self._literals(gamma)
+        upper_reach = [self._reach(lit)[1] for lit in lits]
         edges = []
         for pos, state_lit in enumerate(data.state_lits):
-            s = by_index[state_lit]
             label = data.labels[pos]
-            if self.crisp:
-                degree = ONE
-            else:
-                allowed = s.lower_interval()
-                for k in lits:
-                    if k.upper_vacuous or k.index in data.constrained[pos]:
-                        continue
-                    if label in upper_reach[k.index]:
-                        allowed = allowed.intersect(k.upper_interval())
-                if allowed.is_empty:
-                    raise SequentError("internal: empty degree range in metric realize")
-                degree = allowed.pick()
-            edges.append((label, degree))
-        witness = TransitionWitness(self.kind, tuple(edges))
-        self._check_roundtrip(lits, data, tau, edges)
-        return witness
-
-    def _check_roundtrip(self, lits, data: _MetricData, tau, edges) -> None:
-        for lit in lits:
-            triples = [
-                (label, degree, tau(j, lit.var))
-                for j, (label, degree) in enumerate(edges)
-            ]
-            value = metric_diamond_value(triples, lit.label, lit.reach, self.space)
-            if not lit.interval.contains(value):
-                raise SequentError(
-                    f"internal: realized metric value {value} escapes {lit.interval}"
-                )
+            allowed = lits[state_lit].interval.lower_ray()
+            for k in lits:
+                if k.index not in data.constrained[pos] and label in upper_reach[k.index]:
+                    allowed = allowed.intersect(k.interval.upper_ray())
+            if allowed.is_empty:
+                raise SequentError("internal: empty degree range in metric realize")
+            edges.append((label, allowed.pick()))
+        return TransitionWitness(self.kind, tuple(edges))
 
     def search_steps(self, gamma: Sequent) -> SearchSteps:
         """Per-state independent choice search, equivalent to enumerating
         whole choice patterns: a pattern succeeds iff each state has a
         locally admissible choice subset with a satisfiable child."""
-        lits = self._literals(gamma)
-        if any(lit.interval.is_empty for lit in lits):
+        layer = self._layer(gamma)
+        if layer is None:
             return None
-        states = [lit for lit in lits if not lit.lower_vacuous]
-        by_index = {lit.index: lit for lit in lits}
-        variables = [lit.var for lit in lits]
-        pairs, lower_reach, upper_reach = self._pairs(lits, states)
-        for s in states:
-            if not lower_reach[s.index]:
-                return None
-        per_state: dict[int, list[int]] = {s.index: [] for s in states}
-        for k, j in pairs:
-            per_state[j].append(k)
-
-        chosen_constraints: list[tuple[int, ...]] = []
-        chosen_labels: list[str] = []
-        sequents: list[Sequent] = []
-        children = []
-        for s in states:
-            ks = per_state[s.index]
-            found = None
+        built, children = [], []
+        for s in layer.states:
+            ks = layer.paired[s.index]
             for bits in product((True, False), repeat=len(ks)):
                 constrain = [k for k, b in zip(ks, bits) if b]
-                avoid = set()
-                for k, b in zip(ks, bits):
-                    if not b:
-                        avoid |= upper_reach[k]
-                allowed = [m for m in lower_reach[s.index] if m not in avoid]
-                if not allowed:
+                state = self._state(layer, s, constrain)
+                if state is None:
                     continue
-                cell = {s.var: s.lower_interval()}
-                for k in constrain:
-                    lk = by_index[k]
-                    cell[lk.var] = cell.get(lk.var, UNIT).intersect(
-                        lk.upper_interval()
-                    )
-                seq = exact_over_vars(cell, variables)
-                result = yield seq
+                result = yield state[1]
                 if result.sat:
-                    found = (tuple(sorted(constrain)), allowed[0], seq, result)
+                    built.append((tuple(constrain), *state))
+                    children.append(result)
                     break
-            if found is None:
+            else:
                 return None
-            chosen_constraints.append(found[0])
-            chosen_labels.append(found[1])
-            sequents.append(found[2])
-            children.append(found[3])
         data = _MetricData(
-            tuple(s.index for s in states),
-            tuple(chosen_constraints),
-            tuple(chosen_labels),
+            tuple(s.index for s in layer.states),
+            tuple(constrain for constrain, _, _ in built),
+            tuple(label for _, label, _ in built),
         )
-        return SearchSuccess(Conclusion(0, tuple(sequents), data), children)
+        return SearchSuccess(Conclusion(0, tuple(seq for _, _, seq in built), data), children)

@@ -40,8 +40,7 @@ from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .. import lp
-from ..liftings import generally_value, more_than_value
-from ..numerics import Comp, Interval, ONE, ZERO
+from ..numerics import Comp, Interval, ONE, UNIT, ZERO
 from ..onestep import (
     Conclusion,
     OneStepLogic,
@@ -89,29 +88,23 @@ def literal_bounds(op: ModalOp, var: Var, interval: Interval) -> LiteralBounds:
     """The two mass conditions equivalent to one modal literal."""
     if interval.is_empty:
         raise SequentError("bounds of an empty literal are undefined")
-    lo_rel = interval.lower_comp()  # > or >=
-    hi_rel = interval.upper_comp()  # < or <=
-    lower_set = Interval.from_lower(interval.lo, lo_rel)
-    upper_set = Interval.from_upper(interval.hi, hi_rel)
-    lower_vacuous = interval.lo == ZERO and lo_rel is Comp.GE
-    upper_vacuous = interval.hi == ONE and hi_rel is Comp.LE
+    lower_set, upper_set = interval.lower_ray(), interval.upper_ray()
     if isinstance(op, Generally):
-        lower = None if lower_vacuous else MassBound(var, lower_set, lo_rel, interval.lo)
-        upper = (
-            None
-            if upper_vacuous
-            else MassBound(var, upper_set, hi_rel.dual(), ONE - interval.hi)
-        )
+        lower = MassBound(var, lower_set, interval.lower_comp(), interval.lo)
+        upper = MassBound(var, upper_set, interval.upper_comp().dual(), ONE - interval.hi)
     elif isinstance(op, MoreThan):
-        lower = None if lower_vacuous else MassBound(var, lower_set, Comp.GT, op.p)
-        upper = (
-            None
-            if upper_vacuous
-            else MassBound(var, upper_set, Comp.GE, ONE - op.p)
-        )
+        lower = MassBound(var, lower_set, Comp.GT, op.p)
+        upper = MassBound(var, upper_set, Comp.GE, ONE - op.p)
     else:
         raise SequentError(f"unsupported modality {op} for the probabilistic logic")
-    return LiteralBounds(var, lower_set, upper_set, lower, upper)
+    # A bound whose ray is the whole unit interval is vacuous.
+    return LiteralBounds(
+        var,
+        lower_set,
+        upper_set,
+        None if lower_set == UNIT else lower,
+        None if upper_set == UNIT else upper,
+    )
 
 
 def bounds_of(gamma: Sequent) -> list[LiteralBounds]:
@@ -267,23 +260,7 @@ class ProbabilisticLogic(OneStepLogic):
         if not data.cfg:
             # No successor constraints: a single inert dummy successor.
             return TransitionWitness("prob", (ONE,))
-        witness = TransitionWitness("prob", data.weights)
-        self._check_roundtrip(gamma, conclusion, tau)
-        return witness
-
-    def _check_roundtrip(self, gamma, conclusion, tau) -> None:
-        data: _ProbData = conclusion.data
-        for op, var, interval in modal_literals(gamma):
-            dist = [(w, tau(j, var)) for j, w in enumerate(data.weights)]
-            if isinstance(op, Generally):
-                value = generally_value(dist)
-            else:
-                value = more_than_value(dist, op.p)
-            if not interval.contains(value):
-                raise SequentError(
-                    f"internal: realized value {value} of {op} {var.name} "
-                    f"escapes {interval}"
-                )
+        return TransitionWitness("prob", data.weights)
 
     # -- decision procedure ---------------------------------------------------
 

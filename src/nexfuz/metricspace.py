@@ -65,6 +65,10 @@ class MetricSpace:
             dist = data["dist"]
         except (TypeError, KeyError) as exc:
             raise MetricSpaceError("metric space JSON needs 'labels' and 'dist'") from exc
+        if not isinstance(labels, list) or not all(isinstance(m, str) for m in labels):
+            raise MetricSpaceError("metric space 'labels' must be a list of strings")
+        if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
+            raise MetricSpaceError("metric space 'dist' must be rows of rationals")
         try:
             matrix = [[parse_rational(v) for v in row] for row in dist]
         except (AttributeError, TypeError) as exc:

@@ -138,11 +138,13 @@ class FiniteModel:
     def from_json(data: dict) -> FiniteModel:
         try:
             kind = data["kind"]
-            states = tuple(data["states"])
+            states = data["states"]
             raw_trans = data["trans"]
             raw_atoms = data.get("atoms", {})
         except (TypeError, KeyError) as exc:
             raise ModelError("model JSON needs kind/states/trans") from exc
+        if not isinstance(states, list) or not all(isinstance(x, str) for x in states):
+            raise ModelError("model JSON 'states' must be a list of state names")
         space = None
         if "metric" in data:
             space = MetricSpace.from_json(data["metric"])
@@ -165,7 +167,7 @@ class FiniteModel:
                 "model JSON rows must map states to degrees (metric edges: "
                 f"'label', 'to', 'deg'); malformed entry: {exc!r}"
             ) from exc
-        model = FiniteModel(kind, states, trans, atoms, space, data.get("root"))
+        model = FiniteModel(kind, tuple(states), trans, atoms, space, data.get("root"))
         model.validate()
         return model
 

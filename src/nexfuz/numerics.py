@@ -128,25 +128,11 @@ class Interval:
         return Interval.make(q, q)
 
     @staticmethod
-    def from_lower(a: Fraction, op: Comp) -> Interval:
-        """The set {x : x op a} for a lower-bound operator (> or >=)."""
-        if not op.is_lower:
-            raise NumericError(f"{op} is not a lower-bound operator")
-        return Interval.make(a, ONE, lo_open=op.strict)
-
-    @staticmethod
-    def from_upper(b: Fraction, op: Comp) -> Interval:
-        """The set {x : x op b} for an upper-bound operator (< or <=)."""
-        if op.is_lower:
-            raise NumericError(f"{op} is not an upper-bound operator")
-        return Interval.make(ZERO, b, hi_open=op.strict)
-
-    @staticmethod
     def from_comparison(op: Comp, p: Fraction) -> Interval:
         """The set {x in [0,1] : x op p}."""
         if op.is_lower:
-            return Interval.from_lower(p, op)
-        return Interval.from_upper(p, op)
+            return Interval.make(p, ONE, lo_open=op.strict)
+        return Interval.make(ZERO, p, hi_open=op.strict)
 
     @property
     def is_empty(self) -> bool:
@@ -163,10 +149,27 @@ class Interval:
     def upper_comp(self) -> Comp:
         return Comp.LT if self.hi_open else Comp.LE
 
-    def contains(self, q: Fraction) -> bool:
+    def lower_ray(self) -> Interval:
+        """The values meeting the lower bound: [lo,1] or (lo,1].
+
+        The bound is vacuous exactly when the ray is UNIT.  A non-empty
+        interval's rays are non-empty, so they need no canonicalization.
+        """
         if self.is_empty:
+            return EMPTY
+        return Interval(self.lo, ONE, self.lo_open, False)
+
+    def upper_ray(self) -> Interval:
+        """The values meeting the upper bound: [0,hi] or [0,hi)."""
+        if self.is_empty:
+            return EMPTY
+        return Interval(ZERO, self.hi, False, self.hi_open)
+
+    def contains(self, q: Fraction) -> bool:
+        # No value lies between the bounds of an empty interval (lo > hi).
+        if not (q > self.lo if self.lo_open else q >= self.lo):
             return False
-        return self.lower_comp().holds(q, self.lo) and self.upper_comp().holds(q, self.hi)
+        return q < self.hi if self.hi_open else q <= self.hi
 
     def __contains__(self, q) -> bool:
         return self.contains(Fraction(q))

@@ -105,10 +105,6 @@ class TransitionWitness:
     kind: str
     edges: tuple
 
-    @property
-    def successor_count(self) -> int:
-        return len(self.edges)
-
 
 # ---------------------------------------------------------------------------
 # Modal rule API
@@ -167,6 +163,9 @@ class OneStepLogic:
 
         `tau(j, v)` is the actual truth value of v's bound formula at state
         j; values are guaranteed to lie inside conclusion.sequents[j][v].
+        The solver checks every state it realizes: each literal of `gamma`,
+        evaluated on the structure, must lie in its interval, so an
+        instance need not re-check it.
         """
         raise NotImplementedError
 

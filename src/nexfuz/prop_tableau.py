@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .numerics import Interval, ONE, ZERO
+from .numerics import ZERO
 from .sequents import Sequent
 from .syntax import And, Atom, Formula, Minus, Modal, Neg, Var, Zero
 
@@ -65,20 +65,17 @@ def apply_rule(seq: Sequent) -> RuleResult:
         if isinstance(label, Neg):
             return One("Neg", seq.remove(label).insert(label.arg, interval.complement()))
         if isinstance(label, Minus):
+            shifted = interval.shift_up(label.c)
             if interval.contains(ZERO):
-                # Interval is [0, b>: the shifted bound is capped at 1.
-                hi = interval.hi + label.c
-                if hi > ONE:
-                    widened = Interval.make(ZERO, ONE)
-                else:
-                    widened = Interval.make(ZERO, hi, hi_open=interval.hi_open)
-                return One("MinusZero", seq.remove(label).insert(label.arg, widened))
-            return One("Minus", seq.remove(label).insert(label.arg, interval.shift_up(label.c)))
+                # Interval is [0, b>: x - c truncated at 0 lies in it iff x
+                # lies in [0, b + c>, capped at 1.
+                return One("MinusZero", seq.remove(label).insert(label.arg, shifted.upper_ray()))
+            return One("Minus", seq.remove(label).insert(label.arg, shifted))
         if isinstance(label, And):
             rest = seq.remove(label)
-            upper_full = Interval.make(interval.lo, ONE, lo_open=interval.lo_open)
-            left = rest.insert(label.left, interval).insert(label.right, upper_full)
-            right = rest.insert(label.left, upper_full).insert(label.right, interval)
+            lower_ray = interval.lower_ray()
+            left = rest.insert(label.left, interval).insert(label.right, lower_ray)
+            right = rest.insert(label.left, lower_ray).insert(label.right, interval)
             return Two("Min", left, right)
         if not _irreducible(label):
             raise TypeError(f"unexpected label in one-step sequent: {label!r}")

@@ -71,9 +71,6 @@ class Sequent:
     def items(self) -> Iterator[tuple[Formula, Interval]]:
         return iter(self._map.items())
 
-    def labels(self) -> list[Formula]:
-        return list(self._map)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequent):
             return NotImplemented
@@ -115,18 +112,17 @@ class Sequent:
 
     @staticmethod
     def from_json(data: dict) -> Sequent:
-        try:
-            raw = data["literals"]
-        except (TypeError, KeyError) as exc:
-            raise SequentError("sequent JSON needs a 'literals' list") from exc
+        raw = data.get("literals") if isinstance(data, dict) else None
+        if not isinstance(raw, list):
+            raise SequentError("sequent JSON needs a 'literals' list")
         literals = []
         for entry in raw:
-            try:
-                formula, interval = entry["formula"], entry["interval"]
-            except (TypeError, KeyError) as exc:
+            fields = entry if isinstance(entry, dict) else {}
+            formula, interval = fields.get("formula"), fields.get("interval")
+            if not isinstance(formula, str) or not isinstance(interval, str):
                 raise SequentError(
-                    f"sequent literal {entry!r} needs 'formula' and 'interval'"
-                ) from exc
+                    f"sequent literal {entry!r} needs 'formula' and 'interval' strings"
+                )
             literals.append((parse(formula), parse_interval(interval)))
         return Sequent(literals)
 

@@ -9,8 +9,9 @@ The decision procedure, per modal level:
    it) and ask the instance logic for a conclusion whose variable sequents
    are all satisfiable (after substituting the bound formulas back in);
 4. on success, feed the children's exact truth values to the instance's
-   realize construction and add the resulting state, over the children's
-   states, to the solve's witness DAG.
+   realize construction, add the resulting state, over the children's
+   states, to the solve's witness DAG, and check that every modal literal
+   of the end-sequent evaluates there into its interval.
 
 Each sequent being solved is one frame on an explicit stack.  A frame runs
 its instance search, a generator (see `OneStepLogic.search_steps`), until
@@ -38,7 +39,7 @@ from .onestep import (
     substitute,
     top_level_decompose,
 )
-from .prop_tableau import saturate
+from .prop_tableau import TraceFn, saturate
 from .sequents import Sequent
 from .syntax import Formula, Modal, Var, modal_depth, subformulas
 
@@ -137,6 +138,7 @@ def sat(
     stats: SolveStats | None = None,
     verify: bool | None = None,
     declared_atoms=(),
+    trace: TraceFn | None = None,
 ) -> Verdict:
     """Decide satisfiability of an exact sequent over formulas.
 
@@ -145,6 +147,8 @@ def sat(
     model-checked against the input before returning.  `declared_atoms`
     extends the atom signature: every witness state gives them value 0
     unless an atom literal pins them, so they never change a verdict.
+    `trace`, when given, receives every propositional rule application of
+    every layer the solve saturates (see `prop_tableau.saturate`).
     """
     caps = caps or SolverCaps()
     stats = stats if stats is not None else SolveStats()
@@ -167,6 +171,7 @@ def sat(
             )
         ends = saturate(
             decomp.lifted,
+            trace=trace,
             stack_hook=lambda d: stats._bump(stats.level_peak_stack, depth, d),
         )
         return _Frame(current, depth, decomp.binding, ends)
@@ -213,7 +218,16 @@ def sat(
         if witness.kind == "prob":
             support = sum(1 for w in witness.edges if w != 0)
             stats.witness_branching.append((len(frame.modal), support))
-        return dag.add(witness, [c.state for c in children], frame.atoms)
+        state = dag.add(witness, [c.state for c in children], frame.atoms)
+        for label, interval in frame.modal.items():
+            formula = Modal(label.op, frame.binding[label.arg])
+            value = dag.value(state, formula)
+            if not interval.contains(value):
+                raise AssertionError(
+                    f"realized state gives {formula} the value {value}, "
+                    f"outside {interval}"
+                )
+        return state
 
     stack = [open_frame(seq, 0)]
     outcome = None

@@ -95,6 +95,17 @@ class TestSolve:
         records = [json.loads(line) for line in err.strip().splitlines()]
         assert any(r["rule"] == "Neg" for r in records)
 
+    def test_trace_covers_every_layer(self, capsys):
+        # The top layer holds only `dia v1`; the Neg step is in the child's.
+        code, _, err = run(
+            capsys, "solve", "--logic", "alc", "--formula", "dia ~a", "--cmp", "ge",
+            "--p", "1/2", "--trace",
+        )
+        assert code == 0
+        records = [json.loads(line) for line in err.strip().splitlines()]
+        assert [r["rule"] for r in records] == ["Neg"]
+        assert records[0]["premise"]["literals"][0]["formula"] == "~a"
+
 
 class TestErrorContract:
     """A failure inside the solver exits 2 with an `error:` line; exit 1
@@ -134,6 +145,49 @@ class TestErrorContract:
     def test_sequent_entry_string_exit_two(self, capsys, tmp_path):
         code, out, err = self.solve_sequent_file(capsys, tmp_path, ["dia a"])
         assert code == 2 and out == "" and err.startswith("error:") and "interval" in err
+
+    def test_sequent_literals_not_a_list_exit_two(self, capsys, tmp_path):
+        code, out, err = self.solve_sequent_file(capsys, tmp_path, 5)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "internal" not in err and "literals" in err
+
+    def test_sequent_formula_not_a_string_exit_two(self, capsys, tmp_path):
+        literals = [{"formula": 5, "interval": "[0,1]"}]
+        code, out, err = self.solve_sequent_file(capsys, tmp_path, literals)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "internal" not in err and "strings" in err
+
+    def test_sequent_interval_not_a_string_exit_two(self, capsys, tmp_path):
+        literals = [{"formula": "dia a", "interval": 1}]
+        code, out, err = self.solve_sequent_file(capsys, tmp_path, literals)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "internal" not in err and "strings" in err
+
+    def test_model_states_not_a_list_exit_two(self, capsys, tmp_path):
+        model = {"kind": "prob", "states": "xy",
+                 "trans": {"x": {"y": "1"}, "y": {"y": "1"}}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run(capsys, "validate", "--model", str(path))
+        assert code == 2 and out == "" and err.startswith("error:") and "states" in err
+
+    def test_metric_labels_not_a_list_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"labels": "ab", "dist": [["0", "1"], ["1", "0"]]}))
+        code, out, err = run(
+            capsys, "solve", "--logic", "metric-fuzzy", "--metric-space", str(path),
+            "--formula", "dia{a,1} x",
+        )
+        assert code == 2 and out == "" and err.startswith("error:") and "labels" in err
+
+    def test_metric_dist_rows_not_lists_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"labels": ["a", "b"], "dist": ["01", "10"]}))
+        code, out, err = run(
+            capsys, "solve", "--logic", "metric-fuzzy", "--metric-space", str(path),
+            "--formula", "dia{a,1} x",
+        )
+        assert code == 2 and out == "" and err.startswith("error:") and "dist" in err
 
     def test_metric_edge_without_label_exit_two(self, capsys, tmp_path):
         model = {

@@ -111,6 +111,38 @@ class TestIntersect:
         assert i.intersect(UNIT) == i
 
 
+class TestRays:
+    GRID = [F(k, 4) for k in range(5)]
+
+    def test_grid_membership_and_vacuity(self):
+        flags = [False, True]
+        for lo in self.GRID:
+            for hi in self.GRID:
+                for lo_open in flags:
+                    for hi_open in flags:
+                        i = iv(lo, hi, lo_open, hi_open)
+                        if i.is_empty:
+                            continue
+                        low, up = i.lower_ray(), i.upper_ray()
+                        for x in self.GRID + [F(1, 8), F(7, 8)]:
+                            assert low.contains(x) == (x > lo if lo_open else x >= lo)
+                            assert up.contains(x) == (x < hi if hi_open else x <= hi)
+                            assert i.contains(x) == (low.contains(x) and up.contains(x))
+                        assert (low == UNIT) == (lo == 0 and not lo_open)
+                        assert (up == UNIT) == (hi == 1 and not hi_open)
+                        assert low.intersect(up) == i
+
+    def test_examples(self):
+        assert iv("1/4", "3/4", lo_open=True).lower_ray() == iv("1/4", 1, lo_open=True)
+        assert iv("1/4", "3/4", hi_open=True).upper_ray() == iv(0, "3/4", hi_open=True)
+        assert iv(1, 1).lower_ray() == iv(1, 1)
+        assert iv(0, 0).upper_ray() == iv(0, 0)
+
+    def test_empty(self):
+        assert EMPTY.lower_ray() is EMPTY
+        assert EMPTY.upper_ray() is EMPTY
+
+
 class TestCompOps:
     def test_dual_table(self):
         assert Comp.GT.dual() is Comp.LT

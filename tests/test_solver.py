@@ -10,7 +10,7 @@ from nexfuz.lp import CapExceeded
 from nexfuz.logics import get_logic
 from nexfuz.models import FiniteModel, check_sequent, eval_formula
 from nexfuz.numerics import Comp, Interval
-from nexfuz.onestep import OneStepLogic
+from nexfuz.onestep import OneStepLogic, TransitionWitness
 from nexfuz.sequents import Sequent
 from nexfuz.solver import SolveStats, SolverCaps, sat, sat_threshold
 from nexfuz.syntax import Neg, modal_depth, parse, to_text
@@ -177,6 +177,22 @@ class TestSearchParity:
                 for verdict in (fast, slow):
                     if verdict.sat:
                         assert check_sequent(verdict.model, verdict.state, seq)
+
+
+class ZeroDegreeRealize(NaiveWrapper):
+    """Realizes every edge with degree 0, so a diamond evaluates to 0."""
+
+    def realize(self, gamma, conclusion, tau):
+        witness = self.inner.realize(gamma, conclusion, tau)
+        return TransitionWitness(witness.kind, tuple(F(0) for _ in witness.edges))
+
+
+class TestRealizeCheck:
+    def test_missed_literal_raises_without_verify(self):
+        seq = Sequent([(parse("dia a"), iv("1/2", 1))])
+        assert sat(seq, NaiveWrapper(ALC), verify=False).sat
+        with pytest.raises(AssertionError, match=r"dia a the value 0, outside \[1/2,1\]"):
+            sat(seq, ZeroDegreeRealize(ALC), verify=False)
 
 
 class TestRecursionShape:
