@@ -42,6 +42,9 @@ from ..sequents import Sequent, SequentError
 from ..syntax import MetricDiamond, ModalOp, Var
 
 
+_CRISP_DEGREE = Interval.point(ONE)
+
+
 @dataclass(frozen=True)
 class _Lit:
     index: int
@@ -53,18 +56,25 @@ class _Lit:
 
 @dataclass(frozen=True)
 class _MetricData:
-    """Choice pattern payload: per realized state, constraints and labels."""
+    """Conclusion payload: per realized state, the edge that `realize` builds."""
 
-    state_lits: tuple[int, ...]  # literal index realized by each state
-    constrained: tuple[tuple[int, ...], ...]  # per state: literals whose value is capped
     labels: tuple[str, ...]  # per state: the chosen edge label
+    degrees: tuple[Interval, ...]  # per state: its edge's admissible degrees
+
+
+def _conclusion(index: int, built: list[tuple[str, Sequent, Interval]]) -> Conclusion:
+    """The conclusion whose states are `built`, each a (label, sequent,
+    degrees) triple from `MetricLogic._state`."""
+    data = _MetricData(tuple(b[0] for b in built), tuple(b[2] for b in built))
+    return Conclusion(index, tuple(b[1] for b in built), data)
 
 
 @dataclass
 class _Layer:
     """What every conclusion of one end-sequent shares: its literals, the
-    states (literals with a non-vacuous lower bound), each literal's lower
-    and upper reach, and, per state, the upper bounds it must choose for."""
+    states (literals with a non-vacuous lower bound), each state's lower
+    reach, each literal's upper reach, and, per state, the upper bounds it
+    must choose for."""
 
     lits: list[_Lit]
     states: list[_Lit]
@@ -95,19 +105,23 @@ class MetricLogic(OneStepLogic):
             raise SequentError("duplicate variables in an end-sequent")
         return lits
 
-    def _reach(self, lit: _Lit) -> tuple[list[str], set[str]]:
+    def _reach(self, lit: _Lit) -> tuple[list[str] | None, set[str]]:
         """The labels m whose truncated slack c - d(l, m) can meet the lower
-        bound (lower reach, in label order), and those whose slack alone
-        already exceeds the upper bound (upper reach)."""
+        bound (lower reach, in label order; None for a vacuous lower bound,
+        whose literal is not a state), and those whose slack alone already
+        exceeds the upper bound (upper reach; empty for a vacuous upper
+        bound, since slacks lie in [0, 1])."""
         lower_ray, upper_ray = lit.interval.lower_ray(), lit.interval.upper_ray()
-        lower, upper = [], set()
-        distances = self.space.matrix[self.space.index(lit.label)]
-        for m, d in zip(self.space.labels, distances):
-            slack = max(ZERO, lit.reach - d)
-            if lower_ray.contains(slack):
-                lower.append(m)
-            if not upper_ray.contains(slack):
-                upper.add(m)
+        is_state, has_upper = lower_ray != UNIT, upper_ray != UNIT
+        lower, upper = [] if is_state else None, set()
+        if is_state or has_upper:
+            distances = self.space.matrix[self.space.index(lit.label)]
+            for m, d in zip(self.space.labels, distances):
+                slack = max(ZERO, lit.reach - d)
+                if is_state and lower_ray.contains(slack):
+                    lower.append(m)
+                if has_upper and not upper_ray.contains(slack):
+                    upper.add(m)
         return lower, upper
 
     def _layer(self, gamma: Sequent) -> _Layer | None:
@@ -116,19 +130,21 @@ class MetricLogic(OneStepLogic):
         lits = self._literals(gamma)
         if any(lit.interval.is_empty for lit in lits):
             return None
-        states = [lit for lit in lits if lit.interval.lower_ray() != UNIT]
+        states = []
         lower_reach, upper_reach = {}, {}
         for lit in lits:
-            lower_reach[lit.index], upper_reach[lit.index] = self._reach(lit)
-        if any(not lower_reach[s.index] for s in states):
-            return None
+            lower, upper_reach[lit.index] = self._reach(lit)
+            if lower is not None:
+                if not lower:
+                    return None
+                states.append(lit)
+                lower_reach[lit.index] = lower
         # (upper bound k, state j) pairs that interact through a shared
-        # label and need an explicit choice.  A vacuous upper bound has an
-        # empty upper reach, since slacks lie in [0, 1].
+        # label and need an explicit choice.
         paired: dict[int, list[int]] = {s.index: [] for s in states}
         for k in lits:
             for j in states:
-                if not upper_reach[k.index] & set(lower_reach[j.index]):
+                if upper_reach[k.index].isdisjoint(lower_reach[j.index]):
                     continue
                 if not self.crisp:
                     # Degree-dodging handles the pair when j's lower bound
@@ -142,10 +158,16 @@ class MetricLogic(OneStepLogic):
 
     def _state(
         self, layer: _Layer, s: _Lit, constrain: list[int]
-    ) -> tuple[str, Sequent] | None:
-        """State s's edge label and sequent when it caps the values of the
-        paired literals in `constrain` and steers its label out of the upper
-        reach of the other paired literals; None when no label is left."""
+    ) -> tuple[str, Sequent, Interval] | None:
+        """State s's edge label, sequent and admissible edge degrees when it
+        caps the values of the paired literals in `constrain` and steers its
+        label out of the upper reach of the other paired literals; None when
+        no label is left.
+
+        The degrees meet s's lower bound and dodge under the upper bound of
+        every unconstrained literal whose upper reach holds the label (all
+        of them unpaired, so each dodge is possible); crisp edges have
+        degree 1."""
         avoid = set()
         for k in layer.paired[s.index]:
             if k not in constrain:
@@ -153,11 +175,19 @@ class MetricLogic(OneStepLogic):
         allowed = [m for m in layer.lower_reach[s.index] if m not in avoid]
         if not allowed:
             return None
+        label = allowed[0]
         cell = {s.var: s.interval.lower_ray()}
         for k in constrain:
             lk = layer.lits[k]
             cell[lk.var] = cell.get(lk.var, UNIT).intersect(lk.interval.upper_ray())
-        return allowed[0], exact_over_vars(cell, layer.variables)
+        if self.crisp:
+            degrees = _CRISP_DEGREE
+        else:
+            degrees = s.interval.lower_ray()
+            for k in layer.lits:
+                if k.index not in constrain and label in layer.upper_reach[k.index]:
+                    degrees = degrees.intersect(k.interval.upper_ray())
+        return label, exact_over_vars(cell, layer.variables), degrees
 
     def conclusions(self, gamma: Sequent) -> Iterator[Conclusion]:
         layer = self._layer(gamma)
@@ -178,30 +208,16 @@ class MetricLogic(OneStepLogic):
                     break
                 built.append(state)
             else:
-                data = _MetricData(
-                    tuple(s.index for s in layer.states),
-                    tuple(tuple(constrained[s.index]) for s in layer.states),
-                    tuple(label for label, _ in built),
-                )
-                yield Conclusion(index, tuple(seq for _, seq in built), data)
+                yield _conclusion(index, built)
                 index += 1
 
     def realize(self, gamma, conclusion, tau) -> TransitionWitness:
         data: _MetricData = conclusion.data
-        if self.crisp:
-            return TransitionWitness(self.kind, tuple((label, ONE) for label in data.labels))
-        lits = self._literals(gamma)
-        upper_reach = [self._reach(lit)[1] for lit in lits]
         edges = []
-        for pos, state_lit in enumerate(data.state_lits):
-            label = data.labels[pos]
-            allowed = lits[state_lit].interval.lower_ray()
-            for k in lits:
-                if k.index not in data.constrained[pos] and label in upper_reach[k.index]:
-                    allowed = allowed.intersect(k.interval.upper_ray())
-            if allowed.is_empty:
+        for label, degrees in zip(data.labels, data.degrees):
+            if degrees.is_empty:
                 raise SequentError("internal: empty degree range in metric realize")
-            edges.append((label, allowed.pick()))
+            edges.append((label, degrees.pick()))
         return TransitionWitness(self.kind, tuple(edges))
 
     def search_steps(self, gamma: Sequent) -> SearchSteps:
@@ -221,14 +237,9 @@ class MetricLogic(OneStepLogic):
                     continue
                 result = yield state[1]
                 if result.sat:
-                    built.append((tuple(constrain), *state))
+                    built.append(state)
                     children.append(result)
                     break
             else:
                 return None
-        data = _MetricData(
-            tuple(s.index for s in layer.states),
-            tuple(constrain for constrain, _, _ in built),
-            tuple(label for _, label, _ in built),
-        )
-        return SearchSuccess(Conclusion(0, tuple(seq for _, _, seq in built), data), children)
+        return SearchSuccess(_conclusion(0, built), children)

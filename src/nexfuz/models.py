@@ -7,15 +7,17 @@ A model is a finite coalgebra of one of four kinds plus an atom valuation:
 * "metric":        per-state labelled fuzzy edges over a metric label space;
 * "metric-crisp":  as "metric" with degrees restricted to {0, 1}.
 
-Evaluation is exact and memoized per (state, subformula), within one call
-or, through a table the caller keeps, across calls.  A solve grows its
+Evaluation is exact and memoized per (state, subformula) in the model's own
+value table, shared by every `eval_formula` call on that model.  The table
+is sound because a model is not changed after its first evaluation; the one
+model that is, a `WitnessDag`'s, only gains states.  A solve grows its
 witness in a `WitnessDag`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .liftings import diamond_value, generally_value, metric_diamond_value, more_than_value
@@ -55,6 +57,15 @@ class FiniteModel:
     atoms: dict[str, dict[str, Fraction]]
     space: MetricSpace | None = None
     root: str | None = None
+    # Caches that evaluation fills; a model is not changed after its first
+    # evaluation.  Not init fields, so `dataclasses.replace` starts a model afresh; not
+    # compared, so equality ignores them.
+    values: dict[tuple[str, Formula], Fraction] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _state_set: frozenset | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -93,6 +104,16 @@ class FiniteModel:
             for name, value in row.items():
                 if not ZERO <= value <= ONE:
                     raise ModelError(f"atom value {value} outside [0, 1]")
+
+    def has_state(self, state) -> bool:
+        """Whether `state` is a state of the model, in O(1).  A state with a
+        transition row answers without building the state set, so neither
+        a witness nor a `WitnessDag`'s growing model ever builds it."""
+        if state in self.trans:
+            return True
+        if self._state_set is None:
+            self._state_set = frozenset(self.states)
+        return state in self._state_set
 
     def atom_value(self, state: str, name: str) -> Fraction:
         try:
@@ -190,13 +211,18 @@ def eval_formula(
 ) -> Fraction:
     """Exact truth degree of `formula` at `state`.
 
-    Values are memoized per (state, subformula) in `memo`, a fresh table
-    unless the caller passes one to share between calls on an unchanged
-    model.  Evaluation runs on an explicit stack, so formula depth is not
-    bounded by the interpreter's recursion limit.
+    Values are memoized per (state, subformula) in `memo`, by default the
+    model's own table `model.values`, so repeated calls on one model share
+    every value computed before.  This relies on the model not being
+    changed after its first evaluation (a `WitnessDag` only adds states,
+    which leaves the values at existing states as they are).  Evaluation
+    runs on an explicit stack, so formula depth is not bounded by the
+    interpreter's recursion limit.
     """
+    if not model.has_state(state):
+        raise ModelError(f"unknown state {state!r}")
     if memo is None:
-        memo = {}
+        memo = model.values
     top = (state, formula)
     value = memo.get(top)
     if value is not None:
@@ -273,9 +299,14 @@ def _modal(model: FiniteModel, x: str, f: Modal, memo) -> Fraction:
 
 
 def check_sequent(model: FiniteModel, state: str, seq: Sequent) -> bool:
-    """Exact membership of every literal's truth degree in its interval."""
+    """Exact membership of every literal's truth degree in its interval.
+
+    The literals share one fresh table, not `model.values`: the check is
+    independent of any value cached before, and leaves no cache behind.
+    """
+    memo: dict[tuple[str, Formula], Fraction] = {}
     return all(
-        interval.contains(eval_formula(model, state, f)) for f, interval in seq.items()
+        interval.contains(eval_formula(model, state, f, memo)) for f, interval in seq.items()
     )
 
 
@@ -292,8 +323,10 @@ class WitnessDag:
     reached from several places is one shared state, not a copy.  States
     are numbered in the order they are added; one inert `sink` state with a
     self-loop serves every probabilistic witness that needs a dummy
-    successor.  Values at the states are cached in one table for the whole
-    solve, which stays valid because a state never changes once added.
+    successor.  Values at the states are cached in the DAG model's own
+    table (`model.values`) for the whole solve.  That table stays valid
+    although the model grows, because the DAG only adds states: a state and
+    the states below it never change once added.
 
     `witness(root)` extracts the states reachable from a root as a
     `FiniteModel`, named s0 (the root), s1, ... in breadth-first order, with
@@ -305,7 +338,6 @@ class WitnessDag:
             raise ModelError(f"unknown model kind {kind!r}")
         # States are ints while the DAG grows; names are given on extraction.
         self.model = FiniteModel(kind, (), {}, {}, space)
-        self.values: dict[tuple[int, Formula], Fraction] = {}
         self.sink: int | None = None
 
     def _new_state(self, row: dict, atoms: dict[str, Fraction]) -> int:
@@ -358,8 +390,9 @@ class WitnessDag:
         return self._new_state(row, dict(atoms or {}))
 
     def value(self, state: int, formula: Formula) -> Fraction:
-        """Exact truth degree of `formula` at `state`, through the cache."""
-        return eval_formula(self.model, state, formula, self.values)
+        """Exact truth degree of `formula` at `state`, through the DAG
+        model's value table."""
+        return eval_formula(self.model, state, formula)
 
     def witness(self, root: int) -> FiniteModel:
         """The states reachable from `root`, renamed, as a finite model."""

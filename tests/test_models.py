@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -75,6 +76,20 @@ class TestEval:
         with pytest.raises(ModelError):
             eval_formula(one_successor_model(), "x", parse("zzz"))
 
+    def test_unknown_state(self):
+        m = one_successor_model()
+        for text in ("dia a", "~dia a", "a", "0"):
+            with pytest.raises(ModelError):
+                eval_formula(m, "nope", parse(text))
+        assert m.values == {}
+
+    def test_state_without_transition_row(self):
+        m = FiniteModel("fuzzyrel", ("x", "y"), {"x": {"y": F(1)}}, {"y": {"a": F(1, 2)}})
+        assert eval_formula(m, "y", parse("dia a")) == 0
+        assert eval_formula(m, "x", parse("dia a")) == F(1, 2)
+        with pytest.raises(ModelError):
+            eval_formula(m, "z", parse("dia a"))
+
     def test_identities(self):
         rng = random.Random(31)
         for _ in range(60):
@@ -110,6 +125,54 @@ class TestEval:
                 min(alpha, sum((w for w, val in dist if val >= alpha), F(0))) == v
                 for alpha in values + [F(0)]
             )
+
+
+KIND_LOGICS = {
+    "prob": ("lgen", "mp"),
+    "fuzzyrel": ("alc",),
+    "metric": ("metric-fuzzy",),
+    "metric-crisp": ("metric-crisp",),
+}
+
+
+class TestValueTable:
+    def test_shared_table_matches_fresh_evaluation(self):
+        rng = random.Random(59)
+        for kind, logics in KIND_LOGICS.items():
+            for _ in range(12):
+                space = rand_metric_space(rng) if kind.startswith("metric") else None
+                m = rand_model(rng, kind, rng.randint(1, 6), space=space, max_den=8)
+                formulas = [
+                    rand_formula(rng, rng.choice(logics), rng.randint(0, 3), space, max_den=8)
+                    for _ in range(4)
+                ]
+                pairs = [(x, f) for x in m.states for f in formulas]
+                rng.shuffle(pairs)
+                for x, f in pairs:
+                    assert eval_formula(m, x, f) == eval_formula(m, x, f, memo={})
+                assert m.values
+
+    def test_check_sequent_ignores_the_table(self):
+        m = one_successor_model()
+        f = parse("dia a")
+        seq = Sequent([(f, iv("1/2", "1/2"))])
+        m.values["x", f] = F(0)
+        assert eval_formula(m, "x", f) == 0  # the poisoned value is served
+        assert check_sequent(m, "x", seq)
+        assert not check_sequent(m, "x", Sequent([(f, iv(0, 0))]))
+
+    def test_replace_starts_a_fresh_table(self):
+        m = one_successor_model()
+        assert eval_formula(m, "x", parse("dia a")) == F(1, 2)
+        other = dataclasses.replace(m, atoms={"x": {"a": F(0)}, "y": {"a": F(1, 4)}})
+        assert eval_formula(other, "x", parse("dia a")) == F(1, 4)
+        assert eval_formula(m, "x", parse("dia a")) == F(1, 2)
+
+    def test_equality_ignores_the_table(self):
+        m, copy = one_successor_model(), one_successor_model()
+        eval_formula(m, "x", parse("dia a & a"))
+        assert m.values and not copy.values
+        assert m == copy
 
 
 class TestCheckSequent:
@@ -175,6 +238,15 @@ class TestAssemble:
             model = dag.witness(dag.add(witness, [child]))
             (x,) = model.successors(model.root)
             assert eval_formula(model, x, f) == before
+
+    def test_dag_states_evaluate(self):
+        dag = WitnessDag("fuzzyrel")
+        u = dag.add(TransitionWitness("fuzzyrel", ()), [], {"a": F(1, 3)})
+        x = dag.add(TransitionWitness("fuzzyrel", (F(1),)), [u])
+        assert dag.value(x, parse("dia a")) == F(1, 3)
+        assert dag.value(u, parse("dia a")) == 0
+        with pytest.raises(ModelError):
+            dag.value(x + 1, parse("dia a"))
 
     def test_kind_mismatch(self):
         dag = WitnessDag("prob")
