@@ -6,7 +6,7 @@ from ..metricspace import MetricSpace
 from ..onestep import OneStepLogic
 from .alc import FuzzyAlcLogic
 from .metric import MetricLogic
-from .probabilistic import ProbabilisticLogic, probably_rejected
+from .probabilistic import ProbabilisticLogic
 
 LOGIC_NAMES = ("alc", "lgen", "mp", "metric-fuzzy", "metric-crisp")
 
@@ -27,7 +27,11 @@ def get_logic(name: str, space: MetricSpace | None = None) -> OneStepLogic:
             raise ValueError(f"logic {name!r} needs a metric space")
         return MetricLogic(space, crisp=name == "metric-crisp")
     if name == "probably":
-        probably_rejected()
+        raise ValueError(
+            "the expectation-valued 'probably' modality is not supported: its "
+            "successor constraints are arithmetically entangled, so no finite "
+            "modal rule with independent successor intervals exists"
+        )
     raise ValueError(f"unknown logic {name!r}; choose one of {', '.join(LOGIC_NAMES)}")
 
 

@@ -30,6 +30,13 @@ consistent vectors are the product of these per-literal cells.  A
 distribution iff weights summing to one exist whose per-coordinate sums
 meet the mass bounds, and by Caratheodory at most 2n+1 vectors are ever
 needed.
+
+Dominance: every mass bound is a lower bound (`>=` or `>`) on a coordinate
+sum, and the all-ones vector is consistent ((1, 1) is each literal's own
+interval) and has every coordinate of every other vector.  Moving weight
+onto it never lowers a coordinate sum, so some distribution over the
+consistent vectors meets the bounds iff weight 1 on the all-ones vector
+does, an O(n) check.
 """
 
 from __future__ import annotations
@@ -272,6 +279,10 @@ class ProbabilisticLogic(OneStepLogic):
         weight system over *all* child-satisfiable consistent vectors is
         solvable; Caratheodory support reduction then recovers a
         configuration of at most 2n+1 vectors with the exact same masses.
+
+        By dominance (module docstring) the end-sequent is refuted before
+        any child is asked about when the all-ones vector alone misses a
+        bound; the LP runs only over the child-satisfiable vectors.
         """
         self._ops(gamma)
         if any(i.is_empty for _, i in gamma.items()):
@@ -280,19 +291,16 @@ class ProbabilisticLogic(OneStepLogic):
         if not bounds:
             return SearchSuccess(Conclusion(0, (), _ProbData((), ())), [])
         conds = _flat_conditions(bounds)
-        consistent = list(consistent_vectors(bounds))
-        # Quick refutation before any recursion: even with every vector
-        # available the masses may be unachievable.
-        if self._weights_over([vec for vec, _ in consistent], conds) is None:
+        # Refutation before any recursion: every bound is a lower bound, and
+        # the all-ones vector is consistent and dominates every vector.
+        if not _mass_possible([(1,) * len(conds)], conds):
             return None
 
         good: list[tuple[ConfigVector, Sequent, object]] = []
-        for vec, seq in consistent:
+        for vec, seq in consistent_vectors(bounds):
             result = yield seq
             if result.sat:
                 good.append((vec, seq, result))
-        if not good:
-            return None
         weights = self._weights_over([vec for vec, _, _ in good], conds)
         if weights is None:
             return None
@@ -307,7 +315,7 @@ class ProbabilisticLogic(OneStepLogic):
     def _weights_over(
         cfg: Sequence[ConfigVector], conds: Sequence[MassBound | None]
     ) -> list[Fraction] | None:
-        if not cfg:
+        if not cfg or not _mass_possible(cfg, conds):
             return None
         if len(cfg) <= 8:
             return lp.feasible(mass_system(cfg, conds), cap=8)
@@ -321,11 +329,3 @@ class ProbabilisticLogic(OneStepLogic):
             sys_.add(row, cond.rel, cond.threshold)
         return lp.simplex_feasible(sys_, nonneg=True)
 
-
-def probably_rejected() -> None:
-    """Diagnostic for the unsupported expectation-valued modality."""
-    raise ValueError(
-        "the expectation-valued 'probably' modality is not supported: its "
-        "successor constraints are arithmetically entangled, so no finite "
-        "modal rule with independent successor intervals exists"
-    )

@@ -6,14 +6,18 @@ import pytest
 
 from helpers import onestep_modal_value, rand_interval, rand_rational
 
+from nexfuz import lp
 from nexfuz.liftings import generally_value, more_than_value
 from nexfuz.logics import get_logic
 from nexfuz.logics.probabilistic import (
+    _flat_conditions,
+    _mass_possible,
     bounds_of,
     config_feasible,
     consistent_vectors,
     literal_bounds,
     literal_cells,
+    mass_system,
 )
 from nexfuz.lp import CapExceeded, caratheodory_reduce
 from nexfuz.numerics import Comp, Interval
@@ -368,3 +372,72 @@ class TestSearchAgreement:
                         break
                 fast = logic.search(gamma, child)
                 assert (naive is None) == (fast is None), (flavor, gamma, pivot)
+
+
+class TestDominance:
+    """The lemma behind the one-step refutation: every mass bound is a lower
+    bound and the all-ones vector is consistent, so the mass system over all
+    consistent vectors is feasible iff the all-ones vector alone meets every
+    bound."""
+
+    GRID = sorted({F(k, d) for d in range(1, 7) for k in range(d + 1)})
+
+    def test_bounds_are_lower_and_ones_is_consistent(self):
+        flags = (False, True)
+        ops = [Generally()] + [MoreThan(p) for p in self.GRID]
+        for lo, hi, lo_open, hi_open in product(self.GRID, self.GRID, flags, flags):
+            interval = iv(lo, hi, lo_open, hi_open)
+            if interval.is_empty:
+                continue
+            for op in ops:
+                lb = literal_bounds(op, Var("v"), interval)
+                for bound in (lb.lower, lb.upper):
+                    assert bound is None or bound.rel in (Comp.GE, Comp.GT), (op, interval)
+                vecs = [vec for vec, _ in consistent_vectors([lb])]
+                assert (1, 1) in vecs, (op, interval)
+
+    @staticmethod
+    def _simplex_over(vecs, conds):
+        """The refutation the all-ones check replaced: the mass system over
+        every consistent vector, by simplex, whose variables are implicitly
+        nonnegative (so `mass_system`'s explicit rows are left out)."""
+        system = lp.system(len(vecs))
+        system.add([F(1)] * len(vecs), lp.EQ, F(1))
+        for pos, cond in enumerate(conds):
+            if cond is not None:
+                system.add([F(vec[pos]) for vec in vecs], cond.rel, cond.threshold)
+        return lp.simplex_feasible(system, nonneg=True)
+
+    def _run(self, flavor, seed):
+        rng = random.Random(seed)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            gamma = Sequent(
+                (
+                    Modal(
+                        Generally() if flavor == "lgen" else MoreThan(rand_rational(rng, 6)),
+                        Var(f"v{i+1}"),
+                    ),
+                    rand_interval(rng, 6),
+                )
+                for i in range(n)
+            )
+            bounds = bounds_of(gamma)
+            conds = _flat_conditions(bounds)
+            vecs = [vec for vec, _ in consistent_vectors(bounds)]
+            possible = _mass_possible([(1,) * len(conds)], conds)
+            assert possible == (self._simplex_over(vecs, conds) is not None), gamma
+            if len(vecs) <= 8:
+                assert possible == (lp.feasible(mass_system(vecs, conds), cap=8) is not None), gamma
+            outcomes.add(possible)
+        return outcomes
+
+    def test_all_ones_decides_generally(self):
+        # A G literal's bounds are `mass >= lo` (or `> lo` with lo < 1) and
+        # `mass >= 1 - hi` (or `> 1 - hi` with hi > 0): mass 1 meets both,
+        # so no G end-sequent is refuted at its own layer.
+        assert self._run("lgen", 601) == {True}
+
+    def test_all_ones_decides_more_than(self):
+        assert self._run("mp", 602) == {True, False}

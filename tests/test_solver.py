@@ -10,7 +10,7 @@ from nexfuz.lp import CapExceeded
 from nexfuz.logics import get_logic
 from nexfuz.models import FiniteModel, check_sequent, eval_formula
 from nexfuz.numerics import Comp, Interval
-from nexfuz.onestep import OneStepLogic, TransitionWitness
+from nexfuz.onestep import OneStepLogic, TransitionWitness, modal_literals
 from nexfuz.sequents import Sequent
 from nexfuz.solver import SolveStats, SolverCaps, sat, sat_threshold
 from nexfuz.syntax import Neg, modal_depth, parse, to_text
@@ -142,8 +142,9 @@ class TestModelFirstCompleteness:
 
 
 class NaiveWrapper(OneStepLogic):
-    """Hides an instance's `search` override so the default conclusion
-    enumeration runs; used to check the fast paths stay equivalent."""
+    """Hides an instance's `search_steps` override so the default
+    conclusion enumeration runs; used to check the fast paths stay
+    equivalent."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -177,6 +178,29 @@ class TestSearchParity:
                 for verdict in (fast, slow):
                     if verdict.sat:
                         assert check_sequent(verdict.model, verdict.state, seq)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", ["lgen", "mp"])
+    def test_wide_probabilistic_layers(self, name):
+        # Up to six modal literals per layer; every case runs, none is
+        # skipped, and some end-sequent is at least three literals wide.
+        rng = random.Random(999)
+        widths = []
+
+        class Counting(NaiveWrapper):
+            def conclusions(self, gamma):
+                widths.append(len(modal_literals(gamma)))
+                return super().conclusions(gamma)
+
+        for _ in range(100):
+            seq = rand_sequent(rng, name, depth=3, max_den=8, layer_budget=6)
+            fast = sat(seq, get_logic(name), verify=False)
+            slow = sat(seq, Counting(get_logic(name)), verify=False)
+            assert fast.sat == slow.sat, (name, seq)
+            for verdict in (fast, slow):
+                if verdict.sat:
+                    assert check_sequent(verdict.model, verdict.state, seq)
+        assert max(widths) >= 3
 
 
 class ZeroDegreeRealize(NaiveWrapper):
