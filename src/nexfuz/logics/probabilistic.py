@@ -32,11 +32,14 @@ meet the mass bounds, and by Caratheodory at most 2n+1 vectors are ever
 needed.
 
 Dominance: every mass bound is a lower bound (`>=` or `>`) on a coordinate
-sum, and the all-ones vector is consistent ((1, 1) is each literal's own
-interval) and has every coordinate of every other vector.  Moving weight
-onto it never lowers a coordinate sum, so some distribution over the
-consistent vectors meets the bounds iff weight 1 on the all-ones vector
-does, an O(n) check.
+sum, so moving weight from a vector onto one that dominates it
+coordinatewise never breaks a bound.  The all-ones vector is consistent
+((1, 1) is each literal's own interval) and dominates every vector, so some
+distribution over the consistent vectors meets the bounds iff weight 1 on
+the all-ones vector does, an O(n) check.  The search visits the vectors by
+descending popcount, all-ones first, and never asks about a vector that a
+child-satisfiable one already visited dominates: only the maximal
+child-satisfiable vectors (an antichain) can matter to the weight system.
 """
 
 from __future__ import annotations
@@ -150,19 +153,28 @@ def consistent_vectors(bounds: Sequence[LiteralBounds]) -> Iterator[tuple[Config
     """
     variables = [lb.var for lb in bounds]
     for combo in product(*(literal_cells(lb) for lb in bounds)):
-        vec = tuple(bit for bits, _ in combo for bit in bits)
-        cells = {var: cell for var, (_, cell) in zip(variables, combo)}
-        yield vec, exact_over_vars(cells, variables)
+        yield _cells_vector(combo), _cells_sequent(combo, variables)
+
+
+def _cells_vector(combo) -> ConfigVector:
+    """The 0/1 vector of one cell per literal."""
+    return tuple(bit for bits, _ in combo for bit in bits)
+
+
+def _cells_sequent(combo, variables: Sequence[Var]) -> Sequent:
+    """The variable sequent of one cell per literal."""
+    return exact_over_vars({var: cell for var, (_, cell) in zip(variables, combo)}, variables)
 
 
 def mass_system(cfg: Sequence[ConfigVector], conds: Sequence[MassBound | None]) -> lp.LinSystem:
-    """Weights >= 0 summing to 1 whose coordinate sums satisfy the bounds."""
+    """Weights summing to 1 whose coordinate sums satisfy the bounds.
+
+    The weights must also be nonnegative; that is left to the engine
+    (`nonneg=True`), since the simplex would keep each `x_k >= 0` row as a
+    tableau row of its own.
+    """
     sys_ = lp.system(len(cfg))
     sys_.add([ONE] * len(cfg), lp.EQ, ONE)
-    for k in range(len(cfg)):
-        row = [ZERO] * len(cfg)
-        row[k] = ONE
-        sys_.add(row, Comp.GE, ZERO)
     for pos, cond in enumerate(conds):
         if cond is None:
             continue
@@ -199,7 +211,7 @@ def config_feasible(
         return [] if all(c is None for c in conds) else None
     if not _mass_possible(cfg, conds):
         return None
-    return lp.feasible(mass_system(cfg, conds), cap=max(64, len(cfg)))
+    return lp.feasible(mass_system(cfg, conds), cap=max(64, len(cfg)), nonneg=True)
 
 
 @dataclass(frozen=True)
@@ -282,7 +294,13 @@ class ProbabilisticLogic(OneStepLogic):
 
         By dominance (module docstring) the end-sequent is refuted before
         any child is asked about when the all-ones vector alone misses a
-        bound; the LP runs only over the child-satisfiable vectors.
+        bound.  Otherwise the consistent vectors are visited by descending
+        popcount, lexicographically within one popcount, so the all-ones
+        vector comes first; when its child is satisfiable it is the
+        conclusion, with weight 1.  A vector that a child-satisfiable
+        vector already visited dominates is skipped, never asked about, so
+        the child-satisfiable vectors kept form an antichain, and the
+        weight system is solved over them.
         """
         self._ops(gamma)
         if any(i.is_empty for _, i in gamma.items()):
@@ -296,11 +314,24 @@ class ProbabilisticLogic(OneStepLogic):
         if not _mass_possible([(1,) * len(conds)], conds):
             return None
 
+        variables = [lb.var for lb in bounds]
+        combos = product(*(literal_cells(lb) for lb in bounds))
+        visits = sorted(((_cells_vector(c), c) for c in combos), key=lambda visit: -sum(visit[0]))
         good: list[tuple[ConfigVector, Sequent, object]] = []
-        for vec, seq in consistent_vectors(bounds):
+        for vec, combo in visits:
+            # Skip a vector some good vector dominates: moving its weight
+            # onto the dominator never lowers a coordinate sum, and every
+            # bound is a lower bound on a coordinate sum.
+            if any(all(g >= v for g, v in zip(other, vec)) for other, _, _ in good):
+                continue
+            seq = _cells_sequent(combo, variables)
             result = yield seq
-            if result.sat:
-                good.append((vec, seq, result))
+            if not result.sat:
+                continue
+            if sum(vec) == len(vec):
+                # All-ones: it alone meets every bound (checked above).
+                return SearchSuccess(Conclusion(0, (seq,), _ProbData((vec,), (ONE,))), [result])
+            good.append((vec, seq, result))
         weights = self._weights_over([vec for vec, _, _ in good], conds)
         if weights is None:
             return None
@@ -315,17 +346,10 @@ class ProbabilisticLogic(OneStepLogic):
     def _weights_over(
         cfg: Sequence[ConfigVector], conds: Sequence[MassBound | None]
     ) -> list[Fraction] | None:
+        """Weights over the good antichain, by the simplex; the prefilter
+        alone decides a single vector, which must carry weight 1."""
         if not cfg or not _mass_possible(cfg, conds):
             return None
-        if len(cfg) <= 8:
-            return lp.feasible(mass_system(cfg, conds), cap=8)
-        # Nonnegativity is implicit in the simplex, so skip those rows.
-        sys_ = lp.system(len(cfg))
-        sys_.add([ONE] * len(cfg), lp.EQ, ONE)
-        for pos, cond in enumerate(conds):
-            if cond is None:
-                continue
-            row = [ONE if vec[pos] else ZERO for vec in cfg]
-            sys_.add(row, cond.rel, cond.threshold)
-        return lp.simplex_feasible(sys_, nonneg=True)
-
+        if len(cfg) == 1:
+            return [ONE]
+        return lp.simplex_feasible(mass_system(cfg, conds), nonneg=True)

@@ -2,14 +2,17 @@
 
 Two engines:
 
+* :func:`simplex_feasible` -- two-phase simplex, the one engine of the
+  solver's hot path (the probabilistic weight systems).  It has no
+  variable-count cap; strict inequalities are handled by maximizing a
+  shared slack.
 * :func:`feasible` -- Fourier-Motzkin elimination with native handling of
-  strict inequalities, intended for systems with few variables.  Returns an
-  exact rational witness point or None.
-* :func:`simplex_feasible` -- two-phase simplex, used where the variable
-  count makes elimination impractical.  Strict inequalities are handled by
-  maximizing a shared slack.
+  strict inequalities, exponential in the variable count.  It is the
+  reference engine: the reference enumeration `conclusions()` and the tests
+  use it as an oracle for the simplex.
 
-Both engines verify returned witnesses by re-substitution before returning.
+Both return an exact rational witness point or None, and verify a witness
+by re-substitution before returning it.
 """
 
 from __future__ import annotations
@@ -98,17 +101,22 @@ def feasible(
     sys_: LinSystem,
     cap: int = 64,
     order: Sequence[int] | None = None,
+    nonneg: bool = False,
 ) -> list[Fraction] | None:
     """Fourier-Motzkin feasibility; returns an exact witness point or None.
 
     `order` optionally fixes the variable elimination order (useful to
-    cross-check that the verdict does not depend on it).
+    cross-check that the verdict does not depend on it).  With `nonneg`
+    the variables are taken to be nonnegative, as in `simplex_feasible`.
     """
     n = sys_.num_vars
     if n > cap:
         raise CapExceeded(f"linear system has {n} variables (cap {cap})")
 
     rows: list[tuple[list[Fraction], bool, Fraction]] = []
+    if nonneg:
+        for j in range(n):
+            rows.append(([-ONE if k == j else ZERO for k in range(n)], False, ZERO))
     eqs: list[tuple[list[Fraction], Fraction]] = []
     for c in sys_.constraints:
         if c.rel == EQ:
@@ -225,7 +233,7 @@ def feasible(
     for var, expr, const in reversed(subst):
         point[var] = const + sum((expr[j] * point[j] for j in range(n)), ZERO)
 
-    if not sys_.check(point):
+    if not sys_.check(point) or (nonneg and any(x < 0 for x in point)):
         raise LpError("internal: witness fails re-substitution")
     return point
 

@@ -272,39 +272,32 @@ def modal_depth(f: Formula) -> int:
 # Concrete syntax
 # ---------------------------------------------------------------------------
 
-_RESERVED = {"not", "dia", "G", "M"}
+_PREFIX_WORDS = {"not", "dia", "G", "M"}  # never atoms
 
+# A token is (kind, text, position); a symbol's kind is the symbol itself.
+# Every character but whitespace starts a token, and `bad` ones are errors.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<dec>\d+\.\d+)|(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<sym>[()&|~\-/{},]))"
+    r"|(?P<sym>[()&|~\-/{},])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", pos)
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m.group(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", m.start(kind))
+        tokens.append((value if kind == "sym" else kind, value, m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
 
     def next(self):
         tok = self.tokens[self.i]
@@ -313,92 +306,79 @@ class _Parser:
 
     def expect_sym(self, sym: str):
         kind, value, pos = self.next()
-        if kind != "sym" or value != sym:
+        if kind != sym:
             raise ParseError(f"expected {sym!r}, found {value!r}", pos)
 
     def parse_formula(self) -> Formula:
-        f = self.parse_disj()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {value!r}", pos)
-        return f
-
-    def parse_disj(self) -> Formula:
-        f = self.parse_conj()
-        while self.peek()[:2] == ("sym", "|"):
-            self.next()
-            f = Or(f, self.parse_conj())
-        return f
-
-    def parse_conj(self) -> Formula:
-        f = self.parse_shift()
-        while self.peek()[:2] == ("sym", "&"):
-            self.next()
-            f = And(f, self.parse_shift())
-        return f
-
-    def parse_shift(self) -> Formula:
-        f = self.parse_unary()
-        while self.peek()[:2] == ("sym", "-"):
-            self.next()
-            f = Minus(f, self.parse_constant())
-        return f
-
-    def parse_unary(self) -> Formula:
-        # A prefix chain is read in a loop and applied innermost first, so
-        # its length is not bounded by the interpreter's recursion limit.
-        ops: list[ModalOp | None] = []  # None stands for negation
+        """One loop over the tokens.  An operand is a prefix chain, then an
+        atom, `0` or a parenthesized group; its operators follow.  An open
+        group waits on `stack` with its state (its disjunction and
+        conjunction so far, and the prefix chain before its `(`), so the
+        nesting depth is not bounded by the interpreter's recursion limit.
+        """
+        stack: list[tuple] = []
+        disj = conj = None
+        ops: list[ModalOp | None] = []  # the prefix chain; None is negation
         while True:
-            kind, value, pos = self.peek()
-            if (kind, value) in (("sym", "~"), ("ident", "not")):
-                self.next()
-                ops.append(None)
-            elif (kind, value) == ("ident", "dia"):
-                self.next()
-                if self.peek()[:2] == ("sym", "{"):
-                    self.next()
-                    label = self.parse_label()
-                    self.expect_sym(",")
-                    c = self.parse_constant()
-                    self.expect_sym("}")
-                    ops.append(MetricDiamond(label, c))
-                else:
-                    ops.append(Diamond())
-            elif (kind, value) == ("ident", "G"):
-                self.next()
-                ops.append(Generally())
-            elif (kind, value) == ("ident", "M"):
-                self.next()
-                self.expect_sym("{")
-                p = self.parse_constant()
-                self.expect_sym("}")
-                ops.append(MoreThan(p))
+            kind, value, pos = self.next()
+            if kind == "(":
+                stack.append((disj, conj, ops))
+                disj, conj, ops = None, None, []
+                continue
+            if kind == "~" or (kind == "ident" and value in _PREFIX_WORDS):
+                ops.append(self.parse_prefix(value))
+                continue
+            if kind == "int" and value == "0":
+                f = Zero()
+            elif kind == "ident":
+                f = Atom(value)
             else:
-                break
-        f = self.parse_primary()
-        for op in reversed(ops):
-            f = Neg(f) if op is None else Modal(op, f)
-        return f
+                raise ParseError(f"unexpected token {value!r}", pos)
+            while True:  # after a complete primary `f` of the current group
+                for op in reversed(ops):  # innermost first
+                    f = Neg(f) if op is None else Modal(op, f)
+                ops = []
+                while self.tokens[self.i][0] == "-":
+                    self.i += 1
+                    f = Minus(f, self.parse_constant())
+                kind, value, pos = self.next()
+                if kind == "&":
+                    conj = f if conj is None else And(conj, f)
+                    break
+                f = f if conj is None else And(conj, f)
+                f = f if disj is None else Or(disj, f)
+                if kind == "|":
+                    disj, conj = f, None
+                    break
+                if not stack:
+                    if kind != "end":
+                        raise ParseError(f"unexpected trailing input {value!r}", pos)
+                    return f
+                if kind != ")":
+                    raise ParseError(f"expected ')', found {value!r}", pos)
+                disj, conj, ops = stack.pop()
 
-    def parse_primary(self) -> Formula:
-        kind, value, pos = self.next()
-        if kind == "sym" and value == "(":
-            f = self.parse_disj()
-            self.expect_sym(")")
-            return f
-        if kind == "int" and value == "0":
-            return Zero()
-        if kind == "ident":
-            if value in _RESERVED:
-                raise ParseError(f"reserved word {value!r} cannot be an atom", pos)
-            return Atom(value)
-        raise ParseError(f"unexpected token {value!r}", pos)
-
-    def parse_label(self) -> str:
-        kind, value, pos = self.next()
+    def parse_prefix(self, word: str) -> ModalOp | None:
+        """The operator a prefix word starts; None for negation."""
+        if word in ("~", "not"):
+            return None
+        if word == "G":
+            return Generally()
+        if word == "M":
+            self.expect_sym("{")
+            p = self.parse_constant()
+            self.expect_sym("}")
+            return MoreThan(p)
+        if self.tokens[self.i][0] != "{":
+            return Diamond()
+        self.i += 1
+        kind, label, pos = self.next()
         if kind != "ident":
-            raise ParseError(f"expected a label identifier, found {value!r}", pos)
-        return value
+            raise ParseError(f"expected a label identifier, found {label!r}", pos)
+        self.expect_sym(",")
+        c = self.parse_constant()
+        self.expect_sym("}")
+        return MetricDiamond(label, c)
 
     def parse_constant(self) -> Fraction:
         kind, value, pos = self.next()
@@ -406,8 +386,8 @@ class _Parser:
             q = parse_rational(value)
         elif kind == "int":
             q = Fraction(int(value))
-            if self.peek()[:2] == ("sym", "/"):
-                self.next()
+            if self.tokens[self.i][0] == "/":
+                self.i += 1
                 kind2, value2, pos2 = self.next()
                 if kind2 != "int":
                     raise ParseError(f"expected denominator, found {value2!r}", pos2)

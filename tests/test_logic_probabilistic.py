@@ -374,6 +374,25 @@ class TestSearchAgreement:
                 assert (naive is None) == (fast is None), (flavor, gamma, pivot)
 
 
+def _rand_gamma(rng, flavor):
+    """A random end-sequent of 1-4 literals, denominators up to 6."""
+    n = rng.randint(1, 4)
+    return Sequent(
+        (
+            Modal(
+                Generally() if flavor == "lgen" else MoreThan(rand_rational(rng, 6)),
+                Var(f"v{i+1}"),
+            ),
+            rand_interval(rng, 6),
+        )
+        for i in range(n)
+    )
+
+
+def _dominates(u, v):
+    return all(a >= b for a, b in zip(u, v))
+
+
 class TestDominance:
     """The lemma behind the one-step refutation: every mass bound is a lower
     bound and the all-ones vector is consistent, so the mass system over all
@@ -396,40 +415,19 @@ class TestDominance:
                 vecs = [vec for vec, _ in consistent_vectors([lb])]
                 assert (1, 1) in vecs, (op, interval)
 
-    @staticmethod
-    def _simplex_over(vecs, conds):
-        """The refutation the all-ones check replaced: the mass system over
-        every consistent vector, by simplex, whose variables are implicitly
-        nonnegative (so `mass_system`'s explicit rows are left out)."""
-        system = lp.system(len(vecs))
-        system.add([F(1)] * len(vecs), lp.EQ, F(1))
-        for pos, cond in enumerate(conds):
-            if cond is not None:
-                system.add([F(vec[pos]) for vec in vecs], cond.rel, cond.threshold)
-        return lp.simplex_feasible(system, nonneg=True)
-
     def _run(self, flavor, seed):
         rng = random.Random(seed)
         outcomes = set()
         for _ in range(300):
-            n = rng.randint(1, 4)
-            gamma = Sequent(
-                (
-                    Modal(
-                        Generally() if flavor == "lgen" else MoreThan(rand_rational(rng, 6)),
-                        Var(f"v{i+1}"),
-                    ),
-                    rand_interval(rng, 6),
-                )
-                for i in range(n)
-            )
+            gamma = _rand_gamma(rng, flavor)
             bounds = bounds_of(gamma)
             conds = _flat_conditions(bounds)
             vecs = [vec for vec, _ in consistent_vectors(bounds)]
             possible = _mass_possible([(1,) * len(conds)], conds)
-            assert possible == (self._simplex_over(vecs, conds) is not None), gamma
+            system = mass_system(vecs, conds)
+            assert possible == (lp.simplex_feasible(system, nonneg=True) is not None), gamma
             if len(vecs) <= 8:
-                assert possible == (lp.feasible(mass_system(vecs, conds), cap=8) is not None), gamma
+                assert possible == (lp.feasible(system, cap=8, nonneg=True) is not None), gamma
             outcomes.add(possible)
         return outcomes
 
@@ -441,3 +439,90 @@ class TestDominance:
 
     def test_all_ones_decides_more_than(self):
         assert self._run("mp", 602) == {True, False}
+
+
+class TestDominanceSearch:
+    """The search visits vectors by dominance: only the maximal
+    child-satisfiable vectors (an antichain) enter the weight system."""
+
+    def _antichain_run(self, flavor, seed):
+        rng = random.Random(seed)
+        outcomes = set()
+        for _ in range(150):
+            bounds = bounds_of(_rand_gamma(rng, flavor))
+            conds = _flat_conditions(bounds)
+            vecs = [vec for vec, _ in consistent_vectors(bounds)]
+            good = [vec for vec in vecs if rng.random() < 0.5] or [rng.choice(vecs)]
+            maximal = [v for v in good if not any(u != v and _dominates(u, v) for u in good)]
+            full = lp.simplex_feasible(mass_system(good, conds), nonneg=True) is not None
+            assert full == (
+                lp.simplex_feasible(mass_system(maximal, conds), nonneg=True) is not None
+            ), (bounds, good)
+            assert full == (LGEN._weights_over(maximal, conds) is not None)
+            for cfg in (good, maximal):
+                if len(cfg) <= 8:
+                    weights = lp.feasible(mass_system(cfg, conds), cap=8, nonneg=True)
+                    assert full == (weights is not None), (bounds, cfg)
+            outcomes.add(full)
+        assert outcomes == {True, False}
+
+    def test_antichain_decides_generally(self):
+        self._antichain_run("lgen", 701)
+
+    def test_antichain_decides_more_than(self):
+        self._antichain_run("mp", 702)
+
+    def _recorded_run(self, flavor, seed):
+        """Search random end-sequents with a random child oracle, recording
+        each request; returns how often the all-ones child was SAT and how
+        often it was not."""
+        rng = random.Random(seed)
+        logic = get_logic(flavor)
+        ones_sat = ones_unsat = 0
+
+        class _Child:
+            def __init__(self, sat):
+                self.sat = sat
+
+        for _ in range(200):
+            gamma = _rand_gamma(rng, flavor)
+            bounds = bounds_of(gamma)
+            vector_of = {seq: vec for vec, seq in consistent_vectors(bounds)}
+            ones = (1,) * (2 * len(bounds))
+            answers = {}
+
+            def child(seq):
+                assert seq not in answers, "a vector is asked about twice"
+                answers[seq] = rng.random() < 0.5
+                return _Child(answers[seq])
+
+            found = logic.search(gamma, child)
+            if not answers:
+                assert found is None
+                continue
+            asked = [vector_of[seq] for seq in answers]
+            assert asked[0] == ones
+            sat_so_far = []
+            for vec, is_sat in zip(asked, answers.values()):
+                assert not any(_dominates(g, vec) for g in sat_so_far), (gamma, asked)
+                if is_sat:
+                    sat_so_far.append(vec)
+            first = next(iter(answers))
+            if answers[first]:
+                ones_sat += 1
+                assert len(asked) == 1
+                assert found.conclusion.data.cfg == (ones,)
+                assert found.conclusion.data.weights == (1,)
+                assert found.conclusion.sequents == (first,)
+            else:
+                ones_unsat += 1
+                # Every vector never asked about is dominated by a SAT one.
+                for vec in vector_of.values():
+                    assert vec in asked or any(_dominates(g, vec) for g in sat_so_far)
+        return ones_sat, ones_unsat
+
+    def test_requests_by_dominance_generally(self):
+        assert min(self._recorded_run("lgen", 711)) > 0
+
+    def test_requests_by_dominance_more_than(self):
+        assert min(self._recorded_run("mp", 712)) > 0

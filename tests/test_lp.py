@@ -137,6 +137,31 @@ class TestSimplexAgreement:
             if b is not None:
                 assert s.check(b)
 
+    def test_nonneg_matches_explicit_rows(self):
+        # `nonneg` in either engine is the system with x_j >= 0 rows added;
+        # the random rows carry no box, so the flag decides some verdicts.
+        rng = random.Random(910)
+        flag_decided = 0
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            s = system(n)
+            for _ in range(rng.randint(1, 4)):
+                coeffs = [F(rng.randint(-2, 2)) for _ in range(n)]
+                rel = rng.choice([Comp.LE, Comp.LT, Comp.GE, Comp.GT, EQ])
+                s.add(coeffs, rel, F(rng.randint(-8, 8), 8))
+            free = feasible(s) is not None
+            a = feasible(s, nonneg=True)
+            b = simplex_feasible(s, nonneg=True)
+            for j in range(n):
+                s.add([1 if k == j else 0 for k in range(n)], Comp.GE, 0)
+            expected = feasible(s) is not None
+            assert (a is not None) == expected == (b is not None)
+            for point in (a, b):
+                if point is not None:
+                    assert s.check(point)
+            flag_decided += free and not expected
+        assert flag_decided > 0
+
     def test_strict_only_at_boundary(self):
         s = system(1)
         s.add([1], Comp.GE, F(1, 2))

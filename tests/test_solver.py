@@ -13,7 +13,7 @@ from nexfuz.numerics import Comp, Interval
 from nexfuz.onestep import OneStepLogic, TransitionWitness, modal_literals
 from nexfuz.sequents import Sequent
 from nexfuz.solver import SolveStats, SolverCaps, sat, sat_threshold
-from nexfuz.syntax import Neg, modal_depth, parse, to_text
+from nexfuz.syntax import And, Atom, Diamond, Modal, Neg, modal_depth, parse, to_text
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
@@ -282,6 +282,20 @@ class TestDeepInputs:
         model.validate()
         assert eval_formula(model, "x0", f) == F(1, 2)
         assert eval_formula(model, "x0", Neg(f)) == F(1, 2)
+
+    def test_deep_parentheses_round_trip(self):
+        # dia (a & dia (a & ... a)): every level opens a parenthesis.
+        f = Atom("a")
+        for _ in range(1000):
+            f = Modal(Diamond(), And(Atom("a"), f))
+        text = to_text(f)
+        assert text.count("(") == 1000
+        assert parse(text) is f
+        seq = Sequent([(f, iv("1/2", 1))])
+        assert Sequent.loads(seq.dumps()) == seq
+
+    def test_deep_redundant_parentheses(self):
+        assert parse("(" * 1000 + "a" + ")" * 1000) is Atom("a")
 
     def test_equal_deep_subtrees(self):
         deep = "dia " * 500 + "a"

@@ -67,6 +67,10 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("a ) b")
 
+    def test_bad_character_position(self):
+        with pytest.raises(ParseError, match=r"unexpected character '\$' \(at position 2\)"):
+            parse("a $ b")
+
 
 class TestSize:
     def test_zero(self):
