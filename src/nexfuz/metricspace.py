@@ -5,8 +5,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .numerics import ZERO, format_rational, parse_rational
+from .numerics import NumericError, format_rational, parse_rational, to_fraction
 
 
 class MetricSpaceError(ValueError):
@@ -24,24 +25,28 @@ class MetricSpace:
             raise MetricSpaceError("duplicate labels")
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise MetricSpaceError("distance matrix shape does not match labels")
-        for i in range(n):
-            if self.matrix[i][i] != 0:
+        # Every check below is invariant under a positive scale, so they run in int.
+        scale = lcm(*(v.denominator for row in self.matrix for v in row))
+        d = [[v.numerator * (scale // v.denominator) for v in row] for row in self.matrix]
+        for i, row in enumerate(d):
+            if row[i] != 0:
                 raise MetricSpaceError(f"nonzero self-distance for {self.labels[i]!r}")
-            for j in range(n):
-                if self.matrix[i][j] < ZERO:
+            for j, dij in enumerate(row):
+                if dij < 0:
                     raise MetricSpaceError("negative distance")
-                if self.matrix[i][j] != self.matrix[j][i]:
+                if dij != d[j][i]:
                     raise MetricSpaceError("distance matrix is not symmetric")
-                for k in range(n):
-                    if self.matrix[i][j] > self.matrix[i][k] + self.matrix[k][j]:
+                for k, dik in enumerate(row):
+                    if dij > dik + d[k][j]:
                         raise MetricSpaceError("triangle inequality violated")
 
     @staticmethod
     def make(labels, matrix) -> MetricSpace:
-        return MetricSpace(
-            tuple(labels),
-            tuple(tuple(Fraction(v) for v in row) for row in matrix),
-        )
+        try:
+            rows = tuple(tuple(to_fraction(v) for v in row) for row in matrix)
+        except NumericError as exc:
+            raise MetricSpaceError(str(exc)) from exc
+        return MetricSpace(tuple(labels), rows)
 
     def index(self, label: str) -> int:
         try:

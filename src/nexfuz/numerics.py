@@ -6,7 +6,8 @@ instances in lowest terms; no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -18,16 +19,45 @@ class NumericError(ValueError):
     """Malformed rational/interval input."""
 
 
+_RATIONAL = re.compile(
+    r"(?P<int>[+-]?[0-9]+)(?:\.(?P<frac>[0-9]+))?|(?P<num>[+-]?[0-9]+)\s*/\s*(?P<den>[+-]?[0-9]+)",
+    re.ASCII,
+)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b", an integer, or an exact decimal string like "0.25"."""
+    """Parse "a/b", an integer, or an exact decimal string like "0.25".
+
+    Exactly these forms are accepted, in ASCII digits with an optional sign:
+    "-3", "0.25", "9 / 12".  Exponents ("1e-3"), digit separators ("1_000")
+    and non-ASCII digits are rejected, so no literal can ask for a huge power
+    of ten.
+    """
     s = text.strip()
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise NumericError(f"invalid rational literal {text!r}")
     try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(s)
+        if m["num"] is not None:
+            return Fraction(int(m["num"]), int(m["den"]))
+        frac = m["frac"] or ""
+        return Fraction(int(m["int"] + frac), 10 ** len(frac))
     except (ValueError, ZeroDivisionError) as exc:
+        # ValueError: more digits than int() converts.
         raise NumericError(f"invalid rational literal {text!r}") from exc
+
+
+def to_fraction(v) -> Fraction:
+    """`v` as a Fraction.  Text takes the forms of :func:`parse_rational`.  A
+    float is refused: its binary expansion is almost never the value meant
+    (0.1 is not 1/10)."""
+    if type(v) is Fraction:
+        return v
+    if isinstance(v, str):
+        return parse_rational(v)
+    if isinstance(v, float):
+        raise NumericError(f"float {v!r} is not exact; pass a Fraction, an int or a string")
+    return Fraction(v)
 
 
 def parse_unit_rational(text: str) -> Fraction:
@@ -105,18 +135,29 @@ class Interval:
     """A sub-interval of [0, 1] with independently open/closed endpoints.
 
     Construct through :meth:`make`, which canonicalizes degenerate inputs to
-    the single EMPTY value so that equality is structural.
+    the single EMPTY value so that equality is structural.  The hash and
+    `is_empty` are computed once, at construction; the hash is the one the
+    dataclass would compute from the four fields.
     """
 
     lo: Fraction
     hi: Fraction
     lo_open: bool
     hi_open: bool
+    is_empty: bool = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "is_empty", self.lo > self.hi)
+        object.__setattr__(self, "_hash", hash((self.lo, self.hi, self.lo_open, self.hi_open)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def make(lo, hi, lo_open: bool = False, hi_open: bool = False) -> Interval:
-        lo = Fraction(lo)
-        hi = Fraction(hi)
+        lo = to_fraction(lo)
+        hi = to_fraction(hi)
         if lo > hi or (lo == hi and (lo_open or hi_open)):
             return EMPTY
         if lo < ZERO or hi > ONE:
@@ -133,10 +174,6 @@ class Interval:
         if op.is_lower:
             return Interval.make(p, ONE, lo_open=op.strict)
         return Interval.make(ZERO, p, hi_open=op.strict)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo > self.hi
 
     @property
     def is_point(self) -> bool:
@@ -172,7 +209,7 @@ class Interval:
         return q < self.hi if self.hi_open else q <= self.hi
 
     def __contains__(self, q) -> bool:
-        return self.contains(Fraction(q))
+        return self.contains(to_fraction(q))
 
     def intersect(self, other: Interval) -> Interval:
         if self.is_empty or other.is_empty:

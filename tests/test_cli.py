@@ -163,6 +163,21 @@ class TestErrorContract:
         assert code == 2 and out == "" and err.startswith("error:")
         assert "internal" not in err and "strings" in err
 
+    def test_exponent_interval_exit_two(self, capsys, tmp_path):
+        literals = [{"formula": "dia a", "interval": "[1e-10000000,1]"}]
+        code, out, err = self.solve_sequent_file(capsys, tmp_path, literals)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "internal" not in err and "1e-10000000" in err
+
+    def test_exponent_metric_distance_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"labels": ["a", "b"], "dist": [["0", "1e-9"], ["1e-9", "0"]]}))
+        code, out, err = run(
+            capsys, "solve", "--logic", "metric-fuzzy", "--metric-space", str(path),
+            "--formula", "dia{a,1} x",
+        )
+        assert code == 2 and out == "" and err.startswith("error:") and "1e-9" in err
+
     def test_model_states_not_a_list_exit_two(self, capsys, tmp_path):
         model = {"kind": "prob", "states": "xy",
                  "trans": {"x": {"y": "1"}, "y": {"y": "1"}}}

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from itertools import product
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,8 @@ from nexfuz.numerics import (
     parse_interval,
     parse_rational,
 )
+from nexfuz.sequents import Sequent
+from nexfuz.syntax import Atom
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
@@ -39,12 +43,49 @@ class TestRationals:
         assert parse_rational("0.5") == F(1, 2)
         assert parse_rational("3") == F(3)
         assert parse_rational(" 9/12 ") == F(3, 4)
+        assert parse_rational("-3") == F(-3)
+        assert parse_rational("+0.250") == F(1, 4)
+        assert parse_rational("9 / -12") == F(-3, 4)
 
     def test_parse_errors(self):
         with pytest.raises(NumericError):
             parse_rational("1/0")
         with pytest.raises(NumericError):
             parse_rational("x")
+
+    @pytest.mark.parametrize(
+        "text", ["1e-3", "1e-10000000", "1_000", "\u0661", "1/2/3", "0x10", "5.", ".5", "inf"]
+    )
+    def test_only_the_documented_forms(self, text):
+        # An exponent used to reach Fraction(str), where "1e-10000000" took
+        # seconds; the literal must now be refused without any arithmetic.
+        start = perf_counter()
+        with pytest.raises(NumericError):
+            parse_rational(text)
+        assert perf_counter() - start < 1.0
+
+    def test_exponent_interval_rejected(self):
+        with pytest.raises(NumericError):
+            parse_interval("[1e-10000000,1]")
+
+
+class TestNoFloats:
+    def test_make(self):
+        with pytest.raises(NumericError):
+            Interval.make(0.1, 1)
+        with pytest.raises(NumericError):
+            Interval.point(0.5)
+
+    def test_contains(self):
+        with pytest.raises(NumericError):
+            0.5 in UNIT
+
+    def test_exact_inputs_still_coerced(self):
+        assert Interval.make(0, 1) == UNIT
+        assert Interval.make("1/4", "0.5") == iv("1/4", "1/2")
+        assert F(1, 2) in UNIT and 1 in UNIT
+        with pytest.raises(NumericError):
+            Interval.make("1e-10000000", 1)
 
 
 class TestComplement:
@@ -191,3 +232,62 @@ class TestText:
         assert format_interval(iv("1/2", "1")) == "[1/2,1]"
         assert parse_interval("(0.2,0.8]") == iv("1/5", "4/5", lo_open=True)
         assert parse_interval("empty") == EMPTY
+
+
+def every_constructor():
+    """Intervals from every constructor, over a small grid, and the derived
+    intervals one step on."""
+    grid = [F(k, 4) for k in range(5)] + [F(1, 3)]
+    flags = [False, True]
+    base = [EMPTY, UNIT]
+    for lo, hi, lo_open, hi_open in product(grid, grid, flags, flags):
+        base.append(Interval.make(lo, hi, lo_open, hi_open))
+    for q in grid:
+        base.append(Interval.point(q))
+        base.extend(Interval.from_comparison(op, q) for op in Comp)
+    out = list(base)
+    for i in base:
+        out += [i.lower_ray(), i.upper_ray(), i.complement()]
+        out += [i.shift_up(c) for c in (F(0), F(1, 3), F(1, 2), F(1))]
+        out += [i.intersect(j) for j in base[::7]]
+    return out
+
+
+class TestCachedHashAndEmptiness:
+    """`Interval` computes its hash and emptiness once; both must equal what
+    the four fields give."""
+
+    BUILT = every_constructor()
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for i in self.BUILT:
+            assert hash(i) == hash((i.lo, i.hi, i.lo_open, i.hi_open))
+
+    def test_equal_intervals_hash_equal(self):
+        by_fields = {}
+        for i in self.BUILT:
+            j = by_fields.setdefault((i.lo, i.hi, i.lo_open, i.hi_open), i)
+            assert i == j and hash(i) == hash(j)
+            # A copy with fresh Fraction objects is the same set member.
+            fresh = Interval(F(i.lo.numerator, i.lo.denominator),
+                             F(i.hi.numerator, i.hi.denominator), i.lo_open, i.hi_open)
+            assert fresh == i and hash(fresh) == hash(i)
+        assert len(set(self.BUILT)) == len(by_fields)
+
+    def test_is_empty(self):
+        for i in self.BUILT:
+            assert i.is_empty == (i.lo > i.hi)
+        assert EMPTY.is_empty and not UNIT.is_empty
+        assert Interval(F(1), F(0), False, False).is_empty
+
+    def test_cached_fields_stay_out_of_equality_and_repr(self):
+        assert repr(UNIT) == "Interval(lo=Fraction(0, 1), hi=Fraction(1, 1), lo_open=False, hi_open=False)"
+        assert Interval.make(F(0), F(1)) == UNIT
+
+    def test_sequent_literal_order(self):
+        rng = random.Random(11)
+        atoms = [Atom(name) for name in "abc"]
+        for _ in range(300):
+            lits = [(rng.choice(atoms), rng.choice(self.BUILT)) for _ in range(rng.randint(1, 5))]
+            s, t = Sequent(lits), Sequent(reversed(lits))
+            assert s == t and hash(s) == hash(t)
