@@ -28,6 +28,8 @@ class MetricSpace:
         # Every check below is invariant under a positive scale, so they run in int.
         scale = lcm(*(v.denominator for row in self.matrix for v in row))
         d = [[v.numerator * (scale // v.denominator) for v in row] for row in self.matrix]
+        # Self-distance, sign and symmetry hold everywhere before any triangle
+        # is checked, so a negative distance is not reported as a triangle.
         for i, row in enumerate(d):
             if row[i] != 0:
                 raise MetricSpaceError(f"nonzero self-distance for {self.labels[i]!r}")
@@ -36,6 +38,8 @@ class MetricSpace:
                     raise MetricSpaceError("negative distance")
                 if dij != d[j][i]:
                     raise MetricSpaceError("distance matrix is not symmetric")
+        for row in d:
+            for j, dij in enumerate(row):
                 for k, dik in enumerate(row):
                     if dij > dik + d[k][j]:
                         raise MetricSpaceError("triangle inequality violated")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .liftings import diamond_value, generally_value, metric_diamond_value, more_than_value
-from .metricspace import MetricSpace
+from .metricspace import MetricSpace, MetricSpaceError
 from .numerics import ONE, ZERO, format_rational, parse_rational
 from .onestep import TransitionWitness
 from .sequents import Sequent
@@ -45,6 +45,15 @@ KINDS = ("prob", "fuzzyrel", "metric", "metric-crisp")
 
 class ModelError(ValueError):
     pass
+
+
+def _in_unit(v) -> bool:
+    """Whether the exact rational `v` lies in [0, 1], compared in int; any
+    other value, a float included, raises `ModelError`."""
+    try:
+        return 0 <= v.numerator <= v.denominator
+    except AttributeError:
+        raise ModelError(f"{v!r} is not an exact rational") from None
 
 
 @dataclass
@@ -73,24 +82,27 @@ class FiniteModel:
         state_set = set(self.states)
         if len(state_set) != len(self.states):
             raise ModelError("duplicate state names")
-        if self.kind in ("metric", "metric-crisp") and self.space is None:
+        metric = self.kind in ("metric", "metric-crisp")
+        if metric and self.space is None:
             raise ModelError("metric models need a metric space")
         if self.root is not None and self.root not in state_set:
             raise ModelError(f"root state {self.root!r} is not a state")
+        label_set = set(self.space.labels) if metric else ()
         for x, row in self.trans.items():
             if x not in state_set:
                 raise ModelError(f"transition from unknown state {x!r}")
             for key, degree in row.items():
-                if not ZERO <= degree <= ONE:
+                if not _in_unit(degree):
                     raise ModelError(f"transition degree {degree} outside [0, 1]")
-                if self.kind in ("prob", "fuzzyrel"):
+                if not metric:
                     if key not in state_set:
                         raise ModelError(f"transition to unknown state {key!r}")
                 else:
                     label, y = key
                     if y not in state_set:
                         raise ModelError(f"transition to unknown state {y!r}")
-                    self.space.index(label)
+                    if label not in label_set:
+                        raise MetricSpaceError(f"unknown label {label!r}")
                     if self.kind == "metric-crisp" and degree not in (ZERO, ONE):
                         raise ModelError("crisp transition degree must be 0 or 1")
         if self.kind == "prob":
@@ -102,7 +114,7 @@ class FiniteModel:
             if x not in state_set:
                 raise ModelError(f"atom valuation at unknown state {x!r}")
             for name, value in row.items():
-                if not ZERO <= value <= ONE:
+                if not _in_unit(value):
                     raise ModelError(f"atom value {value} outside [0, 1]")
 
     def has_state(self, state) -> bool:

@@ -1,5 +1,6 @@
 """Shared test utilities: random generators, direct one-step evaluation,
-and an independent classical modal-logic oracle."""
+the point-set reference liftings, and an independent classical modal-logic
+oracle."""
 
 from __future__ import annotations
 
@@ -209,6 +210,54 @@ def onestep_modal_value(op, tau_values: list[Fraction], structure, space=None) -
         ]
         return metric_diamond_value(triples, op.label, op.c, space)
     raise AssertionError(f"unknown operator {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# Reference liftings: the point-set definitions, quadratic and direct
+# ---------------------------------------------------------------------------
+
+
+def reference_diamond_value(edges: list[tuple[Fraction, Fraction]]) -> Fraction:
+    """max over successors of min(transition degree, argument value)."""
+    best = ZERO
+    for degree, value in edges:
+        best = max(best, min(degree, value))
+    return best
+
+
+def reference_generally_value(dist: list[tuple[Fraction, Fraction]]) -> Fraction:
+    """max over successor values a of min(a, mass of {successor value >= a})."""
+    best = ZERO
+    for _, alpha in dist:
+        mass = sum((w for w, v in dist if v >= alpha), ZERO)
+        best = max(best, min(alpha, mass))
+    return best
+
+
+def reference_more_than_value(dist: list[tuple[Fraction, Fraction]], p: Fraction) -> Fraction:
+    """Largest successor value a with mass of {value >= a} > p, else 0."""
+    best = ZERO
+    for _, alpha in dist:
+        if alpha <= best:
+            continue
+        mass = sum((w for w, v in dist if v >= alpha), ZERO)
+        if mass > p:
+            best = alpha
+    return best
+
+
+def reference_metric_diamond_value(
+    edges: list[tuple[str, Fraction, Fraction]],
+    base_label: str,
+    reach: Fraction,
+    space: MetricSpace,
+) -> Fraction:
+    """max over labelled edges of min(degree, value, max(0, reach - distance))."""
+    best = ZERO
+    for label, degree, value in edges:
+        slack = max(ZERO, reach - space.dist(base_label, label))
+        best = max(best, min(degree, value, slack))
+    return best
 
 
 # ---------------------------------------------------------------------------

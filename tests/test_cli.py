@@ -263,6 +263,23 @@ class TestEvalAndValidate:
         code, _, err = run(capsys, "validate", "--model", str(path))
         assert code == 2 and "error" in err
 
+    def test_unknown_reach_label_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps(
+                {"kind": "metric", "states": ["x", "y"],
+                 "trans": {"x": [{"label": "l", "to": "y", "deg": "1"}], "y": []},
+                 "atoms": {"x": {"a": "0"}, "y": {"a": "1"}},
+                 "metric": {"labels": ["l"], "dist": [["0"]]}}
+            )
+        )
+        for state in ("x", "y"):
+            code, out, err = run(
+                capsys, "eval", "--model", str(path), "--state", state,
+                "--formula", "dia{zz, 1/2} a",
+            )
+            assert code == 2 and out == "" and "unknown label" in err
+
     def test_unknown_state(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(

@@ -10,7 +10,8 @@ DENOMINATORS = [1, 2, 3, 4, 5, 6, 7, 9, 10, 12]
 
 def reference_error(labels, matrix):
     """The metric-space check over `Fraction`, loop for loop: the message of
-    the first failed check, or None when the matrix is a metric."""
+    the first failed check, or None when the matrix is a metric.  Every
+    entry's self-distance, sign and symmetry come before any triangle."""
     n = len(labels)
     if len(set(labels)) != n:
         return "duplicate labels"
@@ -24,6 +25,8 @@ def reference_error(labels, matrix):
                 return "negative distance"
             if matrix[i][j] != matrix[j][i]:
                 return "distance matrix is not symmetric"
+    for i in range(n):
+        for j in range(n):
             for k in range(n):
                 if matrix[i][j] > matrix[i][k] + matrix[k][j]:
                     return "triangle inequality violated"
@@ -72,9 +75,10 @@ def mutate(rng, d):
     elif kind == "asym":
         d[i][j] += F(rng.choice([-1, 1]), rng.choice(DENOMINATORS))
     elif kind == "negative":
-        # One side only: a symmetric negative pair already fails the
-        # triangle (i, i, j) before the sign check sees it.
+        # On one side only, or on both: a symmetric negative pair as well.
         d[i][j] = -d[j][i] / 2 if d[j][i] else F(-1, rng.choice(DENOMINATORS))
+        if rng.random() < 0.5:
+            d[j][i] = d[i][j]
     elif kind == "diagonal":
         d[i][i] = rand_q(rng, -1, 1) or F(1, 3)
 
@@ -125,9 +129,14 @@ class TestRejections:
     def test_negative_distance(self):
         with pytest.raises(MetricSpaceError, match="negative distance"):
             MetricSpace.make(["l", "m"], [[0, F(-1, 2)], [1, 0]])
-        # A symmetric negative pair fails the triangle (l, l, m) first.
-        with pytest.raises(MetricSpaceError, match="triangle"):
+        # A symmetric negative pair also fails the triangle (l, l, m), which
+        # is checked after every sign.
+        with pytest.raises(MetricSpaceError, match="negative distance"):
             MetricSpace.make(["l", "m"], [[0, F(-1, 2)], [F(-1, 2), 0]])
+        with pytest.raises(MetricSpaceError, match="negative distance"):
+            MetricSpace.make(
+                ["l", "m", "n"], [[0, 1, 1], [1, 0, F(-1, 3)], [1, F(-1, 3), 0]]
+            )
 
     def test_float_entry(self):
         with pytest.raises(MetricSpaceError, match="float"):

@@ -68,6 +68,19 @@ class TestEval:
         assert eval_formula(m, "x", parse("dia{l,1/2} a")) == F(1, 5)
         assert eval_formula(m, "x", parse("dia{m,1/2} a")) == F(1, 2)
 
+    def test_unknown_reach_label_raises_at_every_state(self):
+        space = MetricSpace.make(["l"], [[0]])
+        m = FiniteModel(
+            "metric",
+            ("x", "y"),
+            {"x": {("l", "y"): F(1)}, "y": {}},
+            {"x": {"a": F(0)}, "y": {"a": F(1)}},
+            space,
+        )
+        for state in ("x", "y"):
+            with pytest.raises(MetricSpaceError, match="unknown label 'zz'"):
+                eval_formula(m, state, parse("dia{zz, 1/2} a"))
+
     def test_kind_mismatch(self):
         with pytest.raises(ModelError):
             eval_formula(one_successor_model(), "x", parse("G a"))
@@ -273,6 +286,22 @@ class TestJsonAndValidate:
         m = FiniteModel("prob", ("x",), {"x": {"x": F(1, 2)}}, {})
         with pytest.raises(ModelError):
             m.validate()
+
+    def test_validate_rejects_floats(self):
+        for trans, atoms in [
+            ({"x": {"x": 0.5}}, {}),
+            ({"x": {"x": F(1)}}, {"x": {"a": 0.5}}),
+        ]:
+            with pytest.raises(ModelError, match="not an exact rational"):
+                FiniteModel("fuzzyrel", ("x",), trans, atoms).validate()
+
+    def test_validate_rejects_values_outside_the_unit_interval(self):
+        for bad in (F(-1, 3), F(4, 3)):
+            with pytest.raises(ModelError, match="outside"):
+                FiniteModel("fuzzyrel", ("x",), {"x": {"x": bad}}, {}).validate()
+            with pytest.raises(ModelError, match="outside"):
+                FiniteModel("fuzzyrel", ("x",), {}, {"x": {"a": bad}}).validate()
+        FiniteModel("fuzzyrel", ("x",), {"x": {"x": F(0)}}, {"x": {"a": F(1)}}).validate()
 
     def test_validate_rejects_noncrisp_degrees(self):
         space = MetricSpace.make(["l"], [[0]])
