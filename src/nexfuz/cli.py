@@ -29,6 +29,16 @@ class CliError(Exception):
     pass
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="nexfuz",
@@ -49,7 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true", help="print every tableau step of the solve as JSON"
     )
     solve.add_argument("--json", action="store_true", help="machine-readable output")
-    solve.add_argument("--max-literals", type=int, help="modal literals allowed per layer")
+    solve.add_argument(
+        "--max-literals", type=_nonnegative_int, help="modal literals allowed per layer"
+    )
 
     ev = sub.add_parser("eval", help="evaluate a formula in a model")
     ev.add_argument("--model", required=True)

@@ -4,9 +4,9 @@ The rule has exactly one conclusion with one successor sequent per literal.
 State i is dedicated to the lower bound of literal i; an upper bound of
 literal j is imposed on state i's value of v_j exactly when no transition
 degree could meet literal i's lower bound while staying under that upper
-bound (their intervals are disjoint).  The realize step picks each
-transition degree inside literal i's own interval, additionally staying
-under every upper bound whose interval does meet it.
+bound (their intervals are disjoint).  The transition degree to state i
+lies inside literal i's own interval and under every upper bound whose
+interval does meet it.
 """
 
 from __future__ import annotations
@@ -46,26 +46,20 @@ class FuzzyAlcLogic(OneStepLogic):
         if any(interval.is_empty for _, interval in lits):
             return
         variables = [var for var, _ in lits]
-        sequents = []
+        sequents, degrees = [], []
         for v_i, interval_i in lits:
             cell = {v_i: interval_i.lower_ray()}
-            for v_j, interval_j in lits:
-                upper = interval_j.upper_ray()
-                if v_j != v_i and interval_i.intersect(upper).is_empty:
-                    cell[v_j] = upper
-            sequents.append(exact_over_vars(cell, variables))
-        yield Conclusion(0, tuple(sequents))
-
-    def realize(self, gamma, conclusion, tau) -> TransitionWitness:
-        lits = self._literals(gamma)
-        degrees = []
-        for _, interval_i in lits:
             allowed = interval_i.lower_ray()
-            for _, interval_j in lits:
+            for v_j, interval_j in lits:
+                # Literal i's own upper ray always meets its interval, so
+                # it only ever caps the degree.
                 upper = interval_j.upper_ray()
-                if not interval_i.intersect(upper).is_empty:
+                if interval_i.intersect(upper).is_empty:
+                    cell[v_j] = upper
+                else:
                     allowed = allowed.intersect(upper)
             if allowed.is_empty:
-                raise SequentError("internal: empty degree range in diamond realize")
+                raise SequentError("internal: empty degree range in diamond conclusion")
+            sequents.append(exact_over_vars(cell, variables))
             degrees.append(allowed.pick())
-        return TransitionWitness("fuzzyrel", tuple(degrees))
+        yield Conclusion(tuple(sequents), TransitionWitness("fuzzyrel", tuple(degrees)))

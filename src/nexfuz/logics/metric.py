@@ -54,19 +54,16 @@ class _Lit:
     interval: Interval
 
 
-@dataclass(frozen=True)
-class _MetricData:
-    """Conclusion payload: per realized state, the edge that `realize` builds."""
-
-    labels: tuple[str, ...]  # per state: the chosen edge label
-    degrees: tuple[Interval, ...]  # per state: its edge's admissible degrees
-
-
-def _conclusion(index: int, built: list[tuple[str, Sequent, Interval]]) -> Conclusion:
+def _conclusion(kind: str, built: list[tuple[str, Sequent, Interval]]) -> Conclusion:
     """The conclusion whose states are `built`, each a (label, sequent,
-    degrees) triple from `MetricLogic._state`."""
-    data = _MetricData(tuple(b[0] for b in built), tuple(b[2] for b in built))
-    return Conclusion(index, tuple(b[1] for b in built), data)
+    degrees) triple from `MetricLogic._state`, with one edge per state: its
+    label, at a degree picked from its admissible degrees."""
+    edges = []
+    for label, _, degrees in built:
+        if degrees.is_empty:
+            raise SequentError("internal: empty degree range in metric conclusion")
+        edges.append((label, degrees.pick()))
+    return Conclusion(tuple(b[1] for b in built), TransitionWitness(kind, tuple(edges)))
 
 
 @dataclass
@@ -194,7 +191,6 @@ class MetricLogic(OneStepLogic):
         if layer is None:
             return
         pairs = sorted((k, s.index) for s in layer.states for k in layer.paired[s.index])
-        index = 0
         for pattern in product((True, False), repeat=len(pairs)):
             # True: constrain the value of v_k at state j; False: steer the label.
             constrained: dict[int, list[int]] = {s.index: [] for s in layer.states}
@@ -208,17 +204,7 @@ class MetricLogic(OneStepLogic):
                     break
                 built.append(state)
             else:
-                yield _conclusion(index, built)
-                index += 1
-
-    def realize(self, gamma, conclusion, tau) -> TransitionWitness:
-        data: _MetricData = conclusion.data
-        edges = []
-        for label, degrees in zip(data.labels, data.degrees):
-            if degrees.is_empty:
-                raise SequentError("internal: empty degree range in metric realize")
-            edges.append((label, degrees.pick()))
-        return TransitionWitness(self.kind, tuple(edges))
+                yield _conclusion(self.kind, built)
 
     def search_steps(self, gamma: Sequent) -> SearchSteps:
         """Per-state independent choice search, equivalent to enumerating
@@ -235,11 +221,11 @@ class MetricLogic(OneStepLogic):
                 state = self._state(layer, s, constrain)
                 if state is None:
                     continue
-                result = yield state[1]
-                if result.sat:
+                child = yield state[1]
+                if child is not None:
                     built.append(state)
-                    children.append(result)
+                    children.append(child)
                     break
             else:
                 return None
-        return SearchSuccess(_conclusion(0, built), children)
+        return SearchSuccess(_conclusion(self.kind, built), children)

@@ -28,8 +28,10 @@ the threshold set), each standing for one value interval, and the
 consistent vectors are the product of these per-literal cells.  A
 *configuration* is a set of such vectors; it supports a satisfying
 distribution iff weights summing to one exist whose per-coordinate sums
-meet the mass bounds, and by Caratheodory at most 2n+1 vectors are ever
-needed.
+meet the mass bounds.  A basic solution of that weight system has at most
+2n+1 nonzero weights (see `ProbabilisticLogic._weights_over`), so no
+configuration needs more vectors.  A conclusion's transition structure is
+its weights; they do not depend on the successors' values.
 
 Dominance: every mass bound is a lower bound (`>=` or `>`) on a coordinate
 sum, so moving weight from a vector onto one that dominates it
@@ -72,17 +74,13 @@ DEFAULT_ENUM_LITERALS = 6
 class MassBound:
     """Lower bound on the total weight of states inside a value set.
 
-    States whose value for `var` lies in `value_set` must carry total mass
-    `rel` `threshold`; None thresholds mean the bound is vacuous.
+    States whose value for the literal's variable lies in `value_set` must
+    carry total mass `rel` `threshold`.
     """
 
-    var: Var
     value_set: Interval
     rel: Comp
     threshold: Fraction
-
-    def holds(self, mass: Fraction) -> bool:
-        return self.rel.holds(mass, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class LiteralBounds:
     var: Var
     lower_set: Interval  # values counting toward the lower mass bound
     upper_set: Interval  # values counting toward the upper mass bound
-    lower: MassBound | None
+    lower: MassBound | None  # None: the bound is vacuous
     upper: MassBound | None
 
 
@@ -100,11 +98,11 @@ def literal_bounds(op: ModalOp, var: Var, interval: Interval) -> LiteralBounds:
         raise SequentError("bounds of an empty literal are undefined")
     lower_set, upper_set = interval.lower_ray(), interval.upper_ray()
     if isinstance(op, Generally):
-        lower = MassBound(var, lower_set, interval.lower_comp(), interval.lo)
-        upper = MassBound(var, upper_set, interval.upper_comp().dual(), ONE - interval.hi)
+        lower = MassBound(lower_set, interval.lower_comp(), interval.lo)
+        upper = MassBound(upper_set, interval.upper_comp().dual(), ONE - interval.hi)
     elif isinstance(op, MoreThan):
-        lower = MassBound(var, lower_set, Comp.GT, op.p)
-        upper = MassBound(var, upper_set, Comp.GE, ONE - op.p)
+        lower = MassBound(lower_set, Comp.GT, op.p)
+        upper = MassBound(upper_set, Comp.GE, ONE - op.p)
     else:
         raise SequentError(f"unsupported modality {op} for the probabilistic logic")
     # A bound whose ray is the whole unit interval is vacuous.
@@ -214,10 +212,8 @@ def config_feasible(
     return lp.feasible(mass_system(cfg, conds), cap=max(64, len(cfg)), nonneg=True)
 
 
-@dataclass(frozen=True)
-class _ProbData:
-    cfg: tuple[ConfigVector, ...]
-    weights: tuple[Fraction, ...]
+# No successor constraints: a single inert dummy successor takes the mass.
+_EMPTY_CONCLUSION = Conclusion((), TransitionWitness("prob", (ONE,)))
 
 
 class ProbabilisticLogic(OneStepLogic):
@@ -242,12 +238,12 @@ class ProbabilisticLogic(OneStepLogic):
     # -- reference enumeration ------------------------------------------------
 
     def conclusions(self, gamma: Sequent) -> Iterator[Conclusion]:
-        """Conclusions indexed by feasible configurations in enumeration order.
+        """One conclusion per feasible configuration, in enumeration order.
 
         Configurations are sets of 1..2n+1 distinct consistent vectors,
-        sizes ascending then lexicographic; one is emitted when its weight
-        system is solvable.  With no modal literals the single empty
-        configuration is the only conclusion.
+        sizes ascending then lexicographic; one is emitted, with its
+        weights, when its weight system is solvable.  With no modal
+        literals the single empty configuration is the only conclusion.
         """
         self._ops(gamma)
         if any(i.is_empty for _, i in gamma.items()):
@@ -259,27 +255,15 @@ class ProbabilisticLogic(OneStepLogic):
                 f"configuration enumeration over {n} literals (cap {DEFAULT_ENUM_LITERALS})"
             )
         if n == 0:
-            yield Conclusion(0, (), _ProbData((), ()))
+            yield _EMPTY_CONCLUSION
             return
         consistent = list(consistent_vectors(bounds))
-        index = 0
         for k in range(1, 2 * n + 2):
             for combo in combinations(consistent, k):
-                cfg = tuple(vec for vec, _ in combo)
-                weights = config_feasible(cfg, bounds)
-                if weights is None:
-                    continue
-                sequents = tuple(seq for _, seq in combo)
-                yield Conclusion(index, sequents, _ProbData(cfg, tuple(weights)))
-                index += 1
-
-    def realize(self, gamma, conclusion, tau) -> TransitionWitness:
-        self._ops(gamma)
-        data: _ProbData = conclusion.data
-        if not data.cfg:
-            # No successor constraints: a single inert dummy successor.
-            return TransitionWitness("prob", (ONE,))
-        return TransitionWitness("prob", data.weights)
+                weights = config_feasible([vec for vec, _ in combo], bounds)
+                if weights is not None:
+                    sequents = tuple(seq for _, seq in combo)
+                    yield Conclusion(sequents, TransitionWitness("prob", tuple(weights)))
 
     # -- decision procedure ---------------------------------------------------
 
@@ -289,8 +273,8 @@ class ProbabilisticLogic(OneStepLogic):
         A conclusion's sequent depends only on its vector, so a satisfiable
         configuration made of child-satisfiable vectors exists iff the
         weight system over *all* child-satisfiable consistent vectors is
-        solvable; Caratheodory support reduction then recovers a
-        configuration of at most 2n+1 vectors with the exact same masses.
+        solvable; the nonzero weights of its basic solution, at most 2n+1,
+        are such a configuration.
 
         By dominance (module docstring) the end-sequent is refuted before
         any child is asked about when the all-ones vector alone misses a
@@ -307,7 +291,7 @@ class ProbabilisticLogic(OneStepLogic):
             return None
         bounds = bounds_of(gamma)
         if not bounds:
-            return SearchSuccess(Conclusion(0, (), _ProbData((), ())), [])
+            return SearchSuccess(_EMPTY_CONCLUSION, [])
         conds = _flat_conditions(bounds)
         # Refutation before any recursion: every bound is a lower bound, and
         # the all-ones vector is consistent and dominates every vector.
@@ -317,7 +301,7 @@ class ProbabilisticLogic(OneStepLogic):
         variables = [lb.var for lb in bounds]
         combos = product(*(literal_cells(lb) for lb in bounds))
         visits = sorted(((_cells_vector(c), c) for c in combos), key=lambda visit: -sum(visit[0]))
-        good: list[tuple[ConfigVector, Sequent, object]] = []
+        good: list[tuple[ConfigVector, Sequent, int]] = []
         for vec, combo in visits:
             # Skip a vector some good vector dominates: moving its weight
             # onto the dominator never lowers a coordinate sum, and every
@@ -325,29 +309,40 @@ class ProbabilisticLogic(OneStepLogic):
             if any(all(g >= v for g, v in zip(other, vec)) for other, _, _ in good):
                 continue
             seq = _cells_sequent(combo, variables)
-            result = yield seq
-            if not result.sat:
+            child = yield seq
+            if child is None:
                 continue
             if sum(vec) == len(vec):
                 # All-ones: it alone meets every bound (checked above).
-                return SearchSuccess(Conclusion(0, (seq,), _ProbData((vec,), (ONE,))), [result])
-            good.append((vec, seq, result))
+                witness = TransitionWitness("prob", (ONE,))
+                return SearchSuccess(Conclusion((seq,), witness), [child])
+            good.append((vec, seq, child))
         weights = self._weights_over([vec for vec, _, _ in good], conds)
         if weights is None:
             return None
-        idx, reduced = lp.caratheodory_reduce([vec for vec, _, _ in good], weights)
-        cfg = tuple(good[k][0] for k in idx)
-        sequents = tuple(good[k][1] for k in idx)
-        children = [good[k][2] for k in idx]
-        conclusion = Conclusion(0, sequents, _ProbData(cfg, tuple(reduced)))
-        return SearchSuccess(conclusion, children)
+        support = [k for k, w in enumerate(weights) if w != 0]
+        conclusion = Conclusion(
+            tuple(good[k][1] for k in support),
+            TransitionWitness("prob", tuple(weights[k] for k in support)),
+        )
+        return SearchSuccess(conclusion, [good[k][2] for k in support])
 
     @staticmethod
     def _weights_over(
         cfg: Sequence[ConfigVector], conds: Sequence[MassBound | None]
     ) -> list[Fraction] | None:
         """Weights over the good antichain, by the simplex; the prefilter
-        alone decides a single vector, which must carry weight 1."""
+        alone decides a single vector, which must carry weight 1.
+
+        At most 1 + (number of non-vacuous bounds) <= 2n+1 weights are
+        nonzero, so dropping the zero ones leaves a configuration of the
+        rule.  The simplex returns a basic solution over one row for the
+        weight sum, one per non-vacuous bound and one capping its shared
+        slack delta at 1, so at most that many of its columns are nonzero.
+        Delta is one of them: with a strict bound a feasible answer has
+        delta > 0, and with none delta occurs in the cap row alone, so
+        maximizing it drives it to 1.
+        """
         if not cfg or not _mass_possible(cfg, conds):
             return None
         if len(cfg) == 1:

@@ -5,7 +5,9 @@ Two engines:
 * :func:`simplex_feasible` -- two-phase simplex, the one engine of the
   solver's hot path (the probabilistic weight systems).  It has no
   variable-count cap; strict inequalities are handled by maximizing a
-  shared slack.
+  shared slack.  Its witness is a basic solution, with no more nonzero
+  columns than rows; the probabilistic logic's support bound rests on
+  this.
 * :func:`feasible` -- Fourier-Motzkin elimination with native handling of
   strict inequalities, exponential in the variable count.  It is the
   reference engine: the reference enumeration `conclusions()` and the tests
@@ -390,72 +392,3 @@ def simplex_feasible(sys_: LinSystem, nonneg: bool = False) -> list[Fraction] | 
         raise LpError("internal: simplex witness fails re-substitution")
     return point
 
-
-# ---------------------------------------------------------------------------
-# Caratheodory support reduction
-# ---------------------------------------------------------------------------
-
-
-def caratheodory_reduce(
-    vectors: list[tuple[Fraction, ...]],
-    weights: list[Fraction],
-) -> tuple[list[int], list[Fraction]]:
-    """Shrink a convex combination to at most dim+1 points with the same sum.
-
-    Given sum(w_k v_k) with w >= 0 and sum(w) = 1, returns (indices, new
-    weights) preserving the weighted sum exactly.  Zero weights are dropped.
-    """
-    if not vectors:
-        return [], []
-    dim = len(vectors[0])
-    idx = [k for k, w in enumerate(weights) if w > 0]
-    w = {k: weights[k] for k in idx}
-    while len(idx) > dim + 1:
-        mu = _affine_dependency([vectors[k] for k in idx])
-        if all(m <= 0 for m in mu):
-            mu = [-m for m in mu]
-        t = None
-        for pos, k in enumerate(idx):
-            if mu[pos] > 0:
-                cand = w[k] / mu[pos]
-                if t is None or cand < t:
-                    t = cand
-        for pos, k in enumerate(idx):
-            w[k] = w[k] - t * mu[pos]
-        idx = [k for k in idx if w[k] > 0]
-    return idx, [w[k] for k in idx]
-
-
-def _affine_dependency(points: list[tuple[Fraction, ...]]) -> list[Fraction]:
-    """A nonzero mu with sum(mu_k p_k) = 0 and sum(mu_k) = 0; needs len > dim+1."""
-    dim = len(points[0])
-    count = len(points)
-    m = [[points[k][d] for k in range(count)] for d in range(dim)]
-    m.append([ONE] * count)
-    rows = len(m)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(count):
-        pivot_row = next((i for i in range(r, rows) if m[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][col]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [v - f * vv for v, vv in zip(m[i], m[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == rows:
-            break
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(count) if c not in pivot_cols), None)
-    if free is None:
-        raise LpError("internal: no affine dependency among points")
-    mu = [ZERO] * count
-    mu[free] = ONE
-    for row, col in pivots:
-        mu[col] = -m[row][free]
-    return mu

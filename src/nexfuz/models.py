@@ -178,6 +178,9 @@ class FiniteModel:
             raise ModelError("model JSON needs kind/states/trans") from exc
         if not isinstance(states, list) or not all(isinstance(x, str) for x in states):
             raise ModelError("model JSON 'states' must be a list of state names")
+        if kind not in KINDS:
+            # Before the rows, whose format depends on the kind.
+            raise ModelError(f"unknown model kind {kind!r}")
         space = None
         if "metric" in data:
             space = MetricSpace.from_json(data["metric"])

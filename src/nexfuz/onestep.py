@@ -5,17 +5,16 @@ variables (one per outermost modal occurrence) plus a binding of those
 variables to the guarded subformulas.  Instance logics consume saturated
 end-sequents over modal labels and produce *conclusions*: alternative lists
 of exact sequents over the variables describing admissible successor states,
-together with a `realize` construction that turns concrete successor truth
-values into an actual transition structure.  The search for a conclusion
-whose successor sequents are all satisfiable is a generator the solver
-drives (`OneStepLogic.search_steps`).
+each with a transition structure over those states.  That structure depends
+on the conclusion alone, never on the successors' actual truth values.  The
+search for a conclusion whose successor sequents are all satisfiable is a
+generator the solver drives (`OneStepLogic.search_steps`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Generator, Iterator, Sequence
+from typing import Generator, Iterator, Sequence
 
 from .numerics import Interval, UNIT
 from .sequents import Sequent, SequentError
@@ -93,7 +92,7 @@ def substitute(q: Sequent, binding: dict[Var, Formula]) -> Sequent:
 
 @dataclass(frozen=True)
 class TransitionWitness:
-    """Root transition structure produced by `realize`.
+    """Root transition structure realizing a conclusion.
 
     `kind` matches the finite-model kinds.  `edges` is per successor state:
     a probability weight ("prob"), a fuzzy degree ("fuzzyrel"), or a
@@ -113,30 +112,32 @@ class TransitionWitness:
 
 @dataclass(frozen=True)
 class Conclusion:
-    """One alternative of a modal rule: an indexed list of variable sequents."""
+    """One alternative of a modal rule: a list of variable sequents, one per
+    successor state, and the transition structure over those states.
 
-    index: int
+    Whatever truth values the successors take inside their sequents, every
+    literal of the premise evaluates on `witness` into its interval.  The
+    solver checks this for every state it adds, so an instance need not
+    re-check it.
+    """
+
     sequents: tuple[Sequent, ...]
-    data: object = None  # instance-specific payload for realize
-
-
-ChildSolver = Callable[[Sequent], "object"]
-# `OneStepLogic.search` takes a callable mapping a variable sequent to a
-# child outcome, the object `search_steps` receives for it (see there).
+    witness: TransitionWitness
 
 
 @dataclass
 class SearchSuccess:
     conclusion: Conclusion
-    children: list  # one child outcome per conclusion sequent
+    children: list[int]  # the witness-DAG state of each conclusion sequent
 
 
-# Yields child sequents, receives child outcomes, returns the result.
-SearchSteps = Generator[Sequent, object, "SearchSuccess | None"]
+# Yields child sequents, receives their states (None: unsatisfiable),
+# returns the result.
+SearchSteps = Generator[Sequent, "int | None", "SearchSuccess | None"]
 
 
 class OneStepLogic:
-    """A pluggable instance logic: modal rule enumeration plus realize."""
+    """A pluggable instance logic: the modal rule and its search."""
 
     name: str = "?"
     kind: str = "?"
@@ -153,22 +154,6 @@ class OneStepLogic:
         """
         raise NotImplementedError
 
-    def realize(
-        self,
-        gamma: Sequent,
-        conclusion: Conclusion,
-        tau: Callable[[int, Var], Fraction],
-    ) -> TransitionWitness:
-        """Build a transition structure over the conclusion's states.
-
-        `tau(j, v)` is the actual truth value of v's bound formula at state
-        j; values are guaranteed to lie inside conclusion.sequents[j][v].
-        The solver checks every state it realizes: each literal of `gamma`,
-        evaluated on the structure, must lie in its interval, so an
-        instance need not re-check it.
-        """
-        raise NotImplementedError
-
     def search_steps(self, gamma: Sequent) -> SearchSteps:
         """Find a conclusion whose sequents are all satisfiable.
 
@@ -178,19 +163,16 @@ class OneStepLogic:
 
         * it yields a variable sequent whenever it needs to know whether
           the successor state that sequent describes is satisfiable;
-        * the solver sends back a *child outcome* for each yielded sequent:
-          `outcome.sat` tells whether it is satisfiable and, when it is,
-          `outcome.value_of(var)` is the exact truth value, at the child
-          witness state, of the formula the variable stands for;
-        * it returns a `SearchSuccess` naming the conclusion and the
-          outcomes of its sequents, in order, or None when no conclusion
-          has all its sequents satisfiable.
+        * the solver sends back that successor's state in the witness DAG,
+          or None when the sequent is unsatisfiable.  State 0 is a state,
+          so a search tests `is None`, never truthiness;
+        * it returns a `SearchSuccess` naming the conclusion and the states
+          of its sequents, in order, or None when no conclusion has all its
+          sequents satisfiable.
 
         The solver drives every generator from one loop with an explicit
         stack, so the search depth is never bounded by Python recursion;
-        an implementation must not call back into the solver itself.  The
-        values an outcome reports are the ones `realize` later receives as
-        `tau`.
+        an implementation must not call back into the solver itself.
 
         The default iterates `conclusions` in order and yields each
         conclusion's sequents until one fails.  Instances may override it
@@ -200,24 +182,13 @@ class OneStepLogic:
         for conclusion in self.conclusions(gamma):
             children = []
             for q in conclusion.sequents:
-                outcome = yield q
-                if not outcome.sat:
+                state = yield q
+                if state is None:
                     break
-                children.append(outcome)
+                children.append(state)
             else:
                 return SearchSuccess(conclusion, children)
         return None
-
-    def search(self, gamma: Sequent, solve_child: ChildSolver) -> SearchSuccess | None:
-        """Run `search_steps`, answering each yielded sequent with
-        `solve_child`, so that tests can run a search on its own."""
-        steps = self.search_steps(gamma)
-        try:
-            q = next(steps)
-            while True:
-                q = steps.send(solve_child(q))
-        except StopIteration as stop:
-            return stop.value
 
 
 def split_atoms(gamma: Sequent) -> tuple[list[tuple[str, Interval]], Sequent]:

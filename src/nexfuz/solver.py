@@ -8,10 +8,10 @@ The decision procedure, per modal level:
 3. for each end-sequent, pin its atom literals (contradictory bounds close
    it) and ask the instance logic for a conclusion whose variable sequents
    are all satisfiable (after substituting the bound formulas back in);
-4. on success, feed the children's exact truth values to the instance's
-   realize construction, add the resulting state, over the children's
-   states, to the solve's witness DAG, and check that every modal literal
-   of the end-sequent evaluates there into its interval.
+4. on success, add a state with the conclusion's transition structure,
+   over the children's states, to the solve's witness DAG, and check that
+   every modal literal of the end-sequent evaluates there into its
+   interval.
 
 Each sequent being solved is one frame on an explicit stack.  A frame runs
 its instance search, a generator (see `OneStepLogic.search_steps`), until
@@ -74,25 +74,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.sat
-
-
-class _Child:
-    """A child outcome as the instance searches receive it: the child
-    sequent's state in the witness DAG, or None when it is unsatisfiable."""
-
-    __slots__ = ("state", "binding", "dag")
-
-    def __init__(self, state: int | None, binding: dict[Var, Formula], dag: WitnessDag):
-        self.state = state
-        self.binding = binding
-        self.dag = dag
-
-    @property
-    def sat(self) -> bool:
-        return self.state is not None
-
-    def value_of(self, var: Var) -> Fraction:
-        return self.dag.value(self.state, self.binding[var])
 
 
 class _Frame:
@@ -176,10 +157,10 @@ def sat(
         )
         return _Frame(current, depth, decomp.binding, ends)
 
-    def advance(frame: _Frame, outcome: _Child | None) -> Sequent | None:
-        """Run the frame, `outcome` answering its pending request, until it
-        asks for an unsolved child sequent (returned) or its verdict is in
-        the memo (None returned)."""
+    def advance(frame: _Frame, state: int | None) -> Sequent | None:
+        """Run the frame, the child `state` answering its pending request,
+        until it asks for an unsolved child sequent (returned) or its
+        verdict is in the memo (None returned)."""
         while True:
             if frame.steps is None:
                 gamma = next(frame.ends, None)
@@ -193,9 +174,9 @@ def sat(
                     continue
                 frame.modal, frame.atoms = modal, values
                 frame.steps = logic.search_steps(modal)
-                outcome = None
+                state = None
             try:
-                q = frame.steps.send(outcome)
+                q = frame.steps.send(state)
             except StopIteration as stop:
                 frame.steps = None
                 if stop.value is not None:
@@ -206,41 +187,35 @@ def sat(
             stats._bump(stats.level_peak_size, frame.depth, child.combined_size())
             if child not in memo:
                 return child
-            outcome = _Child(memo[child], frame.binding, dag)
+            state = memo[child]
 
     def add_state(frame: _Frame, found: SearchSuccess) -> int:
-        children = found.children
-
-        def tau(j: int, var: Var) -> Fraction:
-            return children[j].value_of(var)
-
-        witness = logic.realize(frame.modal, found.conclusion, tau)
+        witness = found.conclusion.witness
         if witness.kind == "prob":
             support = sum(1 for w in witness.edges if w != 0)
             stats.witness_branching.append((len(frame.modal), support))
-        state = dag.add(witness, [c.state for c in children], frame.atoms)
+        state = dag.add(witness, found.children, frame.atoms)
         for label, interval in frame.modal.items():
             formula = Modal(label.op, frame.binding[label.arg])
             value = dag.value(state, formula)
             if not interval.contains(value):
                 raise AssertionError(
-                    f"realized state gives {formula} the value {value}, "
+                    f"witness state gives {formula} the value {value}, "
                     f"outside {interval}"
                 )
         return state
 
     stack = [open_frame(seq, 0)]
-    outcome = None
+    state = None
     while stack:
         frame = stack[-1]
-        child = advance(frame, outcome)
+        child = advance(frame, state)
         if child is not None:
             stack.append(open_frame(child, frame.depth + 1))
-            outcome = None
+            state = None
             continue
         stack.pop()
-        if stack:
-            outcome = _Child(memo[frame.seq], stack[-1].binding, dag)
+        state = memo[frame.seq]
 
     root = memo[seq]
     result = Verdict(False)

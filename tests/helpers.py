@@ -1,6 +1,6 @@
 """Shared test utilities: random generators, direct one-step evaluation,
-the point-set reference liftings, and an independent classical modal-logic
-oracle."""
+a stand-alone driver for the one-step searches, the point-set reference
+liftings, and an independent classical modal-logic oracle."""
 
 from __future__ import annotations
 
@@ -210,6 +210,19 @@ def onestep_modal_value(op, tau_values: list[Fraction], structure, space=None) -
         ]
         return metric_diamond_value(triples, op.label, op.c, space)
     raise AssertionError(f"unknown operator {op!r}")
+
+
+def run_search(logic, gamma: Sequent, child):
+    """Run `logic.search_steps(gamma)` on its own, answering each sequent
+    it yields with `child(q)`: a witness-DAG state id when the sequent is
+    satisfiable, None when it is not.  Returns the search's result."""
+    steps = logic.search_steps(gamma)
+    try:
+        q = next(steps)
+        while True:
+            q = steps.send(child(q))
+    except StopIteration as stop:
+        return stop.value
 
 
 # ---------------------------------------------------------------------------

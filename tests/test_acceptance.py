@@ -241,8 +241,8 @@ def test_criterion_4_hand_catalog():
     # {a & ~a in (1/2,1]}: min(x, 1-x) <= 1/2 for every x, so never > 1/2.
     assert not sat(Sequent([(parse("a & ~a"), iv("1/2", 1, lo_open=True))]), alc).sat
 
-    # Diamond conflict: value of dia a must be exactly 1/2; the realize step
-    # forces a root transition of degree exactly 1/2.
+    # Diamond conflict: value of dia a must be exactly 1/2; the conclusion
+    # carries a root transition of degree exactly 1/2.
     seq = Sequent([(parse("dia a & ~(dia a)"), iv("1/2", 1))])
     verdict = sat(seq, alc)
     assert verdict.sat

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import nexfuz.solver
 from nexfuz.cli import main
 from nexfuz.lp import LpError
@@ -67,6 +69,17 @@ class TestSolve:
         code, out, _ = run(
             capsys, "solve", "--logic", "metric-fuzzy", "--metric-space", str(space_path),
             "--formula", "dia{l,1} a", "--cmp", "ge", "--p", "7/10",
+        )
+        assert code == 0 and out.strip() == "SAT"
+
+    def test_negative_max_literals_is_a_usage_error(self, capsys):
+        for value in ("-1", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "--logic", "alc", "--formula", "a", "--max-literals", value])
+            assert exc.value.code == 2
+            assert "--max-literals" in capsys.readouterr().err
+        code, out, _ = run(
+            capsys, "solve", "--logic", "alc", "--formula", "a", "--max-literals", "0"
         )
         assert code == 0 and out.strip() == "SAT"
 

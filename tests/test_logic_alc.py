@@ -53,31 +53,28 @@ class TestConclusions:
 
 
 class TestRealize:
-    def _tau_mid(self, conclusion):
-        return lambda j, v: conclusion.sequents[j][v].pick()
+    """The transition degrees the conclusion carries."""
 
     def test_forced_degree_at_touching_endpoints(self):
         gamma = gamma_of(iv("1/2", 1), iv(0, "1/2"))
         (c,) = LOGIC.conclusions(gamma)
-        witness = LOGIC.realize(gamma, c, self._tau_mid(c))
-        assert witness.edges[0] == F(1, 2)
+        assert c.witness.kind == "fuzzyrel"
+        assert c.witness.edges[0] == F(1, 2)
 
     def test_midpoint_for_slack(self):
         gamma = gamma_of(iv("3/5", 1), iv(0, "2/5"))
         (c,) = LOGIC.conclusions(gamma)
-        witness = LOGIC.realize(gamma, c, self._tau_mid(c))
-        assert witness.edges[0] == F(4, 5)
+        assert c.witness.edges[0] == F(4, 5)
 
     def test_unconstrained_single_literal(self):
         gamma = gamma_of(UNIT)
         (c,) = LOGIC.conclusions(gamma)
-        witness = LOGIC.realize(gamma, c, self._tau_mid(c))
-        assert witness.edges[0] == F(1, 2)
+        assert c.witness.edges == (F(1, 2),)
 
 
 class TestRoundTrip:
     """Any successor values inside the conclusion's intervals, together with
-    the realized degrees, evaluate every literal back into its interval."""
+    the conclusion's degrees, evaluate every literal back into its interval."""
 
     def test_randomized(self):
         rng = random.Random(201)
@@ -94,10 +91,9 @@ class TestRoundTrip:
                 for j in range(n)
                 for v in c.sequents[j]
             }
-            witness = LOGIC.realize(gamma, c, lambda j, v: tau[(j, v)])
             for op, var, interval in _literals(gamma):
                 value = onestep_modal_value(
-                    op, [tau[(j, var)] for j in range(n)], list(witness.edges)
+                    op, [tau[(j, var)] for j in range(n)], list(c.witness.edges)
                 )
                 assert interval.contains(value)
 

@@ -1,7 +1,13 @@
 import random
 from fractions import Fraction as F
 
-from helpers import onestep_modal_value, rand_interval, rand_metric_space, rand_rational
+from helpers import (
+    onestep_modal_value,
+    rand_interval,
+    rand_metric_space,
+    rand_rational,
+    run_search,
+)
 
 from nexfuz.liftings import metric_diamond_value
 from nexfuz.logics import get_logic
@@ -64,25 +70,26 @@ class TestConclusions:
 
 
 class TestRealize:
+    """The labelled edges the conclusions carry."""
+
     def test_midpoint_degree(self):
         logic = get_logic("metric-fuzzy", SINGLE)
         gamma = Sequent([(lit(1, "l", 1), iv("7/10", 1))])
         (c,) = logic.conclusions(gamma)
-        witness = logic.realize(gamma, c, lambda j, v: c.sequents[j][v].pick())
-        assert witness.edges == (("l", F(17, 20)),)
+        assert c.witness.kind == "metric"
+        assert c.witness.edges == (("l", F(17, 20)),)
 
     def test_crisp_uses_full_degree(self):
         logic = get_logic("metric-crisp", SINGLE)
         gamma = Sequent([(lit(1, "l", 1), iv("7/10", 1))])
         (c,) = logic.conclusions(gamma)
-        witness = logic.realize(gamma, c, lambda j, v: c.sequents[j][v].pick())
-        assert witness.edges == (("l", F(1)),)
+        assert c.witness.kind == "metric-crisp"
+        assert c.witness.edges == (("l", F(1)),)
 
     def test_zero_literals_empty_structure(self):
         logic = get_logic("metric-fuzzy", SINGLE)
         (c,) = logic.conclusions(Sequent())
-        witness = logic.realize(Sequent(), c, lambda j, v: F(0))
-        assert witness.edges == ()
+        assert c.sequents == () and c.witness.edges == ()
 
     def test_own_upper_bound_respected_in_crisp(self):
         # With degree pinned to 1 the literal's own value is capped by its
@@ -92,9 +99,8 @@ class TestRealize:
         found = False
         for c in logic.conclusions(gamma):
             tau = {(j, v): c.sequents[j][v].pick() for j in range(1) for v in c.sequents[j]}
-            witness = logic.realize(gamma, c, lambda j, v: tau[(j, v)])
             value = metric_diamond_value(
-                [("l", witness.edges[0][1], tau[(0, Var("v1"))])], "l", F(1), SINGLE
+                [("l", c.witness.edges[0][1], tau[(0, Var("v1"))])], "l", F(1), SINGLE
             )
             assert iv("1/2", "3/5").contains(value)
             found = True
@@ -136,13 +142,12 @@ class TestRoundTrip:
             checked = 0
             for c in logic.conclusions(gamma):
                 tau = _sample_tau(rng, c)
-                witness = logic.realize(gamma, c, lambda j, v: tau[(j, v)])
                 for label_formula, interval in gamma.items():
                     vals = [tau[(j, label_formula.arg)] for j in range(len(c.sequents))]
                     value = onestep_modal_value(
-                        label_formula.op, vals, list(witness.edges), space
+                        label_formula.op, vals, list(c.witness.edges), space
                     )
-                    assert interval.contains(value), (gamma, c.index, tau)
+                    assert interval.contains(value), (gamma, c, tau)
                 checked += 1
                 if checked >= 8:
                     break
@@ -157,11 +162,6 @@ class TestRoundTrip:
 class TestSearchAgreement:
     def test_verdicts_match(self):
         rng = random.Random(603)
-
-        class _Child:
-            def __init__(self, sat):
-                self.sat = sat
-
         done = 0
         while done < 120:
             space = rand_metric_space(rng)
@@ -184,13 +184,18 @@ class TestSearchAgreement:
             pivot = rand_rational(rng, 8)
 
             def child(seq):
+                # State 0 for every satisfiable child: a search must test
+                # `is None`, never truthiness.
                 interval = seq.get(Var("v1"))
-                return _Child(interval is None or interval.contains(pivot))
+                return 0 if interval is None or interval.contains(pivot) else None
 
             naive = None
             for c in logic.conclusions(gamma):
-                if all(child(q).sat for q in c.sequents):
+                if all(child(q) is not None for q in c.sequents):
                     naive = c
                     break
-            fast = logic.search(gamma, child)
+            fast = run_search(logic, gamma, child)
             assert (naive is None) == (fast is None), (gamma, pivot, crisp)
+            if fast is not None:
+                assert fast.children == [0] * len(fast.conclusion.sequents)
+                assert len(fast.conclusion.witness.edges) == len(fast.children)

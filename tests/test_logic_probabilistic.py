@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from helpers import onestep_modal_value, rand_interval, rand_rational
+from helpers import onestep_modal_value, rand_interval, rand_rational, run_search
 
 from nexfuz import lp
 from nexfuz.liftings import generally_value, more_than_value
@@ -19,8 +19,9 @@ from nexfuz.logics.probabilistic import (
     literal_cells,
     mass_system,
 )
-from nexfuz.lp import CapExceeded, caratheodory_reduce
+from nexfuz.lp import CapExceeded
 from nexfuz.numerics import Comp, Interval
+from nexfuz.onestep import TransitionWitness
 from nexfuz.sequents import Sequent
 from nexfuz.syntax import Generally, Modal, MoreThan, Var
 
@@ -39,6 +40,13 @@ def m_lit(i, p):
 
 LGEN = get_logic("lgen")
 MP = get_logic("mp")
+
+
+def vectors_of(gamma, conclusion):
+    """A conclusion's configuration, recovered from its sequents: each
+    consistent vector has its own sequent."""
+    vector_of = {seq: vec for vec, seq in consistent_vectors(bounds_of(gamma))}
+    return tuple(vector_of[q] for q in conclusion.sequents)
 
 
 class TestLiteralBounds:
@@ -89,17 +97,19 @@ class TestEnumeration:
         bounds = bounds_of(gamma)
         feasible = [cfg for cfg in combos if config_feasible(cfg, bounds) is not None]
         got = list(LGEN.conclusions(gamma))
-        assert [c.data.cfg for c in got] == feasible
-        assert [c.index for c in got] == list(range(len(feasible))) == list(range(5))
+        assert [vectors_of(gamma, c) for c in got] == feasible
+        assert len(feasible) == 5
+        for c, cfg in zip(got, feasible):
+            assert c.witness == TransitionWitness("prob", tuple(config_feasible(cfg, bounds)))
 
     def test_zero_literals(self):
         (c,) = LGEN.conclusions(Sequent())
-        assert c.index == 0 and c.sequents == () and c.data.cfg == ()
+        assert c.sequents == () and c.witness == TransitionWitness("prob", (F(1),))
 
     def test_first_configuration(self):
         gamma = Sequent([(g_lit(1), iv("1/2", 1))])
         first = next(iter(LGEN.conclusions(gamma)))
-        assert first.index == 0 and first.data.cfg == ((1, 1),)
+        assert vectors_of(gamma, first) == ((1, 1),)
 
     def test_cap(self):
         gamma = Sequent((g_lit(i), iv("1/4", "3/4")) for i in range(1, 8))
@@ -196,17 +206,15 @@ class TestConclusions:
     def test_empty_gamma(self):
         (c,) = LGEN.conclusions(Sequent())
         assert c.sequents == ()
-        witness = LGEN.realize(Sequent(), c, lambda j, v: F(0))
-        assert witness.kind == "prob" and sum(witness.edges) == 1
+        assert c.witness.kind == "prob" and sum(c.witness.edges) == 1
 
     def test_point_mass_realize_value(self):
         # Configuration {11} with one state at value 3/4 under a point
         # distribution: the operator evaluates to min(3/4, 1) = 3/4.
         gamma = Sequent([(g_lit(1), iv("1/2", 1))])
         for c in LGEN.conclusions(gamma):
-            if c.data.cfg == ((1, 1),):
-                witness = LGEN.realize(gamma, c, lambda j, v: F(3, 4))
-                assert witness.edges == (F(1),)
+            if vectors_of(gamma, c) == ((1, 1),):
+                assert c.witness.edges == (F(1),)
                 assert generally_value([(F(1), F(3, 4))]) == F(3, 4)
                 break
         else:
@@ -225,8 +233,8 @@ def _sample_tau(rng, conclusion):
 
 
 class TestRoundTrip:
-    """Realized weights + any in-interval successor values re-evaluate every
-    literal into its premise interval."""
+    """A conclusion's weights + any in-interval successor values re-evaluate
+    every literal into its premise interval."""
 
     def _run(self, logic, make_op, trials, seed):
         rng = random.Random(seed)
@@ -242,11 +250,10 @@ class TestRoundTrip:
             found = 0
             for c in logic.conclusions(gamma):
                 tau = _sample_tau(rng, c)
-                witness = logic.realize(gamma, c, lambda j, v: tau[(j, v)])
-                assert sum(witness.edges) == 1
+                assert sum(c.witness.edges) == 1
                 for label, interval in gamma.items():
                     vals = [tau[(j, label.arg)] for j in range(len(c.sequents))]
-                    value = onestep_modal_value(label.op, vals, list(witness.edges))
+                    value = onestep_modal_value(label.op, vals, list(c.witness.edges))
                     assert interval.contains(value), (gamma, c, tau)
                 found += 1
                 if found >= 6:
@@ -261,9 +268,10 @@ class TestRoundTrip:
 
 
 class TestSoundnessSampling:
-    """States of a random satisfying one-step model classify into a feasible
-    configuration (after support reduction), and each state's own
-    classification is a consistent vector whose cell holds its values."""
+    """States of a random satisfying one-step model classify into consistent
+    vectors whose cells hold their values, and the support of the simplex's
+    weights over those vectors is a feasible configuration of at most 2n+1
+    vectors."""
 
     def _run(self, flavor, seed):
         rng = random.Random(seed)
@@ -317,9 +325,12 @@ class TestSoundnessSampling:
             for x, vec in enumerate(vecs):
                 merged[vec] = merged.get(vec, F(0)) + weights[x]
             distinct = list(merged)
-            mass = [merged[v] for v in distinct]
-            idx, reduced = caratheodory_reduce(distinct, mass)
-            cfg = [distinct[k] for k in idx]
+            weights = lp.simplex_feasible(
+                mass_system(distinct, _flat_conditions(bounds)), nonneg=True
+            )
+            assert weights is not None, (gamma, distinct)
+            cfg = [vec for vec, w in zip(distinct, weights) if w != 0]
+            assert len(cfg) <= 2 * n + 1, (gamma, cfg)
             assert config_feasible(cfg, bounds) is not None, (gamma, cfg)
 
     def test_generally(self):
@@ -334,11 +345,6 @@ class TestSearchAgreement:
 
     def test_verdicts_match(self):
         rng = random.Random(501)
-
-        class _Child:
-            def __init__(self, sat):
-                self.sat = sat
-
         for flavor in ("lgen", "mp"):
             logic = get_logic(flavor)
             done = 0
@@ -362,15 +368,17 @@ class TestSearchAgreement:
                 pivot = rand_rational(rng, 8)
 
                 def child(seq):
+                    # State 0 for every satisfiable child: a search must
+                    # test `is None`, never truthiness.
                     interval = seq.get(Var("v1"))
-                    return _Child(interval is None or interval.contains(pivot))
+                    return 0 if interval is None or interval.contains(pivot) else None
 
                 naive = None
                 for c in logic.conclusions(gamma):
-                    if all(child(q).sat for q in c.sequents):
+                    if all(child(q) is not None for q in c.sequents):
                         naive = c
                         break
-                fast = logic.search(gamma, child)
+                fast = run_search(logic, gamma, child)
                 assert (naive is None) == (fast is None), (flavor, gamma, pivot)
 
 
@@ -479,11 +487,6 @@ class TestDominanceSearch:
         rng = random.Random(seed)
         logic = get_logic(flavor)
         ones_sat = ones_unsat = 0
-
-        class _Child:
-            def __init__(self, sat):
-                self.sat = sat
-
         for _ in range(200):
             gamma = _rand_gamma(rng, flavor)
             bounds = bounds_of(gamma)
@@ -492,11 +495,13 @@ class TestDominanceSearch:
             answers = {}
 
             def child(seq):
+                # A satisfiable child's state is its request number, so the
+                # all-ones child, asked first, is state 0.
                 assert seq not in answers, "a vector is asked about twice"
                 answers[seq] = rng.random() < 0.5
-                return _Child(answers[seq])
+                return len(answers) - 1 if answers[seq] else None
 
-            found = logic.search(gamma, child)
+            found = run_search(logic, gamma, child)
             if not answers:
                 assert found is None
                 continue
@@ -511,14 +516,21 @@ class TestDominanceSearch:
             if answers[first]:
                 ones_sat += 1
                 assert len(asked) == 1
-                assert found.conclusion.data.cfg == (ones,)
-                assert found.conclusion.data.weights == (1,)
                 assert found.conclusion.sequents == (first,)
+                assert found.conclusion.witness == TransitionWitness("prob", (F(1),))
+                assert found.children == [0]
             else:
                 ones_unsat += 1
                 # Every vector never asked about is dominated by a SAT one.
                 for vec in vector_of.values():
                     assert vec in asked or any(_dominates(g, vec) for g in sat_so_far)
+                if found is not None:
+                    state_of = {seq: k for k, seq in enumerate(answers)}
+                    assert all(answers[q] for q in found.conclusion.sequents)
+                    assert found.children == [state_of[q] for q in found.conclusion.sequents]
+                    weights = found.conclusion.witness.edges
+                    assert len(weights) == len(found.children) <= 2 * len(bounds) + 1
+                    assert 0 not in weights and sum(weights) == 1
         return ones_sat, ones_unsat
 
     def test_requests_by_dominance_generally(self):
@@ -526,3 +538,37 @@ class TestDominanceSearch:
 
     def test_requests_by_dominance_more_than(self):
         assert min(self._recorded_run("mp", 712)) > 0
+
+
+class TestSimplexSupport:
+    """The simplex returns a basic solution of a weight system, so at most
+    1 + (non-vacuous bounds) <= 2n+1 of its weights are nonzero and the
+    search needs no support reduction."""
+
+    def _run(self, flavor, seed):
+        rng = random.Random(seed)
+        binding = 0  # feasible systems with more columns than the bound
+        for _ in range(300):
+            bounds = bounds_of(_rand_gamma(rng, flavor))
+            conds = _flat_conditions(bounds)
+            vecs = [vec for vec, _ in consistent_vectors(bounds)]
+            cfg = [vec for vec in vecs if rng.random() < 0.5] or vecs
+            limit = 1 + sum(cond is not None for cond in conds)
+            assert limit <= 2 * len(bounds) + 1
+            for weights in (
+                lp.simplex_feasible(mass_system(cfg, conds), nonneg=True),
+                LGEN._weights_over(cfg, conds),
+            ):
+                if weights is None:
+                    continue
+                support = [vec for vec, w in zip(cfg, weights) if w != 0]
+                assert len(support) <= limit, (bounds, cfg, weights)
+                assert config_feasible(support, bounds) is not None, (bounds, support)
+                binding += len(cfg) > limit
+        assert binding > 0
+
+    def test_support_generally(self):
+        self._run("lgen", 801)
+
+    def test_support_more_than(self):
+        self._run("mp", 802)

@@ -7,7 +7,6 @@ import pytest
 from nexfuz.lp import (
     CapExceeded,
     EQ,
-    caratheodory_reduce,
     feasible,
     simplex_feasible,
     system,
@@ -172,33 +171,3 @@ class TestSimplexAgreement:
         s.add([1], Comp.GT, F(1, 2))  # x > 1/2 with x == 1/2 pinned
         assert simplex_feasible(s) is None
 
-
-class TestCaratheodory:
-    def test_reduces_support_preserving_sums(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            dim = rng.randint(2, 6)  # need > dim+1 distinct 0/1 vectors
-            count = rng.randint(dim + 2, min(dim + 6, 2**dim))
-            vectors = []
-            seen = set()
-            while len(vectors) < count:
-                v = tuple(F(rng.randint(0, 1)) for _ in range(dim))
-                if v not in seen:
-                    seen.add(v)
-                    vectors.append(v)
-            raw = [F(rng.randint(1, 9)) for _ in vectors]
-            total = sum(raw)
-            weights = [w / total for w in raw]
-            target = [
-                sum(weights[k] * vectors[k][d] for k in range(count))
-                for d in range(dim)
-            ]
-            idx, reduced = caratheodory_reduce(vectors, weights)
-            assert len(idx) <= dim + 1
-            assert sum(reduced) == 1
-            assert all(w > 0 for w in reduced)
-            got = [
-                sum(w * vectors[k][d] for k, w in zip(idx, reduced))
-                for d in range(dim)
-            ]
-            assert got == target

@@ -282,6 +282,11 @@ class TestJsonAndValidate:
             again = FiniteModel.from_json(json.loads(json.dumps(m.to_json())))
             assert again.to_json() == m.to_json()
 
+    def test_unknown_kind_reported_before_rows(self):
+        data = {"kind": "foo", "states": ["s", "t"], "trans": {"s": {"t": "1"}}}
+        with pytest.raises(ModelError, match="unknown model kind 'foo'"):
+            FiniteModel.from_json(data)
+
     def test_validate_rejects_bad_distribution(self):
         m = FiniteModel("prob", ("x",), {"x": {"x": F(1, 2)}}, {})
         with pytest.raises(ModelError):

@@ -10,7 +10,7 @@ from nexfuz.lp import CapExceeded
 from nexfuz.logics import get_logic
 from nexfuz.models import FiniteModel, check_sequent, eval_formula
 from nexfuz.numerics import Comp, Interval
-from nexfuz.onestep import OneStepLogic, TransitionWitness, modal_literals
+from nexfuz.onestep import Conclusion, OneStepLogic, TransitionWitness, modal_literals
 from nexfuz.sequents import Sequent
 from nexfuz.solver import SolveStats, SolverCaps, sat, sat_threshold
 from nexfuz.syntax import And, Atom, Diamond, Modal, Neg, modal_depth, parse, to_text
@@ -158,9 +158,6 @@ class NaiveWrapper(OneStepLogic):
     def conclusions(self, gamma):
         return self.inner.conclusions(gamma)
 
-    def realize(self, gamma, conclusion, tau):
-        return self.inner.realize(gamma, conclusion, tau)
-
 
 class TestSearchParity:
     def test_fast_paths_match_naive_enumeration(self):
@@ -203,12 +200,13 @@ class TestSearchParity:
         assert max(widths) >= 3
 
 
-class ZeroDegreeRealize(NaiveWrapper):
-    """Realizes every edge with degree 0, so a diamond evaluates to 0."""
+class ZeroDegreeWitness(NaiveWrapper):
+    """Gives every conclusion edge degree 0, so a diamond evaluates to 0."""
 
-    def realize(self, gamma, conclusion, tau):
-        witness = self.inner.realize(gamma, conclusion, tau)
-        return TransitionWitness(witness.kind, tuple(F(0) for _ in witness.edges))
+    def conclusions(self, gamma):
+        for c in self.inner.conclusions(gamma):
+            zeros = tuple(F(0) for _ in c.witness.edges)
+            yield Conclusion(c.sequents, TransitionWitness(c.witness.kind, zeros))
 
 
 class TestRealizeCheck:
@@ -216,7 +214,7 @@ class TestRealizeCheck:
         seq = Sequent([(parse("dia a"), iv("1/2", 1))])
         assert sat(seq, NaiveWrapper(ALC), verify=False).sat
         with pytest.raises(AssertionError, match=r"dia a the value 0, outside \[1/2,1\]"):
-            sat(seq, ZeroDegreeRealize(ALC), verify=False)
+            sat(seq, ZeroDegreeWitness(ALC), verify=False)
 
 
 class TestRecursionShape:
