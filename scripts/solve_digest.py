@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Digests of every benchmark job's output, to show that a change keeps them.
+
+    python3 scripts/solve_digest.py [--seed N] [--workload W ...] [--check]
+
+Run from anywhere; the program is imported from this checkout's `src/` and
+the job lists from `bench/corpus.py`, which is only read.  Each solve job
+runs as the benchmark runs it (`Sequent.loads`, `MetricSpace.from_json`,
+`get_logic`, `sat` with verification on), once.  One SHA-256 is printed per
+workload, over each solve job's name, verdict, witness JSON and every
+`SolveStats` field, or over each `model-eval` job's name and values.
+
+`--check` compares the seed-1 digests with `RECORDED`, exits 1 on a
+difference and 0 when all match.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import corpus  # noqa: E402
+import nexfuz as nx  # noqa: E402
+
+# Seed-1 digests of the outputs before `Interval` held its endpoints as
+# integer pairs; every later change to the solver must keep them or say why.
+RECORDED = {
+    "relational": "0ca25c6f65ccae0dda0e132ec178fca7dd272bf5644b5cff3a298daadc7b71b5",
+    "prob-hard": "33c9082e9361f0fb972e3a1a96622da01c9f911864b8cc53354ba396b815b13d",
+    "depth-ladder": "c4c4196cff41a622be45dbe85eb51d4287913f4528838bd52485f8d0c62be06d",
+    "model-eval": "9714c014544be5ce30c317c104668d7b8471a53702843d0625848fda721ee0e5",
+}
+
+
+def solve_record(job: dict) -> dict:
+    seq = nx.Sequent.loads(job["sequent"])
+    space = nx.MetricSpace.from_json(json.loads(job["space"])) if job["space"] else None
+    stats = nx.SolveStats()
+    verdict = nx.sat(seq, nx.get_logic(job["logic"], space), stats=stats, verify=True)
+    return {
+        "name": job["name"],
+        "sat": verdict.sat,
+        "state": verdict.state,
+        "model": verdict.model.to_json() if verdict.sat else None,
+        "stats": dataclasses.asdict(stats),
+    }
+
+
+def eval_record(job: dict) -> dict:
+    model = nx.FiniteModel.from_json(json.loads(job["model"]))
+    values = [
+        str(nx.eval_formula(model, x, nx.parse(text)))
+        for text in job["formulas"]
+        for x in model.states
+    ]
+    return {"name": job["name"], "values": values}
+
+
+def workload_digest(workload: str, seed: int) -> str:
+    record = eval_record if workload == "model-eval" else solve_record
+    h = hashlib.sha256()
+    for job in corpus.generate(workload, seed):
+        # Dict keys of the stats tables are ints; json makes them strings.
+        h.update(json.dumps(record(job), sort_keys=True, default=str).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=corpus.DEFAULT_SEED)
+    ap.add_argument("--workload", action="append", choices=corpus.WORKLOADS)
+    ap.add_argument("--check", action="store_true",
+                    help="compare the seed-1 digests with the recorded ones")
+    args = ap.parse_args(argv)
+    if args.check and args.seed != 1:
+        ap.error("--check compares seed 1 only")
+    differ = 0
+    for workload in args.workload or corpus.WORKLOADS:
+        got = workload_digest(workload, args.seed)
+        note = ""
+        if args.check:
+            same = got == RECORDED[workload]
+            differ += not same
+            note = "  ok" if same else f"  DIFFERS (recorded {RECORDED[workload]})"
+        print(f"{workload:13} {got}{note}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,15 +1,18 @@
 """Exact arithmetic over the unit interval: rationals, comparisons, intervals.
 
-Everything here is a pure value.  All truth degrees are `fractions.Fraction`
-instances in lowest terms; no floating point is used anywhere.
+Everything here is a pure value, and no floating point is used anywhere.
+Truth degrees are `fractions.Fraction` instances in lowest terms.  An
+`Interval` holds its endpoints as reduced pairs of `int`s, so the tableau
+and the instance rules compare and hash them in `int`; `Fraction` appears
+only at its API (`make`, `lo`/`hi`, `contains`, `shift_up`, `pick`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -79,11 +82,6 @@ def bit_length(k: int) -> int:
     return max(1, k.bit_length())
 
 
-def rational_bits(q: Fraction) -> int:
-    """Binary encoding size of a nonnegative rational in lowest terms."""
-    return bit_length(q.numerator) + bit_length(q.denominator)
-
-
 class Comp(Enum):
     """A comparison operator on rationals."""
 
@@ -130,29 +128,52 @@ _DUAL = {Comp.LT: Comp.GT, Comp.GT: Comp.LT, Comp.LE: Comp.GE, Comp.GE: Comp.LE}
 _FLIP = {Comp.LT: Comp.LE, Comp.LE: Comp.LT, Comp.GT: Comp.GE, Comp.GE: Comp.GT}
 
 
-@dataclass(frozen=True)
 class Interval:
     """A sub-interval of [0, 1] with independently open/closed endpoints.
 
-    Construct through :meth:`make`, which canonicalizes degenerate inputs to
-    the single EMPTY value so that equality is structural.  The hash and
-    `is_empty` are computed once, at construction; the hash is the one the
-    dataclass would compute from the four fields.
+    Each endpoint is held as a reduced pair of `int`s, numerator over a
+    positive denominator, so that every order test is an `int`
+    cross-multiplication and structural equality is value equality.
+    Construct through :meth:`make`, :meth:`point` or
+    :meth:`from_comparison`, which canonicalize degenerate inputs to the
+    single EMPTY value.  The endpoints read as `Fraction`s through `lo` and
+    `hi`.  The hash and `is_empty` are computed once, at construction.
     """
 
-    lo: Fraction
-    hi: Fraction
-    lo_open: bool
-    hi_open: bool
-    is_empty: bool = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("_ln", "_ld", "_hn", "_hd", "lo_open", "hi_open", "is_empty", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "is_empty", self.lo > self.hi)
-        object.__setattr__(self, "_hash", hash((self.lo, self.hi, self.lo_open, self.hi_open)))
+    def __init__(self, ln: int, ld: int, hn: int, hd: int, lo_open: bool, hi_open: bool):
+        """Internal: the pairs must be reduced with positive denominators."""
+        self._ln, self._ld, self._hn, self._hd = ln, ld, hn, hd
+        self.lo_open, self.hi_open = lo_open, hi_open
+        self.is_empty = ln * hd > hn * ld
+        self._hash = hash((ln, ld, hn, hd, lo_open, hi_open))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self._ln == other._ln
+            and self._ld == other._ld
+            and self._hn == other._hn
+            and self._hd == other._hd
+            and self.lo_open == other.lo_open
+            and self.hi_open == other.hi_open
+        )
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._ln, self._ld)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._hn, self._hd)
 
     @staticmethod
     def make(lo, hi, lo_open: bool = False, hi_open: bool = False) -> Interval:
@@ -162,7 +183,9 @@ class Interval:
             return EMPTY
         if lo < ZERO or hi > ONE:
             raise NumericError(f"interval endpoints outside [0, 1]: {lo}, {hi}")
-        return Interval(lo, hi, lo_open, hi_open)
+        # A Fraction is in lowest terms already.
+        return Interval(lo.numerator, lo.denominator, hi.numerator, hi.denominator,
+                        lo_open, hi_open)
 
     @staticmethod
     def point(q) -> Interval:
@@ -175,9 +198,11 @@ class Interval:
             return Interval.make(p, ONE, lo_open=op.strict)
         return Interval.make(ZERO, p, hi_open=op.strict)
 
-    @property
-    def is_point(self) -> bool:
-        return not self.is_empty and self.lo == self.hi
+    def endpoint_bits(self) -> int:
+        """Binary encoding size of both endpoints in lowest terms (a zero
+        numerator still takes one digit)."""
+        return ((self._ln.bit_length() or 1) + self._ld.bit_length()
+                + (self._hn.bit_length() or 1) + self._hd.bit_length())
 
     def lower_comp(self) -> Comp:
         """The comparison x `op` lo implied by membership on the lower side."""
@@ -194,19 +219,22 @@ class Interval:
         """
         if self.is_empty:
             return EMPTY
-        return Interval(self.lo, ONE, self.lo_open, False)
+        return Interval(self._ln, self._ld, 1, 1, self.lo_open, False)
 
     def upper_ray(self) -> Interval:
         """The values meeting the upper bound: [0,hi] or [0,hi)."""
         if self.is_empty:
             return EMPTY
-        return Interval(ZERO, self.hi, False, self.hi_open)
+        return Interval(0, 1, self._hn, self._hd, False, self.hi_open)
 
     def contains(self, q: Fraction) -> bool:
         # No value lies between the bounds of an empty interval (lo > hi).
-        if not (q > self.lo if self.lo_open else q >= self.lo):
+        qn, qd = q.numerator, q.denominator
+        x, y = qn * self._ld, self._ln * qd
+        if not (x > y if self.lo_open else x >= y):
             return False
-        return q < self.hi if self.hi_open else q <= self.hi
+        x, y = qn * self._hd, self._hn * qd
+        return x < y if self.hi_open else x <= y
 
     def __contains__(self, q) -> bool:
         return self.contains(to_fraction(q))
@@ -214,54 +242,67 @@ class Interval:
     def intersect(self, other: Interval) -> Interval:
         if self.is_empty or other.is_empty:
             return EMPTY
-        if self.lo > other.lo:
-            lo, lo_open = self.lo, self.lo_open
-        elif other.lo > self.lo:
-            lo, lo_open = other.lo, other.lo_open
+        x, y = self._ln * other._ld, other._ln * self._ld
+        if x > y:
+            ln, ld, lo_open = self._ln, self._ld, self.lo_open
+        elif y > x:
+            ln, ld, lo_open = other._ln, other._ld, other.lo_open
         else:
-            lo, lo_open = self.lo, self.lo_open or other.lo_open
-        if self.hi < other.hi:
-            hi, hi_open = self.hi, self.hi_open
-        elif other.hi < self.hi:
-            hi, hi_open = other.hi, other.hi_open
+            ln, ld, lo_open = self._ln, self._ld, self.lo_open or other.lo_open
+        x, y = self._hn * other._hd, other._hn * self._hd
+        if x < y:
+            hn, hd, hi_open = self._hn, self._hd, self.hi_open
+        elif y < x:
+            hn, hd, hi_open = other._hn, other._hd, other.hi_open
         else:
-            hi, hi_open = self.hi, self.hi_open or other.hi_open
-        return Interval.make(lo, hi, lo_open, hi_open)
+            hn, hd, hi_open = self._hn, self._hd, self.hi_open or other.hi_open
+        x, y = ln * hd, hn * ld
+        if x > y or (x == y and (lo_open or hi_open)):
+            return EMPTY
+        return Interval(ln, ld, hn, hd, lo_open, hi_open)
 
     def complement(self) -> Interval:
-        """The pointwise image {1 - x : x in I}; openness flags swap sides."""
+        """The pointwise image {1 - x : x in I}; openness flags swap sides.
+
+        1 - n/d is (d - n)/d, again in lowest terms."""
         if self.is_empty:
             return EMPTY
-        return Interval.make(ONE - self.hi, ONE - self.lo, self.hi_open, self.lo_open)
+        return Interval(self._hd - self._hn, self._hd, self._ld - self._ln, self._ld,
+                        self.hi_open, self.lo_open)
 
     def shift_up(self, c: Fraction) -> Interval:
         """{x + c : x in I, x + c <= 1}, i.e. shift then truncate at 1."""
         if self.is_empty:
             return EMPTY
-        if not ZERO <= c <= ONE:
+        cn, cd = c.numerator, c.denominator
+        if cn < 0 or cn > cd:
             raise NumericError(f"shift constant {c} outside [0, 1]")
-        lo = self.lo + c
-        if lo > ONE or (lo == ONE and self.lo_open):
+        ln, ld = self._ln * cd + cn * self._ld, self._ld * cd
+        if ln > ld or (ln == ld and self.lo_open):
             return EMPTY
-        hi = self.hi + c
-        if hi > ONE:
-            return Interval.make(lo, ONE, self.lo_open, False)
-        return Interval.make(lo, hi, self.lo_open, self.hi_open)
+        hn, hd = self._hn * cd + cn * self._hd, self._hd * cd
+        if hn > hd:
+            return _reduced(ln, ld, 1, 1, self.lo_open, False)
+        return _reduced(ln, ld, hn, hd, self.lo_open, self.hi_open)
 
     def pick(self) -> Fraction:
         """A deterministic representative: the midpoint, or the point itself."""
         if self.is_empty:
             raise NumericError("cannot pick from the empty interval")
-        if self.lo == self.hi:
-            return self.lo
-        return (self.lo + self.hi) / 2
+        if self._ln == self._hn and self._ld == self._hd:
+            return Fraction(self._ln, self._ld)
+        return Fraction(self._ln * self._hd + self._hn * self._ld, 2 * self._ld * self._hd)
 
     def is_subset(self, other: Interval) -> bool:
         if self.is_empty:
             return True
         if other.is_empty:
             return False
-        return self.intersect(other) == self
+        x, y = self._ln * other._ld, other._ln * self._ld
+        if x < y or (x == y and other.lo_open and not self.lo_open):
+            return False
+        x, y = self._hn * other._hd, other._hn * self._hd
+        return not (x > y or (x == y and other.hi_open and not self.hi_open))
 
     def __str__(self) -> str:
         if self.is_empty:
@@ -270,9 +311,25 @@ class Interval:
         right = ")" if self.hi_open else "]"
         return f"{left}{self.lo},{self.hi}{right}"
 
+    def __repr__(self) -> str:
+        return (f"Interval(lo={self.lo!r}, hi={self.hi!r}, "
+                f"lo_open={self.lo_open!r}, hi_open={self.hi_open!r})")
 
-EMPTY = Interval(ONE, ZERO, True, True)
-UNIT = Interval(ZERO, ONE, False, False)
+
+def _reduced(ln: int, ld: int, hn: int, hd: int, lo_open: bool, hi_open: bool) -> Interval:
+    """The interval over the endpoints ln/ld <= hn/hd (positive
+    denominators), each brought to lowest terms."""
+    g = gcd(ln, ld)
+    if g != 1:
+        ln, ld = ln // g, ld // g
+    g = gcd(hn, hd)
+    if g != 1:
+        hn, hd = hn // g, hd // g
+    return Interval(ln, ld, hn, hd, lo_open, hi_open)
+
+
+EMPTY = Interval(1, 1, 0, 1, True, True)
+UNIT = Interval(0, 1, 1, 1, False, False)
 
 
 def parse_interval(text: str) -> Interval:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator
 
-from .numerics import Interval, format_interval, parse_interval, rational_bits
+from .numerics import Interval, format_interval, parse_interval
 from .syntax import Formula, parse, size, to_text
 
 
@@ -83,23 +83,12 @@ class Sequent:
         body = ", ".join(f"{to_text(f)} in {i}" for f, i in self._map.items())
         return "{" + body + "}"
 
-    def is_exact_over(self, labels: Iterable[Formula]) -> bool:
-        """Total on the given label set (one interval per label)."""
-        wanted = set(labels)
-        return wanted == set(self._map)
-
-    def is_subsequent(self, other: Sequent) -> bool:
-        """Pointwise interval inclusion; both sides must share one label set."""
-        if set(self._map) != set(other._map):
-            raise SequentError("sub-sequent check over mismatched label sets")
-        return all(i.is_subset(other._map[f]) for f, i in self._map.items())
-
     def combined_size(self) -> int:
         """Sum of literal sizes; each literal adds its formula size, the binary
         sizes of the four interval endpoints, and 3."""
         total = 0
         for f, interval in self._map.items():
-            total += size(f) + rational_bits(interval.lo) + rational_bits(interval.hi) + 3
+            total += size(f) + interval.endpoint_bits() + 3
         return total
 
     def to_json(self) -> dict:

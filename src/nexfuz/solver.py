@@ -139,8 +139,13 @@ def sat(
     dag = WitnessDag(logic.kind, logic.space)
     defaults = {name: ZERO for name in sorted(set(declared_atoms))}
     memo: dict[Sequent, int | None] = {}  # sequent -> its DAG state, None if UNSAT
+    # Checked against this solve's own depth: `stats` may carry another
+    # solve's counters.
+    depth_bound = max((modal_depth(f) for f, _ in seq.items()), default=0)
 
     def open_frame(current: Sequent, depth: int) -> _Frame:
+        if depth > depth_bound:
+            raise AssertionError("recursion exceeded the modal depth of the input")
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         stats._bump(stats.level_input_size, depth, current.combined_size())
@@ -226,8 +231,6 @@ def sat(
         # values cached while it was built.
         if verify and not check_sequent(model, model.root, seq):
             raise AssertionError("witness model fails to satisfy the input sequent")
-    if stats.max_depth > max((modal_depth(f) for f, _ in seq.items()), default=0):
-        raise AssertionError("recursion exceeded the modal depth of the input")
     return result
 
 

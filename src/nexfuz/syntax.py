@@ -247,23 +247,6 @@ def subformulas(f: Formula) -> set[Formula]:
     return out
 
 
-def prop_subformulas(f: Formula) -> set[Formula]:
-    """Subformulas not under a modal operator; stops at (and keeps) modal leaves."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in out:
-            continue
-        out.add(g)
-        if isinstance(g, (Neg, Minus)):
-            stack.append(g.arg)
-        elif isinstance(g, And):
-            stack.append(g.left)
-            stack.append(g.right)
-    return out
-
-
 def modal_depth(f: Formula) -> int:
     return f.modal_depth
 

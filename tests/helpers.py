@@ -1,11 +1,14 @@
 """Shared test utilities: random generators, direct one-step evaluation,
 a stand-alone driver for the one-step searches, the point-set reference
-liftings, and an independent classical modal-logic oracle."""
+liftings, the `Fraction`-endpoint reference interval, small sequent and
+formula predicates, and an independent classical modal-logic oracle."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from nexfuz.liftings import (
     diamond_value,
@@ -15,8 +18,8 @@ from nexfuz.liftings import (
 )
 from nexfuz.metricspace import MetricSpace
 from nexfuz.models import FiniteModel
-from nexfuz.numerics import Interval, ONE, ZERO
-from nexfuz.sequents import Sequent
+from nexfuz.numerics import Interval, NumericError, ONE, ZERO, to_fraction
+from nexfuz.sequents import Sequent, SequentError
 from nexfuz.syntax import (
     And,
     Atom,
@@ -223,6 +226,162 @@ def run_search(logic, gamma: Sequent, child):
             q = steps.send(child(q))
     except StopIteration as stop:
         return stop.value
+
+
+# ---------------------------------------------------------------------------
+# Reference interval: `Interval` with `Fraction` endpoints, as it was before
+# it held reduced int pairs; the parity oracle of tests/test_numerics.py
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceInterval:
+    """A sub-interval of [0, 1] over `Fraction` endpoints, with the
+    operations of `nexfuz.numerics.Interval` written over `Fraction`
+    comparisons and arithmetic.  Degenerate inputs canonicalize to
+    REFERENCE_EMPTY."""
+
+    lo: Fraction
+    hi: Fraction
+    lo_open: bool
+    hi_open: bool
+    is_empty: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "is_empty", self.lo > self.hi)
+
+    @staticmethod
+    def make(lo, hi, lo_open: bool = False, hi_open: bool = False) -> ReferenceInterval:
+        lo = to_fraction(lo)
+        hi = to_fraction(hi)
+        if lo > hi or (lo == hi and (lo_open or hi_open)):
+            return REFERENCE_EMPTY
+        if lo < ZERO or hi > ONE:
+            raise NumericError(f"interval endpoints outside [0, 1]: {lo}, {hi}")
+        return ReferenceInterval(lo, hi, lo_open, hi_open)
+
+    @staticmethod
+    def point(q) -> ReferenceInterval:
+        return ReferenceInterval.make(q, q)
+
+    @staticmethod
+    def from_comparison(op, p: Fraction) -> ReferenceInterval:
+        if op.is_lower:
+            return ReferenceInterval.make(p, ONE, lo_open=op.strict)
+        return ReferenceInterval.make(ZERO, p, hi_open=op.strict)
+
+    def lower_ray(self) -> ReferenceInterval:
+        if self.is_empty:
+            return REFERENCE_EMPTY
+        return ReferenceInterval(self.lo, ONE, self.lo_open, False)
+
+    def upper_ray(self) -> ReferenceInterval:
+        if self.is_empty:
+            return REFERENCE_EMPTY
+        return ReferenceInterval(ZERO, self.hi, False, self.hi_open)
+
+    def contains(self, q: Fraction) -> bool:
+        if not (q > self.lo if self.lo_open else q >= self.lo):
+            return False
+        return q < self.hi if self.hi_open else q <= self.hi
+
+    def intersect(self, other: ReferenceInterval) -> ReferenceInterval:
+        if self.is_empty or other.is_empty:
+            return REFERENCE_EMPTY
+        if self.lo > other.lo:
+            lo, lo_open = self.lo, self.lo_open
+        elif other.lo > self.lo:
+            lo, lo_open = other.lo, other.lo_open
+        else:
+            lo, lo_open = self.lo, self.lo_open or other.lo_open
+        if self.hi < other.hi:
+            hi, hi_open = self.hi, self.hi_open
+        elif other.hi < self.hi:
+            hi, hi_open = other.hi, other.hi_open
+        else:
+            hi, hi_open = self.hi, self.hi_open or other.hi_open
+        return ReferenceInterval.make(lo, hi, lo_open, hi_open)
+
+    def complement(self) -> ReferenceInterval:
+        if self.is_empty:
+            return REFERENCE_EMPTY
+        return ReferenceInterval.make(ONE - self.hi, ONE - self.lo, self.hi_open, self.lo_open)
+
+    def shift_up(self, c: Fraction) -> ReferenceInterval:
+        if self.is_empty:
+            return REFERENCE_EMPTY
+        if not ZERO <= c <= ONE:
+            raise NumericError(f"shift constant {c} outside [0, 1]")
+        lo = self.lo + c
+        if lo > ONE or (lo == ONE and self.lo_open):
+            return REFERENCE_EMPTY
+        hi = self.hi + c
+        if hi > ONE:
+            return ReferenceInterval.make(lo, ONE, self.lo_open, False)
+        return ReferenceInterval.make(lo, hi, self.lo_open, self.hi_open)
+
+    def pick(self) -> Fraction:
+        if self.is_empty:
+            raise NumericError("cannot pick from the empty interval")
+        if self.lo == self.hi:
+            return self.lo
+        return (self.lo + self.hi) / 2
+
+    def is_subset(self, other: ReferenceInterval) -> bool:
+        if self.is_empty:
+            return True
+        if other.is_empty:
+            return False
+        return self.intersect(other) == self
+
+    def __str__(self) -> str:
+        if self.is_empty:
+            return "empty"
+        left = "(" if self.lo_open else "["
+        right = ")" if self.hi_open else "]"
+        return f"{left}{self.lo},{self.hi}{right}"
+
+
+REFERENCE_EMPTY = ReferenceInterval(ONE, ZERO, True, True)
+REFERENCE_UNIT = ReferenceInterval(ZERO, ONE, False, False)
+
+
+# ---------------------------------------------------------------------------
+# Predicates on intervals, sequents and formulas that only the tests ask
+# ---------------------------------------------------------------------------
+
+
+def is_point(interval: Interval) -> bool:
+    return not interval.is_empty and interval.lo == interval.hi
+
+
+def is_exact_over(seq: Sequent, labels: Iterable[Formula]) -> bool:
+    """`seq` is total on the given label set (one interval per label)."""
+    return set(labels) == set(seq)
+
+
+def is_subsequent(seq: Sequent, other: Sequent) -> bool:
+    """Pointwise interval inclusion; both sides must share one label set."""
+    if set(seq) != set(other):
+        raise SequentError("sub-sequent check over mismatched label sets")
+    return all(i.is_subset(other[f]) for f, i in seq.items())
+
+
+def prop_subformulas(f: Formula) -> set[Formula]:
+    """Subformulas not under a modal operator; stops at (and keeps) modal leaves."""
+    out: set[Formula] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in out:
+            continue
+        out.add(g)
+        if isinstance(g, (Neg, Minus)):
+            stack.append(g.arg)
+        elif isinstance(g, And):
+            stack.append(g.left)
+            stack.append(g.right)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 
-from helpers import onestep_modal_value, rand_interval, rand_rational
+from helpers import is_point, onestep_modal_value, rand_interval, rand_rational
 
 from nexfuz.liftings import diamond_value
 from nexfuz.logics import get_logic
@@ -138,7 +138,7 @@ def _literals(gamma):
 
 
 def _pick_random(rng, interval):
-    if interval.is_point:
+    if is_point(interval):
         return interval.lo
     # A rational strictly inside, or an allowed endpoint.
     candidates = [interval.lo + (interval.hi - interval.lo) * F(k, 8) for k in range(9)]

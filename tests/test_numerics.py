@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
+
+from helpers import REFERENCE_EMPTY, REFERENCE_UNIT, ReferenceInterval, is_point
 
 from nexfuz.numerics import (
     Comp,
@@ -220,7 +223,7 @@ class TestCanonicalization:
 
     def test_point_is_closed(self):
         p = Interval.point(F(1, 2))
-        assert not p.lo_open and not p.hi_open and p.is_point
+        assert not p.lo_open and not p.hi_open and is_point(p)
 
 
 class TestText:
@@ -253,32 +256,40 @@ def every_constructor():
     return out
 
 
+def fields(i):
+    """The six fields an `Interval` is compared and hashed by."""
+    return (i._ln, i._ld, i._hn, i._hd, i.lo_open, i.hi_open)
+
+
 class TestCachedHashAndEmptiness:
     """`Interval` computes its hash and emptiness once; both must equal what
-    the four fields give."""
+    the six fields give, and the endpoint pairs are in lowest terms."""
 
     BUILT = every_constructor()
 
     def test_hash_is_the_field_tuple_hash(self):
         for i in self.BUILT:
-            assert hash(i) == hash((i.lo, i.hi, i.lo_open, i.hi_open))
+            assert hash(i) == hash(fields(i))
+            for n, d in ((i._ln, i._ld), (i._hn, i._hd)):
+                assert type(n) is int and type(d) is int
+                assert d > 0 and gcd(n, d) == 1
+            assert (F(i._ln, i._ld), F(i._hn, i._hd)) == (i.lo, i.hi)
 
     def test_equal_intervals_hash_equal(self):
         by_fields = {}
         for i in self.BUILT:
             j = by_fields.setdefault((i.lo, i.hi, i.lo_open, i.hi_open), i)
             assert i == j and hash(i) == hash(j)
-            # A copy with fresh Fraction objects is the same set member.
-            fresh = Interval(F(i.lo.numerator, i.lo.denominator),
-                             F(i.hi.numerator, i.hi.denominator), i.lo_open, i.hi_open)
-            assert fresh == i and hash(fresh) == hash(i)
+            # A copy built afresh from the same fields is the same set member.
+            fresh = Interval(*fields(i))
+            assert fresh is not i and fresh == i and hash(fresh) == hash(i)
         assert len(set(self.BUILT)) == len(by_fields)
 
     def test_is_empty(self):
         for i in self.BUILT:
             assert i.is_empty == (i.lo > i.hi)
         assert EMPTY.is_empty and not UNIT.is_empty
-        assert Interval(F(1), F(0), False, False).is_empty
+        assert Interval(1, 1, 0, 1, False, False).is_empty
 
     def test_cached_fields_stay_out_of_equality_and_repr(self):
         assert repr(UNIT) == "Interval(lo=Fraction(0, 1), hi=Fraction(1, 1), lo_open=False, hi_open=False)"
@@ -291,3 +302,152 @@ class TestCachedHashAndEmptiness:
             lits = [(rng.choice(atoms), rng.choice(self.BUILT)) for _ in range(rng.randint(1, 5))]
             s, t = Sequent(lits), Sequent(reversed(lits))
             assert s == t and hash(s) == hash(t)
+
+
+# ---------------------------------------------------------------------------
+# Parity with the Fraction-endpoint reference
+# ---------------------------------------------------------------------------
+
+small_rationals = st.integers(1, 12).flatmap(
+    lambda d: st.integers(0, d).map(lambda n: F(n, d))
+)
+
+
+@st.composite
+def written(draw, q):
+    """`q` in one of the forms `make` accepts: a Fraction, an unreduced
+    "n/d" string, an int or a decimal string when exact."""
+    forms = [q, f"{q.numerator * 3}/{q.denominator * 3}", str(q)]
+    if q.denominator == 1:
+        forms.append(q.numerator)
+    if 100 % q.denominator == 0:
+        hundredths = q.numerator * (100 // q.denominator)
+        forms.append(f"{hundredths // 100}.{hundredths % 100:02d}")
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def paired(draw, steps=3):
+    """An `Interval` and its `ReferenceInterval`, built by one constructor
+    and then up to `steps` operations, the same on both sides."""
+    kind = draw(st.sampled_from(["make", "point", "comparison", "empty", "unit"]))
+    if kind == "make":
+        x, y = draw(small_rationals), draw(small_rationals)
+        flags = draw(st.booleans()), draw(st.booleans())
+        pair = Interval.make(x, y, *flags), ReferenceInterval.make(x, y, *flags)
+    elif kind == "point":
+        q = draw(small_rationals)
+        pair = Interval.point(q), ReferenceInterval.point(q)
+    elif kind == "comparison":
+        op, p = draw(st.sampled_from(list(Comp))), draw(small_rationals)
+        pair = Interval.from_comparison(op, p), ReferenceInterval.from_comparison(op, p)
+    elif kind == "empty":
+        pair = EMPTY, REFERENCE_EMPTY
+    else:
+        pair = UNIT, REFERENCE_UNIT
+    for _ in range(draw(st.integers(0, steps))):
+        i, r = pair
+        op = draw(st.sampled_from(["lower", "upper", "complement", "shift", "intersect"]))
+        if op == "lower":
+            pair = i.lower_ray(), r.lower_ray()
+        elif op == "upper":
+            pair = i.upper_ray(), r.upper_ray()
+        elif op == "complement":
+            pair = i.complement(), r.complement()
+        elif op == "shift":
+            c = draw(small_rationals)
+            pair = i.shift_up(c), r.shift_up(c)
+        else:
+            j, s = draw(paired(steps=1))
+            pair = i.intersect(j), r.intersect(s)
+    return pair
+
+
+def probes(r):
+    """Values near and at the reference's endpoints, and a grid."""
+    out = [F(k, 24) for k in range(25)]
+    for q in (r.lo, r.hi):
+        out += [q, q - F(1, 1000), q + F(1, 1000)]
+    return out
+
+
+def assert_same(i, r):
+    assert (i.lo, i.hi, i.lo_open, i.hi_open) == (r.lo, r.hi, r.lo_open, r.hi_open)
+    assert i.is_empty == r.is_empty
+    assert str(i) == str(r)
+    if r.is_empty:
+        assert i is EMPTY
+        with pytest.raises(NumericError):
+            i.pick()
+    else:
+        assert i.pick() == r.pick()
+    for q in probes(r):
+        assert i.contains(q) == r.contains(q)
+
+
+class TestReferenceParity:
+    """Every constructor and operation agrees with `ReferenceInterval` on
+    the endpoints, flags, emptiness, text, pick, membership and inclusion,
+    over denominators 1 to 12 and all four flag pairs."""
+
+    @given(small_rationals, small_rationals, st.booleans(), st.booleans())
+    def test_make(self, x, y, lo_open, hi_open):
+        assert_same(Interval.make(x, y, lo_open, hi_open),
+                    ReferenceInterval.make(x, y, lo_open, hi_open))
+
+    @given(small_rationals, st.sampled_from(list(Comp)))
+    def test_point_and_comparison(self, q, op):
+        assert_same(Interval.point(q), ReferenceInterval.point(q))
+        assert_same(Interval.from_comparison(op, q), ReferenceInterval.from_comparison(op, q))
+
+    @given(paired())
+    def test_operations(self, pair):
+        i, r = pair
+        assert_same(i, r)
+        assert_same(i.lower_ray(), r.lower_ray())
+        assert_same(i.upper_ray(), r.upper_ray())
+        assert_same(i.complement(), r.complement())
+
+    @given(paired(), small_rationals)
+    def test_shift_up(self, pair, c):
+        i, r = pair
+        assert_same(i.shift_up(c), r.shift_up(c))
+
+    @given(paired(), paired())
+    def test_intersect_and_subset(self, a, b):
+        (i, r), (j, s) = a, b
+        assert_same(i.intersect(j), r.intersect(s))
+        assert i.is_subset(j) == r.is_subset(s)
+        assert j.is_subset(i) == s.is_subset(r)
+
+    def test_intersect_and_subset_on_a_grid(self):
+        """Every pair over a grid, so every tie of endpoints meets every
+        pair of flags."""
+        grid = [F(0), F(1, 3), F(1, 2), F(1)]
+        built = [(Interval.make(x, y, lo_open, hi_open),
+                  ReferenceInterval.make(x, y, lo_open, hi_open))
+                 for x, y, lo_open, hi_open in product(grid, grid, (False, True), (False, True))]
+        for (i, r), (j, s) in product(built, built):
+            assert_same(i.intersect(j), r.intersect(s))
+            assert i.is_subset(j) == r.is_subset(s)
+
+    @given(paired(), paired())
+    def test_equal_values_equal_intervals(self, a, b):
+        """However two intervals were built, they are equal, with equal
+        hashes, exactly when their values are."""
+        (i, r), (j, s) = a, b
+        assert (i == j) == (r == s)
+        if r == s:
+            assert hash(i) == hash(j)
+
+    @given(small_rationals, small_rationals, st.booleans(), st.booleans(), st.data())
+    def test_however_written(self, x, y, lo_open, hi_open, data):
+        i = Interval.make(x, y, lo_open, hi_open)
+        j = Interval.make(data.draw(written(x)), data.draw(written(y)), lo_open, hi_open)
+        assert i == j and hash(i) == hash(j) and fields(i) == fields(j)
+
+    def test_unreduced_forms(self):
+        a, b = Interval.make(F(2, 4), 1), Interval.make("1/2", "3/3")
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert Interval.make("0.5", 1).shift_up(F(1, 4)) == Interval.make("6/8", 1)
+        assert hash(iv("1/4", "1/2").shift_up(F(1, 2))) == hash(iv("3/4", 1))

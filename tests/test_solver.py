@@ -227,6 +227,14 @@ class TestRecursionShape:
             sat(seq, ALC, stats=stats)
             assert stats.max_depth <= depth
 
+    def test_reused_stats(self):
+        # The depth check used to read the caller's `stats.max_depth`, which
+        # still held the first solve's depth 2 when the depth-0 query ran.
+        stats = SolveStats()
+        assert sat_threshold(parse("dia dia a"), Comp.GE, F(1, 2), ALC, stats=stats).sat
+        assert sat_threshold(parse("a"), Comp.GE, F(1, 2), ALC, stats=stats).sat
+        assert stats.max_depth == 2 and stats.nodes == 4
+
     def test_atoms_transparency(self):
         rng = random.Random(92)
         for _ in range(20):

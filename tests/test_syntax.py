@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import prop_subformulas
+
 from nexfuz.syntax import (
     And,
     Atom,
@@ -18,7 +20,6 @@ from nexfuz.syntax import (
     Zero,
     modal_depth,
     parse,
-    prop_subformulas,
     size,
     subformulas,
     to_text,
