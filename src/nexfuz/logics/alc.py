@@ -13,14 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..onestep import (
-    Conclusion,
-    OneStepLogic,
-    TransitionWitness,
-    exact_over_vars,
-    modal_literals,
-)
-from ..sequents import Sequent, SequentError
+from ..onestep import Conclusion, Literal, OneStepLogic, exact_over_vars
+from ..sequents import SequentError
 from ..syntax import Diamond, ModalOp
 
 
@@ -31,26 +25,13 @@ class FuzzyAlcLogic(OneStepLogic):
     def supports(self, op: ModalOp) -> bool:
         return isinstance(op, Diamond)
 
-    @staticmethod
-    def _literals(gamma: Sequent):
-        lits = modal_literals(gamma)
-        for op, var, _ in lits:
-            if not isinstance(op, Diamond):
-                raise SequentError(f"unsupported modality {op} for the diamond logic")
-        if len({var for _, var, _ in lits}) != len(lits):
-            raise SequentError("duplicate variables in an end-sequent")
-        return [(var, interval) for _, var, interval in lits]
-
-    def conclusions(self, gamma: Sequent) -> Iterator[Conclusion]:
-        lits = self._literals(gamma)
-        if any(interval.is_empty for _, interval in lits):
-            return
-        variables = [var for var, _ in lits]
+    def conclusions(self, lits: tuple[Literal, ...]) -> Iterator[Conclusion]:
+        variables = [var for _, var, _ in lits]
         sequents, degrees = [], []
-        for v_i, interval_i in lits:
+        for _, v_i, interval_i in lits:
             cell = {v_i: interval_i.lower_ray()}
             allowed = interval_i.lower_ray()
-            for v_j, interval_j in lits:
+            for _, v_j, interval_j in lits:
                 # Literal i's own upper ray always meets its interval, so
                 # it only ever caps the degree.
                 upper = interval_j.upper_ray()
@@ -62,4 +43,4 @@ class FuzzyAlcLogic(OneStepLogic):
                 raise SequentError("internal: empty degree range in diamond conclusion")
             sequents.append(exact_over_vars(cell, variables))
             degrees.append(allowed.pick())
-        yield Conclusion(tuple(sequents), TransitionWitness("fuzzyrel", tuple(degrees)))
+        yield Conclusion(tuple(sequents), tuple(degrees))

@@ -31,12 +31,11 @@ from ..metricspace import MetricSpace
 from ..numerics import Interval, ONE, UNIT, ZERO
 from ..onestep import (
     Conclusion,
+    Literal,
     OneStepLogic,
     SearchSteps,
     SearchSuccess,
-    TransitionWitness,
     exact_over_vars,
-    modal_literals,
 )
 from ..sequents import Sequent, SequentError
 from ..syntax import MetricDiamond, ModalOp, Var
@@ -54,7 +53,7 @@ class _Lit:
     interval: Interval
 
 
-def _conclusion(kind: str, built: list[tuple[str, Sequent, Interval]]) -> Conclusion:
+def _conclusion(built: list[tuple[str, Sequent, Interval]]) -> Conclusion:
     """The conclusion whose states are `built`, each a (label, sequent,
     degrees) triple from `MetricLogic._state`, with one edge per state: its
     label, at a degree picked from its admissible degrees."""
@@ -63,7 +62,7 @@ def _conclusion(kind: str, built: list[tuple[str, Sequent, Interval]]) -> Conclu
         if degrees.is_empty:
             raise SequentError("internal: empty degree range in metric conclusion")
         edges.append((label, degrees.pick()))
-    return Conclusion(tuple(b[1] for b in built), TransitionWitness(kind, tuple(edges)))
+    return Conclusion(tuple(b[1] for b in built), tuple(edges))
 
 
 @dataclass
@@ -91,17 +90,6 @@ class MetricLogic(OneStepLogic):
     def supports(self, op: ModalOp) -> bool:
         return isinstance(op, MetricDiamond) and op.label in self.space.labels
 
-    def _literals(self, gamma: Sequent) -> list[_Lit]:
-        lits = []
-        for i, (op, var, interval) in enumerate(modal_literals(gamma)):
-            if not isinstance(op, MetricDiamond):
-                raise SequentError(f"unsupported modality {op} for the metric logic")
-            self.space.index(op.label)
-            lits.append(_Lit(i, var, op.label, op.c, interval))
-        if len({lit.var for lit in lits}) != len(lits):
-            raise SequentError("duplicate variables in an end-sequent")
-        return lits
-
     def _reach(self, lit: _Lit) -> tuple[list[str] | None, set[str]]:
         """The labels m whose truncated slack c - d(l, m) can meet the lower
         bound (lower reach, in label order; None for a vacuous lower bound,
@@ -121,12 +109,13 @@ class MetricLogic(OneStepLogic):
                     upper.add(m)
         return lower, upper
 
-    def _layer(self, gamma: Sequent) -> _Layer | None:
-        """The shared prelude of the rule, or None when `gamma` has no
-        conclusion: an empty literal, or a state no label can serve."""
-        lits = self._literals(gamma)
-        if any(lit.interval.is_empty for lit in lits):
-            return None
+    def _layer(self, literals: tuple[Literal, ...]) -> _Layer | None:
+        """The shared prelude of the rule, or None when the literals have
+        no conclusion: a state no label can serve."""
+        lits = [
+            _Lit(i, var, op.label, op.c, interval)
+            for i, (op, var, interval) in enumerate(literals)
+        ]
         states = []
         lower_reach, upper_reach = {}, {}
         for lit in lits:
@@ -186,8 +175,8 @@ class MetricLogic(OneStepLogic):
                     degrees = degrees.intersect(k.interval.upper_ray())
         return label, exact_over_vars(cell, layer.variables), degrees
 
-    def conclusions(self, gamma: Sequent) -> Iterator[Conclusion]:
-        layer = self._layer(gamma)
+    def conclusions(self, lits: tuple[Literal, ...]) -> Iterator[Conclusion]:
+        layer = self._layer(lits)
         if layer is None:
             return
         pairs = sorted((k, s.index) for s in layer.states for k in layer.paired[s.index])
@@ -204,13 +193,13 @@ class MetricLogic(OneStepLogic):
                     break
                 built.append(state)
             else:
-                yield _conclusion(self.kind, built)
+                yield _conclusion(built)
 
-    def search_steps(self, gamma: Sequent) -> SearchSteps:
+    def search_steps(self, lits: tuple[Literal, ...]) -> SearchSteps:
         """Per-state independent choice search, equivalent to enumerating
         whole choice patterns: a pattern succeeds iff each state has a
         locally admissible choice subset with a satisfiable child."""
-        layer = self._layer(gamma)
+        layer = self._layer(lits)
         if layer is None:
             return None
         built, children = [], []
@@ -228,4 +217,4 @@ class MetricLogic(OneStepLogic):
                     break
             else:
                 return None
-        return SearchSuccess(_conclusion(self.kind, built), children)
+        return SearchSuccess(_conclusion(built), children)

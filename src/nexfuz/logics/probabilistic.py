@@ -22,16 +22,18 @@ below 4/5 is exactly 7/10.
 
 A successor state is classified by which threshold sets it belongs to,
 giving a 0/1 vector with two coordinates per literal.  Variables are
-distinct, so each literal's bit pair depends on its own variable only: of
-its four pairs at most three are consistent (bit 0 is the complement ray of
-the threshold set), each standing for one value interval, and the
-consistent vectors are the product of these per-literal cells.  A
-*configuration* is a set of such vectors; it supports a satisfying
-distribution iff weights summing to one exist whose per-coordinate sums
-meet the mass bounds.  A basic solution of that weight system has at most
-2n+1 nonzero weights (see `ProbabilisticLogic._weights_over`), so no
-configuration needs more vectors.  A conclusion's transition structure is
-its weights; they do not depend on the successors' values.
+distinct, so each literal's bit pair depends on its own variable only.  The
+threshold sets are the interval's lower and upper rays, so a value below the
+interval has bits (0, 1), one above it (1, 0) and one inside it (1, 1); no
+value has (0, 0).  These cells, the values below, inside and above the
+interval, partition [0, 1], and the consistent vectors are the product of
+the non-empty cells of each literal.  A *configuration* is a set of such
+vectors; it supports a satisfying distribution iff weights summing to one
+exist whose per-coordinate sums meet the mass bounds.  A basic solution of
+that weight system has at most 2n+1 nonzero weights (see
+`ProbabilisticLogic._weights_over`), so no configuration needs more
+vectors.  A conclusion's edges are its weights; they do not depend on the
+successors' values.
 
 Dominance: every mass bound is a lower bound (`>=` or `>`) on a coordinate
 sum, so moving weight from a vector onto one that dominates it
@@ -52,17 +54,16 @@ from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .. import lp
-from ..numerics import Comp, Interval, ONE, UNIT, ZERO
+from ..numerics import Comp, Interval, ONE, ZERO
 from ..onestep import (
     Conclusion,
+    Literal,
     OneStepLogic,
     SearchSteps,
     SearchSuccess,
-    TransitionWitness,
     exact_over_vars,
-    modal_literals,
 )
-from ..sequents import Sequent, SequentError
+from ..sequents import Sequent
 from ..syntax import Generally, ModalOp, MoreThan, Var
 
 ConfigVector = tuple[int, ...]
@@ -72,13 +73,10 @@ DEFAULT_ENUM_LITERALS = 6
 
 @dataclass(frozen=True)
 class MassBound:
-    """Lower bound on the total weight of states inside a value set.
+    """Lower bound `rel` `threshold` on the total mass of the states whose
+    value meets the literal's lower bound (for its lower mass bound) or its
+    upper bound (for its upper mass bound)."""
 
-    States whose value for the literal's variable lies in `value_set` must
-    carry total mass `rel` `threshold`.
-    """
-
-    value_set: Interval
     rel: Comp
     threshold: Fraction
 
@@ -86,60 +84,37 @@ class MassBound:
 @dataclass(frozen=True)
 class LiteralBounds:
     var: Var
-    lower_set: Interval  # values counting toward the lower mass bound
-    upper_set: Interval  # values counting toward the upper mass bound
+    interval: Interval
     lower: MassBound | None  # None: the bound is vacuous
     upper: MassBound | None
 
 
 def literal_bounds(op: ModalOp, var: Var, interval: Interval) -> LiteralBounds:
     """The two mass conditions equivalent to one modal literal."""
-    if interval.is_empty:
-        raise SequentError("bounds of an empty literal are undefined")
-    lower_set, upper_set = interval.lower_ray(), interval.upper_ray()
     if isinstance(op, Generally):
-        lower = MassBound(lower_set, interval.lower_comp(), interval.lo)
-        upper = MassBound(upper_set, interval.upper_comp().dual(), ONE - interval.hi)
-    elif isinstance(op, MoreThan):
-        lower = MassBound(lower_set, Comp.GT, op.p)
-        upper = MassBound(upper_set, Comp.GE, ONE - op.p)
+        lower = MassBound(interval.lower_comp(), interval.lo)
+        upper = MassBound(interval.upper_comp().dual(), ONE - interval.hi)
     else:
-        raise SequentError(f"unsupported modality {op} for the probabilistic logic")
-    # A bound whose ray is the whole unit interval is vacuous.
-    return LiteralBounds(
-        var,
-        lower_set,
-        upper_set,
-        None if lower_set == UNIT else lower,
-        None if upper_set == UNIT else upper,
-    )
+        lower, upper = MassBound(Comp.GT, op.p), MassBound(Comp.GE, ONE - op.p)
+    # A bound is vacuous when no value lies beyond it.
+    return LiteralBounds(var, interval, None if interval.below().is_empty else lower,
+                         None if interval.above().is_empty else upper)
 
 
-def bounds_of(gamma: Sequent) -> list[LiteralBounds]:
-    lits = modal_literals(gamma)
-    if len({var for _, var, _ in lits}) != len(lits):
-        raise SequentError("duplicate variables in an end-sequent")
+def bounds_of(lits: Sequence[Literal]) -> list[LiteralBounds]:
     return [literal_bounds(op, var, interval) for op, var, interval in lits]
 
 
 def literal_cells(lb: LiteralBounds) -> list[tuple[tuple[int, int], Interval]]:
     """The consistent (lower bit, upper bit) pairs of one literal, in
-    lexicographic order, each with the value interval it stands for.
-
-    Bit 1 is membership in the literal's threshold ray, bit 0 membership in
-    the ray's complement.  The two rays never both exclude a value, so at
-    most three of the four pairs are consistent, and (1, 1) always is.
+    lexicographic order, each with the value interval it stands for: (0, 1)
+    the values below the literal's interval, (1, 0) those above it and
+    (1, 1) the interval itself, each pair when its cell is non-empty (so
+    (1, 1) always, the interval being non-empty).
     """
-    lower, upper = lb.lower_set, lb.upper_set
-    lower_rays = (Interval.from_comparison(lower.lower_comp().negation(), lower.lo), lower)
-    upper_rays = (Interval.from_comparison(upper.upper_comp().negation(), upper.hi), upper)
-    cells = []
-    for lo_bit, lo_ray in enumerate(lower_rays):
-        for hi_bit, hi_ray in enumerate(upper_rays):
-            cell = lo_ray.intersect(hi_ray)
-            if not cell.is_empty:
-                cells.append(((lo_bit, hi_bit), cell))
-    return cells
+    interval = lb.interval
+    cells = ((0, 1), interval.below()), ((1, 0), interval.above()), ((1, 1), interval)
+    return [(bits, cell) for bits, cell in cells if not cell.is_empty]
 
 
 def consistent_vectors(bounds: Sequence[LiteralBounds]) -> Iterator[tuple[ConfigVector, Sequent]]:
@@ -213,7 +188,7 @@ def config_feasible(
 
 
 # No successor constraints: a single inert dummy successor takes the mass.
-_EMPTY_CONCLUSION = Conclusion((), TransitionWitness("prob", (ONE,)))
+_EMPTY_CONCLUSION = Conclusion((), (ONE,))
 
 
 class ProbabilisticLogic(OneStepLogic):
@@ -230,14 +205,9 @@ class ProbabilisticLogic(OneStepLogic):
             return isinstance(op, Generally)
         return isinstance(op, MoreThan)
 
-    def _ops(self, gamma: Sequent):
-        for op, _, _ in modal_literals(gamma):
-            if not self.supports(op):
-                raise SequentError(f"unsupported modality {op} for logic {self.name}")
-
     # -- reference enumeration ------------------------------------------------
 
-    def conclusions(self, gamma: Sequent) -> Iterator[Conclusion]:
+    def conclusions(self, lits: tuple[Literal, ...]) -> Iterator[Conclusion]:
         """One conclusion per feasible configuration, in enumeration order.
 
         Configurations are sets of 1..2n+1 distinct consistent vectors,
@@ -245,10 +215,7 @@ class ProbabilisticLogic(OneStepLogic):
         weights, when its weight system is solvable.  With no modal
         literals the single empty configuration is the only conclusion.
         """
-        self._ops(gamma)
-        if any(i.is_empty for _, i in gamma.items()):
-            return
-        bounds = bounds_of(gamma)
+        bounds = bounds_of(lits)
         n = len(bounds)
         if n > DEFAULT_ENUM_LITERALS:
             raise lp.CapExceeded(
@@ -263,11 +230,11 @@ class ProbabilisticLogic(OneStepLogic):
                 weights = config_feasible([vec for vec, _ in combo], bounds)
                 if weights is not None:
                     sequents = tuple(seq for _, seq in combo)
-                    yield Conclusion(sequents, TransitionWitness("prob", tuple(weights)))
+                    yield Conclusion(sequents, tuple(weights))
 
     # -- decision procedure ---------------------------------------------------
 
-    def search_steps(self, gamma: Sequent) -> SearchSteps:
+    def search_steps(self, lits: tuple[Literal, ...]) -> SearchSteps:
         """Vector-level decision equivalent to enumerating configurations.
 
         A conclusion's sequent depends only on its vector, so a satisfiable
@@ -286,10 +253,7 @@ class ProbabilisticLogic(OneStepLogic):
         the child-satisfiable vectors kept form an antichain, and the
         weight system is solved over them.
         """
-        self._ops(gamma)
-        if any(i.is_empty for _, i in gamma.items()):
-            return None
-        bounds = bounds_of(gamma)
+        bounds = bounds_of(lits)
         if not bounds:
             return SearchSuccess(_EMPTY_CONCLUSION, [])
         conds = _flat_conditions(bounds)
@@ -314,16 +278,14 @@ class ProbabilisticLogic(OneStepLogic):
                 continue
             if sum(vec) == len(vec):
                 # All-ones: it alone meets every bound (checked above).
-                witness = TransitionWitness("prob", (ONE,))
-                return SearchSuccess(Conclusion((seq,), witness), [child])
+                return SearchSuccess(Conclusion((seq,), (ONE,)), [child])
             good.append((vec, seq, child))
         weights = self._weights_over([vec for vec, _, _ in good], conds)
         if weights is None:
             return None
         support = [k for k, w in enumerate(weights) if w != 0]
         conclusion = Conclusion(
-            tuple(good[k][1] for k in support),
-            TransitionWitness("prob", tuple(weights[k] for k in support)),
+            tuple(good[k][1] for k in support), tuple(weights[k] for k in support)
         )
         return SearchSuccess(conclusion, [good[k][2] for k in support])
 

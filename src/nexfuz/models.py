@@ -23,7 +23,6 @@ from fractions import Fraction
 from .liftings import diamond_value, generally_value, metric_diamond_value, more_than_value
 from .metricspace import MetricSpace, MetricSpaceError
 from .numerics import ONE, ZERO, format_rational, parse_rational
-from .onestep import TransitionWitness
 from .sequents import Sequent
 from .syntax import (
     And,
@@ -363,29 +362,27 @@ class WitnessDag:
 
     def add(
         self,
-        witness: TransitionWitness,
+        edges: tuple,
         targets: list[int],
         atoms: dict[str, Fraction] | None = None,
     ) -> int:
-        """Add a state whose transitions follow `witness`, one edge per
-        target state, and return it.
+        """Add a state with one edge per target state, and return it.
 
-        Edges that reach one target twice merge: probability weights add,
-        fuzzy and metric degrees take the maximum, which leaves every
-        modal operator's value unchanged.  A probabilistic witness may have
-        one edge more than targets; that edge goes to the sink.
+        The edges are read in the DAG's own kind (see `onestep.Conclusion`):
+        probability weights, fuzzy degrees, or (label, degree) pairs.  Edges
+        that reach one target twice merge: probability weights add, fuzzy
+        and metric degrees take the maximum, which leaves every modal
+        operator's value unchanged.  Probabilistic edges may number one
+        more than the targets; that edge goes to the sink.
         """
-        kind = self.model.kind
-        if witness.kind != kind:
-            raise ModelError(f"witness kind {witness.kind!r} does not match {kind!r}")
-        edges, targets = witness.edges, list(targets)
+        kind, targets = self.model.kind, list(targets)
         if kind == "prob" and len(edges) == len(targets) + 1:
             if self.sink is None:
                 self.sink = len(self.model.trans)
                 self._new_state({self.sink: ONE}, {})
             targets.append(self.sink)
         if len(edges) != len(targets):
-            raise ModelError(f"{kind} witness arity mismatch")
+            raise ModelError(f"{len(edges)} {kind} edges for {len(targets)} targets")
         row: dict = {}
         for target, edge in zip(targets, edges):
             if kind == "prob":

@@ -103,14 +103,6 @@ class Comp(Enum):
         """Flip direction, keep strictness: > to <, >= to <=, and back."""
         return _DUAL[self]
 
-    def flipped_strictness(self) -> Comp:
-        """Keep direction, flip strictness: > to >=, >= to >, and so on."""
-        return _FLIP[self]
-
-    def negation(self) -> Comp:
-        """The operator c with (x c y) == not (x self y)."""
-        return self.flipped_strictness().dual()
-
     def holds(self, x: Fraction, y: Fraction) -> bool:
         if self is Comp.LT:
             return x < y
@@ -125,7 +117,6 @@ class Comp(Enum):
 
 
 _DUAL = {Comp.LT: Comp.GT, Comp.GT: Comp.LT, Comp.LE: Comp.GE, Comp.GE: Comp.LE}
-_FLIP = {Comp.LT: Comp.LE, Comp.LE: Comp.LT, Comp.GT: Comp.GE, Comp.GE: Comp.GT}
 
 
 class Interval:
@@ -227,6 +218,21 @@ class Interval:
             return EMPTY
         return Interval(0, 1, self._hn, self._hd, False, self.hi_open)
 
+    def below(self) -> Interval:
+        """The values under a non-empty interval: [0,lo) or, for an open lo,
+        [0,lo].  With it and `above()` the interval partitions [0, 1]; it is
+        EMPTY exactly when the lower bound is vacuous (a closed 0)."""
+        if self._ln == 0 and not self.lo_open:
+            return EMPTY
+        return Interval(0, 1, self._ln, self._ld, False, not self.lo_open)
+
+    def above(self) -> Interval:
+        """The values over a non-empty interval: (hi,1] or, for an open hi,
+        [hi,1]; EMPTY exactly when the upper bound is vacuous (a closed 1)."""
+        if self._hn == self._hd and not self.hi_open:
+            return EMPTY
+        return Interval(self._hn, self._hd, 1, 1, not self.hi_open, False)
+
     def contains(self, q: Fraction) -> bool:
         # No value lies between the bounds of an empty interval (lo > hi).
         qn, qd = q.numerator, q.denominator
@@ -292,17 +298,6 @@ class Interval:
         if self._ln == self._hn and self._ld == self._hd:
             return Fraction(self._ln, self._ld)
         return Fraction(self._ln * self._hd + self._hn * self._ld, 2 * self._ld * self._hd)
-
-    def is_subset(self, other: Interval) -> bool:
-        if self.is_empty:
-            return True
-        if other.is_empty:
-            return False
-        x, y = self._ln * other._ld, other._ln * self._ld
-        if x < y or (x == y and other.lo_open and not self.lo_open):
-            return False
-        x, y = self._hn * other._hd, other._hn * self._hd
-        return not (x > y or (x == y and other.hi_open and not self.hi_open))
 
     def __str__(self) -> str:
         if self.is_empty:

@@ -2,13 +2,15 @@
 
 A sequent over formulas is split into a propositional part over fresh truth
 variables (one per outermost modal occurrence) plus a binding of those
-variables to the guarded subformulas.  Instance logics consume saturated
-end-sequents over modal labels and produce *conclusions*: alternative lists
-of exact sequents over the variables describing admissible successor states,
-each with a transition structure over those states.  That structure depends
-on the conclusion alone, never on the successors' actual truth values.  The
-search for a conclusion whose successor sequents are all satisfiable is a
-generator the solver drives (`OneStepLogic.search_steps`).
+variables to the guarded subformulas.  The solver splits each saturated
+end-sequent once into its atom values and its modal literals, `(op, var,
+interval)` triples.  Instance logics consume those literals and produce
+*conclusions*: alternative lists of exact sequents over the variables
+describing admissible successor states, each with the root's edges to those
+states.  The edges depend on the conclusion alone, never on the successors'
+actual truth values.  The search for a conclusion whose successor sequents
+are all satisfiable is a generator the solver drives
+(`OneStepLogic.search_steps`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from typing import Generator, Iterator, Sequence
 from .numerics import Interval, UNIT
 from .sequents import Sequent, SequentError
 from .syntax import And, Atom, Formula, Minus, Modal, ModalOp, Neg, Var, Zero
+
+# One modal literal of an end-sequent: Modal(op, var) in interval.
+Literal = tuple[ModalOp, Var, Interval]
 
 
 @dataclass(frozen=True)
@@ -86,26 +91,6 @@ def substitute(q: Sequent, binding: dict[Var, Formula]) -> Sequent:
 
 
 # ---------------------------------------------------------------------------
-# Transition witnesses
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransitionWitness:
-    """Root transition structure realizing a conclusion.
-
-    `kind` matches the finite-model kinds.  `edges` is per successor state:
-    a probability weight ("prob"), a fuzzy degree ("fuzzyrel"), or a
-    (label, degree) pair ("metric"/"metric-crisp").  For the probabilistic
-    kind the edge list may be longer than the conclusion (a single inert
-    dummy successor) so that the weights can sum to one.
-    """
-
-    kind: str
-    edges: tuple
-
-
-# ---------------------------------------------------------------------------
 # Modal rule API
 # ---------------------------------------------------------------------------
 
@@ -113,16 +98,19 @@ class TransitionWitness:
 @dataclass(frozen=True)
 class Conclusion:
     """One alternative of a modal rule: a list of variable sequents, one per
-    successor state, and the transition structure over those states.
+    successor state, and the root's edge to each, in the encoding of the
+    logic's model kind: a weight ("prob"), a degree ("fuzzyrel") or a
+    (label, degree) pair ("metric"/"metric-crisp").  Probabilistic edges
+    may number one more, to an inert dummy successor, so that they sum to 1.
 
     Whatever truth values the successors take inside their sequents, every
-    literal of the premise evaluates on `witness` into its interval.  The
+    literal of the premise evaluates on these edges into its interval.  The
     solver checks this for every state it adds, so an instance need not
     re-check it.
     """
 
     sequents: tuple[Sequent, ...]
-    witness: TransitionWitness
+    edges: tuple
 
 
 @dataclass
@@ -146,20 +134,25 @@ class OneStepLogic:
     def supports(self, op: ModalOp) -> bool:
         raise NotImplementedError
 
-    def conclusions(self, gamma: Sequent) -> Iterator[Conclusion]:
-        """Lazily enumerate the conclusions of the modal rule for `gamma`.
+    def conclusions(self, lits: tuple[Literal, ...]) -> Iterator[Conclusion]:
+        """Lazily enumerate the conclusions of the modal rule for `lits`.
 
-        `gamma` is an exact sequent whose labels are all of the form
-        Modal(op, Var); the conclusions are exact over the variables.
+        `lits` are the modal literals of a saturated end-sequent, in literal
+        order.  The solver guarantees their shape: distinct variables (one
+        per modal occurrence), operators the logic supports (the input's
+        signature is checked) and non-empty intervals (the tableau's axiom
+        rule closes every empty literal).  The conclusions are exact over
+        the variables.
         """
         raise NotImplementedError
 
-    def search_steps(self, gamma: Sequent) -> SearchSteps:
+    def search_steps(self, lits: tuple[Literal, ...]) -> SearchSteps:
         """Find a conclusion whose sequents are all satisfiable.
 
         This is the search protocol between an instance logic and the
-        solver.  `gamma` holds the modal literals of an end-sequent (the
-        solver pins its atom literals itself).  The search is a generator:
+        solver.  `lits` are the modal literals of an end-sequent, as for
+        `conclusions` (the solver pins its atom literals itself).  The
+        search is a generator:
 
         * it yields a variable sequent whenever it needs to know whether
           the successor state that sequent describes is satisfiable;
@@ -179,7 +172,7 @@ class OneStepLogic:
         with an equivalent decision procedure when plain enumeration is too
         large, preserving the verdict.
         """
-        for conclusion in self.conclusions(gamma):
+        for conclusion in self.conclusions(lits):
             children = []
             for q in conclusion.sequents:
                 state = yield q
@@ -189,30 +182,6 @@ class OneStepLogic:
             else:
                 return SearchSuccess(conclusion, children)
         return None
-
-
-def split_atoms(gamma: Sequent) -> tuple[list[tuple[str, Interval]], Sequent]:
-    """Separate atom literals from modal literals."""
-    atoms: list[tuple[str, Interval]] = []
-    modal = Sequent()
-    for label, interval in gamma.items():
-        if isinstance(label, Atom):
-            atoms.append((label.name, interval))
-        elif isinstance(label, Modal):
-            modal = modal.insert(label, interval)
-        else:
-            raise SequentError(f"end-sequent label is neither modal nor atom: {label!r}")
-    return atoms, modal
-
-
-def modal_literals(gamma: Sequent) -> list[tuple[ModalOp, Var, Interval]]:
-    """Unpack an end-sequent over Modal(op, Var) labels, in literal order."""
-    out = []
-    for label, interval in gamma.items():
-        if not isinstance(label, Modal) or not isinstance(label.arg, Var):
-            raise SequentError(f"not a one-layer modal label: {label!r}")
-        out.append((label.op, label.arg, interval))
-    return out
 
 
 def exact_over_vars(intervals: dict[Var, Interval], variables: Sequence[Var]) -> Sequent:

@@ -5,13 +5,13 @@ The decision procedure, per modal level:
 1. split the input sequent into a propositional layer over fresh truth
    variables plus bindings of the variables to the guarded subformulas;
 2. saturate the propositional layer, enumerating open end-sequents;
-3. for each end-sequent, pin its atom literals (contradictory bounds close
-   it) and ask the instance logic for a conclusion whose variable sequents
-   are all satisfiable (after substituting the bound formulas back in);
-4. on success, add a state with the conclusion's transition structure,
-   over the children's states, to the solve's witness DAG, and check that
-   every modal literal of the end-sequent evaluates there into its
-   interval.
+3. split each end-sequent once into atom values and modal literals, and
+   ask the instance logic for a conclusion over those literals whose
+   variable sequents are all satisfiable (after substituting the bound
+   formulas back in);
+4. on success, add a state with the conclusion's edges, over the
+   children's states, to the solve's witness DAG, and check that every
+   modal literal of the end-sequent evaluates there into its interval.
 
 Each sequent being solved is one frame on an explicit stack.  A frame runs
 its instance search, a generator (see `OneStepLogic.search_steps`), until
@@ -28,17 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .lp import CapExceeded
 from .models import FiniteModel, WitnessDag, check_sequent
 from .numerics import ZERO, Comp, Interval
-from .onestep import (
-    OneStepLogic,
-    SearchSuccess,
-    split_atoms,
-    substitute,
-    top_level_decompose,
-)
+from .onestep import Literal, OneStepLogic, SearchSuccess, substitute, top_level_decompose
 from .prop_tableau import TraceFn, saturate
 from .sequents import Sequent
 from .syntax import Formula, Modal, Var, modal_depth, subformulas
@@ -80,16 +75,16 @@ class _Frame:
     """One sequent being solved: its variable binding, its stream of
     end-sequents and the instance search over the current end-sequent."""
 
-    __slots__ = ("seq", "depth", "binding", "ends", "modal", "atoms", "steps")
+    __slots__ = ("seq", "depth", "binding", "ends", "lits", "atoms", "steps")
 
     def __init__(self, seq: Sequent, depth: int, binding: dict[Var, Formula], ends):
         self.seq = seq
         self.depth = depth
         self.binding = binding
         self.ends = ends
-        self.modal: Sequent | None = None  # the current end-sequent's modal part
+        self.lits: tuple[Literal, ...] = ()  # the current end-sequent's modal literals
         self.atoms: dict[str, Fraction] | None = None  # and its atom values
-        self.steps = None  # the instance search over `modal`, once started
+        self.steps = None  # the instance search over `lits`, once started
 
 
 def _check_signature(seq: Sequent, logic: OneStepLogic) -> None:
@@ -97,19 +92,6 @@ def _check_signature(seq: Sequent, logic: OneStepLogic) -> None:
         for sub in subformulas(f):
             if isinstance(sub, Modal) and not logic.supports(sub.op):
                 raise ValueError(f"modality {sub.op} is not part of logic {logic.name!r}")
-
-
-def _atom_values(
-    atoms: list[tuple[str, Interval]], defaults: dict[str, Fraction]
-) -> dict[str, Fraction] | None:
-    """A state's atom values: each atom literal pins its atom inside its
-    interval, declared atoms default to 0.  None for a contradictory bound."""
-    values = dict(defaults)
-    for name, interval in atoms:
-        if interval.is_empty:
-            return None
-        values[name] = interval.pick()
-    return values
 
 
 def sat(
@@ -129,10 +111,10 @@ def sat(
     extends the atom signature: every witness state gives them value 0
     unless an atom literal pins them, so they never change a verdict.
     `trace`, when given, receives every propositional rule application of
-    every layer the solve saturates (see `prop_tableau.saturate`).
+    every layer the solve saturates (see `prop_tableau.saturate`).  The
+    counters and level tables of `stats` are kept only when it is given.
     """
     caps = caps or SolverCaps()
-    stats = stats if stats is not None else SolveStats()
     if verify is None:
         verify = __debug__
     _check_signature(seq, logic)
@@ -146,20 +128,19 @@ def sat(
     def open_frame(current: Sequent, depth: int) -> _Frame:
         if depth > depth_bound:
             raise AssertionError("recursion exceeded the modal depth of the input")
-        stats.nodes += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        stats._bump(stats.level_input_size, depth, current.combined_size())
+        hook = None
+        if stats is not None:
+            stats.nodes += 1
+            stats.max_depth = max(stats.max_depth, depth)
+            stats._bump(stats.level_input_size, depth, current.combined_size())
+            hook = partial(stats._bump, stats.level_peak_stack, depth)
         decomp = top_level_decompose(current)
         if len(decomp.variables) > caps.max_layer_literals:
             raise CapExceeded(
                 f"{len(decomp.variables)} modal literals in one layer "
                 f"(cap {caps.max_layer_literals})"
             )
-        ends = saturate(
-            decomp.lifted,
-            trace=trace,
-            stack_hook=lambda d: stats._bump(stats.level_peak_stack, depth, d),
-        )
+        ends = saturate(decomp.lifted, trace=trace, stack_hook=hook)
         return _Frame(current, depth, decomp.binding, ends)
 
     def advance(frame: _Frame, state: int | None) -> Sequent | None:
@@ -172,13 +153,18 @@ def sat(
                 if gamma is None:
                     memo[frame.seq] = None
                     return None
-                stats._bump(stats.level_peak_size, frame.depth, gamma.combined_size())
-                atoms, modal = split_atoms(gamma)
-                values = _atom_values(atoms, defaults)
-                if values is None:
-                    continue
-                frame.modal, frame.atoms = modal, values
-                frame.steps = logic.search_steps(modal)
+                if stats is not None:
+                    stats._bump(stats.level_peak_size, frame.depth, gamma.combined_size())
+                # An end-sequent's labels are Modal(op, Var) or Atom, and
+                # none of its intervals is empty (the Ax rule closed those).
+                atoms, lits = dict(defaults), []
+                for label, interval in gamma.items():
+                    if isinstance(label, Modal):
+                        lits.append((label.op, label.arg, interval))
+                    else:
+                        atoms[label.name] = interval.pick()
+                frame.lits, frame.atoms = tuple(lits), atoms
+                frame.steps = logic.search_steps(frame.lits)
                 state = None
             try:
                 q = frame.steps.send(state)
@@ -189,19 +175,20 @@ def sat(
                     return None
                 continue
             child = substitute(q, frame.binding)
-            stats._bump(stats.level_peak_size, frame.depth, child.combined_size())
+            if stats is not None:
+                stats._bump(stats.level_peak_size, frame.depth, child.combined_size())
             if child not in memo:
                 return child
             state = memo[child]
 
     def add_state(frame: _Frame, found: SearchSuccess) -> int:
-        witness = found.conclusion.witness
-        if witness.kind == "prob":
-            support = sum(1 for w in witness.edges if w != 0)
-            stats.witness_branching.append((len(frame.modal), support))
-        state = dag.add(witness, found.children, frame.atoms)
-        for label, interval in frame.modal.items():
-            formula = Modal(label.op, frame.binding[label.arg])
+        edges = found.conclusion.edges
+        if stats is not None and logic.kind == "prob":
+            support = sum(1 for w in edges if w != 0)
+            stats.witness_branching.append((len(frame.lits), support))
+        state = dag.add(edges, found.children, frame.atoms)
+        for op, var, interval in frame.lits:
+            formula = Modal(op, frame.binding[var])
             value = dag.value(state, formula)
             if not interval.contains(value):
                 raise AssertionError(
@@ -244,6 +231,6 @@ def sat_threshold(
     verify: bool | None = None,
 ) -> Verdict:
     """Decide whether the formula attains a truth degree `comp p` somewhere."""
-    interval = Interval.from_comparison(comp, Fraction(p))
+    interval = Interval.from_comparison(comp, p)
     seq = Sequent([(formula, interval)])
     return sat(seq, logic, caps=caps, stats=stats, verify=verify)

@@ -18,6 +18,7 @@ from .numerics import (
     ZERO,
     bit_length,
     parse_rational,
+    to_fraction,
 )
 
 
@@ -64,6 +65,7 @@ class MoreThan(ModalOp):
     p: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "p", to_fraction(self.p))
         if not ZERO <= self.p <= ONE:
             raise NumericError(f"probability parameter {self.p} outside [0, 1]")
 
@@ -82,6 +84,7 @@ class MetricDiamond(ModalOp):
     c: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "c", to_fraction(self.c))
         if not ZERO <= self.c <= ONE:
             raise NumericError(f"reach bound {self.c} outside [0, 1]")
 
@@ -184,6 +187,8 @@ class Minus(Formula):
     __slots__ = ("arg", "c")
 
     def __new__(cls, arg: Formula, c: Fraction):
+        # Before the lookup, which a float equal to a live constant passes.
+        c = to_fraction(c)
         key = (4, arg, c)
         node = _NODES.get(key)
         if node is not None:

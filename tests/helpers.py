@@ -1,7 +1,8 @@
 """Shared test utilities: random generators, direct one-step evaluation,
-a stand-alone driver for the one-step searches, the point-set reference
-liftings, the `Fraction`-endpoint reference interval, small sequent and
-formula predicates, and an independent classical modal-logic oracle."""
+the sequent-to-literals converter and a stand-alone runner for the one-step
+searches, the point-set reference liftings, the `Fraction`-endpoint reference
+interval, the comparison-negation rays, small interval, sequent and formula
+predicates, and an independent classical modal-logic oracle."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from nexfuz.liftings import (
 )
 from nexfuz.metricspace import MetricSpace
 from nexfuz.models import FiniteModel
-from nexfuz.numerics import Interval, NumericError, ONE, ZERO, to_fraction
+from nexfuz.numerics import Comp, Interval, NumericError, ONE, ZERO, to_fraction
 from nexfuz.sequents import Sequent, SequentError
 from nexfuz.syntax import (
     And,
@@ -215,11 +216,18 @@ def onestep_modal_value(op, tau_values: list[Fraction], structure, space=None) -
     raise AssertionError(f"unknown operator {op!r}")
 
 
-def run_search(logic, gamma: Sequent, child):
-    """Run `logic.search_steps(gamma)` on its own, answering each sequent
+def literals_of(gamma: Sequent) -> tuple:
+    """The `(op, var, interval)` triples of a sequent over Modal(op, Var)
+    labels, in literal order: the form in which the solver hands an
+    end-sequent's modal literals to an instance logic."""
+    return tuple((label.op, label.arg, interval) for label, interval in gamma.items())
+
+
+def run_search(logic, lits: tuple, child):
+    """Run `logic.search_steps(lits)` on its own, answering each sequent
     it yields with `child(q)`: a witness-DAG state id when the sequent is
     satisfiable, None when it is not.  Returns the search's result."""
-    steps = logic.search_steps(gamma)
+    steps = logic.search_steps(lits)
     try:
         q = next(steps)
         while True:
@@ -355,6 +363,36 @@ def is_point(interval: Interval) -> bool:
     return not interval.is_empty and interval.lo == interval.hi
 
 
+def is_subset(interval: Interval, other: Interval) -> bool:
+    """Whether every value of `interval` lies in `other`, compared in `int`
+    over the endpoint pairs."""
+    if interval.is_empty:
+        return True
+    if other.is_empty:
+        return False
+    x, y = interval._ln * other._ld, other._ln * interval._ld
+    if x < y or (x == y and other.lo_open and not interval.lo_open):
+        return False
+    x, y = interval._hn * other._hd, other._hn * interval._hd
+    return not (x > y or (x == y and other.hi_open and not interval.hi_open))
+
+
+# The comparison c with (x c y) == not (x op y), for each operator op.
+NEGATION = {Comp.LT: Comp.GE, Comp.LE: Comp.GT, Comp.GT: Comp.LE, Comp.GE: Comp.LT}
+
+
+def negated_lower_ray(interval: Interval) -> Interval:
+    """The values failing the lower bound, built as the negated comparison
+    against the endpoint: what `Interval.below()` must equal."""
+    return Interval.from_comparison(NEGATION[interval.lower_comp()], interval.lo)
+
+
+def negated_upper_ray(interval: Interval) -> Interval:
+    """The values failing the upper bound; what `Interval.above()` must
+    equal."""
+    return Interval.from_comparison(NEGATION[interval.upper_comp()], interval.hi)
+
+
 def is_exact_over(seq: Sequent, labels: Iterable[Formula]) -> bool:
     """`seq` is total on the given label set (one interval per label)."""
     return set(labels) == set(seq)
@@ -364,7 +402,7 @@ def is_subsequent(seq: Sequent, other: Sequent) -> bool:
     """Pointwise interval inclusion; both sides must share one label set."""
     if set(seq) != set(other):
         raise SequentError("sub-sequent check over mismatched label sets")
-    return all(i.is_subset(other[f]) for f, i in seq.items())
+    return all(is_subset(i, other[f]) for f, i in seq.items())
 
 
 def prop_subformulas(f: Formula) -> set[Formula]:

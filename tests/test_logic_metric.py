@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 from helpers import (
+    literals_of,
     onestep_modal_value,
     rand_interval,
     rand_metric_space,
@@ -10,11 +11,12 @@ from helpers import (
 )
 
 from nexfuz.liftings import metric_diamond_value
-from nexfuz.logics import get_logic
+from nexfuz.logics import MetricLogic, get_logic
 from nexfuz.metricspace import MetricSpace
 from nexfuz.numerics import EMPTY, Interval, UNIT
 from nexfuz.sequents import Sequent
-from nexfuz.syntax import MetricDiamond, Modal, Var
+from nexfuz.solver import sat
+from nexfuz.syntax import MetricDiamond, Modal, Var, parse
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
@@ -33,19 +35,19 @@ FAR = MetricSpace.make(["l", "m"], [[0, F(1)], [F(1), 0]])
 class TestConclusions:
     def test_single_literal_single_conclusion(self):
         logic = get_logic("metric-fuzzy", SINGLE)
-        gamma = Sequent([(lit(1, "l", 1), iv("7/10", 1))])
+        gamma = literals_of(Sequent([(lit(1, "l", 1), iv("7/10", 1))]))
         (c,) = logic.conclusions(gamma)
         assert len(c.sequents) == 1
         assert c.sequents[0][Var("v1")] == iv("7/10", 1)
 
     def test_distant_labels_no_interaction(self):
         logic = get_logic("metric-fuzzy", FAR)
-        gamma = Sequent(
+        gamma = literals_of(Sequent(
             [
                 (lit(1, "l", "1/2"), iv("2/5", "2/5")),
                 (lit(2, "m", "1/2"), iv("2/5", "2/5")),
             ]
-        )
+        ))
         cs = list(logic.conclusions(gamma))
         assert len(cs) == 1  # no interacting pairs: one all-lower conclusion
         q1, q2 = cs[0].sequents
@@ -53,18 +55,28 @@ class TestConclusions:
         assert q2[Var("v2")] == iv("2/5", 1) and q2[Var("v1")] == UNIT
 
     def test_empty_literal_no_conclusions(self):
-        logic = get_logic("metric-fuzzy", SINGLE)
-        assert list(logic.conclusions(Sequent([(lit(1, "l", 1), EMPTY)]))) == []
+        # An empty literal never reaches the rule: the tableau's Ax rule
+        # closes its end-sequent before the solver asks for a conclusion.
+        seen = []
+
+        class Recording(MetricLogic):
+            def search_steps(self, lits):
+                seen.append(lits)
+                return super().search_steps(lits)
+
+        logic = Recording(SINGLE)
+        assert not sat(Sequent([(parse("dia{l,1} a & dia{l,1/2} b"), EMPTY)]), logic)
+        assert seen == []
 
     def test_unreachable_lower_bound_no_conclusions(self):
         logic = get_logic("metric-fuzzy", SINGLE)
         # reach 1/4 cannot support a lower bound above 1/4 anywhere
-        gamma = Sequent([(lit(1, "l", "1/4"), iv("1/2", 1))])
+        gamma = literals_of(Sequent([(lit(1, "l", "1/4"), iv("1/2", 1))]))
         assert list(logic.conclusions(gamma)) == []
 
     def test_vacuous_lower_literals_make_no_states(self):
         logic = get_logic("metric-fuzzy", SINGLE)
-        gamma = Sequent([(lit(1, "l", 1), iv(0, "1/2"))])
+        gamma = literals_of(Sequent([(lit(1, "l", 1), iv(0, "1/2"))]))
         (c,) = logic.conclusions(gamma)
         assert c.sequents == ()
 
@@ -74,33 +86,31 @@ class TestRealize:
 
     def test_midpoint_degree(self):
         logic = get_logic("metric-fuzzy", SINGLE)
-        gamma = Sequent([(lit(1, "l", 1), iv("7/10", 1))])
+        gamma = literals_of(Sequent([(lit(1, "l", 1), iv("7/10", 1))]))
         (c,) = logic.conclusions(gamma)
-        assert c.witness.kind == "metric"
-        assert c.witness.edges == (("l", F(17, 20)),)
+        assert c.edges == (("l", F(17, 20)),)
 
     def test_crisp_uses_full_degree(self):
         logic = get_logic("metric-crisp", SINGLE)
-        gamma = Sequent([(lit(1, "l", 1), iv("7/10", 1))])
+        gamma = literals_of(Sequent([(lit(1, "l", 1), iv("7/10", 1))]))
         (c,) = logic.conclusions(gamma)
-        assert c.witness.kind == "metric-crisp"
-        assert c.witness.edges == (("l", F(1)),)
+        assert c.edges == (("l", F(1)),)
 
     def test_zero_literals_empty_structure(self):
         logic = get_logic("metric-fuzzy", SINGLE)
-        (c,) = logic.conclusions(Sequent())
-        assert c.sequents == () and c.witness.edges == ()
+        (c,) = logic.conclusions(())
+        assert c.sequents == () and c.edges == ()
 
     def test_own_upper_bound_respected_in_crisp(self):
         # With degree pinned to 1 the literal's own value is capped by its
         # upper bound through the conclusion, not the degree.
         logic = get_logic("metric-crisp", SINGLE)
-        gamma = Sequent([(lit(1, "l", 1), iv("1/2", "3/5"))])
+        gamma = literals_of(Sequent([(lit(1, "l", 1), iv("1/2", "3/5"))]))
         found = False
         for c in logic.conclusions(gamma):
             tau = {(j, v): c.sequents[j][v].pick() for j in range(1) for v in c.sequents[j]}
             value = metric_diamond_value(
-                [("l", c.witness.edges[0][1], tau[(0, Var("v1"))])], "l", F(1), SINGLE
+                [("l", c.edges[0][1], tau[(0, Var("v1"))])], "l", F(1), SINGLE
             )
             assert iv("1/2", "3/5").contains(value)
             found = True
@@ -140,13 +150,11 @@ class TestRoundTrip:
                 continue
             done += 1
             checked = 0
-            for c in logic.conclusions(gamma):
+            for c in logic.conclusions(literals_of(gamma)):
                 tau = _sample_tau(rng, c)
-                for label_formula, interval in gamma.items():
-                    vals = [tau[(j, label_formula.arg)] for j in range(len(c.sequents))]
-                    value = onestep_modal_value(
-                        label_formula.op, vals, list(c.witness.edges), space
-                    )
+                for op, var, interval in literals_of(gamma):
+                    vals = [tau[(j, var)] for j in range(len(c.sequents))]
+                    value = onestep_modal_value(op, vals, list(c.edges), space)
                     assert interval.contains(value), (gamma, c, tau)
                 checked += 1
                 if checked >= 8:
@@ -190,12 +198,12 @@ class TestSearchAgreement:
                 return 0 if interval is None or interval.contains(pivot) else None
 
             naive = None
-            for c in logic.conclusions(gamma):
+            for c in logic.conclusions(literals_of(gamma)):
                 if all(child(q) is not None for q in c.sequents):
                     naive = c
                     break
-            fast = run_search(logic, gamma, child)
+            fast = run_search(logic, literals_of(gamma), child)
             assert (naive is None) == (fast is None), (gamma, pivot, crisp)
             if fast is not None:
                 assert fast.children == [0] * len(fast.conclusion.sequents)
-                assert len(fast.conclusion.witness.edges) == len(fast.children)
+                assert len(fast.conclusion.edges) == len(fast.children)

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from helpers import onestep_modal_value, rand_interval, rand_rational, run_search
+from helpers import literals_of, onestep_modal_value, rand_interval, rand_rational, run_search
 
 from nexfuz import lp
 from nexfuz.liftings import generally_value, more_than_value
@@ -21,7 +21,6 @@ from nexfuz.logics.probabilistic import (
 )
 from nexfuz.lp import CapExceeded
 from nexfuz.numerics import Comp, Interval
-from nexfuz.onestep import TransitionWitness
 from nexfuz.sequents import Sequent
 from nexfuz.syntax import Generally, Modal, MoreThan, Var
 
@@ -53,22 +52,18 @@ class TestLiteralBounds:
     def test_generally_lower_closed(self):
         b = literal_bounds(Generally(), Var("v"), iv("1/2", 1))
         assert b.lower is not None
-        assert b.lower.value_set == iv("1/2", 1)
         assert b.lower.rel is Comp.GE and b.lower.threshold == F(1, 2)
         assert b.upper is None  # hi = 1 closed: vacuous
 
     def test_generally_upper_open(self):
         b = literal_bounds(Generally(), Var("v"), iv(0, "3/5", hi_open=True))
         assert b.lower is None  # lo = 0 closed: vacuous
-        assert b.upper.value_set == iv(0, "3/5", hi_open=True)
         assert b.upper.rel is Comp.GT and b.upper.threshold == F(2, 5)
 
     def test_more_than_point(self):
         b = literal_bounds(MoreThan(F(3, 10)), Var("v"), iv("4/5", "4/5"))
-        assert b.lower.value_set == iv("4/5", 1)
         assert b.lower.rel is Comp.GT and b.lower.threshold == F(3, 10)
         # Non-strict: mass at or below the value can be exactly 1 - p.
-        assert b.upper.value_set == iv(0, "4/5")
         assert b.upper.rel is Comp.GE and b.upper.threshold == F(7, 10)
 
     def test_more_than_upper_nonstrict_is_necessary(self):
@@ -88,7 +83,7 @@ class TestEnumeration:
     def test_counts_for_one_literal(self):
         # Consistent vectors 01 < 10 < 11; every set of them in size-then-lex
         # order is a conclusion when its weights are feasible.
-        gamma = Sequent([(g_lit(1), iv("1/4", "3/4"))])
+        gamma = literals_of(Sequent([(g_lit(1), iv("1/4", "3/4"))]))
         combos = [
             ((0, 1),), ((1, 0),), ((1, 1),),
             ((0, 1), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1)),
@@ -100,24 +95,24 @@ class TestEnumeration:
         assert [vectors_of(gamma, c) for c in got] == feasible
         assert len(feasible) == 5
         for c, cfg in zip(got, feasible):
-            assert c.witness == TransitionWitness("prob", tuple(config_feasible(cfg, bounds)))
+            assert c.edges == tuple(config_feasible(cfg, bounds))
 
     def test_zero_literals(self):
-        (c,) = LGEN.conclusions(Sequent())
-        assert c.sequents == () and c.witness == TransitionWitness("prob", (F(1),))
+        (c,) = LGEN.conclusions(())
+        assert c.sequents == () and c.edges == (F(1),)
 
     def test_first_configuration(self):
-        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
+        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
         first = next(iter(LGEN.conclusions(gamma)))
         assert vectors_of(gamma, first) == ((1, 1),)
 
     def test_cap(self):
-        gamma = Sequent((g_lit(i), iv("1/4", "3/4")) for i in range(1, 8))
+        gamma = literals_of(Sequent((g_lit(i), iv("1/4", "3/4")) for i in range(1, 8)))
         with pytest.raises(CapExceeded):
             next(iter(LGEN.conclusions(gamma)))
 
     def test_vectors_lexicographic(self):
-        gamma = Sequent([(g_lit(1), iv("1/4", "3/4")), (g_lit(2), iv("1/2", 1))])
+        gamma = literals_of(Sequent([(g_lit(1), iv("1/4", "3/4")), (g_lit(2), iv("1/2", 1))]))
         vecs = [vec for vec, _ in consistent_vectors(bounds_of(gamma))]
         assert vecs == [
             (0, 1, 0, 1), (0, 1, 1, 1),
@@ -128,17 +123,17 @@ class TestEnumeration:
 
 class TestConfigFeasible:
     def test_full_vector_point_mass(self):
-        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
+        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
         bounds = bounds_of(gamma)
         assert config_feasible([(1, 1)], bounds) == [F(1)]
 
     def test_zero_vector_fails_lower(self):
-        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
+        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
         bounds = bounds_of(gamma)
         assert config_feasible([(0, 0)], bounds) is None
 
     def test_split_masses_conflict(self):
-        gamma = Sequent([(m_lit(1, "3/10"), iv("4/5", "4/5"))])
+        gamma = literals_of(Sequent([(m_lit(1, "3/10"), iv("4/5", "4/5"))]))
         bounds = bounds_of(gamma)
         # One state counts only toward the lower mass (> 3/10), the other
         # only toward the upper mass (>= 7/10): weights cannot do both.
@@ -147,21 +142,21 @@ class TestConfigFeasible:
 
 class TestVectorDecoding:
     def test_both_bits_set(self):
-        (lb,) = bounds_of(Sequent([(g_lit(1), iv("1/2", 1))]))
+        (lb,) = bounds_of(literals_of(Sequent([(g_lit(1), iv("1/2", 1))])))
         assert ((1, 1), iv("1/2", 1)) in literal_cells(lb)
 
     def test_low_bit_clear(self):
-        (lb,) = bounds_of(Sequent([(g_lit(1), iv("1/2", 1))]))
+        (lb,) = bounds_of(literals_of(Sequent([(g_lit(1), iv("1/2", 1))])))
         assert ((0, 1), iv(0, "1/2", hi_open=True)) in literal_cells(lb)
 
     def test_inconsistent_vector(self):
         # Clearing the vacuous upper bit demands value > 1: impossible.
-        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
+        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
         assert [bits for bits, _ in literal_cells(bounds_of(gamma)[0])] == [(0, 1), (1, 1)]
         assert [vec for vec, _ in consistent_vectors(bounds_of(gamma))] == [(0, 1), (1, 1)]
 
     def test_vector_sequents(self):
-        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
+        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
         assert list(consistent_vectors(bounds_of(gamma))) == [
             ((0, 1), Sequent([(Var("v1"), iv(0, "1/2", hi_open=True))])),
             ((1, 1), Sequent([(Var("v1"), iv("1/2", 1))])),
@@ -182,13 +177,14 @@ class TestVectorDecoding:
                 assert all(not cell.is_empty for _, cell in cells)
                 assert (1, 1) in dict(cells) and (0, 0) not in dict(cells)
                 for x in (F(k, 8) for k in range(9)):
-                    bits = (int(lb.lower_set.contains(x)), int(lb.upper_set.contains(x)))
+                    bits = (int(interval.lower_ray().contains(x)),
+                            int(interval.upper_ray().contains(x)))
                     assert [b for b, c in cells if c.contains(x)] == [bits]
 
 
 class TestConclusions:
     def test_point_mass_first_conclusion(self):
-        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
+        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
         first = next(iter(LGEN.conclusions(gamma)))
         assert len(first.sequents) == 1
         assert first.sequents[0][Var("v1")] == iv(0, "1/2", hi_open=True) or (
@@ -196,7 +192,7 @@ class TestConclusions:
         )
 
     def test_caratheodory_size_bound(self):
-        gamma = Sequent([(g_lit(1), iv("1/4", "3/4")), (g_lit(2), iv(0, "1/2"))])
+        gamma = literals_of(Sequent([(g_lit(1), iv("1/4", "3/4")), (g_lit(2), iv(0, "1/2"))]))
         n = 2
         for k, c in enumerate(LGEN.conclusions(gamma)):
             assert len(c.sequents) <= 2 * n + 1
@@ -204,17 +200,17 @@ class TestConclusions:
                 break
 
     def test_empty_gamma(self):
-        (c,) = LGEN.conclusions(Sequent())
+        (c,) = LGEN.conclusions(())
         assert c.sequents == ()
-        assert c.witness.kind == "prob" and sum(c.witness.edges) == 1
+        assert sum(c.edges) == 1
 
     def test_point_mass_realize_value(self):
         # Configuration {11} with one state at value 3/4 under a point
         # distribution: the operator evaluates to min(3/4, 1) = 3/4.
-        gamma = Sequent([(g_lit(1), iv("1/2", 1))])
+        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
         for c in LGEN.conclusions(gamma):
             if vectors_of(gamma, c) == ((1, 1),):
-                assert c.witness.edges == (F(1),)
+                assert c.edges == (F(1),)
                 assert generally_value([(F(1), F(3, 4))]) == F(3, 4)
                 break
         else:
@@ -248,12 +244,12 @@ class TestRoundTrip:
             if len(gamma) < n or any(i.is_empty for _, i in gamma.items()):
                 continue
             found = 0
-            for c in logic.conclusions(gamma):
+            for c in logic.conclusions(literals_of(gamma)):
                 tau = _sample_tau(rng, c)
-                assert sum(c.witness.edges) == 1
-                for label, interval in gamma.items():
-                    vals = [tau[(j, label.arg)] for j in range(len(c.sequents))]
-                    value = onestep_modal_value(label.op, vals, list(c.witness.edges))
+                assert sum(c.edges) == 1
+                for op, var, interval in literals_of(gamma):
+                    vals = [tau[(j, var)] for j in range(len(c.sequents))]
+                    value = onestep_modal_value(op, vals, list(c.edges))
                     assert interval.contains(value), (gamma, c, tau)
                 found += 1
                 if found >= 6:
@@ -306,14 +302,14 @@ class TestSoundnessSampling:
             if len(gamma) < n:
                 continue
             done += 1
-            bounds = bounds_of(gamma)
+            bounds = bounds_of(literals_of(gamma))
             vecs = []
             for x in range(states):
                 vec = []
                 for lb in bounds:
                     i = int(lb.var.name[1:]) - 1
-                    vec.append(1 if lb.lower_set.contains(tau[(x, i)]) else 0)
-                    vec.append(1 if lb.upper_set.contains(tau[(x, i)]) else 0)
+                    vec.append(1 if lb.interval.lower_ray().contains(tau[(x, i)]) else 0)
+                    vec.append(1 if lb.interval.upper_ray().contains(tau[(x, i)]) else 0)
                 vecs.append(tuple(vec))
             cells = dict(consistent_vectors(bounds))
             for x, vec in enumerate(vecs):
@@ -374,18 +370,19 @@ class TestSearchAgreement:
                     return 0 if interval is None or interval.contains(pivot) else None
 
                 naive = None
-                for c in logic.conclusions(gamma):
+                for c in logic.conclusions(literals_of(gamma)):
                     if all(child(q) is not None for q in c.sequents):
                         naive = c
                         break
-                fast = run_search(logic, gamma, child)
+                fast = run_search(logic, literals_of(gamma), child)
                 assert (naive is None) == (fast is None), (flavor, gamma, pivot)
 
 
 def _rand_gamma(rng, flavor):
-    """A random end-sequent of 1-4 literals, denominators up to 6."""
+    """The literals of a random end-sequent of 1-4 literals, denominators
+    up to 6."""
     n = rng.randint(1, 4)
-    return Sequent(
+    return literals_of(Sequent(
         (
             Modal(
                 Generally() if flavor == "lgen" else MoreThan(rand_rational(rng, 6)),
@@ -394,7 +391,7 @@ def _rand_gamma(rng, flavor):
             rand_interval(rng, 6),
         )
         for i in range(n)
-    )
+    ))
 
 
 def _dominates(u, v):
@@ -517,7 +514,7 @@ class TestDominanceSearch:
                 ones_sat += 1
                 assert len(asked) == 1
                 assert found.conclusion.sequents == (first,)
-                assert found.conclusion.witness == TransitionWitness("prob", (F(1),))
+                assert found.conclusion.edges == (F(1),)
                 assert found.children == [0]
             else:
                 ones_unsat += 1
@@ -528,7 +525,7 @@ class TestDominanceSearch:
                     state_of = {seq: k for k, seq in enumerate(answers)}
                     assert all(answers[q] for q in found.conclusion.sequents)
                     assert found.children == [state_of[q] for q in found.conclusion.sequents]
-                    weights = found.conclusion.witness.edges
+                    weights = found.conclusion.edges
                     assert len(weights) == len(found.children) <= 2 * len(bounds) + 1
                     assert 0 not in weights and sum(weights) == 1
         return ones_sat, ones_unsat

@@ -16,7 +16,6 @@ from nexfuz.models import (
     eval_formula,
 )
 from nexfuz.numerics import Interval
-from nexfuz.onestep import TransitionWitness
 from nexfuz.sequents import Sequent
 from nexfuz.syntax import parse
 
@@ -215,22 +214,22 @@ def rand_dag_state(rng, dag, kind, n_states):
             edges = tuple(F(w, sum(weights)) for w in weights)
         else:
             edges = tuple(F(rng.randint(0, 8), 8) for _ in targets)
-        added.append(dag.add(TransitionWitness(kind, edges), targets, atoms))
+        added.append(dag.add(edges, targets, atoms))
     return added[-1]
 
 
 class TestAssemble:
     def test_no_children(self):
         dag = WitnessDag("fuzzyrel")
-        model = dag.witness(dag.add(TransitionWitness("fuzzyrel", ()), []))
+        model = dag.witness(dag.add((), []))
         root = model.root
         assert model.states == ("s0",)
         assert eval_formula(model, root, parse("dia 0")) == 0
 
     def test_point_mass_chain(self):
         dag = WitnessDag("prob")
-        u = dag.add(TransitionWitness("prob", (F(1),)), [], {"a": F(1, 3)})
-        model = dag.witness(dag.add(TransitionWitness("prob", (F(1),)), [u]))
+        u = dag.add((F(1),), [], {"a": F(1, 3)})
+        model = dag.witness(dag.add((F(1),), [u]))
         root = model.root
         assert eval_formula(model, root, parse("G a")) == F(1, 3)
 
@@ -243,34 +242,30 @@ class TestAssemble:
             child = rand_dag_state(rng, dag, kind, rng.randint(2, 4))
             f = rand_formula(rng, {"prob": "lgen", "fuzzyrel": "alc"}[kind], 1, max_den=8)
             before = eval_formula(dag.witness(child), "s0", f)
-            witness = (
-                TransitionWitness("prob", (F(1),))
-                if kind == "prob"
-                else TransitionWitness("fuzzyrel", (F(1, 2),))
-            )
-            model = dag.witness(dag.add(witness, [child]))
+            edges = (F(1),) if kind == "prob" else (F(1, 2),)
+            model = dag.witness(dag.add(edges, [child]))
             (x,) = model.successors(model.root)
             assert eval_formula(model, x, f) == before
 
     def test_dag_states_evaluate(self):
         dag = WitnessDag("fuzzyrel")
-        u = dag.add(TransitionWitness("fuzzyrel", ()), [], {"a": F(1, 3)})
-        x = dag.add(TransitionWitness("fuzzyrel", (F(1),)), [u])
+        u = dag.add((), [], {"a": F(1, 3)})
+        x = dag.add((F(1),), [u])
         assert dag.value(x, parse("dia a")) == F(1, 3)
         assert dag.value(u, parse("dia a")) == 0
         with pytest.raises(ModelError):
             dag.value(x + 1, parse("dia a"))
 
-    def test_kind_mismatch(self):
-        dag = WitnessDag("prob")
+    def test_edge_count_mismatch(self):
+        dag = WitnessDag("fuzzyrel")
         with pytest.raises(ModelError):
-            dag.add(TransitionWitness("fuzzyrel", (F(1),)), [])
+            dag.add((F(1),), [])
 
     def test_prob_weights_must_sum_to_one(self):
         dag = WitnessDag("prob")
-        u = dag.add(TransitionWitness("prob", (F(1),)), [])
+        u = dag.add((F(1),), [])
         with pytest.raises(ModelError):
-            dag.add(TransitionWitness("prob", (F(1, 2),)), [u])
+            dag.add((F(1, 2),), [u])
 
 
 class TestJsonAndValidate:

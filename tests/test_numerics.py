@@ -5,9 +5,18 @@ from math import gcd
 from time import perf_counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from helpers import REFERENCE_EMPTY, REFERENCE_UNIT, ReferenceInterval, is_point
+from helpers import (
+    NEGATION,
+    REFERENCE_EMPTY,
+    REFERENCE_UNIT,
+    ReferenceInterval,
+    is_point,
+    is_subset,
+    negated_lower_ray,
+    negated_upper_ray,
+)
 
 from nexfuz.numerics import (
     Comp,
@@ -195,10 +204,10 @@ class TestCompOps:
         assert Comp.LE.dual() is Comp.GE
 
     def test_negate_table(self):
-        assert Comp.GT.flipped_strictness() is Comp.GE
-        assert Comp.GE.flipped_strictness() is Comp.GT
-        assert Comp.LT.flipped_strictness() is Comp.LE
-        assert Comp.LE.flipped_strictness() is Comp.LT
+        assert NEGATION[Comp.GT] is Comp.LE
+        assert NEGATION[Comp.GE] is Comp.LT
+        assert NEGATION[Comp.LT] is Comp.GE
+        assert NEGATION[Comp.LE] is Comp.GT
 
     def test_dual_involution(self):
         for op in Comp:
@@ -209,7 +218,7 @@ class TestCompOps:
         for _ in range(200):
             x, y = F(rng.randint(0, 8), 8), F(rng.randint(0, 8), 8)
             for op in Comp:
-                assert op.negation().holds(x, y) == (not op.holds(x, y))
+                assert NEGATION[op].holds(x, y) == (not op.holds(x, y))
 
 
 class TestCanonicalization:
@@ -385,6 +394,35 @@ def assert_same(i, r):
         assert i.contains(q) == r.contains(q)
 
 
+class TestBelowAbove:
+    """`below()` and `above()`: the parts of [0, 1] next to an interval,
+    over denominators 1 to 12 and all four flag pairs."""
+
+    def test_examples(self):
+        assert iv("1/4", "3/4").below() == iv(0, "1/4", hi_open=True)
+        assert iv("1/4", "3/4").above() == iv("3/4", 1, lo_open=True)
+        assert iv("1/4", "3/4", True, True).below() == iv(0, "1/4")
+        assert iv("1/4", "3/4", True, True).above() == iv("3/4", 1)
+        assert UNIT.below() is EMPTY and UNIT.above() is EMPTY
+        assert iv(0, "1/2", lo_open=True).below() == iv(0, 0)
+        assert iv("1/2", 1, hi_open=True).above() == iv(1, 1)
+
+    @given(small_rationals, small_rationals, st.booleans(), st.booleans())
+    def test_partition_and_negated_rays(self, x, y, lo_open, hi_open):
+        interval = Interval.make(min(x, y), max(x, y), lo_open, hi_open)
+        assume(not interval.is_empty)
+        below, above = interval.below(), interval.above()
+        assert below == negated_lower_ray(interval)
+        assert above == negated_upper_ray(interval)
+        # A bound is vacuous exactly when nothing lies beyond it.
+        assert below.is_empty == (interval.lower_ray() == UNIT)
+        assert above.is_empty == (interval.upper_ray() == UNIT)
+        for q in probes(interval):
+            if F(0) <= q <= F(1):
+                parts = [part.contains(q) for part in (below, interval, above)]
+                assert parts.count(True) == 1, (interval, q)
+
+
 class TestReferenceParity:
     """Every constructor and operation agrees with `ReferenceInterval` on
     the endpoints, flags, emptiness, text, pick, membership and inclusion,
@@ -417,8 +455,8 @@ class TestReferenceParity:
     def test_intersect_and_subset(self, a, b):
         (i, r), (j, s) = a, b
         assert_same(i.intersect(j), r.intersect(s))
-        assert i.is_subset(j) == r.is_subset(s)
-        assert j.is_subset(i) == s.is_subset(r)
+        assert is_subset(i, j) == r.is_subset(s)
+        assert is_subset(j, i) == s.is_subset(r)
 
     def test_intersect_and_subset_on_a_grid(self):
         """Every pair over a grid, so every tie of endpoints meets every
@@ -429,7 +467,7 @@ class TestReferenceParity:
                  for x, y, lo_open, hi_open in product(grid, grid, (False, True), (False, True))]
         for (i, r), (j, s) in product(built, built):
             assert_same(i.intersect(j), r.intersect(s))
-            assert i.is_subset(j) == r.is_subset(s)
+            assert is_subset(i, j) == r.is_subset(s)
 
     @given(paired(), paired())
     def test_equal_values_equal_intervals(self, a, b):

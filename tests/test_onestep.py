@@ -4,11 +4,8 @@ import pytest
 
 from nexfuz.logics import FuzzyAlcLogic, get_logic
 from nexfuz.numerics import EMPTY, Interval, UNIT
-from nexfuz.onestep import (
-    split_atoms,
-    substitute,
-    top_level_decompose,
-)
+from nexfuz.onestep import substitute, top_level_decompose
+from nexfuz.prop_tableau import saturate
 from nexfuz.solver import sat
 from nexfuz.sequents import Sequent, SequentError
 from nexfuz.syntax import And, Atom, Diamond, Modal, Neg, Var, Zero, parse
@@ -110,16 +107,49 @@ class TestSubstitute:
             substitute(Sequent([(A, UNIT)]), {})
 
 
+class TestEndSequentShape:
+    """What the solver guarantees of the modal literals it hands an
+    instance: every end-sequent of a decomposed, saturated layer has only
+    atom and Modal(op, Var) labels, no empty interval, distinct variables
+    and operators the logic supports."""
+
+    def test_random_layers(self):
+        import random
+
+        from helpers import rand_metric_space, rand_sequent
+
+        rng = random.Random(31)
+        ends = 0
+        for name in ("alc", "lgen", "mp", "metric-fuzzy", "metric-crisp"):
+            for _ in range(40):
+                space = rand_metric_space(rng) if name.startswith("metric") else None
+                logic = get_logic(name, space)
+                seq = rand_sequent(rng, name, depth=2, space=space, max_den=8,
+                                   max_literals=3)
+                for gamma in saturate(top_level_decompose(seq).lifted):
+                    ends += 1
+                    variables = []
+                    for label, interval in gamma.items():
+                        assert not interval.is_empty, gamma
+                        if isinstance(label, Atom):
+                            continue
+                        assert isinstance(label, Modal) and isinstance(label.arg, Var)
+                        assert logic.supports(label.op), (name, label)
+                        variables.append(label.arg)
+                    assert len(set(variables)) == len(variables), gamma
+        assert ends > 100
+
+
 class TestWithAtoms:
     """Atom literals: the solver pins them on the witness state and hands
-    the instance logic only the modal part of each end-sequent."""
+    the instance logic only the modal literals of each end-sequent."""
 
     @staticmethod
     def recording_alc(seen: list):
         class RecordingAlc(FuzzyAlcLogic):
-            def search_steps(self, gamma):
-                seen.append(gamma)
-                return super().search_steps(gamma)
+            def search_steps(self, lits):
+                seen.append(lits)
+                return super().search_steps(lits)
 
         return RecordingAlc()
 
@@ -128,10 +158,10 @@ class TestWithAtoms:
         seen = []
         wrapped = self.recording_alc(seen)
         assert sat(Sequent([(parse("dia a"), iv("3/5", 1))]), wrapped)
-        gamma = Sequent([(Modal(Diamond(), V1), iv("3/5", 1))])
-        assert seen[0] == gamma
+        lits = ((Diamond(), V1, iv("3/5", 1)),)
+        assert seen[0] == lits
         assert [c.sequents for c in wrapped.conclusions(seen[0])] == [
-            c.sequents for c in inner.conclusions(gamma)
+            c.sequents for c in inner.conclusions(lits)
         ]
 
     def test_atoms_only_yields_empty_conclusion(self):
@@ -157,7 +187,12 @@ class TestWithAtoms:
         assert verdict.model.successors(verdict.state)  # modal part untouched
 
     def test_split(self):
-        gamma = Sequent([(A, UNIT), (Modal(Diamond(), V1), UNIT)])
-        atoms, modal = split_atoms(gamma)
-        assert atoms == [("a", UNIT)]
-        assert modal == Sequent([(Modal(Diamond(), V1), UNIT)])
+        # One end-sequent {a in [0,1], dia v1 in [1/2,1], b in [1/5,1/5],
+        # dia v2 in [0,1]}: the atoms get their picked values, the modal
+        # literals go to the instance as triples, in literal order.
+        seen = []
+        seq = Sequent([(A, UNIT), (parse("dia c"), iv("1/2", 1)),
+                       (Atom("b"), iv("1/5", "1/5")), (parse("dia d"), UNIT)])
+        verdict = sat(seq, self.recording_alc(seen))
+        assert seen[0] == ((Diamond(), V1, iv("1/2", 1)), (Diamond(), V2, UNIT))
+        assert verdict.model.atoms[verdict.state] == {"a": F(1, 2), "b": F(1, 5)}

@@ -9,8 +9,8 @@ from helpers import rand_formula, rand_metric_space, rand_model, rand_sequent
 from nexfuz.lp import CapExceeded
 from nexfuz.logics import get_logic
 from nexfuz.models import FiniteModel, check_sequent, eval_formula
-from nexfuz.numerics import Comp, Interval
-from nexfuz.onestep import Conclusion, OneStepLogic, TransitionWitness, modal_literals
+from nexfuz.numerics import Comp, Interval, NumericError
+from nexfuz.onestep import Conclusion, OneStepLogic
 from nexfuz.sequents import Sequent
 from nexfuz.solver import SolveStats, SolverCaps, sat, sat_threshold
 from nexfuz.syntax import And, Atom, Diamond, Modal, Neg, modal_depth, parse, to_text
@@ -48,6 +48,11 @@ class TestBasics:
         v = sat_threshold(parse("G a"), Comp.GE, F(1, 2), get_logic("lgen"))
         assert v.sat
         assert eval_formula(v.model, v.state, parse("G a")) >= F(1, 2)
+
+    def test_threshold_refuses_floats(self):
+        with pytest.raises(NumericError):
+            sat_threshold(parse("dia a"), Comp.GE, 0.1, ALC)
+        assert sat_threshold(parse("dia a"), Comp.GE, "1/10", ALC).sat
 
     def test_unknown_modality_rejected(self):
         with pytest.raises(ValueError):
@@ -155,8 +160,8 @@ class NaiveWrapper(OneStepLogic):
     def supports(self, op):
         return self.inner.supports(op)
 
-    def conclusions(self, gamma):
-        return self.inner.conclusions(gamma)
+    def conclusions(self, lits):
+        return self.inner.conclusions(lits)
 
 
 class TestSearchParity:
@@ -185,9 +190,9 @@ class TestSearchParity:
         widths = []
 
         class Counting(NaiveWrapper):
-            def conclusions(self, gamma):
-                widths.append(len(modal_literals(gamma)))
-                return super().conclusions(gamma)
+            def conclusions(self, lits):
+                widths.append(len(lits))
+                return super().conclusions(lits)
 
         for _ in range(100):
             seq = rand_sequent(rng, name, depth=3, max_den=8, layer_budget=6)
@@ -203,10 +208,9 @@ class TestSearchParity:
 class ZeroDegreeWitness(NaiveWrapper):
     """Gives every conclusion edge degree 0, so a diamond evaluates to 0."""
 
-    def conclusions(self, gamma):
-        for c in self.inner.conclusions(gamma):
-            zeros = tuple(F(0) for _ in c.witness.edges)
-            yield Conclusion(c.sequents, TransitionWitness(c.witness.kind, zeros))
+    def conclusions(self, lits):
+        for c in self.inner.conclusions(lits):
+            yield Conclusion(c.sequents, tuple(F(0) for _ in c.edges))
 
 
 class TestRealizeCheck:
@@ -234,6 +238,20 @@ class TestRecursionShape:
         assert sat_threshold(parse("dia dia a"), Comp.GE, F(1, 2), ALC, stats=stats).sat
         assert sat_threshold(parse("a"), Comp.GE, F(1, 2), ALC, stats=stats).sat
         assert stats.max_depth == 2 and stats.nodes == 4
+
+    def test_no_stats_no_level_tables(self, monkeypatch):
+        # Without `stats` the solver keeps no level tables, so it never
+        # measures a sequent's size.
+        def refuse(seq):
+            raise AssertionError("combined_size called without stats")
+
+        seqs = [rand_sequent(random.Random(93), name, depth=2, max_den=8)
+                for name in ("alc", "lgen", "mp")]
+        monkeypatch.setattr(Sequent, "combined_size", refuse)
+        for seq, name in zip(seqs, ("alc", "lgen", "mp")):
+            sat(seq, get_logic(name))
+        with pytest.raises(AssertionError, match="without stats"):
+            sat(seqs[0], ALC, stats=SolveStats())
 
     def test_atoms_transparency(self):
         rng = random.Random(92)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from helpers import prop_subformulas
 
+from nexfuz.numerics import NumericError
 from nexfuz.syntax import (
     And,
     Atom,
@@ -202,3 +203,25 @@ class TestInterning:
     def test_formulas_are_immutable(self):
         with pytest.raises(AttributeError):
             Atom("a").name = "b"
+
+
+class TestExactConstants:
+    """Formula constants are exact: a float is refused with `NumericError`,
+    whatever node it would build and whichever nodes are alive."""
+
+    def test_modal_parameters_refuse_floats(self):
+        with pytest.raises(NumericError):
+            Modal(MoreThan(0.5), Atom("a"))
+        with pytest.raises(NumericError):
+            Modal(MetricDiamond("l", 0.5), Atom("a"))
+
+    def test_minus_refuses_a_float_equal_to_a_live_constant(self):
+        live = Minus(Atom("a"), F(1, 4))
+        with pytest.raises(NumericError):
+            Minus(Atom("a"), 0.25)
+        assert Minus(Atom("a"), "1/4") is live
+
+    def test_exact_forms_are_coerced(self):
+        assert MoreThan(1).p == F(1) and type(MoreThan(1).p) is F
+        assert MetricDiamond("l", "1/2").c == F(1, 2)
+        assert Minus(Atom("a"), 0).c == F(0) and type(Minus(Atom("a"), 0).c) is F
