@@ -17,7 +17,7 @@ from .lp import CapExceeded
 from .logics import LOGIC_NAMES, get_logic
 from .metricspace import MetricSpace
 from .models import FiniteModel, eval_formula
-from .numerics import Comp, Interval, format_rational, parse_unit_rational
+from .numerics import Comp, Interval, format_rational, parse_rational
 from .prop_tableau import trace_to_json
 from .sequents import Sequent
 from .syntax import parse
@@ -92,7 +92,7 @@ def _run_solve(args) -> int:
         with open(args.sequent, "r", encoding="utf-8") as fh:
             seq = Sequent.from_json(json.load(fh))
     else:
-        p = parse_unit_rational(args.p)
+        p = parse_rational(args.p)
         seq = Sequent([(parse(args.formula), Interval.from_comparison(_CMP[args.cmp], p))])
     trace = _print_rule if args.trace else None
     verdict = solver.sat(seq, logic, caps=caps, trace=trace)

@@ -1,19 +1,20 @@
 """Fuzzy-relational diamond logic: single-conclusion modal rule.
 
-The rule has exactly one conclusion with one successor sequent per literal.
+The rule has exactly one conclusion with one successor state per literal.
 State i is dedicated to the lower bound of literal i; an upper bound of
-literal j is imposed on state i's value of v_j exactly when no transition
-degree could meet literal i's lower bound while staying under that upper
-bound (their intervals are disjoint).  The transition degree to state i
-lies inside literal i's own interval and under every upper bound whose
-interval does meet it.
+literal j is imposed on state i's value of literal j's argument (its cell
+j) exactly when no transition degree could meet literal i's lower bound
+while staying under that upper bound (their intervals are disjoint).  The
+transition degree to state i lies inside literal i's own interval and under
+every upper bound whose interval does meet it.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from ..onestep import Conclusion, Literal, OneStepLogic, exact_over_vars
+from ..numerics import UNIT
+from ..onestep import Conclusion, Literal, OneStepLogic
 from ..sequents import SequentError
 from ..syntax import Diamond, ModalOp
 
@@ -26,21 +27,21 @@ class FuzzyAlcLogic(OneStepLogic):
         return isinstance(op, Diamond)
 
     def conclusions(self, lits: tuple[Literal, ...]) -> Iterator[Conclusion]:
-        variables = [var for _, var, _ in lits]
-        sequents, degrees = [], []
-        for _, v_i, interval_i in lits:
-            cell = {v_i: interval_i.lower_ray()}
-            allowed = interval_i.lower_ray()
-            for _, v_j, interval_j in lits:
-                # Literal i's own upper ray always meets its interval, so
-                # it only ever caps the degree.
+        states, degrees = [], []
+        for i, (_, interval_i) in enumerate(lits):
+            cells, allowed = [], interval_i.lower_ray()
+            for _, interval_j in lits:
                 upper = interval_j.upper_ray()
                 if interval_i.intersect(upper).is_empty:
-                    cell[v_j] = upper
+                    cells.append(upper)
                 else:
+                    cells.append(UNIT)
                     allowed = allowed.intersect(upper)
+            # Literal i's own upper ray always meets its interval, so it
+            # only ever caps the degree.
+            cells[i] = interval_i.lower_ray()
             if allowed.is_empty:
                 raise SequentError("internal: empty degree range in diamond conclusion")
-            sequents.append(exact_over_vars(cell, variables))
+            states.append(tuple(cells))
             degrees.append(allowed.pick())
-        yield Conclusion(tuple(sequents), tuple(degrees))
+        yield Conclusion(tuple(states), tuple(degrees))

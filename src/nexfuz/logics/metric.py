@@ -11,9 +11,10 @@ non-trivial lower bound.  For every pair (upper bound k, state j) that can
 interact through a shared label, satisfaction at state j can be ensured by
 one of three means: the transition degree of j dodges under k's upper bound
 (possible iff j's lower interval meets it; always chosen when possible), or
-a binary *choice* recorded in the conclusion: constrain the value of v_k at
-state j, or steer state j's edge label outside k's upper reach.  Choice
-patterns whose states have no admissible label left are filtered out.
+a binary *choice* recorded in the conclusion: constrain state j's value of
+k's argument (its cell k), or steer state j's edge label outside k's upper
+reach.  Choice patterns whose states have no admissible label left are
+filtered out.
 
 With crisp transitions every present edge has degree 1, so the
 degree-dodging option disappears and the pair set grows accordingly
@@ -29,16 +30,9 @@ from typing import Iterator
 
 from ..metricspace import MetricSpace
 from ..numerics import Interval, ONE, UNIT, ZERO
-from ..onestep import (
-    Conclusion,
-    Literal,
-    OneStepLogic,
-    SearchSteps,
-    SearchSuccess,
-    exact_over_vars,
-)
-from ..sequents import Sequent, SequentError
-from ..syntax import MetricDiamond, ModalOp, Var
+from ..onestep import Cells, Conclusion, Literal, OneStepLogic, SearchSteps, SearchSuccess
+from ..sequents import SequentError
+from ..syntax import MetricDiamond, ModalOp
 
 
 _CRISP_DEGREE = Interval.point(ONE)
@@ -47,14 +41,13 @@ _CRISP_DEGREE = Interval.point(ONE)
 @dataclass(frozen=True)
 class _Lit:
     index: int
-    var: Var
     label: str
     reach: Fraction
     interval: Interval
 
 
-def _conclusion(built: list[tuple[str, Sequent, Interval]]) -> Conclusion:
-    """The conclusion whose states are `built`, each a (label, sequent,
+def _conclusion(built: list[tuple[str, Cells, Interval]]) -> Conclusion:
+    """The conclusion whose states are `built`, each a (label, cells,
     degrees) triple from `MetricLogic._state`, with one edge per state: its
     label, at a degree picked from its admissible degrees."""
     edges = []
@@ -74,7 +67,6 @@ class _Layer:
 
     lits: list[_Lit]
     states: list[_Lit]
-    variables: list[Var]
     lower_reach: dict[int, list[str]]
     upper_reach: dict[int, set[str]]
     paired: dict[int, list[int]]  # state index -> paired literal indices
@@ -113,8 +105,8 @@ class MetricLogic(OneStepLogic):
         """The shared prelude of the rule, or None when the literals have
         no conclusion: a state no label can serve."""
         lits = [
-            _Lit(i, var, op.label, op.c, interval)
-            for i, (op, var, interval) in enumerate(literals)
+            _Lit(i, op.label, op.c, interval)
+            for i, (op, interval) in enumerate(literals)
         ]
         states = []
         lower_reach, upper_reach = {}, {}
@@ -139,13 +131,12 @@ class MetricLogic(OneStepLogic):
                     if not lower.intersect(upper).is_empty:
                         continue
                 paired[j.index].append(k.index)
-        variables = [lit.var for lit in lits]
-        return _Layer(lits, states, variables, lower_reach, upper_reach, paired)
+        return _Layer(lits, states, lower_reach, upper_reach, paired)
 
     def _state(
         self, layer: _Layer, s: _Lit, constrain: list[int]
-    ) -> tuple[str, Sequent, Interval] | None:
-        """State s's edge label, sequent and admissible edge degrees when it
+    ) -> tuple[str, Cells, Interval] | None:
+        """State s's edge label, cells and admissible edge degrees when it
         caps the values of the paired literals in `constrain` and steers its
         label out of the upper reach of the other paired literals; None when
         no label is left.
@@ -162,10 +153,10 @@ class MetricLogic(OneStepLogic):
         if not allowed:
             return None
         label = allowed[0]
-        cell = {s.var: s.interval.lower_ray()}
+        cells = [UNIT] * len(layer.lits)
+        cells[s.index] = s.interval.lower_ray()
         for k in constrain:
-            lk = layer.lits[k]
-            cell[lk.var] = cell.get(lk.var, UNIT).intersect(lk.interval.upper_ray())
+            cells[k] = cells[k].intersect(layer.lits[k].interval.upper_ray())
         if self.crisp:
             degrees = _CRISP_DEGREE
         else:
@@ -173,7 +164,7 @@ class MetricLogic(OneStepLogic):
             for k in layer.lits:
                 if k.index not in constrain and label in layer.upper_reach[k.index]:
                     degrees = degrees.intersect(k.interval.upper_ray())
-        return label, exact_over_vars(cell, layer.variables), degrees
+        return label, tuple(cells), degrees
 
     def conclusions(self, lits: tuple[Literal, ...]) -> Iterator[Conclusion]:
         layer = self._layer(lits)
@@ -181,7 +172,7 @@ class MetricLogic(OneStepLogic):
             return
         pairs = sorted((k, s.index) for s in layer.states for k in layer.paired[s.index])
         for pattern in product((True, False), repeat=len(pairs)):
-            # True: constrain the value of v_k at state j; False: steer the label.
+            # True: constrain state j's cell k; False: steer the label.
             constrained: dict[int, list[int]] = {s.index: [] for s in layer.states}
             for choice, (k, j) in zip(pattern, pairs):
                 if choice:

@@ -21,19 +21,19 @@ bound is non-strict: with two successor values 1 and 4/5 carrying masses
 below 4/5 is exactly 7/10.
 
 A successor state is classified by which threshold sets it belongs to,
-giving a 0/1 vector with two coordinates per literal.  Variables are
-distinct, so each literal's bit pair depends on its own variable only.  The
-threshold sets are the interval's lower and upper rays, so a value below the
-interval has bits (0, 1), one above it (1, 0) and one inside it (1, 1); no
-value has (0, 0).  These cells, the values below, inside and above the
-interval, partition [0, 1], and the consistent vectors are the product of
-the non-empty cells of each literal.  A *configuration* is a set of such
-vectors; it supports a satisfying distribution iff weights summing to one
-exist whose per-coordinate sums meet the mass bounds.  A basic solution of
-that weight system has at most 2n+1 nonzero weights (see
-`ProbabilisticLogic._weights_over`), so no configuration needs more
-vectors.  A conclusion's edges are its weights; they do not depend on the
-successors' values.
+giving a 0/1 vector with two coordinates per literal.  Arguments are
+distinct variables, so each literal's bit pair depends on its own argument
+only.  The threshold sets are the interval's lower and upper rays, so a
+value below the interval has bits (0, 1), one above it (1, 0) and one inside
+it (1, 1); no value has (0, 0).  These cells, the values below, inside and
+above the interval, partition [0, 1], and the consistent vectors are the
+product of the non-empty cells of each literal.  A *configuration* is a set
+of such vectors; it supports a satisfying distribution iff weights summing
+to one exist whose per-coordinate sums meet the mass bounds.  A basic
+solution of that weight system has at most 2n+1 nonzero weights (see
+`ProbabilisticLogic._weights_over`), so no configuration needs more vectors.
+A conclusion's edges are its weights; they do not depend on the successors'
+values.
 
 Dominance: every mass bound is a lower bound (`>=` or `>`) on a coordinate
 sum, so moving weight from a vector onto one that dominates it
@@ -55,16 +55,8 @@ from typing import Iterator, Sequence
 
 from .. import lp
 from ..numerics import Comp, Interval, ONE, ZERO
-from ..onestep import (
-    Conclusion,
-    Literal,
-    OneStepLogic,
-    SearchSteps,
-    SearchSuccess,
-    exact_over_vars,
-)
-from ..sequents import Sequent
-from ..syntax import Generally, ModalOp, MoreThan, Var
+from ..onestep import Cells, Conclusion, Literal, OneStepLogic, SearchSteps, SearchSuccess
+from ..syntax import Generally, ModalOp, MoreThan
 
 ConfigVector = tuple[int, ...]
 
@@ -81,52 +73,43 @@ class MassBound:
     threshold: Fraction
 
 
-@dataclass(frozen=True)
-class LiteralBounds:
-    var: Var
-    interval: Interval
-    lower: MassBound | None  # None: the bound is vacuous
-    upper: MassBound | None
+def mass_bounds(lits: Sequence[Literal]) -> list[MassBound | None]:
+    """The two mass conditions equivalent to each modal literal, lower then
+    upper, in coordinate order; None for a vacuous one."""
+    conds: list[MassBound | None] = []
+    for op, interval in lits:
+        if isinstance(op, Generally):
+            lower = MassBound(interval.lower_comp(), interval.lo)
+            upper = MassBound(interval.upper_comp().dual(), ONE - interval.hi)
+        else:
+            lower, upper = MassBound(Comp.GT, op.p), MassBound(Comp.GE, ONE - op.p)
+        # A bound is vacuous when no value lies beyond it.
+        conds.append(None if interval.below().is_empty else lower)
+        conds.append(None if interval.above().is_empty else upper)
+    return conds
 
 
-def literal_bounds(op: ModalOp, var: Var, interval: Interval) -> LiteralBounds:
-    """The two mass conditions equivalent to one modal literal."""
-    if isinstance(op, Generally):
-        lower = MassBound(interval.lower_comp(), interval.lo)
-        upper = MassBound(interval.upper_comp().dual(), ONE - interval.hi)
-    else:
-        lower, upper = MassBound(Comp.GT, op.p), MassBound(Comp.GE, ONE - op.p)
-    # A bound is vacuous when no value lies beyond it.
-    return LiteralBounds(var, interval, None if interval.below().is_empty else lower,
-                         None if interval.above().is_empty else upper)
-
-
-def bounds_of(lits: Sequence[Literal]) -> list[LiteralBounds]:
-    return [literal_bounds(op, var, interval) for op, var, interval in lits]
-
-
-def literal_cells(lb: LiteralBounds) -> list[tuple[tuple[int, int], Interval]]:
-    """The consistent (lower bit, upper bit) pairs of one literal, in
-    lexicographic order, each with the value interval it stands for: (0, 1)
-    the values below the literal's interval, (1, 0) those above it and
-    (1, 1) the interval itself, each pair when its cell is non-empty (so
-    (1, 1) always, the interval being non-empty).
+def literal_cells(interval: Interval) -> list[tuple[tuple[int, int], Interval]]:
+    """The consistent (lower bit, upper bit) pairs of a literal over
+    `interval`, in lexicographic order, each with the value interval it
+    stands for: (0, 1) the values below the interval, (1, 0) those above it
+    and (1, 1) the interval itself, each pair when its cell is non-empty
+    (so (1, 1) always, the interval being non-empty).
     """
-    interval = lb.interval
     cells = ((0, 1), interval.below()), ((1, 0), interval.above()), ((1, 1), interval)
     return [(bits, cell) for bits, cell in cells if not cell.is_empty]
 
 
-def consistent_vectors(bounds: Sequence[LiteralBounds]) -> Iterator[tuple[ConfigVector, Sequent]]:
+def consistent_vectors(lits: Sequence[Literal]) -> Iterator[tuple[ConfigVector, Cells]]:
     """Every 0/1 vector some successor state can have, lexicographically,
-    with the exact variable sequent such a state must satisfy.
+    with the cells such a state's values must lie in.
 
-    Bits 2i and 2i+1 belong to literal i alone (variables are distinct), so
-    the consistent vectors are the product of the per-literal cells.
+    Bits 2i and 2i+1 belong to literal i alone (arguments are distinct
+    variables), so the consistent vectors are the product of the
+    per-literal cells.
     """
-    variables = [lb.var for lb in bounds]
-    for combo in product(*(literal_cells(lb) for lb in bounds)):
-        yield _cells_vector(combo), _cells_sequent(combo, variables)
+    for combo in product(*(literal_cells(interval) for _, interval in lits)):
+        yield _cells_vector(combo), tuple(cell for _, cell in combo)
 
 
 def _cells_vector(combo) -> ConfigVector:
@@ -134,17 +117,11 @@ def _cells_vector(combo) -> ConfigVector:
     return tuple(bit for bits, _ in combo for bit in bits)
 
 
-def _cells_sequent(combo, variables: Sequence[Var]) -> Sequent:
-    """The variable sequent of one cell per literal."""
-    return exact_over_vars({var: cell for var, (_, cell) in zip(variables, combo)}, variables)
-
-
 def mass_system(cfg: Sequence[ConfigVector], conds: Sequence[MassBound | None]) -> lp.LinSystem:
     """Weights summing to 1 whose coordinate sums satisfy the bounds.
 
-    The weights must also be nonnegative; that is left to the engine
-    (`nonneg=True`), since the simplex would keep each `x_k >= 0` row as a
-    tableau row of its own.
+    The weights must also be nonnegative; that is left to the engine, since
+    the simplex would keep each `x_k >= 0` row as a tableau row of its own.
     """
     sys_ = lp.system(len(cfg))
     sys_.add([ONE] * len(cfg), lp.EQ, ONE)
@@ -154,14 +131,6 @@ def mass_system(cfg: Sequence[ConfigVector], conds: Sequence[MassBound | None]) 
         row = [ONE if vec[pos] else ZERO for vec in cfg]
         sys_.add(row, cond.rel, cond.threshold)
     return sys_
-
-
-def _flat_conditions(bounds: Sequence[LiteralBounds]) -> list[MassBound | None]:
-    conds: list[MassBound | None] = []
-    for lb in bounds:
-        conds.append(lb.lower)
-        conds.append(lb.upper)
-    return conds
 
 
 def _mass_possible(cfg: Sequence[ConfigVector], conds) -> bool:
@@ -176,15 +145,14 @@ def _mass_possible(cfg: Sequence[ConfigVector], conds) -> bool:
 
 
 def config_feasible(
-    cfg: Sequence[ConfigVector], bounds: Sequence[LiteralBounds]
+    cfg: Sequence[ConfigVector], conds: Sequence[MassBound | None]
 ) -> list[Fraction] | None:
     """Exact weights for a configuration, or None; empty cfg needs no weights."""
-    conds = _flat_conditions(bounds)
     if not cfg:
         return [] if all(c is None for c in conds) else None
     if not _mass_possible(cfg, conds):
         return None
-    return lp.feasible(mass_system(cfg, conds), cap=max(64, len(cfg)), nonneg=True)
+    return lp.feasible(mass_system(cfg, conds), nonneg=True)
 
 
 # No successor constraints: a single inert dummy successor takes the mass.
@@ -215,8 +183,7 @@ class ProbabilisticLogic(OneStepLogic):
         weights, when its weight system is solvable.  With no modal
         literals the single empty configuration is the only conclusion.
         """
-        bounds = bounds_of(lits)
-        n = len(bounds)
+        n = len(lits)
         if n > DEFAULT_ENUM_LITERALS:
             raise lp.CapExceeded(
                 f"configuration enumeration over {n} literals (cap {DEFAULT_ENUM_LITERALS})"
@@ -224,20 +191,20 @@ class ProbabilisticLogic(OneStepLogic):
         if n == 0:
             yield _EMPTY_CONCLUSION
             return
-        consistent = list(consistent_vectors(bounds))
+        conds = mass_bounds(lits)
+        consistent = list(consistent_vectors(lits))
         for k in range(1, 2 * n + 2):
             for combo in combinations(consistent, k):
-                weights = config_feasible([vec for vec, _ in combo], bounds)
+                weights = config_feasible([vec for vec, _ in combo], conds)
                 if weights is not None:
-                    sequents = tuple(seq for _, seq in combo)
-                    yield Conclusion(sequents, tuple(weights))
+                    yield Conclusion(tuple(cells for _, cells in combo), tuple(weights))
 
     # -- decision procedure ---------------------------------------------------
 
     def search_steps(self, lits: tuple[Literal, ...]) -> SearchSteps:
         """Vector-level decision equivalent to enumerating configurations.
 
-        A conclusion's sequent depends only on its vector, so a satisfiable
+        A successor's cells depend only on its vector, so a satisfiable
         configuration made of child-satisfiable vectors exists iff the
         weight system over *all* child-satisfiable consistent vectors is
         solvable; the nonzero weights of its basic solution, at most 2n+1,
@@ -253,33 +220,29 @@ class ProbabilisticLogic(OneStepLogic):
         the child-satisfiable vectors kept form an antichain, and the
         weight system is solved over them.
         """
-        bounds = bounds_of(lits)
-        if not bounds:
+        if not lits:
             return SearchSuccess(_EMPTY_CONCLUSION, [])
-        conds = _flat_conditions(bounds)
+        conds = mass_bounds(lits)
         # Refutation before any recursion: every bound is a lower bound, and
         # the all-ones vector is consistent and dominates every vector.
         if not _mass_possible([(1,) * len(conds)], conds):
             return None
 
-        variables = [lb.var for lb in bounds]
-        combos = product(*(literal_cells(lb) for lb in bounds))
-        visits = sorted(((_cells_vector(c), c) for c in combos), key=lambda visit: -sum(visit[0]))
-        good: list[tuple[ConfigVector, Sequent, int]] = []
-        for vec, combo in visits:
+        visits = sorted(consistent_vectors(lits), key=lambda visit: -sum(visit[0]))
+        good: list[tuple[ConfigVector, Cells, int]] = []
+        for vec, cells in visits:
             # Skip a vector some good vector dominates: moving its weight
             # onto the dominator never lowers a coordinate sum, and every
             # bound is a lower bound on a coordinate sum.
             if any(all(g >= v for g, v in zip(other, vec)) for other, _, _ in good):
                 continue
-            seq = _cells_sequent(combo, variables)
-            child = yield seq
+            child = yield cells
             if child is None:
                 continue
             if sum(vec) == len(vec):
                 # All-ones: it alone meets every bound (checked above).
-                return SearchSuccess(Conclusion((seq,), (ONE,)), [child])
-            good.append((vec, seq, child))
+                return SearchSuccess(Conclusion((cells,), (ONE,)), [child])
+            good.append((vec, cells, child))
         weights = self._weights_over([vec for vec, _, _ in good], conds)
         if weights is None:
             return None
@@ -309,4 +272,4 @@ class ProbabilisticLogic(OneStepLogic):
             return None
         if len(cfg) == 1:
             return [ONE]
-        return lp.simplex_feasible(mass_system(cfg, conds), nonneg=True)
+        return lp.simplex_feasible(mass_system(cfg, conds))

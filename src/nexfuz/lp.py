@@ -334,33 +334,28 @@ def _simplex_max(c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]):
     return "optimal", x
 
 
-def simplex_feasible(sys_: LinSystem, nonneg: bool = False) -> list[Fraction] | None:
-    """Feasibility with an exact witness; no variable-count cap.
+def simplex_feasible(sys_: LinSystem) -> list[Fraction] | None:
+    """Feasibility over nonnegative variables, with an exact witness; no
+    variable-count cap.
 
-    With `nonneg` the variables are taken to be nonnegative (and the
-    returned witness guarantees it); otherwise each is split into two
-    nonnegative parts.  Strict inequalities are enforced by maximizing a
-    shared slack and requiring it positive.
+    Strict inequalities are enforced by maximizing a shared slack and
+    requiring it positive.
     """
     n = sys_.num_vars
     ineqs = [c for c in sys_.constraints if c.rel != EQ]
     eqs = [c for c in sys_.constraints if c.rel == EQ]
     has_strict = any(c.rel in (Comp.LT, Comp.GT) for c in ineqs)
-    base = n if nonneg else 2 * n
-    # Columns: x (split unless nonneg), delta, slack per inequality + bound.
-    cols = base + 1 + len(ineqs) + 1
+    # Columns: x, delta, slack per inequality + bound.
+    cols = n + 1 + len(ineqs) + 1
     A: list[list[Fraction]] = []
     b: list[Fraction] = []
 
     def new_row(coeffs, delta_coef, slack_index, rhs):
         row = [ZERO] * cols
-        for j, cj in enumerate(coeffs):
-            row[j] = cj
-            if not nonneg:
-                row[n + j] = -cj
-        row[base] = delta_coef
+        row[:n] = coeffs
+        row[n] = delta_coef
         if slack_index is not None:
-            row[base + 1 + slack_index] = ONE
+            row[n + 1 + slack_index] = ONE
         if rhs < 0:
             row = [-v for v in row]
             rhs = -rhs
@@ -379,15 +374,15 @@ def simplex_feasible(sys_: LinSystem, nonneg: bool = False) -> list[Fraction] | 
     new_row([ZERO] * n, ONE, len(ineqs), ONE)  # delta <= 1
 
     objective = [ZERO] * cols
-    objective[base] = ONE
+    objective[n] = ONE
     status, x = _simplex_max(objective, A, b)
     if status == "infeasible":
         return None
     if status == "unbounded":
         raise LpError("internal: bounded slack objective reported unbounded")
-    if has_strict and x[base] == 0:
+    if has_strict and x[n] == 0:
         return None
-    point = x[:n] if nonneg else [x[j] - x[n + j] for j in range(n)]
+    point = x[:n]
     if not sys_.check(point):
         raise LpError("internal: simplex witness fails re-substitution")
     return point

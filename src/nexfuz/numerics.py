@@ -63,14 +63,6 @@ def to_fraction(v) -> Fraction:
     return Fraction(v)
 
 
-def parse_unit_rational(text: str) -> Fraction:
-    """Parse a rational that must lie in [0, 1]."""
-    q = parse_rational(text)
-    if not ZERO <= q <= ONE:
-        raise NumericError(f"rational {text!r} outside [0, 1]")
-    return q
-
-
 def format_rational(q: Fraction) -> str:
     return str(q)
 
@@ -168,15 +160,18 @@ class Interval:
 
     @staticmethod
     def make(lo, hi, lo_open: bool = False, hi_open: bool = False) -> Interval:
+        """The interval between `lo` and `hi`; both must lie in [0, 1], also
+        when the interval is empty."""
         lo = to_fraction(lo)
         hi = to_fraction(hi)
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
-            return EMPTY
-        if lo < ZERO or hi > ONE:
+        # A Fraction is in lowest terms already, over a positive denominator.
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if not (0 <= ln <= ld and 0 <= hn <= hd):
             raise NumericError(f"interval endpoints outside [0, 1]: {lo}, {hi}")
-        # A Fraction is in lowest terms already.
-        return Interval(lo.numerator, lo.denominator, hi.numerator, hi.denominator,
-                        lo_open, hi_open)
+        x, y = ln * hd, hn * ld
+        if x > y or (x == y and (lo_open or hi_open)):
+            return EMPTY
+        return Interval(ln, ld, hn, hd, lo_open, hi_open)
 
     @staticmethod
     def point(q) -> Interval:
@@ -338,8 +333,8 @@ def parse_interval(text: str) -> Interval:
     if "," not in body:
         raise NumericError(f"invalid interval literal {text!r}")
     lo_text, hi_text = body.split(",", 1)
-    lo = parse_unit_rational(lo_text)
-    hi = parse_unit_rational(hi_text)
+    lo = parse_rational(lo_text)
+    hi = parse_rational(hi_text)
     return Interval.make(lo, hi, lo_open=s[0] == "(", hi_open=s[-1] == ")")
 
 

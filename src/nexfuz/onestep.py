@@ -1,35 +1,40 @@
-"""One-step layer: decomposition, substitution, the pluggable modal rule API.
+"""One-step layer: decomposition and the pluggable modal rule API.
 
 A sequent over formulas is split into a propositional part over fresh truth
 variables (one per outermost modal occurrence) plus a binding of those
 variables to the guarded subformulas.  The solver splits each saturated
-end-sequent once into its atom values and its modal literals, `(op, var,
-interval)` triples.  Instance logics consume those literals and produce
-*conclusions*: alternative lists of exact sequents over the variables
-describing admissible successor states, each with the root's edges to those
-states.  The edges depend on the conclusion alone, never on the successors'
-actual truth values.  The search for a conclusion whose successor sequents
-are all satisfiable is a generator the solver drives
-(`OneStepLogic.search_steps`).
+end-sequent once into its atom values and its modal literals, `(op,
+interval)` pairs, keeping each literal's bound argument formula itself.
+Instance logics consume those literals and produce *conclusions*: lists of
+successor states, each given by its *cells*, one interval per literal in
+literal order bounding the successor's value of that literal's argument,
+with the root's edges to those states.  The edges depend on the conclusion
+alone, never on the successors' actual truth values.  The search for a
+conclusion whose successors are all satisfiable is a generator the solver
+drives (`OneStepLogic.search_steps`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterator, Sequence
+from typing import Generator, Iterator
 
-from .numerics import Interval, UNIT
+from .numerics import Interval
 from .sequents import Sequent, SequentError
 from .syntax import And, Atom, Formula, Minus, Modal, ModalOp, Neg, Var, Zero
 
-# One modal literal of an end-sequent: Modal(op, var) in interval.
-Literal = tuple[ModalOp, Var, Interval]
+# One modal literal of an end-sequent: Modal(op, v) in interval, for a
+# variable v the instance never sees.
+Literal = tuple[ModalOp, Interval]
+
+# One successor state of a conclusion: an interval per literal, in literal
+# order, bounding the state's value of that literal's argument.
+Cells = tuple[Interval, ...]
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    variables: tuple[Var, ...]
-    binding: dict[Var, Formula]
+    binding: dict[Var, Formula]  # in order of occurrence
     lifted: Sequent
 
 
@@ -40,7 +45,6 @@ def top_level_decompose(seq: Sequent) -> Decomposition:
     sequent's literals, one per modal occurrence even when arguments repeat.
     Atoms are nullary and stay in place.
     """
-    variables: list[Var] = []
     binding: dict[Var, Formula] = {}
 
     def rewrite(f: Formula) -> Formula:
@@ -60,8 +64,7 @@ def top_level_decompose(seq: Sequent) -> Decomposition:
                     right = done.pop()
                     done.append(And(done.pop(), right))
             elif isinstance(g, Modal):
-                v = Var(f"v{len(variables) + 1}")
-                variables.append(v)
+                v = Var(f"v{len(binding) + 1}")
                 binding[v] = g.arg
                 done.append(Modal(g.op, v))
             elif isinstance(g, (Zero, Atom)):
@@ -77,17 +80,7 @@ def top_level_decompose(seq: Sequent) -> Decomposition:
         return done[0]
 
     lifted = Sequent((rewrite(f), i) for f, i in seq.items())
-    return Decomposition(tuple(variables), binding, lifted)
-
-
-def substitute(q: Sequent, binding: dict[Var, Formula]) -> Sequent:
-    """Replace variables by their bound formulas, intersecting on collisions."""
-    out = Sequent()
-    for label, interval in q.items():
-        if not isinstance(label, Var):
-            raise SequentError(f"expected a variable label, found {label!r}")
-        out = out.insert(binding[label], interval)
-    return out
+    return Decomposition(binding, lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -97,31 +90,31 @@ def substitute(q: Sequent, binding: dict[Var, Formula]) -> Sequent:
 
 @dataclass(frozen=True)
 class Conclusion:
-    """One alternative of a modal rule: a list of variable sequents, one per
-    successor state, and the root's edge to each, in the encoding of the
+    """One alternative of a modal rule: the cells of each successor state,
+    and the root's edge to each, in the encoding of the
     logic's model kind: a weight ("prob"), a degree ("fuzzyrel") or a
     (label, degree) pair ("metric"/"metric-crisp").  Probabilistic edges
     may number one more, to an inert dummy successor, so that they sum to 1.
 
-    Whatever truth values the successors take inside their sequents, every
+    Whatever truth values the successors take inside their cells, every
     literal of the premise evaluates on these edges into its interval.  The
     solver checks this for every state it adds, so an instance need not
     re-check it.
     """
 
-    sequents: tuple[Sequent, ...]
+    cells: tuple[Cells, ...]
     edges: tuple
 
 
 @dataclass
 class SearchSuccess:
     conclusion: Conclusion
-    children: list[int]  # the witness-DAG state of each conclusion sequent
+    children: list[int]  # the witness-DAG state of each successor
 
 
-# Yields child sequents, receives their states (None: unsatisfiable),
-# returns the result.
-SearchSteps = Generator[Sequent, "int | None", "SearchSuccess | None"]
+# Yields the cells of successors, receives their states (None:
+# unsatisfiable), returns the result.
+SearchSteps = Generator[Cells, "int | None", "SearchSuccess | None"]
 
 
 class OneStepLogic:
@@ -138,52 +131,48 @@ class OneStepLogic:
         """Lazily enumerate the conclusions of the modal rule for `lits`.
 
         `lits` are the modal literals of a saturated end-sequent, in literal
-        order.  The solver guarantees their shape: distinct variables (one
-        per modal occurrence), operators the logic supports (the input's
-        signature is checked) and non-empty intervals (the tableau's axiom
-        rule closes every empty literal).  The conclusions are exact over
-        the variables.
+        order.  The solver guarantees their shape: operators the logic
+        supports (the input's signature is checked) and non-empty intervals
+        (the tableau's axiom rule closes every empty literal).  Their
+        arguments are distinct variables, one per modal occurrence, so a
+        successor's value of one literal's argument is independent of the
+        others'.
         """
         raise NotImplementedError
 
     def search_steps(self, lits: tuple[Literal, ...]) -> SearchSteps:
-        """Find a conclusion whose sequents are all satisfiable.
+        """Find a conclusion whose successors are all satisfiable.
 
         This is the search protocol between an instance logic and the
         solver.  `lits` are the modal literals of an end-sequent, as for
         `conclusions` (the solver pins its atom literals itself).  The
         search is a generator:
 
-        * it yields a variable sequent whenever it needs to know whether
-          the successor state that sequent describes is satisfiable;
-        * the solver sends back that successor's state in the witness DAG,
-          or None when the sequent is unsatisfiable.  State 0 is a state,
-          so a search tests `is None`, never truthiness;
+        * it yields a successor's cells whenever it needs to know whether
+          some state has its literals' arguments' values in those cells;
+        * the solver sends back such a state in the witness DAG, or None
+          when there is none.  State 0 is a state, so a search tests `is
+          None`, never truthiness;
         * it returns a `SearchSuccess` naming the conclusion and the states
-          of its sequents, in order, or None when no conclusion has all its
-          sequents satisfiable.
+          of its successors, in order, or None when no conclusion has all
+          its successors satisfiable.
 
         The solver drives every generator from one loop with an explicit
         stack, so the search depth is never bounded by Python recursion;
         an implementation must not call back into the solver itself.
 
         The default iterates `conclusions` in order and yields each
-        conclusion's sequents until one fails.  Instances may override it
+        conclusion's cells until one fails.  Instances may override it
         with an equivalent decision procedure when plain enumeration is too
         large, preserving the verdict.
         """
         for conclusion in self.conclusions(lits):
             children = []
-            for q in conclusion.sequents:
-                state = yield q
+            for cells in conclusion.cells:
+                state = yield cells
                 if state is None:
                     break
                 children.append(state)
             else:
                 return SearchSuccess(conclusion, children)
         return None
-
-
-def exact_over_vars(intervals: dict[Var, Interval], variables: Sequence[Var]) -> Sequent:
-    """Build a variable sequent total over `variables` (default full interval)."""
-    return Sequent((v, intervals.get(v, UNIT)) for v in variables)

@@ -5,23 +5,26 @@ The decision procedure, per modal level:
 1. split the input sequent into a propositional layer over fresh truth
    variables plus bindings of the variables to the guarded subformulas;
 2. saturate the propositional layer, enumerating open end-sequents;
-3. split each end-sequent once into atom values and modal literals, and
-   ask the instance logic for a conclusion over those literals whose
-   variable sequents are all satisfiable (after substituting the bound
-   formulas back in);
+3. split each end-sequent once into atom values, `(op, interval)` modal
+   literals and the literals' bound argument formulas, and ask the
+   instance logic for a conclusion over those literals whose successors
+   are all satisfiable: each successor's cells, one interval per literal,
+   bound its literals' arguments, so its child sequent pairs each argument
+   with its cell (a repeated argument gets the intersection of its cells);
 4. on success, add a state with the conclusion's edges, over the
    children's states, to the solve's witness DAG, and check that every
    modal literal of the end-sequent evaluates there into its interval.
 
-Each sequent being solved is one frame on an explicit stack.  A frame runs
-its instance search, a generator (see `OneStepLogic.search_steps`), until
-the search asks about a child sequent not solved yet; a frame for that
-child goes on top, and its verdict is sent back to the search when it is
-done.  So the stack depth is bounded by the modal depth of the input, never
-by the interpreter's recursion limit.  Every distinct sequent is solved
-once, and each satisfiable one is one state of the witness DAG.  All
-nondeterminism is resolved by exhaustive, deterministically ordered
-backtracking, so verdicts and witnesses are reproducible.
+Each sequent is solved by one generator, `solve` in `sat`: it saturates the
+layer, splits each end-sequent and drives the instance search (see
+`OneStepLogic.search_steps`), yielding each child sequent not solved yet
+and being sent back that child's state.  The generators of the sequents
+being solved sit on an explicit stack, one per modal level, so the depth
+is bounded by the modal depth of the input, never by the interpreter's
+recursion limit.  Every distinct sequent is solved once, and each
+satisfiable one is one state of the witness DAG.  All nondeterminism is
+resolved by exhaustive, deterministically ordered backtracking, so verdicts
+and witnesses are reproducible.
 """
 
 from __future__ import annotations
@@ -29,14 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from typing import Generator
 
 from .lp import CapExceeded
 from .models import FiniteModel, WitnessDag, check_sequent
 from .numerics import ZERO, Comp, Interval
-from .onestep import Literal, OneStepLogic, SearchSuccess, substitute, top_level_decompose
+from .onestep import OneStepLogic, top_level_decompose
 from .prop_tableau import TraceFn, saturate
 from .sequents import Sequent
-from .syntax import Formula, Modal, Var, modal_depth, subformulas
+from .syntax import Formula, Modal, modal_depth, subformulas
 
 
 @dataclass
@@ -69,22 +73,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.sat
-
-
-class _Frame:
-    """One sequent being solved: its variable binding, its stream of
-    end-sequents and the instance search over the current end-sequent."""
-
-    __slots__ = ("seq", "depth", "binding", "ends", "lits", "atoms", "steps")
-
-    def __init__(self, seq: Sequent, depth: int, binding: dict[Var, Formula], ends):
-        self.seq = seq
-        self.depth = depth
-        self.binding = binding
-        self.ends = ends
-        self.lits: tuple[Literal, ...] = ()  # the current end-sequent's modal literals
-        self.atoms: dict[str, Fraction] | None = None  # and its atom values
-        self.steps = None  # the instance search over `lits`, once started
 
 
 def _check_signature(seq: Sequent, logic: OneStepLogic) -> None:
@@ -125,7 +113,10 @@ def sat(
     # solve's counters.
     depth_bound = max((modal_depth(f) for f, _ in seq.items()), default=0)
 
-    def open_frame(current: Sequent, depth: int) -> _Frame:
+    def solve(current: Sequent, depth: int) -> Generator[Sequent, int | None, int | None]:
+        """The solve of one sequent, as a generator: it yields each child
+        sequent not solved yet and is sent back that child's state (None:
+        unsatisfiable); it returns the sequent's own state, or None."""
         if depth > depth_bound:
             raise AssertionError("recursion exceeded the modal depth of the input")
         hook = None
@@ -135,79 +126,70 @@ def sat(
             stats._bump(stats.level_input_size, depth, current.combined_size())
             hook = partial(stats._bump, stats.level_peak_stack, depth)
         decomp = top_level_decompose(current)
-        if len(decomp.variables) > caps.max_layer_literals:
+        binding = decomp.binding
+        if len(binding) > caps.max_layer_literals:
             raise CapExceeded(
-                f"{len(decomp.variables)} modal literals in one layer "
+                f"{len(binding)} modal literals in one layer "
                 f"(cap {caps.max_layer_literals})"
             )
-        ends = saturate(decomp.lifted, trace=trace, stack_hook=hook)
-        return _Frame(current, depth, decomp.binding, ends)
-
-    def advance(frame: _Frame, state: int | None) -> Sequent | None:
-        """Run the frame, the child `state` answering its pending request,
-        until it asks for an unsolved child sequent (returned) or its
-        verdict is in the memo (None returned)."""
-        while True:
-            if frame.steps is None:
-                gamma = next(frame.ends, None)
-                if gamma is None:
-                    memo[frame.seq] = None
-                    return None
-                if stats is not None:
-                    stats._bump(stats.level_peak_size, frame.depth, gamma.combined_size())
-                # An end-sequent's labels are Modal(op, Var) or Atom, and
-                # none of its intervals is empty (the Ax rule closed those).
-                atoms, lits = dict(defaults), []
-                for label, interval in gamma.items():
-                    if isinstance(label, Modal):
-                        lits.append((label.op, label.arg, interval))
-                    else:
-                        atoms[label.name] = interval.pick()
-                frame.lits, frame.atoms = tuple(lits), atoms
-                frame.steps = logic.search_steps(frame.lits)
-                state = None
-            try:
-                q = frame.steps.send(state)
-            except StopIteration as stop:
-                frame.steps = None
-                if stop.value is not None:
-                    memo[frame.seq] = add_state(frame, stop.value)
-                    return None
-                continue
-            child = substitute(q, frame.binding)
+        for gamma in saturate(decomp.lifted, trace=trace, stack_hook=hook):
             if stats is not None:
-                stats._bump(stats.level_peak_size, frame.depth, child.combined_size())
-            if child not in memo:
-                return child
-            state = memo[child]
+                stats._bump(stats.level_peak_size, depth, gamma.combined_size())
+            # An end-sequent's labels are Modal(op, Var) or Atom, and none
+            # of its intervals is empty (the Ax rule closed those).
+            atoms, lits, args = dict(defaults), [], []
+            for label, interval in gamma.items():
+                if isinstance(label, Modal):
+                    lits.append((label.op, interval))
+                    args.append(binding[label.arg])
+                else:
+                    atoms[label.name] = interval.pick()
+            steps = logic.search_steps(tuple(lits))
+            state = None
+            while True:
+                try:
+                    cells = steps.send(state)
+                except StopIteration as stop:
+                    found = stop.value
+                    break
+                # Arguments may repeat: their cells meet by intersection.
+                child = Sequent(zip(args, cells))
+                if stats is not None:
+                    stats._bump(stats.level_peak_size, depth, child.combined_size())
+                state = memo[child] if child in memo else (yield child)
+            if found is None:
+                continue
+            edges = found.conclusion.edges
+            if stats is not None and logic.kind == "prob":
+                support = sum(1 for w in edges if w != 0)
+                stats.witness_branching.append((len(lits), support))
+            state = dag.add(edges, found.children, atoms)
+            for (op, interval), arg in zip(lits, args):
+                formula = Modal(op, arg)
+                value = dag.value(state, formula)
+                if not interval.contains(value):
+                    raise AssertionError(
+                        f"witness state gives {formula} the value {value}, "
+                        f"outside {interval}"
+                    )
+            return state
+        return None
 
-    def add_state(frame: _Frame, found: SearchSuccess) -> int:
-        edges = found.conclusion.edges
-        if stats is not None and logic.kind == "prob":
-            support = sum(1 for w in edges if w != 0)
-            stats.witness_branching.append((len(frame.lits), support))
-        state = dag.add(edges, found.children, frame.atoms)
-        for op, var, interval in frame.lits:
-            formula = Modal(op, frame.binding[var])
-            value = dag.value(state, formula)
-            if not interval.contains(value):
-                raise AssertionError(
-                    f"witness state gives {formula} the value {value}, "
-                    f"outside {interval}"
-                )
-        return state
-
-    stack = [open_frame(seq, 0)]
+    # The depth-first recursion over child sequents, on an explicit stack of
+    # (sequent, solve) pairs, so it is never bounded by the interpreter's
+    # recursion limit.
+    stack = [(seq, solve(seq, 0))]
     state = None
     while stack:
-        frame = stack[-1]
-        child = advance(frame, state)
-        if child is not None:
-            stack.append(open_frame(child, frame.depth + 1))
-            state = None
+        current, steps = stack[-1]
+        try:
+            child = steps.send(state)
+        except StopIteration as stop:
+            stack.pop()
+            state = memo[current] = stop.value
             continue
-        stack.pop()
-        state = memo[frame.seq]
+        stack.append((child, solve(child, len(stack))))
+        state = None
 
     root = memo[seq]
     result = Verdict(False)

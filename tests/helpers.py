@@ -1,8 +1,8 @@
-"""Shared test utilities: random generators, direct one-step evaluation,
-the sequent-to-literals converter and a stand-alone runner for the one-step
-searches, the point-set reference liftings, the `Fraction`-endpoint reference
-interval, the comparison-negation rays, small interval, sequent and formula
-predicates, and an independent classical modal-logic oracle."""
+"""Shared test utilities: random generators, direct one-step evaluation, a
+stand-alone runner for the one-step searches, the point-set reference
+liftings, the `Fraction`-endpoint reference interval, the comparison-negation
+rays, small interval, sequent and formula predicates, and an independent
+classical modal-logic oracle."""
 
 from __future__ import annotations
 
@@ -216,22 +216,16 @@ def onestep_modal_value(op, tau_values: list[Fraction], structure, space=None) -
     raise AssertionError(f"unknown operator {op!r}")
 
 
-def literals_of(gamma: Sequent) -> tuple:
-    """The `(op, var, interval)` triples of a sequent over Modal(op, Var)
-    labels, in literal order: the form in which the solver hands an
-    end-sequent's modal literals to an instance logic."""
-    return tuple((label.op, label.arg, interval) for label, interval in gamma.items())
-
-
 def run_search(logic, lits: tuple, child):
-    """Run `logic.search_steps(lits)` on its own, answering each sequent
-    it yields with `child(q)`: a witness-DAG state id when the sequent is
-    satisfiable, None when it is not.  Returns the search's result."""
+    """Run `logic.search_steps(lits)` on its own, answering the cells of
+    each successor it yields with `child(cells)`: a witness-DAG state id
+    when the successor is satisfiable, None when it is not.  Returns the
+    search's result."""
     steps = logic.search_steps(lits)
     try:
-        q = next(steps)
+        cells = next(steps)
         while True:
-            q = steps.send(child(q))
+            cells = steps.send(child(cells))
     except StopIteration as stop:
         return stop.value
 
@@ -262,10 +256,10 @@ class ReferenceInterval:
     def make(lo, hi, lo_open: bool = False, hi_open: bool = False) -> ReferenceInterval:
         lo = to_fraction(lo)
         hi = to_fraction(hi)
+        if not (ZERO <= lo <= ONE and ZERO <= hi <= ONE):
+            raise NumericError(f"interval endpoints outside [0, 1]: {lo}, {hi}")
         if lo > hi or (lo == hi and (lo_open or hi_open)):
             return REFERENCE_EMPTY
-        if lo < ZERO or hi > ONE:
-            raise NumericError(f"interval endpoints outside [0, 1]: {lo}, {hi}")
         return ReferenceInterval(lo, hi, lo_open, hi_open)
 
     @staticmethod

@@ -151,6 +151,17 @@ class TestErrorContract:
         path.write_text(json.dumps({"literals": literals}))
         return run(capsys, "solve", "--logic", "alc", "--sequent", str(path))
 
+    def test_bound_outside_unit_interval_exit_two(self, capsys, tmp_path):
+        for cmp, p in (("ge", "3/2"), ("le", "3/2"), ("ge", "-1/2"), ("le", "-1/2")):
+            code, out, err = run(capsys, "solve", "--logic", "alc", "--formula", "a",
+                                 "--cmp", cmp, f"--p={p}")
+            assert code == 2 and out == "" and "outside [0, 1]" in err, (cmp, p)
+        for interval in ("[3/2,1/2]", "[1/2,-1/2]"):
+            code, out, err = self.solve_sequent_file(
+                capsys, tmp_path, [{"formula": "a", "interval": interval}]
+            )
+            assert code == 2 and out == "" and "outside [0, 1]" in err, interval
+
     def test_sequent_entry_without_interval_exit_two(self, capsys, tmp_path):
         code, out, err = self.solve_sequent_file(capsys, tmp_path, [{"formula": "dia a"}])
         assert code == 2 and out == "" and err.startswith("error:") and "interval" in err

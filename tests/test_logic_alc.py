@@ -1,26 +1,22 @@
 import random
 from fractions import Fraction as F
 
-from helpers import is_point, literals_of, onestep_modal_value, rand_interval, rand_rational
+from helpers import is_point, onestep_modal_value, rand_interval, rand_rational
 
 from nexfuz.liftings import diamond_value
 from nexfuz.logics import FuzzyAlcLogic, get_logic
 from nexfuz.numerics import EMPTY, Interval, UNIT
 from nexfuz.sequents import Sequent
 from nexfuz.solver import sat
-from nexfuz.syntax import Diamond, Modal, Var, parse
+from nexfuz.syntax import Diamond, parse
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
     return Interval.make(F(lo), F(hi), lo_open, hi_open)
 
 
-def lit(i):
-    return Modal(Diamond(), Var(f"v{i}"))
-
-
 def gamma_of(*intervals):
-    return literals_of(Sequent((lit(i + 1), interval) for i, interval in enumerate(intervals)))
+    return tuple((Diamond(), interval) for interval in intervals)
 
 
 LOGIC = get_logic("alc")
@@ -30,20 +26,12 @@ class TestConclusions:
     def test_disjoint_pair_triggers_upper_bound(self):
         gamma = gamma_of(iv("3/5", 1), iv(0, "2/5"))
         (c,) = LOGIC.conclusions(gamma)
-        q1, q2 = c.sequents
-        assert q1[Var("v1")] == iv("3/5", 1)
-        assert q1[Var("v2")] == iv(0, "2/5")
-        assert q2[Var("v1")] == UNIT
-        assert q2[Var("v2")] == UNIT
+        assert c.cells == ((iv("3/5", 1), iv(0, "2/5")), (UNIT, UNIT))
 
     def test_touching_endpoints_do_not_trigger(self):
         gamma = gamma_of(iv("1/2", 1), iv(0, "1/2"))
         (c,) = LOGIC.conclusions(gamma)
-        q1, q2 = c.sequents
-        assert q1[Var("v1")] == iv("1/2", 1)
-        assert q1[Var("v2")] == UNIT
-        assert q2[Var("v1")] == UNIT
-        assert q2[Var("v2")] == UNIT
+        assert c.cells == ((iv("1/2", 1), UNIT), (UNIT, UNIT))
 
     def test_empty_literal_no_conclusions(self):
         # An empty literal never reaches the rule: the tableau's Ax rule
@@ -60,7 +48,7 @@ class TestConclusions:
 
     def test_empty_gamma_single_empty_conclusion(self):
         (c,) = LOGIC.conclusions(())
-        assert c.sequents == ()
+        assert c.cells == ()
 
 
 class TestRealize:
@@ -92,18 +80,14 @@ class TestRoundTrip:
         while trials < 400:
             n = rng.randint(1, 4)
             gamma = gamma_of(*(rand_interval(rng) for _ in range(n)))
-            if any(i.is_empty for _, _, i in gamma):
+            if any(i.is_empty for _, i in gamma):
                 continue
             trials += 1
             (c,) = LOGIC.conclusions(gamma)
-            tau = {
-                (j, v): _pick_random(rng, c.sequents[j][v])
-                for j in range(n)
-                for v in c.sequents[j]
-            }
-            for op, var, interval in gamma:
+            tau = [[_pick_random(rng, cell) for cell in cells] for cells in c.cells]
+            for i, (op, interval) in enumerate(gamma):
                 value = onestep_modal_value(
-                    op, [tau[(j, var)] for j in range(n)], list(c.edges)
+                    op, [tau[j][i] for j in range(n)], list(c.edges)
                 )
                 assert interval.contains(value)
 
@@ -132,11 +116,11 @@ class TestSoundness:
             gamma = gamma_of(*intervals)
             hits += 1
             (c,) = LOGIC.conclusions(gamma)
-            for q in c.sequents:
+            for cells in c.cells:
                 assert any(
-                    all(q[Var(f"v{i+1}")].contains(tau[(x, f"v{i+1}")]) for i in range(n))
+                    all(cells[i].contains(tau[(x, f"v{i+1}")]) for i in range(n))
                     for x in range(states)
-                ), f"unrealized sequent {q} for gamma {gamma}"
+                ), f"unrealized cells {cells} for gamma {gamma}"
         assert hits > 0
 
 

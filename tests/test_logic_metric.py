@@ -2,7 +2,6 @@ import random
 from fractions import Fraction as F
 
 from helpers import (
-    literals_of,
     onestep_modal_value,
     rand_interval,
     rand_metric_space,
@@ -16,15 +15,15 @@ from nexfuz.metricspace import MetricSpace
 from nexfuz.numerics import EMPTY, Interval, UNIT
 from nexfuz.sequents import Sequent
 from nexfuz.solver import sat
-from nexfuz.syntax import MetricDiamond, Modal, Var, parse
+from nexfuz.syntax import MetricDiamond, parse
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
     return Interval.make(F(lo), F(hi), lo_open, hi_open)
 
 
-def lit(i, label, c):
-    return Modal(MetricDiamond(label, F(c)), Var(f"v{i}"))
+def lit(label, c, interval):
+    return MetricDiamond(label, F(c)), interval
 
 
 SINGLE = MetricSpace.make(["l"], [[0]])
@@ -35,24 +34,15 @@ FAR = MetricSpace.make(["l", "m"], [[0, F(1)], [F(1), 0]])
 class TestConclusions:
     def test_single_literal_single_conclusion(self):
         logic = get_logic("metric-fuzzy", SINGLE)
-        gamma = literals_of(Sequent([(lit(1, "l", 1), iv("7/10", 1))]))
-        (c,) = logic.conclusions(gamma)
-        assert len(c.sequents) == 1
-        assert c.sequents[0][Var("v1")] == iv("7/10", 1)
+        (c,) = logic.conclusions((lit("l", 1, iv("7/10", 1)),))
+        assert c.cells == ((iv("7/10", 1),),)
 
     def test_distant_labels_no_interaction(self):
         logic = get_logic("metric-fuzzy", FAR)
-        gamma = literals_of(Sequent(
-            [
-                (lit(1, "l", "1/2"), iv("2/5", "2/5")),
-                (lit(2, "m", "1/2"), iv("2/5", "2/5")),
-            ]
-        ))
+        gamma = (lit("l", "1/2", iv("2/5", "2/5")), lit("m", "1/2", iv("2/5", "2/5")))
         cs = list(logic.conclusions(gamma))
         assert len(cs) == 1  # no interacting pairs: one all-lower conclusion
-        q1, q2 = cs[0].sequents
-        assert q1[Var("v1")] == iv("2/5", 1) and q1[Var("v2")] == UNIT
-        assert q2[Var("v2")] == iv("2/5", 1) and q2[Var("v1")] == UNIT
+        assert cs[0].cells == ((iv("2/5", 1), UNIT), (UNIT, iv("2/5", 1)))
 
     def test_empty_literal_no_conclusions(self):
         # An empty literal never reaches the rule: the tableau's Ax rule
@@ -71,14 +61,12 @@ class TestConclusions:
     def test_unreachable_lower_bound_no_conclusions(self):
         logic = get_logic("metric-fuzzy", SINGLE)
         # reach 1/4 cannot support a lower bound above 1/4 anywhere
-        gamma = literals_of(Sequent([(lit(1, "l", "1/4"), iv("1/2", 1))]))
-        assert list(logic.conclusions(gamma)) == []
+        assert list(logic.conclusions((lit("l", "1/4", iv("1/2", 1)),))) == []
 
     def test_vacuous_lower_literals_make_no_states(self):
         logic = get_logic("metric-fuzzy", SINGLE)
-        gamma = literals_of(Sequent([(lit(1, "l", 1), iv(0, "1/2"))]))
-        (c,) = logic.conclusions(gamma)
-        assert c.sequents == ()
+        (c,) = logic.conclusions((lit("l", 1, iv(0, "1/2")),))
+        assert c.cells == ()
 
 
 class TestRealize:
@@ -86,31 +74,27 @@ class TestRealize:
 
     def test_midpoint_degree(self):
         logic = get_logic("metric-fuzzy", SINGLE)
-        gamma = literals_of(Sequent([(lit(1, "l", 1), iv("7/10", 1))]))
-        (c,) = logic.conclusions(gamma)
+        (c,) = logic.conclusions((lit("l", 1, iv("7/10", 1)),))
         assert c.edges == (("l", F(17, 20)),)
 
     def test_crisp_uses_full_degree(self):
         logic = get_logic("metric-crisp", SINGLE)
-        gamma = literals_of(Sequent([(lit(1, "l", 1), iv("7/10", 1))]))
-        (c,) = logic.conclusions(gamma)
+        (c,) = logic.conclusions((lit("l", 1, iv("7/10", 1)),))
         assert c.edges == (("l", F(1)),)
 
     def test_zero_literals_empty_structure(self):
         logic = get_logic("metric-fuzzy", SINGLE)
         (c,) = logic.conclusions(())
-        assert c.sequents == () and c.edges == ()
+        assert c.cells == () and c.edges == ()
 
     def test_own_upper_bound_respected_in_crisp(self):
         # With degree pinned to 1 the literal's own value is capped by its
         # upper bound through the conclusion, not the degree.
         logic = get_logic("metric-crisp", SINGLE)
-        gamma = literals_of(Sequent([(lit(1, "l", 1), iv("1/2", "3/5"))]))
         found = False
-        for c in logic.conclusions(gamma):
-            tau = {(j, v): c.sequents[j][v].pick() for j in range(1) for v in c.sequents[j]}
+        for c in logic.conclusions((lit("l", 1, iv("1/2", "3/5")),)):
             value = metric_diamond_value(
-                [("l", c.edges[0][1], tau[(0, Var("v1"))])], "l", F(1), SINGLE
+                [("l", c.edges[0][1], c.cells[0][0].pick())], "l", F(1), SINGLE
             )
             assert iv("1/2", "3/5").contains(value)
             found = True
@@ -119,13 +103,20 @@ class TestRealize:
 
 def _sample_tau(rng, conclusion):
     values = {}
-    for j, q in enumerate(conclusion.sequents):
-        for v, interval in q.items():
+    for j, cells in enumerate(conclusion.cells):
+        for i, interval in enumerate(cells):
             lo, hi = interval.lo, interval.hi
             candidates = [lo + (hi - lo) * F(k, 8) for k in range(9)]
             candidates = [x for x in candidates if interval.contains(x)]
-            values[(j, v)] = rng.choice(candidates)
+            values[(j, i)] = rng.choice(candidates)
     return values
+
+
+def _rand_gamma(rng, space, n):
+    return tuple(
+        (MetricDiamond(rng.choice(space.labels), rand_rational(rng, 8)), rand_interval(rng, 8))
+        for _ in range(n)
+    )
 
 
 class TestRoundTrip:
@@ -136,24 +127,13 @@ class TestRoundTrip:
             space = rand_metric_space(rng)
             logic = get_logic("metric-crisp" if crisp else "metric-fuzzy", space)
             n = rng.randint(1, 3)
-            gamma = Sequent(
-                (
-                    Modal(
-                        MetricDiamond(rng.choice(space.labels), rand_rational(rng, 8)),
-                        Var(f"v{i+1}"),
-                    ),
-                    rand_interval(rng, 8),
-                )
-                for i in range(n)
-            )
-            if len(gamma) < n:
-                continue
+            gamma = _rand_gamma(rng, space, n)
             done += 1
             checked = 0
-            for c in logic.conclusions(literals_of(gamma)):
+            for c in logic.conclusions(gamma):
                 tau = _sample_tau(rng, c)
-                for op, var, interval in literals_of(gamma):
-                    vals = [tau[(j, var)] for j in range(len(c.sequents))]
+                for i, (op, interval) in enumerate(gamma):
+                    vals = [tau[(j, i)] for j in range(len(c.cells))]
                     value = onestep_modal_value(op, vals, list(c.edges), space)
                     assert interval.contains(value), (gamma, c, tau)
                 checked += 1
@@ -176,34 +156,22 @@ class TestSearchAgreement:
             crisp = rng.random() < 0.5
             logic = get_logic("metric-crisp" if crisp else "metric-fuzzy", space)
             n = rng.randint(1, 3)
-            gamma = Sequent(
-                (
-                    Modal(
-                        MetricDiamond(rng.choice(space.labels), rand_rational(rng, 8)),
-                        Var(f"v{i+1}"),
-                    ),
-                    rand_interval(rng, 8),
-                )
-                for i in range(n)
-            )
-            if len(gamma) < n:
-                continue
+            gamma = _rand_gamma(rng, space, n)
             done += 1
             pivot = rand_rational(rng, 8)
 
-            def child(seq):
+            def child(cells):
                 # State 0 for every satisfiable child: a search must test
                 # `is None`, never truthiness.
-                interval = seq.get(Var("v1"))
-                return 0 if interval is None or interval.contains(pivot) else None
+                return 0 if cells[0].contains(pivot) else None
 
             naive = None
-            for c in logic.conclusions(literals_of(gamma)):
-                if all(child(q) is not None for q in c.sequents):
+            for c in logic.conclusions(gamma):
+                if all(child(cells) is not None for cells in c.cells):
                     naive = c
                     break
-            fast = run_search(logic, literals_of(gamma), child)
+            fast = run_search(logic, gamma, child)
             assert (naive is None) == (fast is None), (gamma, pivot, crisp)
             if fast is not None:
-                assert fast.children == [0] * len(fast.conclusion.sequents)
+                assert fast.children == [0] * len(fast.conclusion.cells)
                 assert len(fast.conclusion.edges) == len(fast.children)

@@ -4,37 +4,34 @@ from itertools import product
 
 import pytest
 
-from helpers import literals_of, onestep_modal_value, rand_interval, rand_rational, run_search
+from helpers import onestep_modal_value, rand_interval, rand_rational, run_search
 
 from nexfuz import lp
 from nexfuz.liftings import generally_value, more_than_value
 from nexfuz.logics import get_logic
 from nexfuz.logics.probabilistic import (
-    _flat_conditions,
     _mass_possible,
-    bounds_of,
     config_feasible,
     consistent_vectors,
-    literal_bounds,
     literal_cells,
+    mass_bounds,
     mass_system,
 )
 from nexfuz.lp import CapExceeded
 from nexfuz.numerics import Comp, Interval
-from nexfuz.sequents import Sequent
-from nexfuz.syntax import Generally, Modal, MoreThan, Var
+from nexfuz.syntax import Generally, MoreThan
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
     return Interval.make(F(lo), F(hi), lo_open, hi_open)
 
 
-def g_lit(i):
-    return Modal(Generally(), Var(f"v{i}"))
+def g_lit(interval):
+    return Generally(), interval
 
 
-def m_lit(i, p):
-    return Modal(MoreThan(F(p)), Var(f"v{i}"))
+def m_lit(p, interval):
+    return MoreThan(F(p)), interval
 
 
 LGEN = get_logic("lgen")
@@ -42,29 +39,36 @@ MP = get_logic("mp")
 
 
 def vectors_of(gamma, conclusion):
-    """A conclusion's configuration, recovered from its sequents: each
-    consistent vector has its own sequent."""
-    vector_of = {seq: vec for vec, seq in consistent_vectors(bounds_of(gamma))}
-    return tuple(vector_of[q] for q in conclusion.sequents)
+    """A conclusion's configuration, recovered from its cells: each
+    consistent vector has its own cells."""
+    vector_of = {cells: vec for vec, cells in consistent_vectors(gamma)}
+    return tuple(vector_of[cells] for cells in conclusion.cells)
 
 
 class TestLiteralBounds:
     def test_generally_lower_closed(self):
-        b = literal_bounds(Generally(), Var("v"), iv("1/2", 1))
-        assert b.lower is not None
-        assert b.lower.rel is Comp.GE and b.lower.threshold == F(1, 2)
-        assert b.upper is None  # hi = 1 closed: vacuous
+        lower, upper = mass_bounds([g_lit(iv("1/2", 1))])
+        assert lower is not None
+        assert lower.rel is Comp.GE and lower.threshold == F(1, 2)
+        assert upper is None  # hi = 1 closed: vacuous
 
     def test_generally_upper_open(self):
-        b = literal_bounds(Generally(), Var("v"), iv(0, "3/5", hi_open=True))
-        assert b.lower is None  # lo = 0 closed: vacuous
-        assert b.upper.rel is Comp.GT and b.upper.threshold == F(2, 5)
+        lower, upper = mass_bounds([g_lit(iv(0, "3/5", hi_open=True))])
+        assert lower is None  # lo = 0 closed: vacuous
+        assert upper.rel is Comp.GT and upper.threshold == F(2, 5)
 
     def test_more_than_point(self):
-        b = literal_bounds(MoreThan(F(3, 10)), Var("v"), iv("4/5", "4/5"))
-        assert b.lower.rel is Comp.GT and b.lower.threshold == F(3, 10)
+        lower, upper = mass_bounds([m_lit("3/10", iv("4/5", "4/5"))])
+        assert lower.rel is Comp.GT and lower.threshold == F(3, 10)
         # Non-strict: mass at or below the value can be exactly 1 - p.
-        assert b.upper.rel is Comp.GE and b.upper.threshold == F(7, 10)
+        assert upper.rel is Comp.GE and upper.threshold == F(7, 10)
+
+    def test_coordinate_order(self):
+        # Two coordinates per literal, lower then upper, in literal order.
+        conds = mass_bounds([g_lit(iv("1/2", 1)), m_lit("3/10", iv(0, "4/5"))])
+        assert [c and (c.rel, c.threshold) for c in conds] == [
+            (Comp.GE, F(1, 2)), None, None, (Comp.GE, F(7, 10))
+        ]
 
     def test_more_than_upper_nonstrict_is_necessary(self):
         # Two successors at values 1 and 4/5 with masses 3/10 and 7/10
@@ -74,46 +78,46 @@ class TestLiteralBounds:
         assert more_than_value(dist, F(3, 10)) == F(4, 5)
 
     def test_probability_one_never_blocks_zero_lower(self):
-        b = literal_bounds(MoreThan(F(1)), Var("v"), iv(0, 0))
-        assert b.lower is None
-        assert b.upper.rel is Comp.GE and b.upper.threshold == F(0)
+        lower, upper = mass_bounds([m_lit(1, iv(0, 0))])
+        assert lower is None
+        assert upper.rel is Comp.GE and upper.threshold == F(0)
 
 
 class TestEnumeration:
     def test_counts_for_one_literal(self):
         # Consistent vectors 01 < 10 < 11; every set of them in size-then-lex
         # order is a conclusion when its weights are feasible.
-        gamma = literals_of(Sequent([(g_lit(1), iv("1/4", "3/4"))]))
+        gamma = (g_lit(iv("1/4", "3/4")),)
         combos = [
             ((0, 1),), ((1, 0),), ((1, 1),),
             ((0, 1), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1)),
             ((0, 1), (1, 0), (1, 1)),
         ]
-        bounds = bounds_of(gamma)
-        feasible = [cfg for cfg in combos if config_feasible(cfg, bounds) is not None]
+        conds = mass_bounds(gamma)
+        feasible = [cfg for cfg in combos if config_feasible(cfg, conds) is not None]
         got = list(LGEN.conclusions(gamma))
         assert [vectors_of(gamma, c) for c in got] == feasible
         assert len(feasible) == 5
         for c, cfg in zip(got, feasible):
-            assert c.edges == tuple(config_feasible(cfg, bounds))
+            assert c.edges == tuple(config_feasible(cfg, conds))
 
     def test_zero_literals(self):
         (c,) = LGEN.conclusions(())
-        assert c.sequents == () and c.edges == (F(1),)
+        assert c.cells == () and c.edges == (F(1),)
 
     def test_first_configuration(self):
-        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
+        gamma = (g_lit(iv("1/2", 1)),)
         first = next(iter(LGEN.conclusions(gamma)))
         assert vectors_of(gamma, first) == ((1, 1),)
 
     def test_cap(self):
-        gamma = literals_of(Sequent((g_lit(i), iv("1/4", "3/4")) for i in range(1, 8)))
+        gamma = (g_lit(iv("1/4", "3/4")),) * 7
         with pytest.raises(CapExceeded):
             next(iter(LGEN.conclusions(gamma)))
 
     def test_vectors_lexicographic(self):
-        gamma = literals_of(Sequent([(g_lit(1), iv("1/4", "3/4")), (g_lit(2), iv("1/2", 1))]))
-        vecs = [vec for vec, _ in consistent_vectors(bounds_of(gamma))]
+        gamma = (g_lit(iv("1/4", "3/4")), g_lit(iv("1/2", 1)))
+        vecs = [vec for vec, _ in consistent_vectors(gamma)]
         assert vecs == [
             (0, 1, 0, 1), (0, 1, 1, 1),
             (1, 0, 0, 1), (1, 0, 1, 1),
@@ -123,43 +127,38 @@ class TestEnumeration:
 
 class TestConfigFeasible:
     def test_full_vector_point_mass(self):
-        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
-        bounds = bounds_of(gamma)
-        assert config_feasible([(1, 1)], bounds) == [F(1)]
+        conds = mass_bounds([g_lit(iv("1/2", 1))])
+        assert config_feasible([(1, 1)], conds) == [F(1)]
 
     def test_zero_vector_fails_lower(self):
-        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
-        bounds = bounds_of(gamma)
-        assert config_feasible([(0, 0)], bounds) is None
+        conds = mass_bounds([g_lit(iv("1/2", 1))])
+        assert config_feasible([(0, 0)], conds) is None
 
     def test_split_masses_conflict(self):
-        gamma = literals_of(Sequent([(m_lit(1, "3/10"), iv("4/5", "4/5"))]))
-        bounds = bounds_of(gamma)
+        conds = mass_bounds([m_lit("3/10", iv("4/5", "4/5"))])
         # One state counts only toward the lower mass (> 3/10), the other
         # only toward the upper mass (>= 7/10): weights cannot do both.
-        assert config_feasible([(1, 0), (0, 1)], bounds) is None
+        assert config_feasible([(1, 0), (0, 1)], conds) is None
 
 
 class TestVectorDecoding:
     def test_both_bits_set(self):
-        (lb,) = bounds_of(literals_of(Sequent([(g_lit(1), iv("1/2", 1))])))
-        assert ((1, 1), iv("1/2", 1)) in literal_cells(lb)
+        assert ((1, 1), iv("1/2", 1)) in literal_cells(iv("1/2", 1))
 
     def test_low_bit_clear(self):
-        (lb,) = bounds_of(literals_of(Sequent([(g_lit(1), iv("1/2", 1))])))
-        assert ((0, 1), iv(0, "1/2", hi_open=True)) in literal_cells(lb)
+        assert ((0, 1), iv(0, "1/2", hi_open=True)) in literal_cells(iv("1/2", 1))
 
     def test_inconsistent_vector(self):
         # Clearing the vacuous upper bit demands value > 1: impossible.
-        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
-        assert [bits for bits, _ in literal_cells(bounds_of(gamma)[0])] == [(0, 1), (1, 1)]
-        assert [vec for vec, _ in consistent_vectors(bounds_of(gamma))] == [(0, 1), (1, 1)]
+        assert [bits for bits, _ in literal_cells(iv("1/2", 1))] == [(0, 1), (1, 1)]
+        assert [vec for vec, _ in consistent_vectors([g_lit(iv("1/2", 1))])] == [(0, 1), (1, 1)]
 
     def test_vector_sequents(self):
-        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
-        assert list(consistent_vectors(bounds_of(gamma))) == [
-            ((0, 1), Sequent([(Var("v1"), iv(0, "1/2", hi_open=True))])),
-            ((1, 1), Sequent([(Var("v1"), iv("1/2", 1))])),
+        # Each vector's cells: the child sequent of its successor pairs
+        # each literal's argument with that literal's cell.
+        assert list(consistent_vectors([g_lit(iv("1/2", 1))])) == [
+            ((0, 1), (iv(0, "1/2", hi_open=True),)),
+            ((1, 1), (iv("1/2", 1),)),
         ]
 
     def test_cells_partition_the_unit_interval(self):
@@ -171,43 +170,38 @@ class TestVectorDecoding:
             interval = iv(lo, hi, lo_open, hi_open)
             if interval.is_empty:
                 continue
-            for op in (Generally(), MoreThan(F(1, 3))):
-                lb = literal_bounds(op, Var("v"), interval)
-                cells = literal_cells(lb)
-                assert all(not cell.is_empty for _, cell in cells)
-                assert (1, 1) in dict(cells) and (0, 0) not in dict(cells)
-                for x in (F(k, 8) for k in range(9)):
-                    bits = (int(interval.lower_ray().contains(x)),
-                            int(interval.upper_ray().contains(x)))
-                    assert [b for b, c in cells if c.contains(x)] == [bits]
+            cells = literal_cells(interval)
+            assert all(not cell.is_empty for _, cell in cells)
+            assert (1, 1) in dict(cells) and (0, 0) not in dict(cells)
+            for x in (F(k, 8) for k in range(9)):
+                bits = (int(interval.lower_ray().contains(x)),
+                        int(interval.upper_ray().contains(x)))
+                assert [b for b, c in cells if c.contains(x)] == [bits]
 
 
 class TestConclusions:
     def test_point_mass_first_conclusion(self):
-        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
-        first = next(iter(LGEN.conclusions(gamma)))
-        assert len(first.sequents) == 1
-        assert first.sequents[0][Var("v1")] == iv(0, "1/2", hi_open=True) or (
-            first.sequents[0][Var("v1")] == iv("1/2", 1)
-        )
+        first = next(iter(LGEN.conclusions((g_lit(iv("1/2", 1)),))))
+        assert len(first.cells) == 1
+        assert first.cells[0] in ((iv(0, "1/2", hi_open=True),), (iv("1/2", 1),))
 
     def test_caratheodory_size_bound(self):
-        gamma = literals_of(Sequent([(g_lit(1), iv("1/4", "3/4")), (g_lit(2), iv(0, "1/2"))]))
+        gamma = (g_lit(iv("1/4", "3/4")), g_lit(iv(0, "1/2")))
         n = 2
         for k, c in enumerate(LGEN.conclusions(gamma)):
-            assert len(c.sequents) <= 2 * n + 1
+            assert len(c.cells) <= 2 * n + 1
             if k > 40:
                 break
 
     def test_empty_gamma(self):
         (c,) = LGEN.conclusions(())
-        assert c.sequents == ()
+        assert c.cells == ()
         assert sum(c.edges) == 1
 
     def test_point_mass_realize_value(self):
         # Configuration {11} with one state at value 3/4 under a point
         # distribution: the operator evaluates to min(3/4, 1) = 3/4.
-        gamma = literals_of(Sequent([(g_lit(1), iv("1/2", 1))]))
+        gamma = (g_lit(iv("1/2", 1)),)
         for c in LGEN.conclusions(gamma):
             if vectors_of(gamma, c) == ((1, 1),):
                 assert c.edges == (F(1),)
@@ -219,12 +213,12 @@ class TestConclusions:
 
 def _sample_tau(rng, conclusion):
     values = {}
-    for j, q in enumerate(conclusion.sequents):
-        for v, interval in q.items():
+    for j, cells in enumerate(conclusion.cells):
+        for i, interval in enumerate(cells):
             lo, hi = interval.lo, interval.hi
             candidates = [lo + (hi - lo) * F(k, 8) for k in range(9)]
-            candidates = [q2 for q2 in candidates if interval.contains(q2)]
-            values[(j, v)] = rng.choice(candidates)
+            candidates = [q for q in candidates if interval.contains(q)]
+            values[(j, i)] = rng.choice(candidates)
     return values
 
 
@@ -237,18 +231,13 @@ class TestRoundTrip:
         done = 0
         while done < trials:
             n = rng.randint(1, 2)
-            gamma = Sequent(
-                (Modal(make_op(rng), Var(f"v{i+1}")), rand_interval(rng, 8))
-                for i in range(n)
-            )
-            if len(gamma) < n or any(i.is_empty for _, i in gamma.items()):
-                continue
+            gamma = tuple((make_op(rng), rand_interval(rng, 8)) for _ in range(n))
             found = 0
-            for c in logic.conclusions(literals_of(gamma)):
+            for c in logic.conclusions(gamma):
                 tau = _sample_tau(rng, c)
                 assert sum(c.edges) == 1
-                for op, var, interval in literals_of(gamma):
-                    vals = [tau[(j, var)] for j in range(len(c.sequents))]
+                for i, (op, interval) in enumerate(gamma):
+                    vals = [tau[(j, i)] for j in range(len(c.cells))]
                     value = onestep_modal_value(op, vals, list(c.edges))
                     assert interval.contains(value), (gamma, c, tau)
                 found += 1
@@ -296,38 +285,30 @@ class TestSoundnessSampling:
                 lo = max(F(0), value - rand_rational(rng, 8) / 4)
                 hi = min(F(1), value + rand_rational(rng, 8) / 4)
                 intervals.append(Interval.make(lo, hi))
-            gamma = Sequent(
-                (Modal(ops[i], Var(f"v{i+1}")), intervals[i]) for i in range(n)
-            )
-            if len(gamma) < n:
-                continue
+            gamma = tuple(zip(ops, intervals))
             done += 1
-            bounds = bounds_of(literals_of(gamma))
+            conds = mass_bounds(gamma)
             vecs = []
             for x in range(states):
                 vec = []
-                for lb in bounds:
-                    i = int(lb.var.name[1:]) - 1
-                    vec.append(1 if lb.interval.lower_ray().contains(tau[(x, i)]) else 0)
-                    vec.append(1 if lb.interval.upper_ray().contains(tau[(x, i)]) else 0)
+                for i, interval in enumerate(intervals):
+                    vec.append(1 if interval.lower_ray().contains(tau[(x, i)]) else 0)
+                    vec.append(1 if interval.upper_ray().contains(tau[(x, i)]) else 0)
                 vecs.append(tuple(vec))
-            cells = dict(consistent_vectors(bounds))
+            cells = dict(consistent_vectors(gamma))
             for x, vec in enumerate(vecs):
                 assert vec in cells, (gamma, vec)
-                for lb in bounds:
-                    i = int(lb.var.name[1:]) - 1
-                    assert cells[vec][lb.var].contains(tau[(x, i)]), (gamma, vec)
+                for i in range(n):
+                    assert cells[vec][i].contains(tau[(x, i)]), (gamma, vec)
             merged: dict[tuple, F] = {}
             for x, vec in enumerate(vecs):
                 merged[vec] = merged.get(vec, F(0)) + weights[x]
             distinct = list(merged)
-            weights = lp.simplex_feasible(
-                mass_system(distinct, _flat_conditions(bounds)), nonneg=True
-            )
+            weights = lp.simplex_feasible(mass_system(distinct, conds))
             assert weights is not None, (gamma, distinct)
             cfg = [vec for vec, w in zip(distinct, weights) if w != 0]
             assert len(cfg) <= 2 * n + 1, (gamma, cfg)
-            assert config_feasible(cfg, bounds) is not None, (gamma, cfg)
+            assert config_feasible(cfg, conds) is not None, (gamma, cfg)
 
     def test_generally(self):
         self._run("lgen", 401)
@@ -346,35 +327,29 @@ class TestSearchAgreement:
             done = 0
             while done < 120:
                 n = rng.randint(1, 2)
-                gamma = Sequent(
+                gamma = tuple(
                     (
-                        Modal(
-                            Generally() if flavor == "lgen" else MoreThan(rand_rational(rng, 8)),
-                            Var(f"v{i+1}"),
-                        ),
+                        Generally() if flavor == "lgen" else MoreThan(rand_rational(rng, 8)),
                         rand_interval(rng, 8),
                     )
-                    for i in range(n)
+                    for _ in range(n)
                 )
-                if len(gamma) < n:
-                    continue
                 done += 1
-                # A child oracle that rejects sequents whose v1 interval
+                # A child oracle that rejects successors whose first cell
                 # misses a random pivot value, exercising pruning.
                 pivot = rand_rational(rng, 8)
 
-                def child(seq):
+                def child(cells):
                     # State 0 for every satisfiable child: a search must
                     # test `is None`, never truthiness.
-                    interval = seq.get(Var("v1"))
-                    return 0 if interval is None or interval.contains(pivot) else None
+                    return 0 if cells[0].contains(pivot) else None
 
                 naive = None
-                for c in logic.conclusions(literals_of(gamma)):
-                    if all(child(q) is not None for q in c.sequents):
+                for c in logic.conclusions(gamma):
+                    if all(child(cells) is not None for cells in c.cells):
                         naive = c
                         break
-                fast = run_search(logic, literals_of(gamma), child)
+                fast = run_search(logic, gamma, child)
                 assert (naive is None) == (fast is None), (flavor, gamma, pivot)
 
 
@@ -382,16 +357,13 @@ def _rand_gamma(rng, flavor):
     """The literals of a random end-sequent of 1-4 literals, denominators
     up to 6."""
     n = rng.randint(1, 4)
-    return literals_of(Sequent(
+    return tuple(
         (
-            Modal(
-                Generally() if flavor == "lgen" else MoreThan(rand_rational(rng, 6)),
-                Var(f"v{i+1}"),
-            ),
+            Generally() if flavor == "lgen" else MoreThan(rand_rational(rng, 6)),
             rand_interval(rng, 6),
         )
-        for i in range(n)
-    ))
+        for _ in range(n)
+    )
 
 
 def _dominates(u, v):
@@ -414,10 +386,9 @@ class TestDominance:
             if interval.is_empty:
                 continue
             for op in ops:
-                lb = literal_bounds(op, Var("v"), interval)
-                for bound in (lb.lower, lb.upper):
+                for bound in mass_bounds([(op, interval)]):
                     assert bound is None or bound.rel in (Comp.GE, Comp.GT), (op, interval)
-                vecs = [vec for vec, _ in consistent_vectors([lb])]
+                vecs = [vec for vec, _ in consistent_vectors([(op, interval)])]
                 assert (1, 1) in vecs, (op, interval)
 
     def _run(self, flavor, seed):
@@ -425,12 +396,11 @@ class TestDominance:
         outcomes = set()
         for _ in range(300):
             gamma = _rand_gamma(rng, flavor)
-            bounds = bounds_of(gamma)
-            conds = _flat_conditions(bounds)
-            vecs = [vec for vec, _ in consistent_vectors(bounds)]
+            conds = mass_bounds(gamma)
+            vecs = [vec for vec, _ in consistent_vectors(gamma)]
             possible = _mass_possible([(1,) * len(conds)], conds)
             system = mass_system(vecs, conds)
-            assert possible == (lp.simplex_feasible(system, nonneg=True) is not None), gamma
+            assert possible == (lp.simplex_feasible(system) is not None), gamma
             if len(vecs) <= 8:
                 assert possible == (lp.feasible(system, cap=8, nonneg=True) is not None), gamma
             outcomes.add(possible)
@@ -454,20 +424,20 @@ class TestDominanceSearch:
         rng = random.Random(seed)
         outcomes = set()
         for _ in range(150):
-            bounds = bounds_of(_rand_gamma(rng, flavor))
-            conds = _flat_conditions(bounds)
-            vecs = [vec for vec, _ in consistent_vectors(bounds)]
+            gamma = _rand_gamma(rng, flavor)
+            conds = mass_bounds(gamma)
+            vecs = [vec for vec, _ in consistent_vectors(gamma)]
             good = [vec for vec in vecs if rng.random() < 0.5] or [rng.choice(vecs)]
             maximal = [v for v in good if not any(u != v and _dominates(u, v) for u in good)]
-            full = lp.simplex_feasible(mass_system(good, conds), nonneg=True) is not None
+            full = lp.simplex_feasible(mass_system(good, conds)) is not None
             assert full == (
-                lp.simplex_feasible(mass_system(maximal, conds), nonneg=True) is not None
-            ), (bounds, good)
+                lp.simplex_feasible(mass_system(maximal, conds)) is not None
+            ), (gamma, good)
             assert full == (LGEN._weights_over(maximal, conds) is not None)
             for cfg in (good, maximal):
                 if len(cfg) <= 8:
                     weights = lp.feasible(mass_system(cfg, conds), cap=8, nonneg=True)
-                    assert full == (weights is not None), (bounds, cfg)
+                    assert full == (weights is not None), (gamma, cfg)
             outcomes.add(full)
         assert outcomes == {True, False}
 
@@ -486,23 +456,22 @@ class TestDominanceSearch:
         ones_sat = ones_unsat = 0
         for _ in range(200):
             gamma = _rand_gamma(rng, flavor)
-            bounds = bounds_of(gamma)
-            vector_of = {seq: vec for vec, seq in consistent_vectors(bounds)}
-            ones = (1,) * (2 * len(bounds))
+            vector_of = {cells: vec for vec, cells in consistent_vectors(gamma)}
+            ones = (1,) * (2 * len(gamma))
             answers = {}
 
-            def child(seq):
+            def child(cells):
                 # A satisfiable child's state is its request number, so the
                 # all-ones child, asked first, is state 0.
-                assert seq not in answers, "a vector is asked about twice"
-                answers[seq] = rng.random() < 0.5
-                return len(answers) - 1 if answers[seq] else None
+                assert cells not in answers, "a vector is asked about twice"
+                answers[cells] = rng.random() < 0.5
+                return len(answers) - 1 if answers[cells] else None
 
             found = run_search(logic, gamma, child)
             if not answers:
                 assert found is None
                 continue
-            asked = [vector_of[seq] for seq in answers]
+            asked = [vector_of[cells] for cells in answers]
             assert asked[0] == ones
             sat_so_far = []
             for vec, is_sat in zip(asked, answers.values()):
@@ -513,7 +482,7 @@ class TestDominanceSearch:
             if answers[first]:
                 ones_sat += 1
                 assert len(asked) == 1
-                assert found.conclusion.sequents == (first,)
+                assert found.conclusion.cells == (first,)
                 assert found.conclusion.edges == (F(1),)
                 assert found.children == [0]
             else:
@@ -522,11 +491,11 @@ class TestDominanceSearch:
                 for vec in vector_of.values():
                     assert vec in asked or any(_dominates(g, vec) for g in sat_so_far)
                 if found is not None:
-                    state_of = {seq: k for k, seq in enumerate(answers)}
-                    assert all(answers[q] for q in found.conclusion.sequents)
-                    assert found.children == [state_of[q] for q in found.conclusion.sequents]
+                    state_of = {cells: k for k, cells in enumerate(answers)}
+                    assert all(answers[cells] for cells in found.conclusion.cells)
+                    assert found.children == [state_of[cells] for cells in found.conclusion.cells]
                     weights = found.conclusion.edges
-                    assert len(weights) == len(found.children) <= 2 * len(bounds) + 1
+                    assert len(weights) == len(found.children) <= 2 * len(gamma) + 1
                     assert 0 not in weights and sum(weights) == 1
         return ones_sat, ones_unsat
 
@@ -546,21 +515,21 @@ class TestSimplexSupport:
         rng = random.Random(seed)
         binding = 0  # feasible systems with more columns than the bound
         for _ in range(300):
-            bounds = bounds_of(_rand_gamma(rng, flavor))
-            conds = _flat_conditions(bounds)
-            vecs = [vec for vec, _ in consistent_vectors(bounds)]
+            gamma = _rand_gamma(rng, flavor)
+            conds = mass_bounds(gamma)
+            vecs = [vec for vec, _ in consistent_vectors(gamma)]
             cfg = [vec for vec in vecs if rng.random() < 0.5] or vecs
             limit = 1 + sum(cond is not None for cond in conds)
-            assert limit <= 2 * len(bounds) + 1
+            assert limit <= 2 * len(gamma) + 1
             for weights in (
-                lp.simplex_feasible(mass_system(cfg, conds), nonneg=True),
+                lp.simplex_feasible(mass_system(cfg, conds)),
                 LGEN._weights_over(cfg, conds),
             ):
                 if weights is None:
                     continue
                 support = [vec for vec, w in zip(cfg, weights) if w != 0]
-                assert len(support) <= limit, (bounds, cfg, weights)
-                assert config_feasible(support, bounds) is not None, (bounds, support)
+                assert len(support) <= limit, (gamma, cfg, weights)
+                assert config_feasible(support, conds) is not None, (gamma, support)
                 binding += len(cfg) > limit
         assert binding > 0
 

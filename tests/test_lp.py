@@ -126,6 +126,8 @@ class TestMonotone:
 
 class TestSimplexAgreement:
     def test_matches_elimination(self):
+        # `_random_system` boxes every variable into [0, 1], so the
+        # simplex's nonnegative variables lose no solution.
         rng = random.Random(909)
         for _ in range(150):
             n = rng.randint(1, 3)
@@ -137,8 +139,9 @@ class TestSimplexAgreement:
                 assert s.check(b)
 
     def test_nonneg_matches_explicit_rows(self):
-        # `nonneg` in either engine is the system with x_j >= 0 rows added;
-        # the random rows carry no box, so the flag decides some verdicts.
+        # `nonneg` in elimination, and the simplex (whose variables are
+        # always nonnegative), solve the system with x_j >= 0 rows added;
+        # the random rows carry no box, so the sign decides some verdicts.
         rng = random.Random(910)
         flag_decided = 0
         for _ in range(200):
@@ -150,7 +153,7 @@ class TestSimplexAgreement:
                 s.add(coeffs, rel, F(rng.randint(-8, 8), 8))
             free = feasible(s) is not None
             a = feasible(s, nonneg=True)
-            b = simplex_feasible(s, nonneg=True)
+            b = simplex_feasible(s)
             for j in range(n):
                 s.add([1 if k == j else 0 for k in range(n)], Comp.GE, 0)
             expected = feasible(s) is not None

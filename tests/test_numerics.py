@@ -227,8 +227,17 @@ class TestCanonicalization:
         assert iv("0.5", "0.5", lo_open=True) is EMPTY
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(NumericError):
-            Interval.make(F(-1, 2), F(1, 2))
+        # Both endpoints are range-checked before emptiness, so an
+        # out-of-range endpoint is refused on either side, also when the
+        # interval would be empty.
+        for lo, hi in [(F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2)), (F(3, 2), F(1, 2)),
+                       (F(1, 2), F(-1, 2)), (F(3, 2), F(2))]:
+            for make in (Interval.make, ReferenceInterval.make):
+                with pytest.raises(NumericError):
+                    make(lo, hi)
+        for text in ("[3/2,1/2]", "[1/2,-1/2]", "(0,3/2)"):
+            with pytest.raises(NumericError, match="outside"):
+                parse_interval(text)
 
     def test_point_is_closed(self):
         p = Interval.point(F(1, 2))

@@ -1,13 +1,11 @@
 from fractions import Fraction as F
 
-import pytest
-
 from nexfuz.logics import FuzzyAlcLogic, get_logic
 from nexfuz.numerics import EMPTY, Interval, UNIT
-from nexfuz.onestep import substitute, top_level_decompose
+from nexfuz.onestep import top_level_decompose
 from nexfuz.prop_tableau import saturate
 from nexfuz.solver import sat
-from nexfuz.sequents import Sequent, SequentError
+from nexfuz.sequents import Sequent
 from nexfuz.syntax import And, Atom, Diamond, Modal, Neg, Var, Zero, parse
 
 A = Atom("a")
@@ -22,7 +20,7 @@ class TestDecompose:
     def test_fresh_variable_per_occurrence(self):
         seq = Sequent([(parse("dia a & ~(dia a)"), iv("1/2", 1))])
         d = top_level_decompose(seq)
-        assert [v.name for v in d.variables] == ["v1", "v2"]
+        assert [v.name for v in d.binding] == ["v1", "v2"]
         assert d.binding == {V1: A, V2: A}
         expected = Sequent(
             [(And(Modal(Diamond(), V1), Neg(Modal(Diamond(), V2))), iv("1/2", 1))]
@@ -38,7 +36,7 @@ class TestDecompose:
     def test_atoms_stay_nullary(self):
         seq = Sequent([(A, UNIT)])
         d = top_level_decompose(seq)
-        assert d.variables == ()
+        assert d.binding == {}
         assert d.lifted == seq
 
     def test_each_variable_occurs_exactly_once(self):
@@ -64,7 +62,7 @@ class TestDecompose:
                     return count(f.left, v) + count(f.right, v)
                 return 0
 
-            for v in d.variables:
+            for v in d.binding:
                 assert sum(count(f, v) for f, _ in d.lifted.items()) == 1
 
     def test_substituting_back_restores_input(self):
@@ -87,24 +85,6 @@ class TestDecompose:
             return f
 
         assert Sequent((restore(f), i) for f, i in d.lifted.items()) == seq
-
-
-class TestSubstitute:
-    def test_shared_target_intersects(self):
-        q = Sequent([(V1, iv("1/2", 1)), (V2, UNIT)])
-        assert substitute(q, {V1: A, V2: A}) == Sequent([(A, iv("1/2", 1))])
-
-    def test_disjoint_intervals_empty(self):
-        q = Sequent([(V1, iv("3/5", 1)), (V2, iv(0, "2/5"))])
-        assert substitute(q, {V1: A, V2: A}) == Sequent([(A, EMPTY)])
-
-    def test_single(self):
-        f = parse("~a")
-        assert substitute(Sequent([(V1, UNIT)]), {V1: f}) == Sequent([(f, UNIT)])
-
-    def test_rejects_non_variables(self):
-        with pytest.raises(SequentError):
-            substitute(Sequent([(A, UNIT)]), {})
 
 
 class TestEndSequentShape:
@@ -158,17 +138,17 @@ class TestWithAtoms:
         seen = []
         wrapped = self.recording_alc(seen)
         assert sat(Sequent([(parse("dia a"), iv("3/5", 1))]), wrapped)
-        lits = ((Diamond(), V1, iv("3/5", 1)),)
+        lits = ((Diamond(), iv("3/5", 1)),)
         assert seen[0] == lits
-        assert [c.sequents for c in wrapped.conclusions(seen[0])] == [
-            c.sequents for c in inner.conclusions(lits)
+        assert [c.cells for c in wrapped.conclusions(seen[0])] == [
+            c.cells for c in inner.conclusions(lits)
         ]
 
     def test_atoms_only_yields_empty_conclusion(self):
         seen = []
         verdict = sat(Sequent([(A, iv("3/10", "3/5"))]), self.recording_alc(seen))
         cs = list(get_logic("alc").conclusions(seen[0]))
-        assert len(cs) == 1 and cs[0].sequents == ()
+        assert len(cs) == 1 and cs[0].cells == ()
         assert verdict and verdict.model.states == (verdict.state,)
         assert verdict.model.successors(verdict.state) == {}
         declared = sat(Sequent([(A, iv("3/10", "3/5"))]), get_logic("alc"),
@@ -189,10 +169,11 @@ class TestWithAtoms:
     def test_split(self):
         # One end-sequent {a in [0,1], dia v1 in [1/2,1], b in [1/5,1/5],
         # dia v2 in [0,1]}: the atoms get their picked values, the modal
-        # literals go to the instance as triples, in literal order.
+        # literals go to the instance as (op, interval) pairs, in literal
+        # order.
         seen = []
         seq = Sequent([(A, UNIT), (parse("dia c"), iv("1/2", 1)),
                        (Atom("b"), iv("1/5", "1/5")), (parse("dia d"), UNIT)])
         verdict = sat(seq, self.recording_alc(seen))
-        assert seen[0] == ((Diamond(), V1, iv("1/2", 1)), (Diamond(), V2, UNIT))
+        assert seen[0] == ((Diamond(), iv("1/2", 1)), (Diamond(), UNIT))
         assert verdict.model.atoms[verdict.state] == {"a": F(1, 2), "b": F(1, 5)}
