@@ -14,7 +14,8 @@ stops at the first value where the mass crosses the bound.  The diamonds
 compare bound-first: an edge changes the running maximum `best` only if
 each of its terms beats `best`, so most edges cost a comparison or two.
 All arithmetic is exact; the tests keep the quadratic point-set definitions
-as the reference.
+as the reference.  Each `*_value` returns `Fraction(<its sweep>)`; the sweeps
+start from the `int` 0, so `models.eval_formula` runs them in `int`.
 """
 
 from __future__ import annotations
@@ -23,14 +24,17 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .metricspace import MetricSpace, MetricSpaceError
-from .numerics import ZERO
 
 _by_value = itemgetter(1)
 
 
 def diamond_value(edges: list[tuple[Fraction, Fraction]]) -> Fraction:
     """max over successors of min(transition degree, argument value)."""
-    best = ZERO
+    return Fraction(diamond_sweep(edges))
+
+
+def diamond_sweep(edges):
+    best = 0
     for degree, value in edges:
         if degree > best and value > best:
             best = degree if degree < value else value
@@ -51,7 +55,11 @@ def generally_value(dist: list[tuple[Fraction, Fraction]]) -> Fraction:
     first successor at which the running mass reaches its value gives the
     same answer.)  With no crossing the answer is the whole mass.
     """
-    mass = ZERO
+    return Fraction(generally_sweep(dist))
+
+
+def generally_sweep(dist):
+    mass = 0
     for weight, value in sorted(dist, key=_by_value, reverse=True):
         above = mass
         mass += weight
@@ -67,12 +75,16 @@ def more_than_value(dist: list[tuple[Fraction, Fraction]], p: Fraction) -> Fract
     value at which the running mass exceeds p is the answer, because the
     mass of {value >= a} only grows as a falls.
     """
-    mass = ZERO
+    return Fraction(more_than_sweep(dist, p))
+
+
+def more_than_sweep(dist, p):
+    mass = 0
     for weight, value in sorted(dist, key=_by_value, reverse=True):
         mass += weight
         if mass > p:
             return value
-    return ZERO
+    return 0
 
 
 def metric_diamond_value(
@@ -90,7 +102,11 @@ def metric_diamond_value(
     """
     distances = space.matrix[space.index(base_label)]
     slacks = {label: reach - d for label, d in zip(space.labels, distances)}
-    best = ZERO
+    return Fraction(metric_diamond_sweep(edges, slacks))
+
+
+def metric_diamond_sweep(edges, slacks):
+    best = 0
     for label, degree, value in edges:
         try:
             slack = slacks[label]

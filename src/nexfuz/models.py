@@ -8,10 +8,11 @@ A model is a finite coalgebra of one of four kinds plus an atom valuation:
 * "metric-crisp":  as "metric" with degrees restricted to {0, 1}.
 
 Evaluation is exact and memoized per (state, subformula) in the model's own
-value table, shared by every `eval_formula` call on that model.  The table
-is sound because a model is not changed after its first evaluation; the one
-model that is, a `WitnessDag`'s, only gains states.  A solve grows its
-witness in a `WitnessDag`.
+value table, shared by every `eval_formula` call on that model: `int`
+numerators over one scale that only grows; `Fraction` stays at the boundary.
+The table is sound because a model is not changed after its first
+evaluation; the one model that is, a `WitnessDag`'s, only gains states.  A
+solve grows its witness in a `WitnessDag`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
-from .liftings import diamond_value, generally_value, metric_diamond_value, more_than_value
+from .liftings import diamond_sweep, generally_sweep, metric_diamond_sweep, more_than_sweep
 from .metricspace import MetricSpace, MetricSpaceError
 from .numerics import ONE, ZERO, format_rational, parse_rational
 from .sequents import Sequent
@@ -40,6 +43,8 @@ from .syntax import (
 )
 
 KINDS = ("prob", "fuzzyrel", "metric", "metric-crisp")
+# `eval_formula`'s results: equal values, recently made, share one object.
+_fraction = lru_cache(maxsize=256)(Fraction)
 
 
 class ModelError(ValueError):
@@ -65,10 +70,10 @@ class FiniteModel:
     atoms: dict[str, dict[str, Fraction]]
     space: MetricSpace | None = None
     root: str | None = None
-    # Caches that evaluation fills; a model is not changed after its first
-    # evaluation.  Not init fields, so `dataclasses.replace` starts a model afresh; not
-    # compared, so equality ignores them.
-    values: dict[tuple[str, Formula], Fraction] = field(
+    # Caches that evaluation fills (`values` is `eval_formula`'s table); a model is
+    # not changed after its first evaluation.  Not init fields, so `dataclasses.replace`
+    # starts a model afresh; not compared, so equality ignores them.
+    values: dict[tuple[str, Formula] | None, int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _state_set: frozenset | None = field(
@@ -84,8 +89,8 @@ class FiniteModel:
         metric = self.kind in ("metric", "metric-crisp")
         if metric and self.space is None:
             raise ModelError("metric models need a metric space")
-        if self.root is not None and self.root not in state_set:
-            raise ModelError(f"root state {self.root!r} is not a state")
+        if self.root is not None and (not isinstance(self.root, str) or self.root not in state_set):
+            raise ModelError(f"root {self.root!r} is not a state name")
         label_set = set(self.space.labels) if metric else ()
         for x, row in self.trans.items():
             if x not in state_set:
@@ -221,7 +226,7 @@ def eval_formula(
     model: FiniteModel,
     state: str,
     formula: Formula,
-    memo: dict[tuple[str, Formula], Fraction] | None = None,
+    memo: dict[tuple[str, Formula] | None, int] | None = None,
 ) -> Fraction:
     """Exact truth degree of `formula` at `state`.
 
@@ -231,16 +236,20 @@ def eval_formula(
     changed after its first evaluation (a `WitnessDag` only adds states,
     which leaves the values at existing states as they are).  Evaluation
     runs on an explicit stack, so formula depth is not bounded by the
-    interpreter's recursion limit.
+    interpreter's recursion limit.  The table holds `int` numerators over
+    one scale D, under the key None: first the LCM of the model's atom and
+    edge denominators, then grown, with every entry, to fit each distance,
+    formula constant or new state's datum read.  The operators take only
+    min, 1 - x, x - c, mass sums and reach - distance, so values lie in (1/D)Z.
     """
     if not model.has_state(state):
         raise ModelError(f"unknown state {state!r}")
     if memo is None:
         memo = model.values
+    if None not in memo:
+        rows = (*model.atoms.values(), *model.trans.values())
+        memo[None] = lcm(*(q.denominator for row in rows for q in row.values()))
     top = (state, formula)
-    value = memo.get(top)
-    if value is not None:
-        return value
     stack = [top]
     while stack:
         key = stack[-1]
@@ -261,14 +270,16 @@ def eval_formula(
             stack += missing
             continue
         stack.pop()
+        # `_scaled` may rescale the table: read it only after that call.
         if isinstance(f, Zero):
-            value = ZERO
+            value = 0
         elif isinstance(f, Atom):
-            value = model.atom_value(x, f.name)
+            (value,) = _scaled(memo, model.atom_value(x, f.name))
         elif isinstance(f, Neg):
-            value = ONE - memo[x, f.arg]
+            value = memo[None] - memo[x, f.arg]
         elif isinstance(f, Minus):
-            value = max(ZERO, memo[x, f.arg] - f.c)
+            (c,) = _scaled(memo, f.c)
+            value = max(0, memo[x, f.arg] - c)
         elif isinstance(f, And):
             value = min(memo[x, f.left], memo[x, f.right])
         elif isinstance(f, Modal):
@@ -278,7 +289,18 @@ def eval_formula(
         else:
             raise ModelError(f"not a formula: {f!r}")
         memo[key] = value
-    return memo[top]
+    return _fraction(memo[top], memo[None])
+
+
+def _scaled(memo: dict, *qs) -> list[int]:
+    """The rationals `qs` as numerators over the table's scale, which first
+    grows to a multiple of their denominators, with every numerator in it."""
+    grown = lcm(memo[None], *(q.denominator for q in qs))
+    if grown != memo[None]:
+        k = grown // memo[None]
+        for key in memo:
+            memo[key] *= k
+    return [q.numerator * (grown // q.denominator) for q in qs]
 
 
 def _targets(model: FiniteModel, x: str):
@@ -288,27 +310,28 @@ def _targets(model: FiniteModel, x: str):
     return [y for _, y in row]
 
 
-def _modal(model: FiniteModel, x: str, f: Modal, memo) -> Fraction:
-    """The modal operator's lifting over the successors' memoized values."""
-    op, arg = f.op, f.arg
-    row = model.successors(x)
+def _modal(model: FiniteModel, x: str, f: Modal, memo) -> int:
+    """The modal operator's sweep over the scaled edges and memoized values."""
+    op, arg, row = f.op, f.arg, model.successors(x)
     if isinstance(op, Diamond):
         if model.kind != "fuzzyrel":
             raise ModelError(f"diamond evaluated on a {model.kind!r} model")
-        return diamond_value([(d, memo[y, arg]) for y, d in row.items()])
-    if isinstance(op, Generally):
+        return diamond_sweep(zip(_scaled(memo, *row.values()), [memo[y, arg] for y in row]))
+    if isinstance(op, (Generally, MoreThan)):
         if model.kind != "prob":
-            raise ModelError(f"'generally' evaluated on a {model.kind!r} model")
-        return generally_value([(w, memo[y, arg]) for y, w in row.items()])
-    if isinstance(op, MoreThan):
-        if model.kind != "prob":
-            raise ModelError(f"M{{p}} evaluated on a {model.kind!r} model")
-        return more_than_value([(w, memo[y, arg]) for y, w in row.items()], op.p)
+            name = "'generally'" if isinstance(op, Generally) else "M{p}"
+            raise ModelError(f"{name} evaluated on a {model.kind!r} model")
+        p, *weights = _scaled(memo, ZERO if isinstance(op, Generally) else op.p, *row.values())
+        dist = zip(weights, [memo[y, arg] for y in row])
+        return generally_sweep(dist) if isinstance(op, Generally) else more_than_sweep(dist, p)
     if isinstance(op, MetricDiamond):
         if model.kind not in ("metric", "metric-crisp"):
             raise ModelError(f"metric diamond evaluated on a {model.kind!r} model")
-        triples = [(label, d, memo[y, arg]) for (label, y), d in row.items()]
-        return metric_diamond_value(triples, op.label, op.c, model.space)
+        labels, distances = model.space.labels, model.space.matrix[model.space.index(op.label)]
+        reach, *nums = _scaled(memo, op.c, *distances, *row.values())
+        slacks = {label: reach - d for label, d in zip(labels, nums)}
+        degrees, values = nums[len(labels):], [memo[y, arg] for _, y in row]
+        return metric_diamond_sweep(zip([label for label, _ in row], degrees, values), slacks)
     raise ModelError(f"unknown modal operator {op!r}")
 
 
@@ -318,7 +341,7 @@ def check_sequent(model: FiniteModel, state: str, seq: Sequent) -> bool:
     The literals share one fresh table, not `model.values`: the check is
     independent of any value cached before, and leaves no cache behind.
     """
-    memo: dict[tuple[str, Formula], Fraction] = {}
+    memo: dict[tuple[str, Formula] | None, int] = {}
     return all(
         interval.contains(eval_formula(model, state, f, memo)) for f, interval in seq.items()
     )

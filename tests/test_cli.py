@@ -210,6 +210,15 @@ class TestErrorContract:
         code, out, err = run(capsys, "validate", "--model", str(path))
         assert code == 2 and out == "" and err.startswith("error:") and "states" in err
 
+    def test_model_root_not_a_string_exit_two(self, capsys, tmp_path):
+        model = {"kind": "fuzzyrel", "states": ["x"], "trans": {"x": {"x": "1"}},
+                 "root": ["x"]}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run(capsys, "validate", "--model", str(path))
+        assert code == 2 and out == "" and err.startswith("error:") and "root" in err
+        assert "internal" not in err
+
     def test_metric_labels_not_a_list_exit_two(self, capsys, tmp_path):
         path = tmp_path / "space.json"
         path.write_text(json.dumps({"labels": "ab", "dist": [["0", "1"], ["1", "0"]]}))

@@ -2,10 +2,21 @@ import dataclasses
 import json
 import random
 from fractions import Fraction as F
+from math import lcm
+from time import perf_counter
 
 import pytest
 
-from helpers import ATOMS, rand_formula, rand_metric_space, rand_model
+from helpers import (
+    ATOMS,
+    rand_formula,
+    rand_metric_space,
+    rand_model,
+    reference_diamond_value,
+    reference_generally_value,
+    reference_metric_diamond_value,
+    reference_more_than_value,
+)
 
 from nexfuz.metricspace import MetricSpace, MetricSpaceError
 from nexfuz.models import (
@@ -17,11 +28,86 @@ from nexfuz.models import (
 )
 from nexfuz.numerics import Interval
 from nexfuz.sequents import Sequent
-from nexfuz.syntax import parse
+from nexfuz.syntax import (
+    And,
+    Atom,
+    Diamond,
+    Generally,
+    MetricDiamond,
+    Minus,
+    Modal,
+    MoreThan,
+    Neg,
+    Zero,
+    parse,
+)
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
     return Interval.make(F(lo), F(hi), lo_open, hi_open)
+
+
+def reference_eval(model, state, formula):
+    """Plain-`Fraction` truth degree by direct recursion over the point-set
+    reference liftings, independent of `eval_formula` and its table."""
+    cache = {}
+
+    def ev(x, f):
+        if (x, f) not in cache:
+            cache[x, f] = value(x, f)
+        return cache[x, f]
+
+    def value(x, f):
+        if isinstance(f, Zero):
+            return F(0)
+        if isinstance(f, Atom):
+            return model.atoms[x][f.name]
+        if isinstance(f, Neg):
+            return 1 - ev(x, f.arg)
+        if isinstance(f, Minus):
+            return max(F(0), ev(x, f.arg) - f.c)
+        if isinstance(f, And):
+            return min(ev(x, f.left), ev(x, f.right))
+        op, row = f.op, model.successors(x)
+        if isinstance(op, MetricDiamond):
+            triples = [(label, d, ev(y, f.arg)) for (label, y), d in row.items()]
+            return reference_metric_diamond_value(triples, op.label, op.c, model.space)
+        dist = [(d, ev(y, f.arg)) for y, d in row.items()]
+        if isinstance(op, Diamond):
+            return reference_diamond_value(dist)
+        if isinstance(op, Generally):
+            return reference_generally_value(dist)
+        return reference_more_than_value(dist, op.p)
+
+    return ev(state, formula)
+
+
+# Denominators of the formula constants below: primes that divide no
+# denominator of a model drawn with max_den=6 and at most 5 states.
+BIG_PRIMES = (31, 37, 41, 43, 47, 53)
+
+
+def prime_constant(rng):
+    p = rng.choice(BIG_PRIMES)
+    return F(rng.randint(1, p - 1), p)
+
+
+def with_prime_constants(rng, f):
+    """`f` with every constant (of `-`, `M{p}` and `dia{l,c}`) replaced by a
+    `prime_constant`."""
+    if isinstance(f, (Neg, Minus)):
+        arg = with_prime_constants(rng, f.arg)
+        return Neg(arg) if isinstance(f, Neg) else Minus(arg, prime_constant(rng))
+    if isinstance(f, And):
+        return And(with_prime_constants(rng, f.left), with_prime_constants(rng, f.right))
+    if isinstance(f, Modal):
+        op = f.op
+        if isinstance(op, MoreThan):
+            op = MoreThan(prime_constant(rng))
+        elif isinstance(op, MetricDiamond):
+            op = MetricDiamond(op.label, prime_constant(rng))
+        return Modal(op, with_prime_constants(rng, f.arg))
+    return f
 
 
 def one_successor_model():
@@ -168,7 +254,7 @@ class TestValueTable:
         m = one_successor_model()
         f = parse("dia a")
         seq = Sequent([(f, iv("1/2", "1/2"))])
-        m.values["x", f] = F(0)
+        m.values["x", f] = 0  # a numerator, over whatever scale the table takes
         assert eval_formula(m, "x", f) == 0  # the poisoned value is served
         assert check_sequent(m, "x", seq)
         assert not check_sequent(m, "x", Sequent([(f, iv(0, 0))]))
@@ -180,11 +266,143 @@ class TestValueTable:
         assert eval_formula(other, "x", parse("dia a")) == F(1, 4)
         assert eval_formula(m, "x", parse("dia a")) == F(1, 2)
 
+    def test_check_sequent_leaves_the_table_and_scale(self):
+        rng = random.Random(67)
+        for kind, logics in KIND_LOGICS.items():
+            space = rand_metric_space(rng) if kind.startswith("metric") else None
+            m = rand_model(rng, kind, 4, space=space, max_den=6)
+            f = rand_formula(rng, logics[0], 2, space, max_den=6)
+            seq = Sequent([(with_prime_constants(rng, Minus(f, F(0))), iv(0, 1))])
+            assert check_sequent(m, m.states[0], seq)
+            assert m.values == {}
+            eval_formula(m, m.states[0], f)
+            before = dict(m.values)
+            assert check_sequent(m, m.states[0], seq)
+            assert m.values == before  # numerators and the scale under None
+
+    def test_constants_stay_hash_consed_across_scales(self):
+        text = "M{3/7} (a - 2/11) & G (b - 5/13)"
+        f = parse(text)
+        p, c, d = f.left.op.p, f.left.arg.c, f.right.arg.c
+        rng = random.Random(71)
+        models = [rand_model(rng, "prob", n, max_den=den) for n, den in ((3, 4), (5, 9))]
+        for m in models:
+            x = m.states[0]
+            assert eval_formula(m, x, f) == reference_eval(m, x, f)
+        assert models[0].values[None] != models[1].values[None]
+        assert parse(text) is f
+        assert f.left.op.p is p and f.left.arg.c is c and f.right.arg.c is d
+        assert (p, c, d) == (F(3, 7), F(2, 11), F(5, 13))
+
     def test_equality_ignores_the_table(self):
         m, copy = one_successor_model(), one_successor_model()
         eval_formula(m, "x", parse("dia a & a"))
         assert m.values and not copy.values
         assert m == copy
+
+
+class TestScaledEvaluation:
+    def test_matches_the_fraction_reference(self):
+        rng = random.Random(61)
+        for kind, logics in KIND_LOGICS.items():
+            for _ in range(10):
+                space = rand_metric_space(rng) if kind.startswith("metric") else None
+                m = rand_model(rng, kind, rng.randint(1, 5), space=space, max_den=6)
+                # A top-level `-` gives every formula a constant at least.
+                formulas = [
+                    with_prime_constants(rng, Minus(
+                        rand_formula(rng, rng.choice(logics), rng.randint(0, 3), space), F(0)
+                    ))
+                    for _ in range(4)
+                ]
+                eval_formula(m, m.states[0], Atom("a"))
+                start = m.values[None]
+                # In sequence on the model's one table, each formula growing
+                # its scale, and again once it has grown.
+                for _ in range(2):
+                    for f in formulas:
+                        for x in m.states:
+                            assert eval_formula(m, x, f) == reference_eval(m, x, f)
+                assert m.values[None] % start == 0 and m.values[None] > start
+
+    def test_pairwise_coprime_denominators(self):
+        # Every degree and atom value has a prime denominator of its own, so
+        # the scale is the product of them all: exact, and no larger.
+        primes = [n for n in range(2, 6000) if all(n % k for k in range(2, int(n**0.5) + 1))]
+        rng = random.Random(73)
+        supply = iter(primes)
+
+        def rational():
+            q = next(supply)
+            return F(rng.randint(1, q - 1), q)
+
+        states = tuple(f"x{i}" for i in range(24))
+        trans = {x: {y: rational() for y in states} for x in states}
+        atoms = {x: {a: rational() for a in ATOMS} for x in states}
+        m = FiniteModel("fuzzyrel", states, trans, atoms)
+        m.validate()
+        formulas = [parse(t) for t in ("dia dia (a & ~b)", "dia (dia a - 1/7) & ~dia b",
+                                       "~dia ~(dia c - 5/6001)")]
+        start = perf_counter()
+        values = [eval_formula(m, x, f) for f in formulas for x in states]
+        assert perf_counter() - start < 2.0
+        assert values == [reference_eval(m, x, f) for f in formulas for x in states]
+        used = [q.denominator for row in (*trans.values(), *atoms.values()) for q in row.values()]
+        assert m.values[None] == lcm(*used, 6001)
+
+
+def dag_state(dag, rng, targets, dens):
+    """Add a state over `targets` whose edges and atom values have
+    denominators drawn from `dens`; return it."""
+    atoms = {a: F(rng.randint(0, d), d) for a in ATOMS for d in [rng.choice(dens)]}
+    kind = dag.model.kind
+    if kind == "prob":
+        d = rng.choice(dens)
+        cuts = sorted(rng.randint(0, d) for _ in targets[1:])
+        weights = [F(hi - lo, d) for lo, hi in zip([0, *cuts], [*cuts, d])]
+        return dag.add(tuple(weights), targets, atoms)
+    degrees = [F(rng.randint(1, d), d) for d in (rng.choice(dens) for _ in targets)]
+    if kind == "metric":
+        degrees = [(rng.choice(dag.model.space.labels), d) for d in degrees]
+    return dag.add(tuple(degrees), targets, atoms)
+
+
+class TestWitnessDagGrowth:
+    SPACE = MetricSpace.make(["l", "m"], [[0, F(1, 5)], [F(1, 5), 0]])
+    LOGICS = {"prob": ("lgen", "mp"), "fuzzyrel": ("alc",), "metric": ("metric-fuzzy",)}
+
+    @pytest.mark.parametrize("kind", ["prob", "fuzzyrel", "metric"])
+    def test_added_states_bring_new_denominators(self, kind):
+        rng = random.Random(79)
+        space = self.SPACE if kind == "metric" else None
+        for _ in range(25):
+            dag = WitnessDag(kind, space)
+            base = [dag_state(dag, rng, [], (2, 3, 4)) for _ in range(2)]
+            base.append(dag_state(dag, rng, base[:2], (2, 3, 4)))
+            small = [rand_formula(rng, rng.choice(self.LOGICS[kind]), 1, space, max_den=4)
+                     for _ in range(3)]
+            # Only the third state: a probabilistic DAG sends the first two
+            # to the sink, which has no atoms.
+            for f in small:
+                dag.value(base[2], f)
+            arg = with_prime_constants(rng, Minus(Atom(rng.choice(ATOMS)), F(0)))
+            if kind == "prob":
+                literals = [Modal(Generally(), arg), Modal(MoreThan(prime_constant(rng)), arg)]
+            elif kind == "fuzzyrel":
+                literals = [Modal(Diamond(), arg)]
+            else:
+                literals = [Modal(MetricDiamond(label, prime_constant(rng)), arg)
+                            for label in space.labels]
+            for f in literals:
+                # A state with new denominators in its edges and atoms, read
+                # first under a literal whose constant brings new ones too:
+                # the operator's constant and its row both grow the scale.
+                new = dag_state(dag, rng, base, (11, 13, 17, 19))
+                got = dag.value(new, f)
+                assert got == eval_formula(dag.model, new, f, memo={})
+                assert got == reference_eval(dag.model, new, f)
+            for f in small:
+                assert dag.value(base[2], f) == reference_eval(dag.model, base[2], f)
 
 
 class TestCheckSequent:
@@ -281,6 +499,14 @@ class TestJsonAndValidate:
         data = {"kind": "foo", "states": ["s", "t"], "trans": {"s": {"t": "1"}}}
         with pytest.raises(ModelError, match="unknown model kind 'foo'"):
             FiniteModel.from_json(data)
+
+    def test_root_must_be_a_state_name_or_null(self):
+        data = {"kind": "fuzzyrel", "states": ["x"], "trans": {"x": {"x": "1"}}}
+        for root in (["x"], {"x": 1}, 0, "y"):
+            with pytest.raises(ModelError, match="root"):
+                FiniteModel.from_json({**data, "root": root})
+        assert FiniteModel.from_json({**data, "root": "x"}).root == "x"
+        assert FiniteModel.from_json({**data, "root": None}).root is None
 
     def test_validate_rejects_bad_distribution(self):
         m = FiniteModel("prob", ("x",), {"x": {"x": F(1, 2)}}, {})
