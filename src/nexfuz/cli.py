@@ -60,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--json", action="store_true", help="machine-readable output")
     solve.add_argument(
-        "--max-literals", type=_nonnegative_int, help="modal literals allowed per layer"
+        "--max-literals",
+        type=_nonnegative_int,
+        help="distinct modal literals allowed per end-sequent",
     )
 
     ev = sub.add_parser("eval", help="evaluate a formula in a model")

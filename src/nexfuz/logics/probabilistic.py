@@ -21,11 +21,13 @@ bound is non-strict: with two successor values 1 and 4/5 carrying masses
 below 4/5 is exactly 7/10.
 
 A successor state is classified by which threshold sets it belongs to,
-giving a 0/1 vector with two coordinates per literal.  Arguments are
-distinct variables, so each literal's bit pair depends on its own argument
-only.  The threshold sets are the interval's lower and upper rays, so a
-value below the interval has bits (0, 1), one above it (1, 0) and one inside
-it (1, 1); no value has (0, 0).  These cells, the values below, inside and
+giving a 0/1 vector with two coordinates per literal.  The instance never
+sees the literals' arguments, so each literal's bit pair is chosen on its
+own; where two literals share an argument, the solver meets their cells in
+the child sequent, and an empty meet makes that child unsatisfiable.  The
+threshold sets are the interval's lower and upper rays, so a value below
+the interval has bits (0, 1), one above it (1, 0) and one inside it
+(1, 1); no value has (0, 0).  These cells, the values below, inside and
 above the interval, partition [0, 1], and the consistent vectors are the
 product of the non-empty cells of each literal.  A *configuration* is a set
 of such vectors; it supports a satisfying distribution iff weights summing

@@ -38,7 +38,6 @@ from .syntax import (
     MetricDiamond,
     MoreThan,
     Neg,
-    Var,
     Zero,
 )
 
@@ -58,6 +57,15 @@ def _in_unit(v) -> bool:
         return 0 <= v.numerator <= v.denominator
     except AttributeError:
         raise ModelError(f"{v!r} is not an exact rational") from None
+
+
+def _check_distribution(row: dict, what: str) -> None:
+    """Raise `ModelError` unless the weights of `row` sum to 1, summed as
+    `int` numerators over their LCM; the `Fraction` total is built only
+    for the message."""
+    den = lcm(*(q.denominator for q in row.values()))
+    if sum(q.numerator * (den // q.denominator) for q in row.values()) != den:
+        raise ModelError(f"{what} sums to {sum(row.values(), ZERO)}, not 1")
 
 
 @dataclass
@@ -111,9 +119,7 @@ class FiniteModel:
                         raise ModelError("crisp transition degree must be 0 or 1")
         if self.kind == "prob":
             for x in self.states:
-                total = sum(self.trans.get(x, {}).values(), ZERO)
-                if total != ONE:
-                    raise ModelError(f"distribution at {x!r} sums to {total}, not 1")
+                _check_distribution(self.trans.get(x, {}), f"distribution at {x!r}")
         for x, row in self.atoms.items():
             if x not in state_set:
                 raise ModelError(f"atom valuation at unknown state {x!r}")
@@ -284,8 +290,6 @@ def eval_formula(
             value = min(memo[x, f.left], memo[x, f.right])
         elif isinstance(f, Modal):
             value = _modal(model, x, f, memo)
-        elif isinstance(f, Var):
-            raise ModelError("cannot evaluate a truth variable in a model")
         else:
             raise ModelError(f"not a formula: {f!r}")
         memo[key] = value
@@ -419,9 +423,7 @@ class WitnessDag:
                 if degree != ZERO:
                     row[label, target] = max(row.get((label, target), ZERO), degree)
         if kind == "prob":
-            total = sum(row.values(), ZERO)
-            if total != ONE:
-                raise ModelError(f"witness distribution sums to {total}, not 1")
+            _check_distribution(row, "witness distribution")
         return self._new_state(row, dict(atoms or {}))
 
     def value(self, state: int, formula: Formula) -> Fraction:

@@ -1,17 +1,18 @@
-"""One-step layer: decomposition and the pluggable modal rule API.
+"""The one-step layer: the pluggable modal rule API.
 
-A sequent over formulas is split into a propositional part over fresh truth
-variables (one per outermost modal occurrence) plus a binding of those
-variables to the guarded subformulas.  The solver splits each saturated
-end-sequent once into its atom values and its modal literals, `(op,
-interval)` pairs, keeping each literal's bound argument formula itself.
-Instance logics consume those literals and produce *conclusions*: lists of
-successor states, each given by its *cells*, one interval per literal in
-literal order bounding the successor's value of that literal's argument,
-with the root's edges to those states.  The edges depend on the conclusion
-alone, never on the successors' actual truth values.  The search for a
-conclusion whose successors are all satisfiable is a generator the solver
-drives (`OneStepLogic.search_steps`).
+The solver saturates each sequent's propositional layer, whose leaves are
+its atoms and its modal formulas, and splits each open end-sequent once
+into its atom values and its modal literals: a label `Modal(op, arg)` in an
+interval is the literal `(op, interval)`, and `arg` is what the literal's
+successors bound.  Equal modal formulas share one label, so a layer's
+literals are distinct, but two of them may share an argument.  Instance
+logics consume the literals and produce *conclusions*: lists of successor
+states, each given by its *cells*, one interval per literal in literal
+order bounding the successor's value of that literal's argument, with the
+root's edges to those states.  The edges depend on the conclusion alone,
+never on the successors' actual truth values.  The search for a conclusion
+whose successors are all satisfiable is a generator the solver drives
+(`OneStepLogic.search_steps`).
 """
 
 from __future__ import annotations
@@ -20,72 +21,15 @@ from dataclasses import dataclass
 from typing import Generator, Iterator
 
 from .numerics import Interval
-from .sequents import Sequent, SequentError
-from .syntax import And, Atom, Formula, Minus, Modal, ModalOp, Neg, Var, Zero
+from .syntax import ModalOp
 
-# One modal literal of an end-sequent: Modal(op, v) in interval, for a
-# variable v the instance never sees.
+# One modal literal of an end-sequent: Modal(op, arg) in interval, for an
+# argument the instance never sees.
 Literal = tuple[ModalOp, Interval]
 
 # One successor state of a conclusion: an interval per literal, in literal
 # order, bounding the state's value of that literal's argument.
 Cells = tuple[Interval, ...]
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    binding: dict[Var, Formula]  # in order of occurrence
-    lifted: Sequent
-
-
-def top_level_decompose(seq: Sequent) -> Decomposition:
-    """Replace each outermost modal argument with a fresh variable.
-
-    Fresh variables are numbered v1, v2, ... in left-to-right order over the
-    sequent's literals, one per modal occurrence even when arguments repeat.
-    Atoms are nullary and stay in place.
-    """
-    binding: dict[Var, Formula] = {}
-
-    def rewrite(f: Formula) -> Formula:
-        # Post-order over the propositional layer with an explicit stack:
-        # `todo` holds nodes to visit (False) or to rebuild (True), `done`
-        # the rewritten children, left before right.
-        todo: list[tuple[Formula, bool]] = [(f, False)]
-        done: list[Formula] = []
-        while todo:
-            g, rebuild = todo.pop()
-            if rebuild:
-                if isinstance(g, Neg):
-                    done.append(Neg(done.pop()))
-                elif isinstance(g, Minus):
-                    done.append(Minus(done.pop(), g.c))
-                else:
-                    right = done.pop()
-                    done.append(And(done.pop(), right))
-            elif isinstance(g, Modal):
-                v = Var(f"v{len(binding) + 1}")
-                binding[v] = g.arg
-                done.append(Modal(g.op, v))
-            elif isinstance(g, (Zero, Atom)):
-                done.append(g)
-            elif isinstance(g, (Neg, Minus)):
-                todo += [(g, True), (g.arg, False)]
-            elif isinstance(g, And):
-                todo += [(g, True), (g.right, False), (g.left, False)]
-            elif isinstance(g, Var):
-                raise SequentError("input formulas must not contain truth variables")
-            else:
-                raise TypeError(f"not a formula: {g!r}")
-        return done[0]
-
-    lifted = Sequent((rewrite(f), i) for f, i in seq.items())
-    return Decomposition(binding, lifted)
-
-
-# ---------------------------------------------------------------------------
-# Modal rule API
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -133,10 +77,11 @@ class OneStepLogic:
         `lits` are the modal literals of a saturated end-sequent, in literal
         order.  The solver guarantees their shape: operators the logic
         supports (the input's signature is checked) and non-empty intervals
-        (the tableau's axiom rule closes every empty literal).  Their
-        arguments are distinct variables, one per modal occurrence, so a
-        successor's value of one literal's argument is independent of the
-        others'.
+        (the tableau's axiom rule closes every empty literal).  The
+        instance never sees their arguments and treats each literal's cell
+        as independent of the others'; where two literals share an
+        argument, the solver meets their cells by intersection in the
+        child sequent.
         """
         raise NotImplementedError
 

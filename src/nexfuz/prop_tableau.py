@@ -14,7 +14,7 @@ from typing import Callable, Iterator
 
 from .numerics import ZERO
 from .sequents import Sequent
-from .syntax import And, Atom, Formula, Minus, Modal, Neg, Var, Zero
+from .syntax import And, Atom, Formula, Minus, Modal, Neg, Zero
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ TraceFn = Callable[[str, Sequent, list[Sequent]], None]
 
 
 def _irreducible(label: Formula) -> bool:
-    return isinstance(label, (Modal, Atom, Var))
+    return isinstance(label, (Modal, Atom))
 
 
 def apply_rule(seq: Sequent) -> RuleResult:

@@ -2,15 +2,15 @@
 
 The decision procedure, per modal level:
 
-1. split the input sequent into a propositional layer over fresh truth
-   variables plus bindings of the variables to the guarded subformulas;
-2. saturate the propositional layer, enumerating open end-sequents;
-3. split each end-sequent once into atom values, `(op, interval)` modal
-   literals and the literals' bound argument formulas, and ask the
-   instance logic for a conclusion over those literals whose successors
-   are all satisfiable: each successor's cells, one interval per literal,
-   bound its literals' arguments, so its child sequent pairs each argument
-   with its cell (a repeated argument gets the intersection of its cells);
+1. saturate the sequent's propositional layer, whose leaves are its atoms
+   and its modal formulas, enumerating open end-sequents;
+2. split each end-sequent once into atom values and `(op, interval)` modal
+   literals, one per label `Modal(op, arg)`, each keeping its argument;
+3. ask the instance logic for a conclusion over those literals whose
+   successors are all satisfiable: each successor's cells, one interval
+   per literal, bound the literals' arguments, so its child sequent pairs
+   each argument with its cell (literals may share an argument, and then
+   its cells meet by intersection);
 4. on success, add a state with the conclusion's edges, over the
    children's states, to the solve's witness DAG, and check that every
    modal literal of the end-sequent evaluates there into its interval.
@@ -37,7 +37,7 @@ from typing import Generator
 from .lp import CapExceeded
 from .models import FiniteModel, WitnessDag, check_sequent
 from .numerics import ZERO, Comp, Interval
-from .onestep import OneStepLogic, top_level_decompose
+from .onestep import OneStepLogic
 from .prop_tableau import TraceFn, saturate
 from .sequents import Sequent
 from .syntax import Formula, Modal, modal_depth, subformulas
@@ -47,7 +47,7 @@ from .syntax import Formula, Modal, modal_depth, subformulas
 class SolverCaps:
     """Explicit limits; exceeding one raises CapExceeded, never UNSAT."""
 
-    max_layer_literals: int = 8
+    max_layer_literals: int = 8  # distinct modal literals of one end-sequent
 
 
 @dataclass
@@ -125,25 +125,23 @@ def sat(
             stats.max_depth = max(stats.max_depth, depth)
             stats._bump(stats.level_input_size, depth, current.combined_size())
             hook = partial(stats._bump, stats.level_peak_stack, depth)
-        decomp = top_level_decompose(current)
-        binding = decomp.binding
-        if len(binding) > caps.max_layer_literals:
-            raise CapExceeded(
-                f"{len(binding)} modal literals in one layer "
-                f"(cap {caps.max_layer_literals})"
-            )
-        for gamma in saturate(decomp.lifted, trace=trace, stack_hook=hook):
+        for gamma in saturate(current, trace=trace, stack_hook=hook):
             if stats is not None:
                 stats._bump(stats.level_peak_size, depth, gamma.combined_size())
-            # An end-sequent's labels are Modal(op, Var) or Atom, and none
-            # of its intervals is empty (the Ax rule closed those).
+            # An end-sequent's labels are Modal or Atom, and none of its
+            # intervals is empty (the Ax rule closed those).
             atoms, lits, args = dict(defaults), [], []
             for label, interval in gamma.items():
                 if isinstance(label, Modal):
                     lits.append((label.op, interval))
-                    args.append(binding[label.arg])
+                    args.append(label.arg)
                 else:
                     atoms[label.name] = interval.pick()
+            if len(lits) > caps.max_layer_literals:
+                raise CapExceeded(
+                    f"{len(lits)} modal literals in one end-sequent "
+                    f"(cap {caps.max_layer_literals})"
+                )
             steps = logic.search_steps(tuple(lits))
             state = None
             while True:
@@ -164,14 +162,14 @@ def sat(
                 support = sum(1 for w in edges if w != 0)
                 stats.witness_branching.append((len(lits), support))
             state = dag.add(edges, found.children, atoms)
-            for (op, interval), arg in zip(lits, args):
-                formula = Modal(op, arg)
-                value = dag.value(state, formula)
-                if not interval.contains(value):
-                    raise AssertionError(
-                        f"witness state gives {formula} the value {value}, "
-                        f"outside {interval}"
-                    )
+            for label, interval in gamma.items():
+                if isinstance(label, Modal):
+                    value = dag.value(state, label)
+                    if not interval.contains(value):
+                        raise AssertionError(
+                            f"witness state gives {label} the value {value}, "
+                            f"outside {interval}"
+                        )
             return state
         return None
 

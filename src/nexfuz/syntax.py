@@ -163,21 +163,11 @@ class Atom(Formula):
         return _NODES.get(key) or _node(key, 1, 0)
 
 
-class Var(Formula):
-    """A placeholder truth variable; only used inside one-step sequents."""
-
-    __slots__ = ("name",)
-
-    def __new__(cls, name: str):
-        key = (2, name)
-        return _NODES.get(key) or _node(key, 1, 0)
-
-
 class Neg(Formula):
     __slots__ = ("arg",)
 
     def __new__(cls, arg: Formula):
-        key = (3, arg)
+        key = (2, arg)
         return _NODES.get(key) or _node(key, arg.size + 1, arg.modal_depth)
 
 
@@ -189,7 +179,7 @@ class Minus(Formula):
     def __new__(cls, arg: Formula, c: Fraction):
         # Before the lookup, which a float equal to a live constant passes.
         c = to_fraction(c)
-        key = (4, arg, c)
+        key = (3, arg, c)
         node = _NODES.get(key)
         if node is not None:
             return node
@@ -203,7 +193,7 @@ class And(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
-        key = (5, left, right)
+        key = (4, left, right)
         return _NODES.get(key) or _node(
             key, left.size + right.size + 1, max(left.modal_depth, right.modal_depth)
         )
@@ -213,11 +203,11 @@ class Modal(Formula):
     __slots__ = ("op", "arg")
 
     def __new__(cls, op: ModalOp, arg: Formula):
-        key = (6, op, arg)
+        key = (5, op, arg)
         return _NODES.get(key) or _node(key, arg.size + op.size(), arg.modal_depth + 1)
 
 
-_CLASSES = (Zero, Atom, Var, Neg, Minus, And, Modal)
+_CLASSES = (Zero, Atom, Neg, Minus, And, Modal)
 
 
 def Or(left: Formula, right: Formula) -> Formula:
@@ -429,7 +419,7 @@ def to_text(f: Formula) -> str:
         g, min_prec = item
         if isinstance(g, Zero):
             parts = ["0"]
-        elif isinstance(g, (Atom, Var)):
+        elif isinstance(g, Atom):
             parts = [g.name]
         elif isinstance(g, Neg):
             parts = ["~", (g.arg, _PREC_UNARY)]

@@ -1,6 +1,7 @@
 """Shared test utilities: random generators, direct one-step evaluation, a
 stand-alone runner for the one-step searches, the point-set reference
-liftings, the `Fraction`-endpoint reference interval, the comparison-negation
+liftings, the default conclusion enumeration of an instance, the
+`Fraction`-endpoint reference interval, the comparison-negation
 rays, small interval, sequent and formula predicates, and an independent
 classical modal-logic oracle."""
 
@@ -20,6 +21,7 @@ from nexfuz.liftings import (
 from nexfuz.metricspace import MetricSpace
 from nexfuz.models import FiniteModel
 from nexfuz.numerics import Comp, Interval, NumericError, ONE, ZERO, to_fraction
+from nexfuz.onestep import OneStepLogic
 from nexfuz.sequents import Sequent, SequentError
 from nexfuz.syntax import (
     And,
@@ -228,6 +230,24 @@ def run_search(logic, lits: tuple, child):
             cells = steps.send(child(cells))
     except StopIteration as stop:
         return stop.value
+
+
+class NaiveWrapper(OneStepLogic):
+    """Hides an instance's `search_steps` override so the default
+    conclusion enumeration runs; used to check the fast paths stay
+    equivalent."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.kind = inner.kind
+        self.space = getattr(inner, "space", None)
+
+    def supports(self, op):
+        return self.inner.supports(op)
+
+    def conclusions(self, lits):
+        return self.inner.conclusions(lits)
 
 
 # ---------------------------------------------------------------------------

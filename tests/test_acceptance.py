@@ -36,7 +36,6 @@ from nexfuz.syntax import (
     Minus,
     Modal,
     Neg,
-    Var,
     Zero,
     modal_depth,
     parse,
@@ -123,9 +122,9 @@ def test_criterion_2_model_first_completeness():
 # Criterion 3: local rule correctness, >= 10^4 valuations per rule
 # ---------------------------------------------------------------------------
 
-_V1 = Modal(Diamond(), Var("v1"))
-_V2 = Modal(Diamond(), Var("v2"))
-_LABELS = [_V1, _V2, Atom("a")]
+_DIA_B = Modal(Diamond(), Atom("b"))
+_DIA_C = Modal(Diamond(), Atom("c"))
+_LABELS = [_DIA_B, _DIA_C, Atom("a")]
 
 
 def _context(rng):

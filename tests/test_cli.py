@@ -109,7 +109,7 @@ class TestSolve:
         assert any(r["rule"] == "Neg" for r in records)
 
     def test_trace_covers_every_layer(self, capsys):
-        # The top layer holds only `dia v1`; the Neg step is in the child's.
+        # The top layer holds only `dia ~a`; the Neg step is in the child's.
         code, _, err = run(
             capsys, "solve", "--logic", "alc", "--formula", "dia ~a", "--cmp", "ge",
             "--p", "1/2", "--trace",
@@ -119,6 +119,19 @@ class TestSolve:
         assert [r["rule"] for r in records] == ["Neg"]
         assert records[0]["premise"]["literals"][0]["formula"] == "~a"
 
+
+    def test_trace_shows_the_input_modal_formulas(self, capsys):
+        code, _, err = run(
+            capsys, "solve", "--logic", "alc", "--formula", "dia a & ~dia b",
+            "--cmp", "ge", "--p", "1/2", "--trace",
+        )
+        assert code == 0
+        records = [json.loads(line) for line in err.strip().splitlines()]
+        assert [r["rule"] for r in records] == ["Min", "Neg"]
+        assert [lit["formula"] for lit in records[1]["conclusions"][0]["literals"]] == [
+            "dia a", "dia b"
+        ]
+        assert "v1" not in err
 
 class TestErrorContract:
     """A failure inside the solver exits 2 with an `error:` line; exit 1

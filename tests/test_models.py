@@ -513,6 +513,24 @@ class TestJsonAndValidate:
         with pytest.raises(ModelError):
             m.validate()
 
+    def test_distribution_sums_over_mixed_denominators(self):
+        # Exact to the last unit of the rows' LCM, which no denominator
+        # reaches alone: 3/10 + 1/6 + 8/15 is 1, 1/3 + 1/4 + 2/5 is 59/60;
+        # a state without a row sums to 0.
+        row = {"x": F(3, 10), "y": F(1, 6), "z": F(8, 15)}
+        FiniteModel("prob", ("x", "y", "z"), {s: row for s in "xyz"}, {}).validate()
+        row = {"x": F(1, 3), "y": F(1, 4), "z": F(5, 12)}
+        short = {**row, "z": F(2, 5)}
+        with pytest.raises(ModelError, match=r"distribution at 'x' sums to 59/60, not 1"):
+            FiniteModel("prob", ("x", "y", "z"), {s: short for s in "xyz"}, {}).validate()
+        with pytest.raises(ModelError, match=r"distribution at 'y' sums to 0, not 1"):
+            FiniteModel("prob", ("x", "y"), {"x": {"x": F(1)}}, {}).validate()
+        dag = WitnessDag("prob")
+        u = dag.add((F(1),), [])
+        with pytest.raises(ModelError, match=r"witness distribution sums to 59/60, not 1"):
+            dag.add((F(1, 3), F(1, 4), F(2, 5)), [u, u, u])
+        assert dag.model.trans[dag.add((F(3, 10), F(1, 6), F(8, 15)), [u, u, u])] == {u: 1}
+
     def test_validate_rejects_floats(self):
         for trans, atoms in [
             ({"x": {"x": 0.5}}, {}),

@@ -1,97 +1,28 @@
 from fractions import Fraction as F
 
+import pytest
+
+from helpers import NaiveWrapper
+
 from nexfuz.logics import FuzzyAlcLogic, get_logic
+from nexfuz.models import check_sequent
 from nexfuz.numerics import EMPTY, Interval, UNIT
-from nexfuz.onestep import top_level_decompose
 from nexfuz.prop_tableau import saturate
-from nexfuz.solver import sat
+from nexfuz.solver import SolverCaps, sat
 from nexfuz.sequents import Sequent
-from nexfuz.syntax import And, Atom, Diamond, Modal, Neg, Var, Zero, parse
+from nexfuz.syntax import Atom, Diamond, Modal, MoreThan, parse
 
 A = Atom("a")
-V1, V2 = Var("v1"), Var("v2")
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
     return Interval.make(F(lo), F(hi), lo_open, hi_open)
 
 
-class TestDecompose:
-    def test_fresh_variable_per_occurrence(self):
-        seq = Sequent([(parse("dia a & ~(dia a)"), iv("1/2", 1))])
-        d = top_level_decompose(seq)
-        assert [v.name for v in d.binding] == ["v1", "v2"]
-        assert d.binding == {V1: A, V2: A}
-        expected = Sequent(
-            [(And(Modal(Diamond(), V1), Neg(Modal(Diamond(), V2))), iv("1/2", 1))]
-        )
-        assert d.lifted == expected
-
-    def test_zero_under_modality(self):
-        seq = Sequent([(parse("dia 0"), UNIT)])
-        d = top_level_decompose(seq)
-        assert d.binding == {V1: Zero()}
-        assert d.lifted == Sequent([(Modal(Diamond(), V1), UNIT)])
-
-    def test_atoms_stay_nullary(self):
-        seq = Sequent([(A, UNIT)])
-        d = top_level_decompose(seq)
-        assert d.binding == {}
-        assert d.lifted == seq
-
-    def test_each_variable_occurs_exactly_once(self):
-        import random
-
-        from helpers import rand_sequent
-
-        rng = random.Random(9)
-        for _ in range(40):
-            seq = rand_sequent(rng, "alc", depth=3, max_den=8)
-            d = top_level_decompose(seq)
-
-            def count(f, v):
-                if f == v:
-                    return 1
-                if isinstance(f, (Neg, Modal)):
-                    return count(f.arg, v)
-                from nexfuz.syntax import Minus
-
-                if isinstance(f, Minus):
-                    return count(f.arg, v)
-                if isinstance(f, And):
-                    return count(f.left, v) + count(f.right, v)
-                return 0
-
-            for v in d.binding:
-                assert sum(count(f, v) for f, _ in d.lifted.items()) == 1
-
-    def test_substituting_back_restores_input(self):
-        seq = Sequent([(parse("(dia (a & b) - 1/4) & ~dia 0"), iv(0, "3/4"))])
-        d = top_level_decompose(seq)
-
-        def restore(f):
-            if isinstance(f, Var):
-                return d.binding[f]
-            if isinstance(f, Modal):
-                return Modal(f.op, restore(f.arg))
-            if isinstance(f, And):
-                return And(restore(f.left), restore(f.right))
-            if isinstance(f, Neg):
-                return Neg(restore(f.arg))
-            from nexfuz.syntax import Minus
-
-            if isinstance(f, Minus):
-                return Minus(restore(f.arg), f.c)
-            return f
-
-        assert Sequent((restore(f), i) for f, i in d.lifted.items()) == seq
-
-
 class TestEndSequentShape:
     """What the solver guarantees of the modal literals it hands an
-    instance: every end-sequent of a decomposed, saturated layer has only
-    atom and Modal(op, Var) labels, no empty interval, distinct variables
-    and operators the logic supports."""
+    instance: every end-sequent of a saturated layer has only atom and
+    Modal labels, no empty interval, and operators the logic supports."""
 
     def test_random_layers(self):
         import random
@@ -106,18 +37,67 @@ class TestEndSequentShape:
                 logic = get_logic(name, space)
                 seq = rand_sequent(rng, name, depth=2, space=space, max_den=8,
                                    max_literals=3)
-                for gamma in saturate(top_level_decompose(seq).lifted):
+                for gamma in saturate(seq):
                     ends += 1
-                    variables = []
                     for label, interval in gamma.items():
                         assert not interval.is_empty, gamma
                         if isinstance(label, Atom):
                             continue
-                        assert isinstance(label, Modal) and isinstance(label.arg, Var)
+                        assert isinstance(label, Modal), gamma
                         assert logic.supports(label.op), (name, label)
-                        variables.append(label.arg)
-                    assert len(set(variables)) == len(variables), gamma
         assert ends > 100
+
+
+class TestRepeatedModalFormula:
+    """A modal formula that occurs twice in a layer is one label of the
+    layer's sequents, so the instance sees one literal, over the
+    intersection of both occurrences' intervals."""
+
+    @staticmethod
+    def top_literals(logic, seq):
+        """The verdict, and the literals of the solve's first search."""
+        seen = []
+        search_steps = logic.search_steps
+        logic.search_steps = lambda lits: (seen.append(lits), search_steps(lits))[1]
+        return sat(seq, logic), seen[0] if seen else None
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("alc", "dia a & ~(dia a - 1/4)"),
+            ("lgen", "G a & ~(G a - 1/4)"),
+            ("mp", "M{1/2} a & ~(M{1/2} a - 1/4)"),
+        ],
+    )
+    def test_one_literal_with_the_intersected_interval(self, name, text):
+        # x >= 1/2 and max(0, x - 1/4) <= 1/2 meet in x in [1/2, 3/4].
+        formula = parse(text)
+        seq = Sequent([(formula, iv("1/2", 1))])
+        verdict, lits = self.top_literals(get_logic(name), seq)
+        assert lits == ((formula.left.op, iv("1/2", "3/4")),)
+        assert verdict.sat and sat(seq, NaiveWrapper(get_logic(name))).sat
+        assert check_sequent(verdict.model, verdict.state, seq)
+        # x >= 7/8 and x <= 3/8 do not meet: the tableau closes the layer.
+        seq = Sequent([(formula, iv("7/8", 1))])
+        verdict, lits = self.top_literals(get_logic(name), seq)
+        assert lits is None
+        assert not verdict.sat and not sat(seq, NaiveWrapper(get_logic(name))).sat
+
+    def test_literals_sharing_an_argument(self):
+        # Two distinct literals over one argument: the instance answers
+        # each with its own cell, and the child sequent meets them.
+        seq = Sequent([(parse("M{1/2} a & ~M{1/3} a"), iv("1/2", 1))])
+        verdict, lits = self.top_literals(get_logic("mp"), seq)
+        assert [op for op, _ in lits] == [MoreThan(F(1, 2)), MoreThan(F(1, 3))]
+        assert verdict.sat and sat(seq, NaiveWrapper(get_logic("mp"))).sat
+        assert check_sequent(verdict.model, verdict.state, seq)
+
+    def test_cap_counts_distinct_literals(self):
+        # Two occurrences, one literal: under the cap.  Two distinct
+        # literals exceed it (`test_cap_exceeded_is_not_unsat`).
+        seq = Sequent([(parse("dia a & dia a"), iv("1/2", 1))])
+        verdict = sat(seq, get_logic("alc"), caps=SolverCaps(max_layer_literals=1))
+        assert verdict.sat and check_sequent(verdict.model, verdict.state, seq)
 
 
 class TestWithAtoms:
@@ -167,8 +147,8 @@ class TestWithAtoms:
         assert verdict.model.successors(verdict.state)  # modal part untouched
 
     def test_split(self):
-        # One end-sequent {a in [0,1], dia v1 in [1/2,1], b in [1/5,1/5],
-        # dia v2 in [0,1]}: the atoms get their picked values, the modal
+        # One end-sequent {a in [0,1], dia c in [1/2,1], b in [1/5,1/5],
+        # dia d in [0,1]}: the atoms get their picked values, the modal
         # literals go to the instance as (op, interval) pairs, in literal
         # order.
         seen = []

@@ -6,10 +6,10 @@ from helpers import rand_interval, rand_rational, seq_satisfied
 from nexfuz.numerics import EMPTY, Interval, UNIT
 from nexfuz.prop_tableau import Closed, One, Saturated, Two, apply_rule, saturate
 from nexfuz.sequents import Sequent
-from nexfuz.syntax import And, Atom, Diamond, Minus, Modal, Neg, Var, Zero
+from nexfuz.syntax import And, Atom, Diamond, Minus, Modal, Neg, Zero
 
-V1 = Modal(Diamond(), Var("v1"))
-V2 = Modal(Diamond(), Var("v2"))
+DIA_B = Modal(Diamond(), Atom("b"))
+DIA_C = Modal(Diamond(), Atom("c"))
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
@@ -18,40 +18,40 @@ def iv(lo, hi, lo_open=False, hi_open=False):
 
 class TestApplyRule:
     def test_axiom_on_empty_interval(self):
-        assert isinstance(apply_rule(Sequent([(V1, EMPTY)])), Closed)
+        assert isinstance(apply_rule(Sequent([(DIA_B, EMPTY)])), Closed)
 
     def test_zero_closes_when_excluded(self):
         r = apply_rule(Sequent([(Zero(), iv(0, 1, lo_open=True))]))
         assert isinstance(r, Closed) and r.rule == "Ax0"
 
     def test_zero_drops_when_included(self):
-        r = apply_rule(Sequent([(Zero(), iv(0, 0)), (V1, UNIT)]))
-        assert isinstance(r, One) and r.conclusion == Sequent([(V1, UNIT)])
+        r = apply_rule(Sequent([(Zero(), iv(0, 0)), (DIA_B, UNIT)]))
+        assert isinstance(r, One) and r.conclusion == Sequent([(DIA_B, UNIT)])
 
     def test_negation_complements(self):
-        r = apply_rule(Sequent([(Neg(V1), iv("3/10", "3/5"))]))
+        r = apply_rule(Sequent([(Neg(DIA_B), iv("3/10", "3/5"))]))
         assert isinstance(r, One)
-        assert r.conclusion == Sequent([(V1, iv("2/5", "7/10"))])
+        assert r.conclusion == Sequent([(DIA_B, iv("2/5", "7/10"))])
 
     def test_shift_off_zero(self):
-        r = apply_rule(Sequent([(Minus(V1, F(1, 5)), iv("1/10", "2/5", lo_open=True))]))
+        r = apply_rule(Sequent([(Minus(DIA_B, F(1, 5)), iv("1/10", "2/5", lo_open=True))]))
         assert isinstance(r, One)
-        assert r.conclusion == Sequent([(V1, iv("3/10", "3/5", lo_open=True))])
+        assert r.conclusion == Sequent([(DIA_B, iv("3/10", "3/5", lo_open=True))])
 
     def test_shift_at_zero_widens(self):
-        r = apply_rule(Sequent([(Minus(V1, F(1, 2)), iv(0, "3/5", hi_open=True))]))
+        r = apply_rule(Sequent([(Minus(DIA_B, F(1, 2)), iv(0, "3/5", hi_open=True))]))
         assert isinstance(r, One)
-        assert r.conclusion == Sequent([(V1, iv(0, 1))])  # 3/5+1/2 > 1
+        assert r.conclusion == Sequent([(DIA_B, iv(0, 1))])  # 3/5+1/2 > 1
 
     def test_min_branches_and_coincide_at_top(self):
-        premise = Sequent([(And(V1, Neg(V2)), iv("1/2", 1))])
+        premise = Sequent([(And(DIA_B, Neg(DIA_C)), iv("1/2", 1))])
         r = apply_rule(premise)
         assert isinstance(r, Two)
         assert r.left == r.right  # upper bound 1 makes both conclusions equal
-        assert r.left == Sequent([(V1, iv("1/2", 1)), (Neg(V2), iv("1/2", 1))])
+        assert r.left == Sequent([(DIA_B, iv("1/2", 1)), (Neg(DIA_C), iv("1/2", 1))])
 
     def test_saturated(self):
-        assert isinstance(apply_rule(Sequent([(V1, UNIT), (Atom("a"), UNIT)])), Saturated)
+        assert isinstance(apply_rule(Sequent([(DIA_B, UNIT), (Atom("a"), UNIT)])), Saturated)
 
 
 class TestSaturate:
@@ -63,9 +63,9 @@ class TestSaturate:
         assert list(saturate(Sequent([(Zero(), iv(0, 1, lo_open=True))]))) == []
 
     def test_worked_min_negation(self):
-        seq = Sequent([(And(V1, Neg(V2)), iv("1/2", 1))])
+        seq = Sequent([(And(DIA_B, Neg(DIA_C)), iv("1/2", 1))])
         ends = list(saturate(seq))
-        assert ends == [Sequent([(V1, iv("1/2", 1)), (V2, iv(0, "1/2"))])]
+        assert ends == [Sequent([(DIA_B, iv("1/2", 1)), (DIA_C, iv(0, "1/2"))])]
 
     def test_branch_count_bound(self):
         rng = random.Random(5)
@@ -109,7 +109,7 @@ def _count_ands(f):
 
 
 def _random_onestep_sequent(rng: random.Random):
-    labels = [V1, V2, Atom("a")]
+    labels = [DIA_B, DIA_C, Atom("a")]
     seq = Sequent()
     total_ands = 0
     for _ in range(rng.randint(1, 2)):
@@ -126,7 +126,7 @@ class TestLocalRuleCorrectness:
 
     def _check(self, premise: Sequent, rng: random.Random):
         result = apply_rule(premise)
-        labels = [V1, V2, Atom("a")]
+        labels = [DIA_B, DIA_C, Atom("a")]
         for _ in range(40):
             val = {l: rand_rational(rng) for l in labels}
             lhs = seq_satisfied(premise, val)
@@ -154,7 +154,7 @@ class TestSaturationPreservesSemantics:
 
     def test_randomized(self):
         rng = random.Random(67)
-        labels = [V1, V2, Atom("a")]
+        labels = [DIA_B, DIA_C, Atom("a")]
         for _ in range(150):
             seq, _ = _random_onestep_sequent(rng)
             ends = list(saturate(seq))

@@ -5,13 +5,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rand_formula, rand_metric_space, rand_model, rand_sequent
+from helpers import NaiveWrapper, rand_formula, rand_metric_space, rand_model, rand_sequent
 
 from nexfuz.lp import CapExceeded
 from nexfuz.logics import LOGIC_NAMES, get_logic
 from nexfuz.models import FiniteModel, check_sequent, eval_formula
 from nexfuz.numerics import Comp, Interval, NumericError
-from nexfuz.onestep import Conclusion, OneStepLogic
+from nexfuz.onestep import Conclusion
 from nexfuz.sequents import Sequent
 from nexfuz.solver import SolveStats, SolverCaps, sat, sat_threshold
 from nexfuz.syntax import And, Atom, Diamond, Modal, Neg, modal_depth, parse, to_text
@@ -152,24 +152,6 @@ class TestModelFirstCompleteness:
 
     def test_metric_crisp(self):
         self._run("metric-crisp", 85, cases=20)
-
-
-class NaiveWrapper(OneStepLogic):
-    """Hides an instance's `search_steps` override so the default
-    conclusion enumeration runs; used to check the fast paths stay
-    equivalent."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = inner.name
-        self.kind = inner.kind
-        self.space = getattr(inner, "space", None)
-
-    def supports(self, op):
-        return self.inner.supports(op)
-
-    def conclusions(self, lits):
-        return self.inner.conclusions(lits)
 
 
 class TestSearchParity:
