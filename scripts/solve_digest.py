@@ -30,13 +30,19 @@ import corpus  # noqa: E402
 import nexfuz as nx  # noqa: E402
 
 # Seed-1 digests.  `model-eval` is from before `Interval` held its endpoints
-# as integer pairs; the three solve workloads are from when each layer's
-# modal formulas became the tableau's leaves, which changed `SolveStats`
-# (chiefly `level_peak_size`) and one witness.  Every later change to the
-# solver must keep them or say why.
+# as integer pairs; `depth-ladder` is from when each layer's modal formulas
+# became the tableau's leaves.  `relational` and `prob-hard` are from when
+# the tableau began to propagate before it splits a minimum, into disjoint
+# branches: verdicts and witnesses stayed, and these `SolveStats` fields
+# moved on this many jobs:
+# - `relational`: `level_peak_stack` 89, `level_peak_size` 76, `nodes` 18
+#   (17 up, 1 down), `level_input_size` 10, `max_depth` 1;
+# - `prob-hard`: `nodes` 12 (2 up, 10 down), `level_peak_size` 11,
+#   `level_input_size` 8, `witness_branching` 8, `level_peak_stack` 8.
+# Every later change to the solver must keep them or say why.
 RECORDED = {
-    "relational": "049763cdb32b3b6124160e9880a7a3218b0dd9da335b2b4803b097c61090284a",
-    "prob-hard": "3b7999832c26bf6b4234952604cb318ae143c3d2632bf1ed4d6c1c25ee398858",
+    "relational": "5e6c380d74244e7019087683da4e8474df40916201ef35313fcbe4ab9cd258ef",
+    "prob-hard": "e5c8661aa913ade3e1402cc97024d384fd1af7dec62641c9d22ee53fbb52e698",
     "depth-ladder": "984f742333d513399c380b3a6cb29ec3549af138f735ee8b523a3d08aa17be02",
     "model-eval": "9714c014544be5ce30c317c104668d7b8471a53702843d0625848fda721ee0e5",
 }

@@ -106,9 +106,10 @@ def consistent_vectors(lits: Sequence[Literal]) -> Iterator[tuple[ConfigVector, 
     """Every 0/1 vector some successor state can have, lexicographically,
     with the cells such a state's values must lie in.
 
-    Bits 2i and 2i+1 belong to literal i alone (arguments are distinct
-    variables), so the consistent vectors are the product of the
-    per-literal cells.
+    Bits 2i and 2i+1 belong to literal i alone, so the vectors are the
+    product of the per-literal cells.  Two literals may share an argument:
+    their cells then meet in the child sequent, and a vector whose cells
+    for that argument do not meet has a child sequent that `Ax` closes.
     """
     for combo in product(*(literal_cells(interval) for _, interval in lits)):
         yield _cells_vector(combo), tuple(cell for _, cell in combo)

@@ -1,10 +1,15 @@
 """Propositional tableau over one-step sequents.
 
 Rewrites literals whose label has a propositional head (negation, truncated
-subtraction, minimum) until only modal and atom labels remain, branching on
-minimum.  Rule application order is fixed: the first reducible literal in the
-sequent's insertion order.  Saturation backtracks over both branches of the
-minimum rule, so the stream of open end-sequents is exhaustive.
+subtraction, minimum) until only modal and atom labels remain.  The rule
+order is fixed: `Ax` on any empty interval first; then every non-branching
+rule (`Ax0`, `Drop0`, `Neg`, `Minus`, `MinusZero`, and `Min` on a lower ray)
+on the first such literal in the sequent's insertion order; only then the
+first remaining minimum splits, into the two disjoint branches `x in I,
+y in lower_ray(I)` and `x in above(I), y in I`.  So the rules that pin or
+close a branch fire before the branch is copied, and no valuation
+satisfies both branches of a split.  Saturation backtracks over both
+branches, so the stream of open end-sequents is exhaustive.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Callable, Iterator
 
 from .numerics import ZERO
 from .sequents import Sequent
-from .syntax import And, Atom, Formula, Minus, Modal, Neg, Zero
+from .syntax import And, Atom, Minus, Modal, Neg, Zero
 
 
 @dataclass(frozen=True)
@@ -47,15 +52,12 @@ RuleResult = Closed | One | Two | Saturated
 TraceFn = Callable[[str, Sequent, list[Sequent]], None]
 
 
-def _irreducible(label: Formula) -> bool:
-    return isinstance(label, (Modal, Atom))
-
-
 def apply_rule(seq: Sequent) -> RuleResult:
     """Apply the first applicable rule under the fixed deterministic order."""
     for label, interval in seq.items():
         if interval.is_empty:
             return Closed("Ax")
+    split = None
     for label, interval in seq.items():
         if isinstance(label, Zero):
             if not interval.contains(ZERO):
@@ -72,14 +74,23 @@ def apply_rule(seq: Sequent) -> RuleResult:
                 return One("MinusZero", seq.remove(label).insert(label.arg, shifted.upper_ray()))
             return One("Minus", seq.remove(label).insert(label.arg, shifted))
         if isinstance(label, And):
-            rest = seq.remove(label)
-            lower_ray = interval.lower_ray()
-            left = rest.insert(label.left, interval).insert(label.right, lower_ray)
-            right = rest.insert(label.left, lower_ray).insert(label.right, interval)
-            return Two("Min", left, right)
-        if not _irreducible(label):
+            if interval.above().is_empty:
+                # A lower ray: min(x, y) meets it iff both x and y do.
+                rest = seq.remove(label)
+                return One("Min", rest.insert(label.left, interval).insert(label.right, interval))
+            if split is None:
+                split = label, interval
+        elif not isinstance(label, (Modal, Atom)):
             raise TypeError(f"unexpected label in one-step sequent: {label!r}")
-    return Saturated()
+    if split is None:
+        return Saturated()
+    # min(x, y) lies in I iff x lies in I and y meets I's lower bound, or x
+    # lies above I and y in I; x below I takes the minimum below I.
+    label, interval = split
+    rest = seq.remove(label)
+    left = rest.insert(label.left, interval).insert(label.right, interval.lower_ray())
+    right = rest.insert(label.left, interval.above()).insert(label.right, interval)
+    return Two("Min", left, right)
 
 
 def saturate(
@@ -89,11 +100,14 @@ def saturate(
 ) -> Iterator[Sequent]:
     """Depth-first enumeration of the open end-sequents of `seq`.
 
-    Duplicate end-sequents (reachable along several branch choices) are
-    suppressed.  Closed branches yield nothing.
+    Closed branches yield nothing.  No end-sequent is yielded twice.  An
+    end-sequent puts a non-empty interval on each of its distinct leaves,
+    so some valuation satisfies it, and that valuation satisfies every
+    sequent on the end-sequent's branch, since each rule's conclusions
+    imply its premise.  No valuation satisfies both branches of a split,
+    so two branches never end in the same sequent.
     """
     stack = [seq]
-    seen: set[Sequent] = set()
     while stack:
         if stack_hook is not None:
             stack_hook(len(stack))
@@ -111,13 +125,10 @@ def saturate(
         if isinstance(result, Two):
             if trace is not None:
                 trace(result.rule, current, [result.left, result.right])
-            if result.right != result.left:
-                stack.append(result.right)
+            stack.append(result.right)
             stack.append(result.left)
             continue
-        if current not in seen:
-            seen.add(current)
-            yield current
+        yield current
 
 
 def trace_to_json(rule: str, premise: Sequent, conclusions: list[Sequent]) -> dict:

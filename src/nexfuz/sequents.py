@@ -3,6 +3,8 @@
 A sequent is kept as a map, so duplicate labels are merged by interval
 intersection at insertion time.  Entries with an empty interval are retained
 rather than eagerly closed, so the axiom rule of the tableau fires explicitly.
+The hash is computed on first use: the tableau's intermediate sequents are
+never hashed, only the sequents the solver memoizes are.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ class SequentError(ValueError):
 class Sequent:
     """An immutable map from formulas to intervals, in insertion order."""
 
-    __slots__ = ("_map", "_key")
+    __slots__ = ("_map", "_hash")
 
     def __init__(self, literals: Iterable[tuple[Formula, Interval]] = ()):
         m: dict[Formula, Interval] = {}
@@ -31,7 +33,7 @@ class Sequent:
             else:
                 m[label] = interval
         self._map = m
-        self._key = frozenset(m.items())
+        self._hash = None
 
     def insert(self, label: Formula, interval: Interval) -> Sequent:
         """Add a literal; an existing entry for the label is intersected."""
@@ -42,7 +44,7 @@ class Sequent:
         else:
             m[label] = interval
         out._map = m
-        out._key = frozenset(m.items())
+        out._hash = None
         return out
 
     def remove(self, label: Formula) -> Sequent:
@@ -50,7 +52,7 @@ class Sequent:
         m = dict(self._map)
         del m[label]
         out._map = m
-        out._key = frozenset(m.items())
+        out._hash = None
         return out
 
     def get(self, label: Formula) -> Interval | None:
@@ -74,10 +76,12 @@ class Sequent:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequent):
             return NotImplemented
-        return self._key == other._key
+        return self._map == other._map
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        if self._hash is None:
+            self._hash = hash(frozenset(self._map.items()))
+        return self._hash
 
     def __repr__(self) -> str:
         body = ", ".join(f"{to_text(f)} in {i}" for f, i in self._map.items())

@@ -10,6 +10,7 @@ from nexfuz.syntax import And, Atom, Diamond, Minus, Modal, Neg, Zero
 
 DIA_B = Modal(Diamond(), Atom("b"))
 DIA_C = Modal(Diamond(), Atom("c"))
+_LABELS = [DIA_B, DIA_C, Atom("a")]
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
@@ -43,12 +44,38 @@ class TestApplyRule:
         assert isinstance(r, One)
         assert r.conclusion == Sequent([(DIA_B, iv(0, 1))])  # 3/5+1/2 > 1
 
-    def test_min_branches_and_coincide_at_top(self):
+    def test_min_on_lower_ray_is_one_step(self):
         premise = Sequent([(And(DIA_B, Neg(DIA_C)), iv("1/2", 1))])
         r = apply_rule(premise)
-        assert isinstance(r, Two)
-        assert r.left == r.right  # upper bound 1 makes both conclusions equal
-        assert r.left == Sequent([(DIA_B, iv("1/2", 1)), (Neg(DIA_C), iv("1/2", 1))])
+        assert isinstance(r, One) and r.rule == "Min"  # upper bound 1: no split
+        assert r.conclusion == Sequent([(DIA_B, iv("1/2", 1)), (Neg(DIA_C), iv("1/2", 1))])
+
+    def test_min_splits_into_disjoint_branches(self):
+        premise = Sequent([(And(DIA_B, Neg(DIA_C)), iv("1/4", "3/4", hi_open=True))])
+        r = apply_rule(premise)
+        assert isinstance(r, Two) and r.rule == "Min"
+        assert r.left == Sequent([(DIA_B, iv("1/4", "3/4", hi_open=True)),
+                                  (Neg(DIA_C), iv("1/4", 1))])
+        assert r.right == Sequent([(DIA_B, iv("3/4", 1)),
+                                   (Neg(DIA_C), iv("1/4", "3/4", hi_open=True))])
+        rng = random.Random(29)
+        for _ in range(200):
+            premise = Sequent([(And(rng.choice(_LABELS), rng.choice(_LABELS)),
+                                rand_interval(rng, 8))])
+            r = apply_rule(premise)
+            if not isinstance(r, Two):
+                continue
+            for _ in range(40):
+                val = {l: rand_rational(rng, 8) for l in _LABELS}
+                assert not (seq_satisfied(r.left, val) and seq_satisfied(r.right, val)), (
+                    premise, r, val)
+
+    def test_propagates_before_splitting(self):
+        split = And(DIA_B, DIA_C)
+        premise = Sequent([(split, iv("1/4", "3/4")), (Neg(DIA_B), iv(0, "1/8"))])
+        r = apply_rule(premise)
+        assert isinstance(r, One) and r.rule == "Neg"
+        assert r.conclusion == Sequent([(split, iv("1/4", "3/4")), (DIA_B, iv("7/8", 1))])
 
     def test_saturated(self):
         assert isinstance(apply_rule(Sequent([(DIA_B, UNIT), (Atom("a"), UNIT)])), Saturated)
@@ -73,6 +100,16 @@ class TestSaturate:
             seq, n_and = _random_onestep_sequent(rng)
             ends = list(saturate(seq))
             assert len(ends) <= 2 ** n_and
+
+    def test_end_sequents_are_distinct_and_disjoint(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            seq, _ = _random_onestep_sequent(rng)
+            ends = list(saturate(seq))
+            assert len(set(ends)) == len(ends), (seq, ends)
+            for _ in range(40):
+                val = {l: rand_rational(rng, 8) for l in _LABELS}
+                assert sum(seq_satisfied(end, val) for end in ends) <= 1, (seq, ends, val)
 
     def test_end_sequents_are_irreducible_and_nonempty(self):
         rng = random.Random(17)
