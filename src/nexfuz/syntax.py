@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import (
-    NumericError,
-    ONE,
-    ZERO,
-    bit_length,
-    parse_rational,
-    to_fraction,
-)
+from .numerics import NumericError, bit_length, parse_rational, to_fraction
 
 
 class ParseError(ValueError):
@@ -58,6 +52,10 @@ class Generally(ModalOp):
         return "G"
 
 
+# The parametrised operators hash once, when built: a `Modal` key hashes its
+# operator on every lookup, and a `Fraction` hashes in Python.  The hash is
+# per process (a label's string hash is salted), so pickling rebuilds the
+# operator from its fields.
 @dataclass(frozen=True)
 class MoreThan(ModalOp):
     """Largest degree guaranteed with probability strictly above the parameter."""
@@ -65,9 +63,17 @@ class MoreThan(ModalOp):
     p: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "p", to_fraction(self.p))
-        if not ZERO <= self.p <= ONE:
-            raise NumericError(f"probability parameter {self.p} outside [0, 1]")
+        p = to_fraction(self.p)
+        if not 0 <= p.numerator <= p.denominator:
+            raise NumericError(f"probability parameter {p} outside [0, 1]")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_hash", hash((p,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (MoreThan, (self.p,))
 
     def size(self) -> int:
         return bit_length(self.p.numerator) + bit_length(self.p.denominator)
@@ -84,9 +90,17 @@ class MetricDiamond(ModalOp):
     c: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "c", to_fraction(self.c))
-        if not ZERO <= self.c <= ONE:
-            raise NumericError(f"reach bound {self.c} outside [0, 1]")
+        c = to_fraction(self.c)
+        if not 0 <= c.numerator <= c.denominator:
+            raise NumericError(f"reach bound {c} outside [0, 1]")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_hash", hash((self.label, c)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (MetricDiamond, (self.label, self.c))
 
     def __str__(self) -> str:
         return f"dia{{{self.label},{self.c}}}"
@@ -96,13 +110,27 @@ class MetricDiamond(ModalOp):
 # Formulas
 # ---------------------------------------------------------------------------
 
+
+class _KeyedRef(weakref.ref):
+    """A weak reference to a node that knows the node's intern key."""
+
+    __slots__ = ("key",)
+
+
 # Hash-consing (Filliatre & Conchon, "Type-safe modular hash-consing", 2006):
 # every live formula node is registered here under its class index and
 # children, so constructing a node equal to a live one returns that very
 # object.  Equality of formulas is therefore identity, and a node's hash,
 # size and modal depth are computed once, from its children's, when it is
-# first built.  The table holds nodes weakly: it never keeps a formula alive.
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# first built.  The table holds nodes weakly, by a reference whose callback
+# drops the entry when the node dies: it never keeps a formula alive.
+_NODES: dict[tuple, _KeyedRef] = {}
+
+
+def _forget(ref: _KeyedRef) -> None:
+    # Only while the entry is still a dead reference: the key may have been
+    # built again since the node died.
+    _remove_dead_weakref(_NODES, ref.key)
 
 
 class Formula:
@@ -143,7 +171,9 @@ def _node(key: tuple, size: int, depth: int):
     object.__setattr__(node, "_hash", hash(key))
     object.__setattr__(node, "size", size)
     object.__setattr__(node, "modal_depth", depth)
-    _NODES[key] = node
+    ref = _KeyedRef(node, _forget)
+    ref.key = key
+    _NODES[key] = ref
     return node
 
 
@@ -152,7 +182,8 @@ class Zero(Formula):
 
     def __new__(cls):
         key = (0,)
-        return _NODES.get(key) or _node(key, 1, 0)
+        ref = _NODES.get(key)
+        return ref and ref() or _node(key, 1, 0)
 
 
 class Atom(Formula):
@@ -160,7 +191,8 @@ class Atom(Formula):
 
     def __new__(cls, name: str):
         key = (1, name)
-        return _NODES.get(key) or _node(key, 1, 0)
+        ref = _NODES.get(key)
+        return ref and ref() or _node(key, 1, 0)
 
 
 class Neg(Formula):
@@ -168,7 +200,8 @@ class Neg(Formula):
 
     def __new__(cls, arg: Formula):
         key = (2, arg)
-        return _NODES.get(key) or _node(key, arg.size + 1, arg.modal_depth)
+        ref = _NODES.get(key)
+        return ref and ref() or _node(key, arg.size + 1, arg.modal_depth)
 
 
 class Minus(Formula):
@@ -180,10 +213,11 @@ class Minus(Formula):
         # Before the lookup, which a float equal to a live constant passes.
         c = to_fraction(c)
         key = (3, arg, c)
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = ref and ref()
         if node is not None:
             return node
-        if not ZERO <= c <= ONE:
+        if not 0 <= c.numerator <= c.denominator:
             raise NumericError(f"shift constant {c} outside [0, 1]")
         size = arg.size + bit_length(c.numerator) + bit_length(c.denominator) + 1
         return _node(key, size, arg.modal_depth)
@@ -194,7 +228,8 @@ class And(Formula):
 
     def __new__(cls, left: Formula, right: Formula):
         key = (4, left, right)
-        return _NODES.get(key) or _node(
+        ref = _NODES.get(key)
+        return ref and ref() or _node(
             key, left.size + right.size + 1, max(left.modal_depth, right.modal_depth)
         )
 
@@ -204,7 +239,8 @@ class Modal(Formula):
 
     def __new__(cls, op: ModalOp, arg: Formula):
         key = (5, op, arg)
-        return _NODES.get(key) or _node(key, arg.size + op.size(), arg.modal_depth + 1)
+        ref = _NODES.get(key)
+        return ref and ref() or _node(key, arg.size + op.size(), arg.modal_depth + 1)
 
 
 _CLASSES = (Zero, Atom, Neg, Minus, And, Modal)
@@ -250,134 +286,141 @@ def modal_depth(f: Formula) -> int:
 # Concrete syntax
 # ---------------------------------------------------------------------------
 
-_PREFIX_WORDS = {"not", "dia", "G", "M"}  # never atoms
+_PREFIX_WORDS = {"~", "not", "dia", "G", "M"}  # never atoms
+_DIAMOND = Diamond()
+_GENERALLY = Generally()
 
-# A token is (kind, text, position); a symbol's kind is the symbol itself.
-# Every character but whitespace starts a token, and `bad` ones are errors.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<dec>\d+\.\d+)|(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<sym>[()&|~\-/{},])|(?P<bad>\S))"
-)
+# The tokens, tried in this order: an exact decimal, an integer, an
+# identifier, a symbol, or any other non-space character, which is an error.
+# Digits are ASCII, as in file rationals.
+_TOKEN_RE = re.compile(r"[0-9]+\.[0-9]+|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[()&|~\-/{},]|\S")
+# The characters no token of one character is made of.  A text without them
+# has no bad token; a `.` is good inside a decimal, so a text with one is
+# checked token by token.
+_ODD_CHAR_RE = re.compile(r"[^\sA-Za-z0-9_()&|~\-/{},]")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        value = m.group(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", m.start(kind))
-        tokens.append((value if kind == "sym" else kind, value, m.start(kind)))
-    tokens.append(("end", "", len(text)))
+class _TokenError(Exception):
+    """A parse error at a token index; `parse` turns it into a `ParseError`
+    at the token's position in the text."""
+
+
+def _tokenize(text: str) -> list[str]:
+    """The token texts, then `""` for the end of the input."""
+    tokens = _TOKEN_RE.findall(text)
+    if _ODD_CHAR_RE.search(text):
+        for i, tok in enumerate(tokens):
+            if len(tok) == 1 and _ODD_CHAR_RE.match(tok):
+                raise _TokenError(f"unexpected character {tok!r}", i)
+    tokens.append("")
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _constant(tokens: list[str], i: int) -> tuple[Fraction, int]:
+    """The rational constant at token `i`, and the index after it."""
+    tok = tokens[i]
+    if tok.isdigit():  # the tokens hold ASCII digits only
+        num = int(tok)
+        den = 1
+        end = i + 1
+        if tokens[end] == "/":
+            den_tok = tokens[end + 1]
+            if not den_tok.isdigit():
+                raise _TokenError(f"expected denominator, found {den_tok!r}", end + 1)
+            den = int(den_tok)
+            if den == 0:
+                raise _TokenError("zero denominator", end + 1)
+            end += 2
+    elif "." in tok:
+        q = parse_rational(tok)
+        num, den, end = q.numerator, q.denominator, i + 1
+    else:
+        raise _TokenError(f"expected a rational constant, found {tok!r}", i)
+    if num > den:
+        raise _TokenError(f"constant {Fraction(num, den)} outside [0, 1]", i)
+    return Fraction(num, den), end
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect_sym(self, sym: str):
-        kind, value, pos = self.next()
-        if kind != sym:
-            raise ParseError(f"expected {sym!r}, found {value!r}", pos)
+def _expect(tokens: list[str], i: int, sym: str) -> int:
+    if tokens[i] != sym:
+        raise _TokenError(f"expected {sym!r}, found {tokens[i]!r}", i)
+    return i + 1
 
-    def parse_formula(self) -> Formula:
-        """One loop over the tokens.  An operand is a prefix chain, then an
-        atom, `0` or a parenthesized group; its operators follow.  An open
-        group waits on `stack` with its state (its disjunction and
-        conjunction so far, and the prefix chain before its `(`), so the
-        nesting depth is not bounded by the interpreter's recursion limit.
-        """
-        stack: list[tuple] = []
-        disj = conj = None
-        ops: list[ModalOp | None] = []  # the prefix chain; None is negation
-        while True:
-            kind, value, pos = self.next()
-            if kind == "(":
-                stack.append((disj, conj, ops))
-                disj, conj, ops = None, None, []
-                continue
-            if kind == "~" or (kind == "ident" and value in _PREFIX_WORDS):
-                ops.append(self.parse_prefix(value))
-                continue
-            if kind == "int" and value == "0":
-                f = Zero()
-            elif kind == "ident":
-                f = Atom(value)
-            else:
-                raise ParseError(f"unexpected token {value!r}", pos)
-            while True:  # after a complete primary `f` of the current group
-                for op in reversed(ops):  # innermost first
-                    f = Neg(f) if op is None else Modal(op, f)
-                ops = []
-                while self.tokens[self.i][0] == "-":
-                    self.i += 1
-                    f = Minus(f, self.parse_constant())
-                kind, value, pos = self.next()
-                if kind == "&":
-                    conj = f if conj is None else And(conj, f)
-                    break
-                f = f if conj is None else And(conj, f)
-                f = f if disj is None else Or(disj, f)
-                if kind == "|":
-                    disj, conj = f, None
-                    break
-                if not stack:
-                    if kind != "end":
-                        raise ParseError(f"unexpected trailing input {value!r}", pos)
-                    return f
-                if kind != ")":
-                    raise ParseError(f"expected ')', found {value!r}", pos)
-                disj, conj, ops = stack.pop()
 
-    def parse_prefix(self, word: str) -> ModalOp | None:
-        """The operator a prefix word starts; None for negation."""
-        if word in ("~", "not"):
-            return None
-        if word == "G":
-            return Generally()
-        if word == "M":
-            self.expect_sym("{")
-            p = self.parse_constant()
-            self.expect_sym("}")
-            return MoreThan(p)
-        if self.tokens[self.i][0] != "{":
-            return Diamond()
-        self.i += 1
-        kind, label, pos = self.next()
-        if kind != "ident":
-            raise ParseError(f"expected a label identifier, found {label!r}", pos)
-        self.expect_sym(",")
-        c = self.parse_constant()
-        self.expect_sym("}")
-        return MetricDiamond(label, c)
+def _prefix(tokens: list[str], i: int) -> tuple[ModalOp | None, int]:
+    """The operator of the prefix word at token `i` (None for negation), and
+    the index after it."""
+    word = tokens[i]
+    i += 1
+    if word == "~" or word == "not":
+        return None, i
+    if word == "G":
+        return _GENERALLY, i
+    if word == "M":
+        p, i = _constant(tokens, _expect(tokens, i, "{"))
+        return MoreThan(p), _expect(tokens, i, "}")
+    if tokens[i] != "{":
+        return _DIAMOND, i
+    label = tokens[i + 1]
+    if not label.isidentifier():
+        raise _TokenError(f"expected a label identifier, found {label!r}", i + 1)
+    c, i = _constant(tokens, _expect(tokens, i + 2, ","))
+    return MetricDiamond(label, c), _expect(tokens, i, "}")
 
-    def parse_constant(self) -> Fraction:
-        kind, value, pos = self.next()
-        if kind == "dec":
-            q = parse_rational(value)
-        elif kind == "int":
-            q = Fraction(int(value))
-            if self.tokens[self.i][0] == "/":
-                self.i += 1
-                kind2, value2, pos2 = self.next()
-                if kind2 != "int":
-                    raise ParseError(f"expected denominator, found {value2!r}", pos2)
-                den = int(value2)
-                if den == 0:
-                    raise ParseError("zero denominator", pos2)
-                q = Fraction(int(value), den)
+
+def _parse_tokens(tokens: list[str]) -> Formula:
+    """One loop over the tokens.  An operand is a prefix chain, then an atom,
+    `0` or a parenthesized group; its operators follow.  An open group waits
+    on `stack` with its state (its disjunction and conjunction so far, and
+    the prefix chain before its `(`), so the nesting depth is not bounded by
+    the interpreter's recursion limit.
+    """
+    stack: list[tuple] = []
+    disj = conj = None
+    ops: list[ModalOp | None] = []  # the prefix chain; None is negation
+    i = 0
+    while True:
+        tok = tokens[i]
+        if tok == "(":
+            stack.append((disj, conj, ops))
+            disj, conj, ops = None, None, []
+            i += 1
+            continue
+        if tok in _PREFIX_WORDS:
+            op, i = _prefix(tokens, i)
+            ops.append(op)
+            continue
+        if tok == "0":
+            f = Zero()
+        elif tok.isidentifier():
+            f = Atom(tok)
         else:
-            raise ParseError(f"expected a rational constant, found {value!r}", pos)
-        if not ZERO <= q <= ONE:
-            raise ParseError(f"constant {q} outside [0, 1]", pos)
-        return q
+            raise _TokenError(f"unexpected token {tok!r}", i)
+        i += 1
+        while True:  # after a complete primary `f` of the current group
+            for op in reversed(ops):  # innermost first
+                f = Neg(f) if op is None else Modal(op, f)
+            ops = []
+            while tokens[i] == "-":
+                c, i = _constant(tokens, i + 1)
+                f = Minus(f, c)
+            tok = tokens[i]
+            i += 1
+            if tok == "&":
+                conj = f if conj is None else And(conj, f)
+                break
+            f = f if conj is None else And(conj, f)
+            f = f if disj is None else Or(disj, f)
+            if tok == "|":
+                disj, conj = f, None
+                break
+            if not stack:
+                if tok:
+                    raise _TokenError(f"unexpected trailing input {tok!r}", i - 1)
+                return f
+            if tok != ")":
+                raise _TokenError(f"expected ')', found {tok!r}", i - 1)
+            disj, conj, ops = stack.pop()
 
 
 def parse(text: str) -> Formula:
@@ -387,7 +430,13 @@ def parse(text: str) -> Formula:
     `- c` (truncated subtraction), then prefix `~`/`not`/`dia`/`G`/`M{p}`/
     `dia{label,c}`, then atoms, `0`, and parentheses.
     """
-    return _Parser(text).parse_formula()
+    try:
+        return _parse_tokens(_tokenize(text))
+    except _TokenError as exc:
+        message, index = exc.args
+        starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+        pos = starts[index] if index < len(starts) else len(text)
+        raise ParseError(message, pos) from None
 
 
 _PREC_AND = 2

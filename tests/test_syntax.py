@@ -1,3 +1,6 @@
+import gc
+import pickle
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from helpers import prop_subformulas
 
+from nexfuz import syntax
 from nexfuz.numerics import NumericError
 from nexfuz.syntax import (
     And,
@@ -72,6 +76,48 @@ class TestParse:
     def test_bad_character_position(self):
         with pytest.raises(ParseError, match=r"unexpected character '\$' \(at position 2\)"):
             parse("a $ b")
+
+    # Every raise site of the reader: the input, the message and the position.
+    @pytest.mark.parametrize(
+        "text, message, pos",
+        [
+            ("a $ b", "unexpected character '$'", 2),
+            ("a ) $", "unexpected character '$'", 4),  # before any parse error
+            ("a - 1.", "unexpected character '.'", 5),
+            ("a - 0.5.", "unexpected character '.'", 7),
+            ("a & ", "unexpected token ''", 4),
+            ("dia", "unexpected token ''", 3),
+            ("a & )", "unexpected token ')'", 4),
+            ("a)", "unexpected trailing input ')'", 1),
+            ("a - 1/2 b", "unexpected trailing input 'b'", 8),
+            ("(a", "expected ')', found ''", 2),
+            ("((a) b", "expected ')', found 'b'", 5),
+            ("M{1/2 a", "expected '}', found 'a'", 6),
+            ("M a", "expected '{', found 'a'", 2),
+            ("dia{l 1} a", "expected ',', found '1'", 6),
+            ("dia{1,1} a", "expected a label identifier, found '1'", 4),
+            ("dia{, 1/2} a", "expected a label identifier, found ','", 4),
+            ("a - 1/", "expected denominator, found ''", 6),
+            ("a - 1/0.5", "expected denominator, found '0.5'", 6),
+            ("a - 1/0", "zero denominator", 6),
+            ("x - 1/00", "zero denominator", 6),
+            ("a - 2", "constant 2 outside [0, 1]", 4),
+            ("a - 1.5", "constant 3/2 outside [0, 1]", 4),
+            ("a - 4/2", "constant 2 outside [0, 1]", 4),
+            ("M{3/2} a", "constant 3/2 outside [0, 1]", 2),
+            ("dia{l,2} a", "constant 2 outside [0, 1]", 6),
+            ("a - ", "expected a rational constant, found ''", 4),
+            ("a - -1", "expected a rational constant, found '-'", 4),
+            # Digits are ASCII, as in file rationals.
+            ("a - \u0661/\u0662", "unexpected character '\u0661'", 4),
+            ("dia{l,\u0661} a", "unexpected character '\u0661'", 6),
+        ],
+    )
+    def test_error_message_and_position(self, text, message, pos):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at position {pos})"
+        assert info.value.pos == pos
 
 
 class TestSize:
@@ -151,10 +197,81 @@ def formulas(draw, depth=3):
     return Modal(op, draw(formulas(depth=depth - 1)))
 
 
+_UNARY, _SHIFT, _AND = 4, 3, 2
+
+
+def _prec(f) -> int:
+    if isinstance(f, And):
+        return _AND
+    if isinstance(f, Minus):
+        return _SHIFT
+    return _UNARY if isinstance(f, (Neg, Modal)) else 5
+
+
+def _constant_tokens(c) -> list[str]:
+    if c.denominator == 1:
+        return [str(c.numerator)]
+    return [str(c.numerator), "/", str(c.denominator)]
+
+
+def _tokens(draw, f, min_prec: int = 0) -> list[str]:
+    """Tokens of `f`, with the parentheses precedence needs and redundant
+    ones drawn at random."""
+    if isinstance(f, Zero):
+        toks = ["0"]
+    elif isinstance(f, Atom):
+        toks = [f.name]
+    elif isinstance(f, Neg):
+        toks = [draw(st.sampled_from(["~", "not"])), *_tokens(draw, f.arg, _UNARY)]
+    elif isinstance(f, Modal):
+        op = f.op
+        if isinstance(op, MoreThan):
+            head = ["M", "{", *_constant_tokens(op.p), "}"]
+        elif isinstance(op, MetricDiamond):
+            head = ["dia", "{", op.label, ",", *_constant_tokens(op.c), "}"]
+        else:
+            head = [str(op)]
+        toks = [*head, *_tokens(draw, f.arg, _UNARY)]
+    elif isinstance(f, Minus):
+        toks = [*_tokens(draw, f.arg, _SHIFT), "-", *_constant_tokens(f.c)]
+    else:
+        toks = [*_tokens(draw, f.left, _AND), "&", *_tokens(draw, f.right, _AND + 1)]
+    parens = (_prec(f) < min_prec) + draw(st.integers(0, 1))
+    return ["("] * parens + toks + [")"] * parens
+
+
+def _is_word(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+@st.composite
+def spaced_texts(draw):
+    """A formula, and its text with random spacing (possibly none, except
+    between two tokens that would run together) and redundant parentheses."""
+    f = draw(formulas())
+    toks = _tokens(draw, f)
+    pieces = [toks[0]]
+    for prev, tok in zip(toks, toks[1:]):
+        spaces = ["", " ", "  ", "\t", "\n "]
+        if _is_word(prev[-1]) and _is_word(tok[0]):
+            spaces = spaces[1:]
+        pieces += [draw(st.sampled_from(spaces)), tok]
+    return f, "".join(pieces)
+
+
 class TestPrinter:
     @given(formulas())
     def test_parse_print_round_trip(self, f):
         assert parse(to_text(f)) == f
+
+    @given(spaced_texts())
+    def test_parsing_ignores_spacing_and_redundant_parentheses(self, case):
+        f, text = case
+        assert parse(text) is f
+
+    def test_unspaced_text(self):
+        shifted = Minus(Modal(MetricDiamond("l", F(1, 2)), Atom("b")), F(1, 3))
+        assert parse("a&dia{l,1/2}b-1/3") is And(Atom("a"), shifted)
 
     def test_needs_parens(self):
         assert to_text(Neg(Minus(Atom("a"), F(1, 2)))) == "~(a - 1/2)"
@@ -199,6 +316,24 @@ class TestInterning:
     def test_cached_measures_match_recursive_definitions(self, f):
         assert f.size == size(f) == reference_size(f)
         assert f.modal_depth == modal_depth(f) == reference_depth(f)
+
+    def test_table_holds_formulas_weakly(self):
+        text = "dia{l,1/3} (fresh_atom_q - 1/2) & ~M{1/5} fresh_atom_q"
+        f = parse(text)
+        measures = (f.size, f.modal_depth, to_text(f))
+        alive = weakref.ref(f)
+        del f
+        gc.collect()
+        assert alive() is None
+        assert (1, "fresh_atom_q") not in syntax._NODES
+        assert all(ref() is not None for ref in syntax._NODES.values())
+        g = parse(text)
+        assert (g.size, g.modal_depth, to_text(g)) == measures
+
+    def test_pickling_rebuilds_the_same_node(self):
+        f = parse("dia{l,1/3} a & M{2/5} b & G dia c")
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert hash(MetricDiamond("l", F(1, 3))) == hash(MetricDiamond("l", "1/3"))
 
     def test_formulas_are_immutable(self):
         with pytest.raises(AttributeError):
