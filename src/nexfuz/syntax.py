@@ -3,6 +3,8 @@
 The propositional base is: constant 0, fuzzy negation, truncated subtraction
 of a rational constant, and minimum.  Modal operators are pluggable; atoms
 are treated as nullary modal operators and therefore appear as leaves.
+Formulas and modal operators are hash-consed in one table, so equal syntax
+is one object.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import NumericError, bit_length, parse_rational, to_fraction
@@ -23,91 +24,7 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Modal operators
-# ---------------------------------------------------------------------------
-
-
-class ModalOp:
-    """Base class for modal operator tags."""
-
-    __slots__ = ()
-
-    def size(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class Diamond(ModalOp):
-    """Fuzzy-relational diamond: degree of having a successor satisfying the argument."""
-
-    def __str__(self) -> str:
-        return "dia"
-
-
-@dataclass(frozen=True)
-class Generally(ModalOp):
-    """Probabilistic operator: degree to which the argument holds with high probability."""
-
-    def __str__(self) -> str:
-        return "G"
-
-
-# The parametrised operators hash once, when built: a `Modal` key hashes its
-# operator on every lookup, and a `Fraction` hashes in Python.  The hash is
-# per process (a label's string hash is salted), so pickling rebuilds the
-# operator from its fields.
-@dataclass(frozen=True)
-class MoreThan(ModalOp):
-    """Largest degree guaranteed with probability strictly above the parameter."""
-
-    p: Fraction
-
-    def __post_init__(self):
-        p = to_fraction(self.p)
-        if not 0 <= p.numerator <= p.denominator:
-            raise NumericError(f"probability parameter {p} outside [0, 1]")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_hash", hash((p,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (MoreThan, (self.p,))
-
-    def size(self) -> int:
-        return bit_length(self.p.numerator) + bit_length(self.p.denominator)
-
-    def __str__(self) -> str:
-        return f"M{{{self.p}}}"
-
-
-@dataclass(frozen=True)
-class MetricDiamond(ModalOp):
-    """Labelled diamond over a metric label space, with reach bound `c`."""
-
-    label: str
-    c: Fraction
-
-    def __post_init__(self):
-        c = to_fraction(self.c)
-        if not 0 <= c.numerator <= c.denominator:
-            raise NumericError(f"reach bound {c} outside [0, 1]")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_hash", hash((self.label, c)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (MetricDiamond, (self.label, self.c))
-
-    def __str__(self) -> str:
-        return f"dia{{{self.label},{self.c}}}"
-
-
-# ---------------------------------------------------------------------------
-# Formulas
+# Interned nodes
 # ---------------------------------------------------------------------------
 
 
@@ -118,12 +35,13 @@ class _KeyedRef(weakref.ref):
 
 
 # Hash-consing (Filliatre & Conchon, "Type-safe modular hash-consing", 2006):
-# every live formula node is registered here under its class index and
-# children, so constructing a node equal to a live one returns that very
-# object.  Equality of formulas is therefore identity, and a node's hash,
-# size and modal depth are computed once, from its children's, when it is
-# first built.  The table holds nodes weakly, by a reference whose callback
-# drops the entry when the node dies: it never keeps a formula alive.
+# every live syntax node, formula or modal operator, is registered here under
+# its class index and fields, so constructing a node equal to a live one
+# returns that very object.  Equality and hashing of nodes are therefore
+# those of object identity, and a node's size and modal depth are computed
+# once, from its fields', when it is first built.  The table holds nodes
+# weakly, by a reference whose callback drops the entry when the node dies:
+# it never keeps a node alive.
 _NODES: dict[tuple, _KeyedRef] = {}
 
 
@@ -133,75 +51,158 @@ def _forget(ref: _KeyedRef) -> None:
     _remove_dead_weakref(_NODES, ref.key)
 
 
-class Formula:
-    """An immutable, hash-consed formula node.
+class _Node:
+    """An immutable, hash-consed syntax node; `size` is its syntactic size
+    with rational constants measured in binary digits."""
 
-    `size` is the syntactic size with rational constants measured in binary
-    digits; `modal_depth` is the nesting depth of modal operators.
-    """
-
-    __slots__ = ("_hash", "size", "modal_depth", "__weakref__")
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("size", "__weakref__")
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"formulas are immutable: cannot set {name!r}")
+        raise AttributeError(f"syntax nodes are immutable: cannot set {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"formulas are immutable: cannot delete {name!r}")
+        raise AttributeError(f"syntax nodes are immutable: cannot delete {name!r}")
 
+    # Unpickling calls the constructor, which returns the live equal node.
     def __reduce__(self):
         return (type(self), tuple(getattr(self, slot) for slot in type(self).__slots__))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}<{to_text(self)}>"
-
-    def __str__(self) -> str:
-        return to_text(self)
+        return f"{type(self).__name__}<{self}>"
 
 
-def _node(key: tuple, size: int, depth: int):
-    """Build and register the node for intern key `(class index, *fields)`,
-    the class index pointing into `_CLASSES`."""
+def _node(key: tuple, size: int, depth: int | None):
+    """The live node for intern key `(class index, *fields)`, the class index
+    pointing into `_CLASSES`; built and registered with `size` and modal
+    depth `depth` (None for an operator) if there is none."""
+    ref = _NODES.get(key)
+    node = ref and ref()
+    if node is not None:
+        return node
     cls = _CLASSES[key[0]]
     node = object.__new__(cls)
     for slot, value in zip(cls.__slots__, key[1:]):
         object.__setattr__(node, slot, value)
-    object.__setattr__(node, "_hash", hash(key))
     object.__setattr__(node, "size", size)
-    object.__setattr__(node, "modal_depth", depth)
+    if depth is not None:
+        object.__setattr__(node, "modal_depth", depth)
     ref = _KeyedRef(node, _forget)
     ref.key = key
     _NODES[key] = ref
     return node
 
 
+def _unit(c, what: str) -> Fraction:
+    """`c` as an exact constant in [0, 1]; a float is refused."""
+    c = to_fraction(c)
+    if not 0 <= c.numerator <= c.denominator:
+        raise NumericError(f"{what} {c} outside [0, 1]")
+    return c
+
+
+def _name(name: str, what: str) -> str:
+    """`name` if the tokenizer reads it as one identifier, so that `to_text`
+    output parses back."""
+    if isinstance(name, str) and name.isascii() and name.isidentifier():
+        return name
+    raise ValueError(f"{what} {name!r} is not an ASCII identifier")
+
+
+# ---------------------------------------------------------------------------
+# Modal operators
+# ---------------------------------------------------------------------------
+
+
+class ModalOp(_Node):
+    """Base class for modal operators."""
+
+    __slots__ = ()
+
+
+class Diamond(ModalOp):
+    """Fuzzy-relational diamond: degree of having a successor satisfying the argument."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return _node((6,), 1, None)
+
+    def __str__(self) -> str:
+        return "dia"
+
+
+class Generally(ModalOp):
+    """Probabilistic operator: degree to which the argument holds with high probability."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return _node((7,), 1, None)
+
+    def __str__(self) -> str:
+        return "G"
+
+
+class MoreThan(ModalOp):
+    """Largest degree guaranteed with probability strictly above the parameter."""
+
+    __slots__ = ("p",)
+
+    def __new__(cls, p: Fraction):
+        p = _unit(p, "probability parameter")
+        return _node((8, p), bit_length(p.numerator) + bit_length(p.denominator), None)
+
+    def __str__(self) -> str:
+        return f"M{{{self.p}}}"
+
+
+class MetricDiamond(ModalOp):
+    """Labelled diamond over a metric label space, with reach bound `c`."""
+
+    __slots__ = ("label", "c")
+
+    def __new__(cls, label: str, c: Fraction):
+        return _node((9, _name(label, "label"), _unit(c, "reach bound")), 1, None)
+
+    def __str__(self) -> str:
+        return f"dia{{{self.label},{self.c}}}"
+
+
+# ---------------------------------------------------------------------------
+# Formulas
+# ---------------------------------------------------------------------------
+
+
+class Formula(_Node):
+    """A formula node; `modal_depth` is the nesting depth of modal operators."""
+
+    __slots__ = ("modal_depth",)
+
+    def __str__(self) -> str:
+        return to_text(self)
+
+
 class Zero(Formula):
     __slots__ = ()
 
     def __new__(cls):
-        key = (0,)
-        ref = _NODES.get(key)
-        return ref and ref() or _node(key, 1, 0)
+        return _node((0,), 1, 0)
 
 
 class Atom(Formula):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        key = (1, name)
-        ref = _NODES.get(key)
-        return ref and ref() or _node(key, 1, 0)
+        if _name(name, "atom name") in _PREFIX_WORDS:
+            raise ValueError(f"atom name {name!r} is a prefix word")
+        return _node((1, name), 1, 0)
 
 
 class Neg(Formula):
     __slots__ = ("arg",)
 
     def __new__(cls, arg: Formula):
-        key = (2, arg)
-        ref = _NODES.get(key)
-        return ref and ref() or _node(key, arg.size + 1, arg.modal_depth)
+        return _node((2, arg), arg.size + 1, arg.modal_depth)
 
 
 class Minus(Formula):
@@ -210,27 +211,17 @@ class Minus(Formula):
     __slots__ = ("arg", "c")
 
     def __new__(cls, arg: Formula, c: Fraction):
-        # Before the lookup, which a float equal to a live constant passes.
-        c = to_fraction(c)
-        key = (3, arg, c)
-        ref = _NODES.get(key)
-        node = ref and ref()
-        if node is not None:
-            return node
-        if not 0 <= c.numerator <= c.denominator:
-            raise NumericError(f"shift constant {c} outside [0, 1]")
+        c = _unit(c, "shift constant")
         size = arg.size + bit_length(c.numerator) + bit_length(c.denominator) + 1
-        return _node(key, size, arg.modal_depth)
+        return _node((3, arg, c), size, arg.modal_depth)
 
 
 class And(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
-        key = (4, left, right)
-        ref = _NODES.get(key)
-        return ref and ref() or _node(
-            key, left.size + right.size + 1, max(left.modal_depth, right.modal_depth)
+        return _node(
+            (4, left, right), left.size + right.size + 1, max(left.modal_depth, right.modal_depth)
         )
 
 
@@ -238,14 +229,10 @@ class Modal(Formula):
     __slots__ = ("op", "arg")
 
     def __new__(cls, op: ModalOp, arg: Formula):
-        key = (5, op, arg)
-        ref = _NODES.get(key)
-        return ref and ref() or _node(key, arg.size + op.size(), arg.modal_depth + 1)
+        return _node((5, op, arg), arg.size + op.size, arg.modal_depth + 1)
 
 
-_CLASSES = (Zero, Atom, Neg, Minus, And, Modal)
-
-
+_CLASSES = (Zero, Atom, Neg, Minus, And, Modal, Diamond, Generally, MoreThan, MetricDiamond)
 def Or(left: Formula, right: Formula) -> Formula:
     """Disjunction is sugar: max(x, y) = 1 - min(1-x, 1-y)."""
     return Neg(And(Neg(left), Neg(right)))
@@ -287,8 +274,6 @@ def modal_depth(f: Formula) -> int:
 # ---------------------------------------------------------------------------
 
 _PREFIX_WORDS = {"~", "not", "dia", "G", "M"}  # never atoms
-_DIAMOND = Diamond()
-_GENERALLY = Generally()
 
 # The tokens, tried in this order: an exact decimal, an integer, an
 # identifier, a symbol, or any other non-space character, which is an error.
@@ -355,12 +340,12 @@ def _prefix(tokens: list[str], i: int) -> tuple[ModalOp | None, int]:
     if word == "~" or word == "not":
         return None, i
     if word == "G":
-        return _GENERALLY, i
+        return Generally(), i
     if word == "M":
         p, i = _constant(tokens, _expect(tokens, i, "{"))
         return MoreThan(p), _expect(tokens, i, "}")
     if tokens[i] != "{":
-        return _DIAMOND, i
+        return Diamond(), i
     label = tokens[i + 1]
     if not label.isidentifier():
         raise _TokenError(f"expected a label identifier, found {label!r}", i + 1)

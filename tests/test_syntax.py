@@ -1,5 +1,8 @@
 import gc
+import os
 import pickle
+import subprocess
+import sys
 import weakref
 from fractions import Fraction as F
 
@@ -9,7 +12,8 @@ from hypothesis import given, strategies as st
 from helpers import prop_subformulas
 
 from nexfuz import syntax
-from nexfuz.numerics import NumericError
+from nexfuz.numerics import UNIT, NumericError
+from nexfuz.sequents import Sequent
 from nexfuz.syntax import (
     And,
     Atom,
@@ -318,14 +322,16 @@ class TestInterning:
         assert f.modal_depth == modal_depth(f) == reference_depth(f)
 
     def test_table_holds_formulas_weakly(self):
-        text = "dia{l,1/3} (fresh_atom_q - 1/2) & ~M{1/5} fresh_atom_q"
+        text = "dia{fresh_label_q,1/7919} (fresh_atom_q - 1/2) & ~M{1/9973} fresh_atom_q"
+        keys = [(1, "fresh_atom_q"), (8, F(1, 9973)), (9, "fresh_label_q", F(1, 7919))]
         f = parse(text)
+        assert all(key in syntax._NODES for key in keys)
         measures = (f.size, f.modal_depth, to_text(f))
         alive = weakref.ref(f)
         del f
         gc.collect()
         assert alive() is None
-        assert (1, "fresh_atom_q") not in syntax._NODES
+        assert not any(key in syntax._NODES for key in keys)
         assert all(ref() is not None for ref in syntax._NODES.values())
         g = parse(text)
         assert (g.size, g.modal_depth, to_text(g)) == measures
@@ -335,9 +341,74 @@ class TestInterning:
         assert pickle.loads(pickle.dumps(f)) is f
         assert hash(MetricDiamond("l", F(1, 3))) == hash(MetricDiamond("l", "1/3"))
 
+    def test_pickle_from_another_hash_seed_unpickles_to_the_live_node(self):
+        # The writing process has other string hashes and other node
+        # identities, so unpickling must rebuild each node through the
+        # intern table.
+        text = "dia{west,1/3} a & M{2/5} dia b"
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.dirname(os.path.dirname(syntax.__file__)), env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import pickle, sys\n"
+            "from nexfuz.syntax import parse\n"
+            f"sys.stdout.buffer.write(pickle.dumps((hash('west'), parse({text!r}))))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True
+        ).stdout
+        f = parse(text)
+        their_hash, g = pickle.loads(out)
+        assert their_hash != hash("west")
+        assert g is f
+        assert g.left.op is MetricDiamond("west", F(1, 3))
+
+    def test_operators_are_one_object(self):
+        assert Diamond() is Diamond()
+        assert Generally() is Generally()
+        assert Diamond() is not Generally()
+        assert MoreThan("1/2") is MoreThan(F(1, 2))
+        assert MetricDiamond("l", "1/3") is MetricDiamond("l", F(1, 3))
+        assert parse("dia{l,1/3} a").op is MetricDiamond("l", F(1, 3))
+
     def test_formulas_are_immutable(self):
         with pytest.raises(AttributeError):
             Atom("a").name = "b"
+        with pytest.raises(AttributeError):
+            MoreThan(F(1, 2)).p = F(1, 3)
+
+
+class TestNames:
+    """An atom name or a metric label is accepted only if `to_text` writes it
+    as one identifier token, so every formula built parses back."""
+
+    @pytest.mark.parametrize("name", ["not", "G", "dia", "a b", "\u00e9", "0", ""])
+    def test_atom_names_that_would_not_parse_back_are_refused(self, name):
+        with pytest.raises(ValueError):
+            Atom(name)
+
+    @pytest.mark.parametrize("label", ["x y", "\u00e9", "1"])
+    def test_labels_that_would_not_parse_back_are_refused(self, label):
+        with pytest.raises(ValueError):
+            MetricDiamond(label, F(1, 2))
+
+    @given(st.text(alphabet="aGMz_09 -\u00e9", max_size=4) | st.sampled_from(["not", "dia", "G"]))
+    def test_accepted_names_round_trip(self, name):
+        try:
+            atom = Atom(name)
+        except ValueError:
+            pass
+        else:
+            sequent = Sequent([(atom, UNIT)])
+            assert Sequent.loads(sequent.dumps()) == sequent
+        try:
+            f = Modal(MetricDiamond(name, F(1, 2)), Atom("a"))
+        except ValueError:
+            pass
+        else:
+            assert parse(to_text(f)) is f
 
 
 class TestExactConstants:
