@@ -426,11 +426,6 @@ class WitnessDag:
             _check_distribution(row, "witness distribution")
         return self._new_state(row, dict(atoms or {}))
 
-    def value(self, state: int, formula: Formula) -> Fraction:
-        """Exact truth degree of `formula` at `state`, through the DAG
-        model's value table."""
-        return eval_formula(self.model, state, formula)
-
     def witness(self, root: int) -> FiniteModel:
         """The states reachable from `root`, renamed, as a finite model."""
         kind, trans, atoms = self.model.kind, self.model.trans, self.model.atoms

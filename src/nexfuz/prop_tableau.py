@@ -8,8 +8,9 @@ on the first such literal in the sequent's insertion order; only then the
 first remaining minimum splits, into the two disjoint branches `x in I,
 y in lower_ray(I)` and `x in above(I), y in I`.  So the rules that pin or
 close a branch fire before the branch is copied, and no valuation
-satisfies both branches of a split.  Saturation backtracks over both
-branches, so the stream of open end-sequents is exhaustive.
+satisfies both branches of a split.  Each step reads the sequent once and
+copies it once per conclusion.  Saturation backtracks over both branches,
+so the stream of open end-sequents is exhaustive.
 """
 
 from __future__ import annotations
@@ -53,43 +54,44 @@ TraceFn = Callable[[str, Sequent, list[Sequent]], None]
 
 
 def apply_rule(seq: Sequent) -> RuleResult:
-    """Apply the first applicable rule under the fixed deterministic order."""
+    """Apply the first applicable rule under the fixed deterministic order:
+    one pass notes the first literal of each kind, then the rule fires."""
+    first = split = None
     for label, interval in seq.items():
         if interval.is_empty:
             return Closed("Ax")
-    split = None
-    for label, interval in seq.items():
-        if isinstance(label, Zero):
-            if not interval.contains(ZERO):
-                return Closed("Ax0")
-            # 0 lies in the interval: the literal is trivially satisfied.
-            return One("Drop0", seq.remove(label))
-        if isinstance(label, Neg):
-            return One("Neg", seq.remove(label).insert(label.arg, interval.complement()))
-        if isinstance(label, Minus):
-            shifted = interval.shift_up(label.c)
-            if interval.contains(ZERO):
-                # Interval is [0, b>: x - c truncated at 0 lies in it iff x
-                # lies in [0, b + c>, capped at 1.
-                return One("MinusZero", seq.remove(label).insert(label.arg, shifted.upper_ray()))
-            return One("Minus", seq.remove(label).insert(label.arg, shifted))
-        if isinstance(label, And):
-            if interval.above().is_empty:
-                # A lower ray: min(x, y) meets it iff both x and y do.
-                rest = seq.remove(label)
-                return One("Min", rest.insert(label.left, interval).insert(label.right, interval))
-            if split is None:
-                split = label, interval
-        elif not isinstance(label, (Modal, Atom)):
-            raise TypeError(f"unexpected label in one-step sequent: {label!r}")
-    if split is None:
+        if isinstance(label, (Modal, Atom)) or first is not None:
+            continue
+        if not isinstance(label, And) or interval.above().is_empty:
+            first = label, interval
+        elif split is None:
+            split = label, interval
+    if first is None and split is None:
         return Saturated()
+    label, interval = first or split
+    if isinstance(label, Zero):
+        if not interval.contains(ZERO):
+            return Closed("Ax0")
+        # 0 lies in the interval: the literal is trivially satisfied.
+        return One("Drop0", seq.replace(label))
+    if isinstance(label, Neg):
+        return One("Neg", seq.replace(label, (label.arg, interval.complement())))
+    if isinstance(label, Minus):
+        shifted = interval.shift_up(label.c)
+        if interval.contains(ZERO):
+            # Interval is [0, b>: x - c truncated at 0 lies in it iff x
+            # lies in [0, b + c>, capped at 1.
+            return One("MinusZero", seq.replace(label, (label.arg, shifted.upper_ray())))
+        return One("Minus", seq.replace(label, (label.arg, shifted)))
+    if not isinstance(label, And):
+        raise TypeError(f"unexpected label in one-step sequent: {label!r}")
+    if first is not None:
+        # A lower ray: min(x, y) meets it iff both x and y do.
+        return One("Min", seq.replace(label, (label.left, interval), (label.right, interval)))
     # min(x, y) lies in I iff x lies in I and y meets I's lower bound, or x
     # lies above I and y in I; x below I takes the minimum below I.
-    label, interval = split
-    rest = seq.remove(label)
-    left = rest.insert(label.left, interval).insert(label.right, interval.lower_ray())
-    right = rest.insert(label.left, interval.above()).insert(label.right, interval)
+    left = seq.replace(label, (label.left, interval), (label.right, interval.lower_ray()))
+    right = seq.replace(label, (label.left, interval.above()), (label.right, interval))
     return Two("Min", left, right)
 
 

@@ -1,10 +1,11 @@
 """Tableau sequents: finite maps from labelled formulas to truth intervals.
 
 A sequent is kept as a map, so duplicate labels are merged by interval
-intersection at insertion time.  Entries with an empty interval are retained
-rather than eagerly closed, so the axiom rule of the tableau fires explicitly.
-The hash is computed on first use: the tableau's intermediate sequents are
-never hashed, only the sequents the solver memoizes are.
+intersection, in one loop, and each rewrite is one copy of the map.  Entries
+with an empty interval are retained rather than eagerly closed, so the axiom
+rule of the tableau fires explicitly.  The hash is computed on first use:
+the tableau's intermediate sequents are never hashed, only the sequents the
+solver memoizes are.
 """
 
 from __future__ import annotations
@@ -20,43 +21,41 @@ class SequentError(ValueError):
     pass
 
 
+def _merged(m: dict, literals: Iterable[tuple[Formula, Interval]]) -> dict:
+    """`m` with each literal added in turn: a new label goes to the end, and
+    a label already present keeps its place, its interval intersected."""
+    for label, interval in literals:
+        old = m.get(label)
+        m[label] = interval if old is None else old.intersect(interval)
+    return m
+
+
+def _of(m: dict[Formula, Interval]) -> Sequent:
+    out = Sequent.__new__(Sequent)
+    out._map = m
+    out._hash = None
+    return out
+
+
 class Sequent:
     """An immutable map from formulas to intervals, in insertion order."""
 
     __slots__ = ("_map", "_hash")
 
     def __init__(self, literals: Iterable[tuple[Formula, Interval]] = ()):
-        m: dict[Formula, Interval] = {}
-        for label, interval in literals:
-            if label in m:
-                m[label] = m[label].intersect(interval)
-            else:
-                m[label] = interval
-        self._map = m
+        self._map = _merged({}, literals)
         self._hash = None
 
     def insert(self, label: Formula, interval: Interval) -> Sequent:
         """Add a literal; an existing entry for the label is intersected."""
-        out = Sequent.__new__(Sequent)
-        m = dict(self._map)
-        if label in m:
-            m[label] = m[label].intersect(interval)
-        else:
-            m[label] = interval
-        out._map = m
-        out._hash = None
-        return out
+        return _of(_merged(dict(self._map), ((label, interval),)))
 
-    def remove(self, label: Formula) -> Sequent:
-        out = Sequent.__new__(Sequent)
+    def replace(self, label: Formula, *literals: tuple[Formula, Interval]) -> Sequent:
+        """The sequent without `label`, with `literals` merged in as `insert`
+        merges them, in one copy of the map."""
         m = dict(self._map)
         del m[label]
-        out._map = m
-        out._hash = None
-        return out
-
-    def get(self, label: Formula) -> Interval | None:
-        return self._map.get(label)
+        return _of(_merged(m, literals))
 
     def __getitem__(self, label: Formula) -> Interval:
         return self._map[label]

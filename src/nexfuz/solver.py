@@ -35,7 +35,7 @@ from functools import partial
 from typing import Generator
 
 from .lp import CapExceeded
-from .models import FiniteModel, WitnessDag, check_sequent
+from .models import FiniteModel, WitnessDag, check_sequent, eval_formula
 from .numerics import ZERO, Comp, Interval
 from .onestep import OneStepLogic
 from .prop_tableau import TraceFn, saturate
@@ -127,6 +127,7 @@ def sat(
             hook = partial(stats._bump, stats.level_peak_stack, depth)
         for gamma in saturate(current, trace=trace, stack_hook=hook):
             if stats is not None:
+                # No child built below is larger than its end-sequent.
                 stats._bump(stats.level_peak_size, depth, gamma.combined_size())
             # An end-sequent's labels are Modal or Atom, and none of its
             # intervals is empty (the Ax rule closed those).
@@ -152,8 +153,6 @@ def sat(
                     break
                 # Arguments may repeat: their cells meet by intersection.
                 child = Sequent(zip(args, cells))
-                if stats is not None:
-                    stats._bump(stats.level_peak_size, depth, child.combined_size())
                 state = memo[child] if child in memo else (yield child)
             if found is None:
                 continue
@@ -164,7 +163,7 @@ def sat(
             state = dag.add(edges, found.children, atoms)
             for label, interval in gamma.items():
                 if isinstance(label, Modal):
-                    value = dag.value(state, label)
+                    value = eval_formula(dag.model, state, label)
                     if not interval.contains(value):
                         raise AssertionError(
                             f"witness state gives {label} the value {value}, "

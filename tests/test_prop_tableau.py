@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from helpers import rand_interval, rand_rational, seq_satisfied
 
 from nexfuz.numerics import EMPTY, Interval, UNIT
@@ -20,6 +22,16 @@ def iv(lo, hi, lo_open=False, hi_open=False):
 class TestApplyRule:
     def test_axiom_on_empty_interval(self):
         assert isinstance(apply_rule(Sequent([(DIA_B, EMPTY)])), Closed)
+
+    def test_axiom_after_a_reducible_literal(self):
+        r = apply_rule(Sequent([(Neg(DIA_B), UNIT), (DIA_C, EMPTY)]))
+        assert r == Closed("Ax")
+
+    def test_unexpected_label_raises(self):
+        with pytest.raises(TypeError):
+            apply_rule(Sequent([(DIA_B, UNIT), (Diamond(), UNIT), (Neg(DIA_C), UNIT)]))
+        # The axiom still comes first, wherever the empty interval is.
+        assert apply_rule(Sequent([(Diamond(), UNIT), (DIA_C, EMPTY)])) == Closed("Ax")
 
     def test_zero_closes_when_excluded(self):
         r = apply_rule(Sequent([(Zero(), iv(0, 1, lo_open=True))]))

@@ -11,6 +11,8 @@ from nexfuz.syntax import Atom, parse
 
 A = Atom("a")
 B = Atom("b")
+C = Atom("c")
+D = Atom("d")
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
@@ -19,8 +21,11 @@ def iv(lo, hi, lo_open=False, hi_open=False):
 
 class TestInsert:
     def test_merges_by_intersection(self):
-        s = Sequent([(A, iv(0, "1/2"))]).insert(A, iv("1/2", 1))
-        assert s[A] == iv("1/2", "1/2")
+        s = Sequent([(A, iv(0, "1/2")), (B, UNIT)])
+        t = s.insert(A, iv("1/2", 1))
+        # The merged label keeps its place, and the original is unchanged.
+        assert list(t.items()) == [(A, iv("1/2", "1/2")), (B, UNIT)]
+        assert list(s.items()) == [(A, iv(0, "1/2")), (B, UNIT)]
 
     def test_merge_to_empty_is_kept(self):
         s = Sequent([(A, iv("1/2", 1))]).insert(A, iv(0, "2/5", hi_open=True))
@@ -34,6 +39,23 @@ class TestInsert:
     def test_constructor_merges(self):
         s = Sequent([(A, iv(0, "1/2")), (A, iv("1/4", 1))])
         assert s[A] == iv("1/4", "1/2")
+
+
+class TestReplace:
+    """`replace` drops a label and merges literals as `insert` does: a merged
+    label keeps its place, a new one goes to the end, and the original
+    sequent is unchanged."""
+
+    def test_replace_merges_in_place(self):
+        s = Sequent([(A, iv(0, "1/2")), (B, UNIT), (C, UNIT)])
+        r = s.replace(B, (A, iv("1/4", 1)), (D, iv(0, "1/2")), (D, iv("1/4", 1)))
+        assert list(r.items()) == [(A, iv("1/4", "1/2")), (C, UNIT), (D, iv("1/4", "1/2"))]
+        assert list(s.items()) == [(A, iv(0, "1/2")), (B, UNIT), (C, UNIT)]
+
+    def test_replace_with_no_literal_drops_the_label(self):
+        s = Sequent([(A, UNIT), (B, UNIT)])
+        assert list(s.replace(A).items()) == [(B, UNIT)]
+        assert list(s.items()) == [(A, UNIT), (B, UNIT)]
 
 
 class TestSubsequent:

@@ -12,6 +12,7 @@ from nexfuz.logics import LOGIC_NAMES, get_logic
 from nexfuz.models import FiniteModel, check_sequent, eval_formula
 from nexfuz.numerics import Comp, Interval, NumericError
 from nexfuz.onestep import Conclusion
+from nexfuz.prop_tableau import saturate
 from nexfuz.sequents import Sequent
 from nexfuz.solver import SolveStats, SolverCaps, sat, sat_threshold
 from nexfuz.syntax import And, Atom, Diamond, Modal, Neg, modal_depth, parse, to_text
@@ -264,6 +265,28 @@ class TestRecursionShape:
             sat(seq, get_logic(name))
         with pytest.raises(AssertionError, match="without stats"):
             sat(seqs[0], ALC, stats=SolveStats())
+
+    def test_children_no_larger_than_their_end_sequent(self):
+        # So `level_peak_size` measures only end-sequents: a child gets each
+        # argument of a modal formula, smaller than it; a cell costs no more
+        # bits than its literal's interval (0 or 1 in place of an endpoint);
+        # and a repeated argument is one entry.
+        rng = random.Random(83)
+        for name in LOGIC_NAMES:
+            checked = 0
+            while checked < 200:
+                space = rand_metric_space(rng) if name.startswith("metric") else None
+                logic = get_logic(name, space)
+                seq = rand_sequent(rng, name, depth=2, space=space, max_den=8, max_literals=3)
+                for gamma in saturate(seq):
+                    lits = [(f.op, i) for f, i in gamma.items() if isinstance(f, Modal)]
+                    args = [f.arg for f in gamma if isinstance(f, Modal)]
+                    for conclusion in logic.conclusions(tuple(lits)):
+                        for cells in conclusion.cells:
+                            child = Sequent(zip(args, cells))
+                            assert child.combined_size() <= gamma.combined_size(), (
+                                name, gamma, child)
+                            checked += 1
 
     def test_atoms_transparency(self):
         rng = random.Random(92)
