@@ -10,9 +10,12 @@ A model is a finite coalgebra of one of four kinds plus an atom valuation:
 Evaluation is exact and memoized per (state, subformula) in the model's own
 value table, shared by every `eval_formula` call on that model: `int`
 numerators over one scale that only grows; `Fraction` stays at the boundary.
-The table is sound because a model is not changed after its first
-evaluation; the one model that is, a `WitnessDag`'s, only gains states.  A
-solve grows its witness in a `WitnessDag`.
+The table also holds each state's successor row as `int` edge numerators,
+scaled once when the table starts and multiplied with the values whenever
+the scale grows; a state added after that is scaled on each read.  The
+table is sound because a model is not changed after its first evaluation;
+the one model that is, a `WitnessDag`'s, only gains states.  A solve grows
+its witness in a `WitnessDag`.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ class FiniteModel:
     # Caches that evaluation fills (`values` is `eval_formula`'s table); a model is
     # not changed after its first evaluation.  Not init fields, so `dataclasses.replace`
     # starts a model afresh; not compared, so equality ignores them.
-    values: dict[tuple[str, Formula] | None, int] = field(
+    values: dict[tuple[str, Formula | None] | None, int | tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _state_set: frozenset | None = field(
@@ -194,19 +197,20 @@ class FiniteModel:
         space = None
         if "metric" in data:
             space = MetricSpace.from_json(data["metric"])
-        trans: dict = {}
         try:
             if kind in ("prob", "fuzzyrel"):
-                for x, row in raw_trans.items():
-                    trans[x] = {y: parse_rational(d) for y, d in row.items()}
+                trans = {
+                    x: _parse_row(x, "transition degree", row.items())
+                    for x, row in raw_trans.items()
+                }
             else:
-                for x, row in raw_trans.items():
-                    trans[x] = {
-                        (e["label"], e["to"]): parse_rational(e["deg"]) for e in row
-                    }
+                trans = {
+                    x: _parse_row(x, "transition degree",
+                                  [((e["label"], e["to"]), e["deg"]) for e in row])
+                    for x, row in raw_trans.items()
+                }
             atoms = {
-                x: {a: parse_rational(v) for a, v in row.items()}
-                for x, row in raw_atoms.items()
+                x: _parse_row(x, "atom value", row.items()) for x, row in raw_atoms.items()
             }
         except (AttributeError, TypeError, KeyError) as exc:
             raise ModelError(
@@ -228,11 +232,25 @@ class FiniteModel:
             fh.write("\n")
 
 
+def _parse_row(x, what: str, items) -> dict:
+    """The (key, text) pairs of state x's JSON row as {key: rational}.  A
+    text that is not a string is reported with the state and the value."""
+    try:
+        return {key: parse_rational(text) for key, text in items}
+    except (AttributeError, TypeError):
+        for _, text in items:
+            if not isinstance(text, str):
+                raise ModelError(
+                    f"{what} at state {x!r} must be a rational string, not {text!r}"
+                ) from None
+        raise
+
+
 def eval_formula(
     model: FiniteModel,
     state: str,
     formula: Formula,
-    memo: dict[tuple[str, Formula] | None, int] | None = None,
+    memo: dict[tuple[str, Formula | None] | None, int | tuple] | None = None,
 ) -> Fraction:
     """Exact truth degree of `formula` at `state`.
 
@@ -247,14 +265,23 @@ def eval_formula(
     edge denominators, then grown, with every entry, to fit each distance,
     formula constant or new state's datum read.  The operators take only
     min, 1 - x, x - c, mass sums and reach - distance, so values lie in (1/D)Z.
+    Under (state, None) the table holds each state's row, as its successor
+    keys and its edge numerators over D: built with D when the table
+    starts, and multiplied with the values when D grows.  A state added
+    after the table started has no entry; its row is scaled on each read.
     """
     if not model.has_state(state):
         raise ModelError(f"unknown state {state!r}")
     if memo is None:
         memo = model.values
     if None not in memo:
-        rows = (*model.atoms.values(), *model.trans.values())
-        memo[None] = lcm(*(q.denominator for row in rows for q in row.values()))
+        rows = model.trans
+        scale = memo[None] = lcm(*(
+            q.denominator for row in (*model.atoms.values(), *rows.values()) for q in row.values()
+        ))
+        for x, row in rows.items():
+            nums = [q.numerator * (scale // q.denominator) for q in row.values()]
+            memo[x, None] = (tuple(row), nums)
     top = (state, formula)
     stack = [top]
     while stack:
@@ -298,13 +325,28 @@ def eval_formula(
 
 def _scaled(memo: dict, *qs) -> list[int]:
     """The rationals `qs` as numerators over the table's scale, which first
-    grows to a multiple of their denominators, with every numerator in it."""
+    grows to a multiple of their denominators, with every numerator in it:
+    each value, and each row's edge numerators."""
     grown = lcm(memo[None], *(q.denominator for q in qs))
     if grown != memo[None]:
         k = grown // memo[None]
-        for key in memo:
-            memo[key] *= k
+        for key, v in memo.items():
+            memo[key] = v * k if v.__class__ is int else (v[0], [n * k for n in v[1]])
     return [q.numerator * (grown // q.denominator) for q in qs]
+
+
+def _row(model: FiniteModel, memo: dict, x, *qs) -> tuple:
+    """The constants `qs`, then state x's successor keys and edge numerators,
+    all over the table's scale.  The constants are scaled first, so a row the
+    table holds is read at their scale.  A state added after the table was
+    built is scaled here, with the constants, on every read."""
+    consts = _scaled(memo, *qs) if qs else qs
+    row = memo.get((x, None))
+    if row is not None:
+        return consts, *row
+    row = model.successors(x)
+    nums = _scaled(memo, *qs, *row.values())
+    return nums[:len(qs)], row, nums[len(qs):]
 
 
 def _targets(model: FiniteModel, x: str):
@@ -316,26 +358,29 @@ def _targets(model: FiniteModel, x: str):
 
 def _modal(model: FiniteModel, x: str, f: Modal, memo) -> int:
     """The modal operator's sweep over the scaled edges and memoized values."""
-    op, arg, row = f.op, f.arg, model.successors(x)
+    op, arg = f.op, f.arg
     if isinstance(op, Diamond):
         if model.kind != "fuzzyrel":
             raise ModelError(f"diamond evaluated on a {model.kind!r} model")
-        return diamond_sweep(zip(_scaled(memo, *row.values()), [memo[y, arg] for y in row]))
+        _, keys, degrees = _row(model, memo, x)
+        return diamond_sweep(zip(degrees, [memo[y, arg] for y in keys]))
     if isinstance(op, (Generally, MoreThan)):
         if model.kind != "prob":
             name = "'generally'" if isinstance(op, Generally) else "M{p}"
             raise ModelError(f"{name} evaluated on a {model.kind!r} model")
-        p, *weights = _scaled(memo, ZERO if isinstance(op, Generally) else op.p, *row.values())
-        dist = zip(weights, [memo[y, arg] for y in row])
-        return generally_sweep(dist) if isinstance(op, Generally) else more_than_sweep(dist, p)
+        if isinstance(op, Generally):
+            _, keys, weights = _row(model, memo, x)
+            return generally_sweep(zip(weights, [memo[y, arg] for y in keys]))
+        (p,), keys, weights = _row(model, memo, x, op.p)
+        return more_than_sweep(zip(weights, [memo[y, arg] for y in keys]), p)
     if isinstance(op, MetricDiamond):
         if model.kind not in ("metric", "metric-crisp"):
             raise ModelError(f"metric diamond evaluated on a {model.kind!r} model")
         labels, distances = model.space.labels, model.space.matrix[model.space.index(op.label)]
-        reach, *nums = _scaled(memo, op.c, *distances, *row.values())
-        slacks = {label: reach - d for label, d in zip(labels, nums)}
-        degrees, values = nums[len(labels):], [memo[y, arg] for _, y in row]
-        return metric_diamond_sweep(zip([label for label, _ in row], degrees, values), slacks)
+        (reach, *dists), keys, degrees = _row(model, memo, x, op.c, *distances)
+        slacks = {label: reach - d for label, d in zip(labels, dists)}
+        edges = [(label, d, memo[y, arg]) for (label, y), d in zip(keys, degrees)]
+        return metric_diamond_sweep(edges, slacks)
     raise ModelError(f"unknown modal operator {op!r}")
 
 
@@ -345,7 +390,7 @@ def check_sequent(model: FiniteModel, state: str, seq: Sequent) -> bool:
     The literals share one fresh table, not `model.values`: the check is
     independent of any value cached before, and leaves no cache behind.
     """
-    memo: dict[tuple[str, Formula] | None, int] = {}
+    memo: dict[tuple[str, Formula | None] | None, int | tuple] = {}
     return all(
         interval.contains(eval_formula(model, state, f, memo)) for f, interval in seq.items()
     )
@@ -367,7 +412,9 @@ class WitnessDag:
     successor.  Values at the states are cached in the DAG model's own
     table (`model.values`) for the whole solve.  That table stays valid
     although the model grows, because the DAG only adds states: a state and
-    the states below it never change once added.
+    the states below it never change once added.  The table holds the rows
+    of the states that existed when it started; the row of a state added
+    later is scaled on each read, as the solver reads it about once.
 
     `witness(root)` extracts the states reachable from a root as a
     `FiniteModel`, named s0 (the root), s1, ... in breadth-first order, with

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 ZERO = Fraction(0)
@@ -28,6 +29,7 @@ _RATIONAL = re.compile(
 )
 
 
+@lru_cache(maxsize=1024)
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b", an integer, or an exact decimal string like "0.25".
 
@@ -35,6 +37,12 @@ def parse_rational(text: str) -> Fraction:
     "-3", "0.25", "9 / 12".  Exponents ("1e-3"), digit separators ("1_000")
     and non-ASCII digits are rejected, so no literal can ask for a huge power
     of ten.
+
+    Results are cached per text in a `functools.lru_cache` of 1024 entries:
+    model JSON repeats a few hundred degree texts thousands of times, and a
+    `Fraction` is immutable, so equal texts may share one.  Errors are not
+    cached.  A non-string `text` raises `AttributeError`, or `TypeError` when
+    it is unhashable; callers turn either into their own typed error.
     """
     s = text.strip()
     m = _RATIONAL.fullmatch(s)

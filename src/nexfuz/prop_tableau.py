@@ -108,11 +108,16 @@ def saturate(
     sequent on the end-sequent's branch, since each rule's conclusions
     imply its premise.  No valuation satisfies both branches of a split,
     so two branches never end in the same sequent.
+
+    `stack_hook`, if given, is called with the stack's depth each time the
+    depth passes the highest it has reached in this call.
     """
     stack = [seq]
+    peak = 0
     while stack:
-        if stack_hook is not None:
-            stack_hook(len(stack))
+        if stack_hook is not None and len(stack) > peak:
+            peak = len(stack)
+            stack_hook(peak)
         current = stack.pop()
         result = apply_rule(current)
         if isinstance(result, Closed):

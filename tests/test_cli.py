@@ -262,6 +262,33 @@ class TestErrorContract:
         code, out, err = run(capsys, "validate", "--model", str(path))
         assert code == 2 and out == "" and err.startswith("error:") and "label" in err
 
+    @pytest.mark.parametrize("command", ["validate", "eval"])
+    @pytest.mark.parametrize("bad", [["1/2"], {"n": "1/2"}])
+    def test_model_degree_not_a_string_exit_two(self, capsys, tmp_path, command, bad):
+        fuzzy = {"kind": "fuzzyrel", "states": ["x"], "trans": {"x": {"x": "1/2"}},
+                 "atoms": {"x": {"a": "1"}}}
+        metric = {"kind": "metric", "states": ["x"],
+                  "trans": {"x": [{"label": "l", "to": "x", "deg": "1/2"}]},
+                  "atoms": {"x": {"a": "1"}}, "metric": {"labels": ["l"], "dist": [["0"]]}}
+        path = tmp_path / "m.json"
+        argv = [command, "--model", str(path)]
+        if command == "eval":
+            argv += ["--state", "x", "--formula", "a"]
+        for model, named in [
+            ({**fuzzy, "trans": {"x": {"x": bad}}}, True),
+            ({**fuzzy, "atoms": {"x": {"a": bad}}}, True),
+            ({**metric, "trans": {"x": [{"label": "l", "to": "x", "deg": bad}]}}, True),
+            ({**metric, "metric": {"labels": ["l"], "dist": [[bad]]}}, False),
+        ]:
+            path.write_text(json.dumps(model))
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("error:")
+            assert "internal" not in err
+            if named:
+                assert "state 'x'" in err and repr(bad) in err
+            else:
+                assert "dist" in err
+
 
 class TestEvalAndValidate:
     def test_eval_model(self, capsys, tmp_path):

@@ -406,6 +406,87 @@ class TestWitnessDagGrowth:
                 assert got == reference_eval(dag.model, base[2], f)
 
 
+def assert_rows_at_scale(m, states):
+    """Each state's row in the table is its successor keys and its edge
+    numerators over the table's current scale."""
+    scale = m.values[None]
+    for x in states:
+        row = m.successors(x)
+        assert m.values[x, None] == (tuple(row), [q * scale for q in row.values()])
+
+
+class TestRowTable:
+    LOGICS = TestWitnessDagGrowth.LOGICS
+
+    @staticmethod
+    def prime_operators(rng, kind, space):
+        if kind == "prob":
+            return [MoreThan(prime_constant(rng)), Generally()]
+        if kind == "fuzzyrel":
+            return [Diamond()]
+        return [MetricDiamond(label, prime_constant(rng)) for label in space.labels]
+
+    @pytest.mark.parametrize("kind", ["prob", "fuzzyrel", "metric"])
+    def test_rows_grow_with_the_scale(self, kind):
+        rng = random.Random(83)
+        space = rand_metric_space(rng) if kind == "metric" else None
+        for _ in range(8):
+            m = rand_model(rng, kind, rng.randint(2, 5), space=space, max_den=6)
+            first = rand_formula(rng, rng.choice(self.LOGICS[kind]), 2, space, max_den=6)
+            for x in m.states:
+                eval_formula(m, x, first)
+            start = m.values[None]
+            assert_rows_at_scale(m, m.states)
+            # Constants with new prime denominators, in `-`, `M{p}` and
+            # `dia{l,c}`, each growing the scale of the table built above.
+            arg = Minus(Atom(rng.choice(ATOMS)), prime_constant(rng))
+            formulas = [Modal(op, arg) for op in self.prime_operators(rng, kind, space)]
+            formulas += [
+                with_prime_constants(rng, rand_formula(rng, rng.choice(self.LOGICS[kind]), 2,
+                                                       space, max_den=6))
+                for _ in range(2)
+            ]
+            for _ in range(2):
+                for f in (first, *formulas):
+                    for x in m.states:
+                        got = eval_formula(m, x, f)
+                        assert got == reference_eval(m, x, f)
+                        assert got == eval_formula(m, x, f, memo={})
+            assert m.values[None] % start == 0 and m.values[None] > start
+            assert_rows_at_scale(m, m.states)
+
+    @pytest.mark.parametrize("kind", ["prob", "fuzzyrel", "metric"])
+    def test_state_added_later_is_scaled_on_read(self, kind):
+        rng = random.Random(89)
+        space = TestWitnessDagGrowth.SPACE if kind == "metric" else None
+        for _ in range(10):
+            dag = WitnessDag(kind, space)
+            base = [dag_state(dag, rng, [], (2, 3)) for _ in range(2)]
+            base.append(dag_state(dag, rng, base[:2], (2, 3)))
+            ops = self.prime_operators(rng, kind, space)
+            # Only the third state: a probabilistic DAG sends the first two
+            # to the sink, which has no atoms.
+            before = [Modal(op, Atom(rng.choice(ATOMS))) for op in ops]
+            for f in before:
+                eval_formula(dag.model, base[2], f)
+            old = dag.model.values[None]
+            new = dag_state(dag, rng, base, (23,))
+            after = [Modal(op, Minus(Atom(rng.choice(ATOMS)), prime_constant(rng)))
+                     for op in self.prime_operators(rng, kind, space)]
+            # The new state's row is first read under an operator whose
+            # constant grows the scale too.
+            for _ in range(2):
+                for x, f in [(new, f) for f in after + before] + [(base[2], f) for f in after]:
+                    got = eval_formula(dag.model, x, f)
+                    assert got == reference_eval(dag.model, x, f)
+                    assert got == eval_formula(dag.model, x, f, memo={})
+            assert dag.model.values[None] % (23 * old) == 0
+            # The later state is never put in the table; the rows that
+            # were grew with the scale.
+            assert (new, None) not in dag.model.values
+            assert_rows_at_scale(dag.model, base)
+
+
 class TestCheckSequent:
     def test_worked_example(self):
         m = one_successor_model()
@@ -555,6 +636,30 @@ class TestJsonAndValidate:
         )
         with pytest.raises(ModelError):
             m.validate()
+
+    @pytest.mark.parametrize("bad", [["1/2"], {"n": "1/2"}])
+    def test_non_string_degree_names_state_and_value(self, bad):
+        fuzzy = {"kind": "fuzzyrel", "states": ["x", "y"], "trans": {"x": {"y": "1/2"}},
+                 "atoms": {"y": {"a": "1"}}}
+        metric = {"kind": "metric", "states": ["x", "y"],
+                  "trans": {"x": [{"label": "l", "to": "y", "deg": "1/2"}]},
+                  "metric": {"labels": ["l"], "dist": [["0"]]}}
+        for data, what, state in [
+            ({**fuzzy, "trans": {"x": {"y": bad}}}, "transition degree", "x"),
+            ({**fuzzy, "atoms": {"y": {"a": bad}}}, "atom value", "y"),
+            ({**metric, "trans": {"x": [{"label": "l", "to": "y", "deg": bad}]}},
+             "transition degree", "x"),
+        ]:
+            with pytest.raises(ModelError) as info:
+                FiniteModel.from_json(data)
+            assert str(info.value) == (
+                f"{what} at state {state!r} must be a rational string, not {bad!r}"
+            )
+        with pytest.raises(MetricSpaceError):
+            FiniteModel.from_json({**metric, "metric": {"labels": ["l"], "dist": [[bad]]}})
+        for dist in ([[None]], [[[1]]]):
+            with pytest.raises(MetricSpaceError):
+                MetricSpace.from_json({"labels": ["l"], "dist": dist})
 
     def test_metric_space_axioms(self):
         with pytest.raises(MetricSpaceError):

@@ -81,6 +81,27 @@ class TestRationals:
             parse_interval("[1e-10000000,1]")
 
 
+class TestParseCache:
+    def test_errors_are_raised_on_every_call(self):
+        # More digits than int() converts (the interpreter's default limit
+        # is 4300), so the literal fails after the pattern matched.
+        for text in ("1/0", "9" * 5000):
+            for _ in range(2):
+                with pytest.raises(NumericError):
+                    parse_rational(text)
+
+    def test_texts_of_one_value_parse_equal(self):
+        assert parse_rational(" 9/12 ") == parse_rational("3/4") == F(3, 4)
+        assert parse_rational("3/4") is parse_rational("3/4")
+        assert parse_rational.cache_info().maxsize == 1024
+
+    def test_non_strings_raise(self):
+        for text in (None, [1]):
+            for _ in range(2):
+                with pytest.raises((AttributeError, TypeError)):
+                    parse_rational(text)
+
+
 class TestNoFloats:
     def test_make(self):
         with pytest.raises(NumericError):
