@@ -7,15 +7,16 @@ A model is a finite coalgebra of one of four kinds plus an atom valuation:
 * "metric":        per-state labelled fuzzy edges over a metric label space;
 * "metric-crisp":  as "metric" with degrees restricted to {0, 1}.
 
-Evaluation is exact and memoized per (state, subformula) in the model's own
-value table, shared by every `eval_formula` call on that model: `int`
-numerators over one scale that only grows; `Fraction` stays at the boundary.
-The table also holds each state's successor row as `int` edge numerators,
-scaled once when the table starts and multiplied with the values whenever
-the scale grows; a state added after that is scaled on each read.  The
-table is sound because a model is not changed after its first evaluation;
-the one model that is, a `WitnessDag`'s, only gains states.  A solve grows
-its witness in a `WitnessDag`.
+Evaluation is exact, bottom-up and set-at-a-time: one subformula over a set
+of states per step.  It is memoized in the model's own value table, shared
+by every `eval_formula` call on that model, with one column per subformula:
+`int` numerators over one scale that only grows; `Fraction` stays at the
+boundary.  The table also holds each state's successor row as `int` edge
+numerators, scaled once when the table starts and multiplied with the values
+whenever the scale grows; a state added after that is scaled on each read.
+The table is sound because a model is not changed after its first
+evaluation; the one model that is, a `WitnessDag`'s, only gains states.  A
+solve grows its witness in a `WitnessDag`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import attrgetter
 
 from .liftings import diamond_sweep, generally_sweep, metric_diamond_sweep, more_than_sweep
 from .metricspace import MetricSpace, MetricSpaceError
@@ -47,19 +49,24 @@ from .syntax import (
 KINDS = ("prob", "fuzzyrel", "metric", "metric-crisp")
 # `eval_formula`'s results: equal values, recently made, share one object.
 _fraction = lru_cache(maxsize=256)(Fraction)
+_denominator = attrgetter("denominator")
 
 
 class ModelError(ValueError):
     pass
 
 
-def _in_unit(v) -> bool:
-    """Whether the exact rational `v` lies in [0, 1], compared in int; any
-    other value, a float included, raises `ModelError`."""
-    try:
-        return 0 <= v.numerator <= v.denominator
-    except AttributeError:
-        raise ModelError(f"{v!r} is not an exact rational") from None
+def _check_unit(rows, what: str) -> None:
+    """Raise `ModelError` unless every value of the dicts `rows` is an exact
+    rational (a `Fraction` or an `int`; a float is refused) in [0, 1],
+    compared in `int`.  Each distinct value object is read once: the values
+    of a model read from JSON share their objects (see `parse_rational`)."""
+    for v in {id(v): v for row in rows for v in row.values()}.values():
+        if not isinstance(v, (Fraction, int)):
+            raise ModelError(f"{v!r} is not an exact rational")
+        n, d = v.as_integer_ratio()
+        if not 0 <= n <= d:
+            raise ModelError(f"{what} {v} outside [0, 1]")
 
 
 def _check_distribution(row: dict, what: str) -> None:
@@ -84,7 +91,7 @@ class FiniteModel:
     # Caches that evaluation fills (`values` is `eval_formula`'s table); a model is
     # not changed after its first evaluation.  Not init fields, so `dataclasses.replace`
     # starts a model afresh; not compared, so equality ignores them.
-    values: dict[tuple[str, Formula | None] | None, int | tuple] = field(
+    values: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _state_set: frozenset | None = field(
@@ -103,32 +110,29 @@ class FiniteModel:
         if self.root is not None and (not isinstance(self.root, str) or self.root not in state_set):
             raise ModelError(f"root {self.root!r} is not a state name")
         label_set = set(self.space.labels) if metric else ()
+        _check_unit(self.trans.values(), "transition degree")
         for x, row in self.trans.items():
             if x not in state_set:
                 raise ModelError(f"transition from unknown state {x!r}")
-            for key, degree in row.items():
-                if not _in_unit(degree):
-                    raise ModelError(f"transition degree {degree} outside [0, 1]")
-                if not metric:
-                    if key not in state_set:
-                        raise ModelError(f"transition to unknown state {key!r}")
-                else:
-                    label, y = key
+            if not metric:
+                for y in row:
                     if y not in state_set:
                         raise ModelError(f"transition to unknown state {y!r}")
-                    if label not in label_set:
-                        raise MetricSpaceError(f"unknown label {label!r}")
-                    if self.kind == "metric-crisp" and degree not in (ZERO, ONE):
-                        raise ModelError("crisp transition degree must be 0 or 1")
+                continue
+            for (label, y), degree in row.items():
+                if y not in state_set:
+                    raise ModelError(f"transition to unknown state {y!r}")
+                if label not in label_set:
+                    raise MetricSpaceError(f"unknown label {label!r}")
+                if self.kind == "metric-crisp" and degree not in (ZERO, ONE):
+                    raise ModelError("crisp transition degree must be 0 or 1")
         if self.kind == "prob":
             for x in self.states:
                 _check_distribution(self.trans.get(x, {}), f"distribution at {x!r}")
-        for x, row in self.atoms.items():
+        for x in self.atoms:
             if x not in state_set:
                 raise ModelError(f"atom valuation at unknown state {x!r}")
-            for name, value in row.items():
-                if not _in_unit(value):
-                    raise ModelError(f"atom value {value} outside [0, 1]")
+        _check_unit(self.atoms.values(), "atom value")
 
     def has_state(self, state) -> bool:
         """Whether `state` is a state of the model, in O(1).  A state with a
@@ -250,25 +254,37 @@ def eval_formula(
     model: FiniteModel,
     state: str,
     formula: Formula,
-    memo: dict[tuple[str, Formula | None] | None, int | tuple] | None = None,
+    memo: dict | None = None,
 ) -> Fraction:
     """Exact truth degree of `formula` at `state`.
 
-    Values are memoized per (state, subformula) in `memo`, by default the
-    model's own table `model.values`, so repeated calls on one model share
-    every value computed before.  This relies on the model not being
-    changed after its first evaluation (a `WitnessDag` only adds states,
-    which leaves the values at existing states as they are).  Evaluation
-    runs on an explicit stack, so formula depth is not bounded by the
-    interpreter's recursion limit.  The table holds `int` numerators over
-    one scale D, under the key None: first the LCM of the model's atom and
-    edge denominators, then grown, with every entry, to fit each distance,
-    formula constant or new state's datum read.  The operators take only
-    min, 1 - x, x - c, mass sums and reach - distance, so values lie in (1/D)Z.
-    Under (state, None) the table holds each state's row, as its successor
-    keys and its edge numerators over D: built with D when the table
-    starts, and multiplied with the values when D grows.  A state added
-    after the table started has no entry; its row is scaled on each read.
+    Values are memoized in `memo`, by default the model's own table
+    `model.values`, so repeated calls on one model share every value
+    computed before.  This relies on the model not being changed after its
+    first evaluation (a `WitnessDag` only adds states, which leaves the
+    values at existing states as they are).
+
+    The table holds one column per subformula f, `memo[f] = {state: value}`,
+    each value an `int` numerator over one scale D, kept under the key None:
+    first the LCM of the model's atom and edge denominators, then grown,
+    with every entry, to fit each distance, formula constant or new state's
+    datum read.  The operators take only min, 1 - x, x - c, mass sums and
+    reach - distance, so values lie in (1/D)Z.  Under (state, None) the
+    table holds each state's row, as its successor keys and its edge
+    numerators over D: built with D when the table starts, and multiplied
+    with the values when D grows.  A state added after the table started
+    has no row there; its row is scaled on each read.
+
+    Evaluation runs bottom-up, one subformula over a set of states at a
+    time, on an explicit stack, so formula depth is not bounded by the
+    interpreter's recursion limit.  An entry (f, states) holds the states
+    f is missing at.  When it is first popped it pushes a marker for itself,
+    then each child with the states that child is missing at: the
+    successors of those states under a modal operator, the same states
+    otherwise.  When the marker is popped the children's columns hold those
+    states, and one loop computes f at all of them.  A subformula shared by
+    two parents may be pushed by both; a state computed twice gets the
+    same value.
     """
     if not model.has_state(state):
         raise ModelError(f"unknown state {state!r}")
@@ -276,121 +292,164 @@ def eval_formula(
         memo = model.values
     if None not in memo:
         rows = model.trans
-        scale = memo[None] = lcm(*(
+        scale = memo[None] = lcm(*{
             q.denominator for row in (*model.atoms.values(), *rows.values()) for q in row.values()
-        ))
+        })
         for x, row in rows.items():
             nums = [q.numerator * (scale // q.denominator) for q in row.values()]
             memo[x, None] = (tuple(row), nums)
-    top = (state, formula)
-    stack = [top]
+    column = memo.get(formula)
+    if column is not None and state in column:
+        return _fraction(column[state], memo[None])
+    plain = model.kind in ("prob", "fuzzyrel")
+    stack = [(formula, [state], False)]
     while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
+        f, xs, ready = stack.pop()
+        if ready:
+            column = memo.get(f)
+            if column is None:
+                column = memo[f] = {}
+            if isinstance(f, Modal):
+                _fill_modal(model, memo, f, xs, column)
+            else:
+                _fill(model, memo, f, xs, column)
             continue
-        x, f = key
+        stack.append((f, xs, True))
         if isinstance(f, Modal):
-            needed = [(y, f.arg) for y in _targets(model, x)]
+            targets = []
+            for x in xs:
+                row = memo.get((x, None))
+                keys = model.successors(x) if row is None else row[0]
+                targets += keys if plain else [y for _, y in keys]
+            children = ((f.arg, dict.fromkeys(targets)),)
         elif isinstance(f, (Neg, Minus)):
-            needed = [(x, f.arg)]
+            children = ((f.arg, xs),)
         elif isinstance(f, And):
-            needed = [(x, f.left), (x, f.right)]
+            children = ((f.right, xs), (f.left, xs))
         else:
-            needed = ()
-        missing = [k for k in needed if k not in memo]
-        if missing:
-            stack += missing
             continue
-        stack.pop()
-        # `_scaled` may rescale the table: read it only after that call.
-        if isinstance(f, Zero):
-            value = 0
-        elif isinstance(f, Atom):
-            (value,) = _scaled(memo, model.atom_value(x, f.name))
-        elif isinstance(f, Neg):
-            value = memo[None] - memo[x, f.arg]
-        elif isinstance(f, Minus):
-            (c,) = _scaled(memo, f.c)
-            value = max(0, memo[x, f.arg] - c)
-        elif isinstance(f, And):
-            value = min(memo[x, f.left], memo[x, f.right])
-        elif isinstance(f, Modal):
-            value = _modal(model, x, f, memo)
-        else:
-            raise ModelError(f"not a formula: {f!r}")
-        memo[key] = value
-    return _fraction(memo[top], memo[None])
+        for g, ys in children:
+            done = memo.get(g)
+            ys = [y for y in ys if y not in done] if done else list(ys)
+            if ys:
+                stack.append((g, ys, False))
+    return _fraction(memo[formula][state], memo[None])
 
 
 def _scaled(memo: dict, *qs) -> list[int]:
     """The rationals `qs` as numerators over the table's scale, which first
     grows to a multiple of their denominators, with every numerator in it:
-    each value, and each row's edge numerators."""
-    grown = lcm(memo[None], *(q.denominator for q in qs))
-    if grown != memo[None]:
-        k = grown // memo[None]
+    each column's values, in place, and each row's edge numerators."""
+    if not qs:
+        return []
+    scale = memo[None]
+    grown = lcm(scale, *map(_denominator, qs))
+    if grown != scale:
+        k = grown // scale
         for key, v in memo.items():
-            memo[key] = v * k if v.__class__ is int else (v[0], [n * k for n in v[1]])
+            if v.__class__ is dict:
+                for x, n in v.items():
+                    v[x] = n * k
+            elif key is not None:
+                memo[key] = (v[0], [n * k for n in v[1]])
+        memo[None] = grown
     return [q.numerator * (grown // q.denominator) for q in qs]
 
 
-def _row(model: FiniteModel, memo: dict, x, *qs) -> tuple:
-    """The constants `qs`, then state x's successor keys and edge numerators,
-    all over the table's scale.  The constants are scaled first, so a row the
-    table holds is read at their scale.  A state added after the table was
-    built is scaled here, with the constants, on every read."""
-    consts = _scaled(memo, *qs) if qs else qs
-    row = memo.get((x, None))
-    if row is not None:
-        return consts, *row
-    row = model.successors(x)
-    nums = _scaled(memo, *qs, *row.values())
-    return nums[:len(qs)], row, nums[len(qs):]
+def _fill(model: FiniteModel, memo: dict, f: Formula, xs, column: dict) -> None:
+    """Write the values of the propositional formula f at the states `xs`
+    into its column, from its children's columns, which hold every state
+    needed.  The entry's one `_scaled` call may grow the scale, so it comes
+    before any column is read."""
+    if isinstance(f, Atom):
+        column.update(zip(xs, _scaled(memo, *[model.atom_value(x, f.name) for x in xs])))
+    elif isinstance(f, Zero):
+        column.update(dict.fromkeys(xs, 0))
+    elif isinstance(f, Neg):
+        scale, arg = memo[None], memo[f.arg]
+        for x in xs:
+            column[x] = scale - arg[x]
+    elif isinstance(f, Minus):
+        (c,) = _scaled(memo, f.c)
+        arg = memo[f.arg]
+        for x in xs:
+            v = arg[x] - c
+            column[x] = v if v > 0 else 0
+    elif isinstance(f, And):
+        left, right = memo[f.left], memo[f.right]
+        for x in xs:
+            a, b = left[x], right[x]
+            column[x] = a if a < b else b
+    else:
+        raise ModelError(f"not a formula: {f!r}")
 
 
-def _targets(model: FiniteModel, x: str):
-    row = model.successors(x)
-    if model.kind in ("prob", "fuzzyrel"):
-        return row
-    return [y for _, y in row]
-
-
-def _modal(model: FiniteModel, x: str, f: Modal, memo) -> int:
-    """The modal operator's sweep over the scaled edges and memoized values."""
-    op, arg = f.op, f.arg
+def _fill_modal(model: FiniteModel, memo: dict, f: Modal, xs, column: dict) -> None:
+    """The modal operator's sweep at each state of `xs`, over its scaled
+    edges and its argument's column.  The operator's constants (`M{p}`'s p,
+    `dia{l,c}`'s c and the distances) and the rows of states added after
+    the table started are scaled in one call."""
+    op, kind = f.op, model.kind
     if isinstance(op, Diamond):
-        if model.kind != "fuzzyrel":
-            raise ModelError(f"diamond evaluated on a {model.kind!r} model")
-        _, keys, degrees = _row(model, memo, x)
-        return diamond_sweep(zip(degrees, [memo[y, arg] for y in keys]))
-    if isinstance(op, (Generally, MoreThan)):
-        if model.kind != "prob":
+        if kind != "fuzzyrel":
+            raise ModelError(f"diamond evaluated on a {kind!r} model")
+        consts = ()
+    elif isinstance(op, (Generally, MoreThan)):
+        if kind != "prob":
             name = "'generally'" if isinstance(op, Generally) else "M{p}"
-            raise ModelError(f"{name} evaluated on a {model.kind!r} model")
-        if isinstance(op, Generally):
-            _, keys, weights = _row(model, memo, x)
-            return generally_sweep(zip(weights, [memo[y, arg] for y in keys]))
-        (p,), keys, weights = _row(model, memo, x, op.p)
-        return more_than_sweep(zip(weights, [memo[y, arg] for y in keys]), p)
+            raise ModelError(f"{name} evaluated on a {kind!r} model")
+        consts = (op.p,) if isinstance(op, MoreThan) else ()
+    elif isinstance(op, MetricDiamond):
+        if kind not in ("metric", "metric-crisp"):
+            raise ModelError(f"metric diamond evaluated on a {kind!r} model")
+        space = model.space
+        consts = (op.c, *space.matrix[space.index(op.label)])
+    else:
+        raise ModelError(f"unknown modal operator {op!r}")
+    late, degrees = {}, []
+    for x in xs:
+        if (x, None) not in memo:
+            late[x] = row = model.successors(x)
+            degrees += row.values()
+    nums = _scaled(memo, *consts, *degrees)
+    i = len(consts)
+    consts = nums[:i]
+    for x, row in late.items():
+        late[x] = (row, nums[i:i + len(row)])
+        i += len(row)
+    arg = memo.get(f.arg)
+    if arg is None:  # no state of `xs` has a successor
+        column.update(dict.fromkeys(xs, 0))
+        return
+    value = arg.__getitem__
     if isinstance(op, MetricDiamond):
-        if model.kind not in ("metric", "metric-crisp"):
-            raise ModelError(f"metric diamond evaluated on a {model.kind!r} model")
-        labels, distances = model.space.labels, model.space.matrix[model.space.index(op.label)]
-        (reach, *dists), keys, degrees = _row(model, memo, x, op.c, *distances)
-        slacks = {label: reach - d for label, d in zip(labels, dists)}
-        edges = [(label, d, memo[y, arg]) for (label, y), d in zip(keys, degrees)]
-        return metric_diamond_sweep(edges, slacks)
-    raise ModelError(f"unknown modal operator {op!r}")
+        reach, *dists = consts
+        slacks = {label: reach - d for label, d in zip(space.labels, dists)}
+        for x in xs:
+            keys, edges = late.get(x) or memo[x, None]
+            column[x] = metric_diamond_sweep(
+                [(label, d, value(y)) for (label, y), d in zip(keys, edges)], slacks
+            )
+        return
+    for x in xs:
+        keys, edges = late.get(x) or memo[x, None]
+        pairs = zip(edges, map(value, keys))
+        if isinstance(op, Diamond):
+            column[x] = diamond_sweep(pairs)
+        elif isinstance(op, Generally):
+            column[x] = generally_sweep(pairs)
+        else:
+            column[x] = more_than_sweep(pairs, consts[0])
 
 
 def check_sequent(model: FiniteModel, state: str, seq: Sequent) -> bool:
     """Exact membership of every literal's truth degree in its interval.
 
-    The literals share one fresh table, not `model.values`: the check is
-    independent of any value cached before, and leaves no cache behind.
+    The literals share one fresh table, not `model.values`, evaluated by the
+    same loop as `eval_formula`'s: the check is independent of any value
+    cached before, and leaves no cache behind.
     """
-    memo: dict[tuple[str, Formula | None] | None, int | tuple] = {}
+    memo: dict = {}
     return all(
         interval.contains(eval_formula(model, state, f, memo)) for f, interval in seq.items()
     )
@@ -410,11 +469,14 @@ class WitnessDag:
     are numbered in the order they are added; one inert `sink` state with a
     self-loop serves every probabilistic witness that needs a dummy
     successor.  Values at the states are cached in the DAG model's own
-    table (`model.values`) for the whole solve.  That table stays valid
-    although the model grows, because the DAG only adds states: a state and
-    the states below it never change once added.  The table holds the rows
-    of the states that existed when it started; the row of a state added
-    later is scaled on each read, as the solver reads it about once.
+    table (`model.values`) for the whole solve, in one column per
+    subformula.  That table stays valid although the model grows, because
+    the DAG only adds states: a state and the states below it never change
+    once added, and a column gains the new states as they are read.  The
+    table holds the rows of the states that existed when it started; the row
+    of a state added later is scaled on each read, in the one call that
+    scales the reading operator's constants, as the solver reads it about
+    once.
 
     `witness(root)` extracts the states reachable from a root as a
     `FiniteModel`, named s0 (the root), s1, ... in breadth-first order, with

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import random
@@ -32,6 +33,7 @@ from nexfuz.syntax import (
     And,
     Atom,
     Diamond,
+    Formula,
     Generally,
     MetricDiamond,
     Minus,
@@ -254,7 +256,7 @@ class TestValueTable:
         m = one_successor_model()
         f = parse("dia a")
         seq = Sequent([(f, iv("1/2", "1/2"))])
-        m.values["x", f] = 0  # a numerator, over whatever scale the table takes
+        m.values[f] = {"x": 0}  # f's column: a numerator, over whatever scale the table takes
         assert eval_formula(m, "x", f) == 0  # the poisoned value is served
         assert check_sequent(m, "x", seq)
         assert not check_sequent(m, "x", Sequent([(f, iv(0, 0))]))
@@ -276,9 +278,10 @@ class TestValueTable:
             assert check_sequent(m, m.states[0], seq)
             assert m.values == {}
             eval_formula(m, m.states[0], f)
-            before = dict(m.values)
+            # A deep copy: the columns are changed in place when the scale grows.
+            before = copy.deepcopy(m.values)
             assert check_sequent(m, m.states[0], seq)
-            assert m.values == before  # numerators and the scale under None
+            assert m.values == before  # the columns, the rows and the scale under None
 
     def test_constants_stay_hash_consed_across_scales(self):
         text = "M{3/7} (a - 2/11) & G (b - 5/13)"
@@ -406,13 +409,18 @@ class TestWitnessDagGrowth:
                 assert got == reference_eval(dag.model, base[2], f)
 
 
-def assert_rows_at_scale(m, states):
+def assert_table_at_scale(m, states):
     """Each state's row in the table is its successor keys and its edge
-    numerators over the table's current scale."""
+    numerators over the table's current scale, and each subformula's column
+    holds its values at that scale."""
     scale = m.values[None]
     for x in states:
         row = m.successors(x)
         assert m.values[x, None] == (tuple(row), [q * scale for q in row.values()])
+    for f, column in m.values.items():
+        if isinstance(f, Formula):
+            for x, n in column.items():
+                assert F(n, scale) == reference_eval(m, x, f)
 
 
 class TestRowTable:
@@ -436,7 +444,7 @@ class TestRowTable:
             for x in m.states:
                 eval_formula(m, x, first)
             start = m.values[None]
-            assert_rows_at_scale(m, m.states)
+            assert_table_at_scale(m, m.states)
             # Constants with new prime denominators, in `-`, `M{p}` and
             # `dia{l,c}`, each growing the scale of the table built above.
             arg = Minus(Atom(rng.choice(ATOMS)), prime_constant(rng))
@@ -453,7 +461,7 @@ class TestRowTable:
                         assert got == reference_eval(m, x, f)
                         assert got == eval_formula(m, x, f, memo={})
             assert m.values[None] % start == 0 and m.values[None] > start
-            assert_rows_at_scale(m, m.states)
+            assert_table_at_scale(m, m.states)
 
     @pytest.mark.parametrize("kind", ["prob", "fuzzyrel", "metric"])
     def test_state_added_later_is_scaled_on_read(self, kind):
@@ -484,7 +492,114 @@ class TestRowTable:
             # The later state is never put in the table; the rows that
             # were grew with the scale.
             assert (new, None) not in dag.model.values
-            assert_rows_at_scale(dag.model, base)
+            assert_table_at_scale(dag.model, base)
+
+
+def rand_operator(rng, kind, space):
+    """A random modal operator of the model kind, its constants drawn with
+    denominators up to 6."""
+    if kind == "prob":
+        return rng.choice([Generally(), MoreThan(F(rng.randint(0, 5), 6))])
+    if kind == "fuzzyrel":
+        return Diamond()
+    return MetricDiamond(rng.choice(space.labels), F(rng.randint(0, 6), 6))
+
+
+class TestSetAtATime:
+    @staticmethod
+    def shared_formulas(rng, kind, logics, space):
+        """Formulas in which one subformula t is needed at a state and at
+        that state's successors, or at the successors of two levels."""
+        t = rand_formula(rng, rng.choice(logics), rng.randint(0, 2), space, max_den=6)
+        a = Atom(rng.choice(ATOMS))
+        u = And(a, Neg(a))
+        op, other = rand_operator(rng, kind, space), rand_operator(rng, kind, space)
+        return [
+            And(Modal(op, u), u),
+            And(Modal(op, t), t),
+            Modal(other, And(Modal(op, t), Neg(t))),
+            And(Modal(op, Modal(other, t)), And(Modal(other, t), t)),
+        ]
+
+    def test_matches_the_reference_and_a_fresh_table(self):
+        rng = random.Random(97)
+        for kind, logics in KIND_LOGICS.items():
+            for _ in range(10):
+                space = rand_metric_space(rng) if kind.startswith("metric") else None
+                m = rand_model(rng, kind, rng.randint(2, 6), space=space, max_den=6)
+                pairs = [(x, f) for x in m.states
+                         for f in self.shared_formulas(rng, kind, logics, space)]
+                rng.shuffle(pairs)
+                for x, f in pairs:
+                    got = eval_formula(m, x, f)
+                    assert got == reference_eval(m, x, f)
+                    assert got == eval_formula(m, x, f, memo={})
+                assert_table_at_scale(m, m.states)
+
+    def test_scale_grows_after_a_sibling_column(self):
+        # In `op (s & (b - c))`, the entry `s` is computed first, at every
+        # successor; then `c`, with a new prime denominator, grows the scale
+        # before `&` reads both columns.
+        rng = random.Random(101)
+        for kind, logics in KIND_LOGICS.items():
+            for _ in range(8):
+                space = rand_metric_space(rng) if kind.startswith("metric") else None
+                m = rand_model(rng, kind, rng.randint(2, 6), space=space, max_den=6)
+                sibling = Modal(rand_operator(rng, kind, space), Atom("a"))
+                f = Modal(rand_operator(rng, kind, space),
+                          And(sibling, Minus(Atom("b"), prime_constant(rng))))
+                start = {}
+                eval_formula(m, m.states[0], Atom("a"), start)
+                for x in m.states:
+                    got = eval_formula(m, x, f)
+                    assert got == reference_eval(m, x, f)
+                    assert got == eval_formula(m, x, f, memo={})
+                assert m.values[None] % start[None] == 0 and m.values[None] > start[None]
+                assert_table_at_scale(m, m.states)
+
+    @pytest.mark.parametrize("kind", ["prob", "metric"])
+    def test_states_added_later_share_one_entry(self, kind):
+        # Two states added after the table started are one entry's states
+        # under `M{p}` or `dia{l,c}`; their rows, which bring new
+        # denominators, are scaled with the operator's new constant.
+        rng = random.Random(103)
+        space = TestWitnessDagGrowth.SPACE if kind == "metric" else None
+        for _ in range(10):
+            dag = WitnessDag(kind, space)
+            base = [dag_state(dag, rng, [], (2, 3)) for _ in range(2)]
+            base.append(dag_state(dag, rng, base[:2], (2, 3)))
+            eval_formula(dag.model, base[2], Atom("a"))
+            late = [dag_state(dag, rng, base, (23, 29)) for _ in range(2)]
+            top = dag_state(dag, rng, late, (31,))
+            if kind == "prob":
+                ops = [MoreThan(prime_constant(rng)) for _ in range(2)]
+            else:
+                ops = [MetricDiamond(label, prime_constant(rng)) for label in space.labels]
+            for op in ops:
+                f = Modal(op, Modal(op, Minus(Atom(rng.choice(ATOMS)), prime_constant(rng))))
+                got = eval_formula(dag.model, top, f)
+                assert got == reference_eval(dag.model, top, f)
+                assert got == eval_formula(dag.model, top, f, memo={})
+                for x in late:
+                    assert eval_formula(dag.model, x, f.arg) == reference_eval(dag.model, x, f.arg)
+            assert all((x, None) not in dag.model.values for x in (*late, top))
+            assert_table_at_scale(dag.model, base)
+
+    def test_deep_formula_at_every_state_of_a_cycle(self):
+        states = ("x0", "x1", "x2")
+        m = FiniteModel(
+            "fuzzyrel",
+            states,
+            {x: {states[(i + 1) % 3]: F(1)} for i, x in enumerate(states)},
+            {x: {"a": F(i + 1, 4)} for i, x in enumerate(states)},
+        )
+        f = Atom("a")
+        for _ in range(2000):
+            f = Modal(Diamond(), f)
+        for i, x in enumerate(states):
+            expected = F((i + 2000) % 3 + 1, 4)
+            assert eval_formula(m, x, f) == expected
+            assert eval_formula(m, x, f, memo={}) == expected
 
 
 class TestCheckSequent:
