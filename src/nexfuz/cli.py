@@ -116,8 +116,6 @@ def _print_rule(rule, premise, conclusions) -> None:
 def _run_eval(args) -> int:
     model = FiniteModel.load(args.model)
     formula = parse(args.formula)
-    if args.state not in model.states:
-        raise CliError(f"state {args.state!r} is not in the model")
     value = eval_formula(model, args.state, formula)
     if args.json:
         print(json.dumps({"value": format_rational(value)}))

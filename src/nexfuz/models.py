@@ -10,13 +10,12 @@ A model is a finite coalgebra of one of four kinds plus an atom valuation:
 Evaluation is exact, bottom-up and set-at-a-time: one subformula over a set
 of states per step.  It is memoized in the model's own value table, shared
 by every `eval_formula` call on that model, with one column per subformula:
-`int` numerators over one scale that only grows; `Fraction` stays at the
-boundary.  The table also holds each state's successor row as `int` edge
-numerators, scaled once when the table starts and multiplied with the values
-whenever the scale grows; a state added after that is scaled on each read.
-The table is sound because a model is not changed after its first
-evaluation; the one model that is, a `WitnessDag`'s, only gains states.  A
-solve grows its witness in a `WitnessDag`.
+`int` numerators over one scale that starts at 1 and only grows; `Fraction`
+stays at the boundary.  The table also holds each state's successor row as
+`int` edge numerators, stored on its first read and multiplied with the
+values whenever the scale grows.  The table is sound because a model is not
+changed after its first evaluation; the one model that is, a `WitnessDag`'s,
+only gains states.  A solve grows its witness in a `WitnessDag`.
 """
 
 from __future__ import annotations
@@ -266,14 +265,12 @@ def eval_formula(
 
     The table holds one column per subformula f, `memo[f] = {state: value}`,
     each value an `int` numerator over one scale D, kept under the key None:
-    first the LCM of the model's atom and edge denominators, then grown,
-    with every entry, to fit each distance, formula constant or new state's
-    datum read.  The operators take only min, 1 - x, x - c, mass sums and
-    reach - distance, so values lie in (1/D)Z.  Under (state, None) the
-    table holds each state's row, as its successor keys and its edge
-    numerators over D: built with D when the table starts, and multiplied
-    with the values when D grows.  A state added after the table started
-    has no row there; its row is scaled on each read.
+    1 when the table starts, then grown, with every entry, to fit each atom
+    value, edge degree, distance or formula constant read.  The operators
+    take only min, 1 - x, x - c, mass sums and reach - distance, so values
+    lie in (1/D)Z.  Under (state, None) the table holds each state's row, as
+    its successor keys and its edge numerators over D: stored on the row's
+    first read, and multiplied with the values when D grows.
 
     Evaluation runs bottom-up, one subformula over a set of states at a
     time, on an explicit stack, so formula depth is not bounded by the
@@ -290,14 +287,7 @@ def eval_formula(
         raise ModelError(f"unknown state {state!r}")
     if memo is None:
         memo = model.values
-    if None not in memo:
-        rows = model.trans
-        scale = memo[None] = lcm(*{
-            q.denominator for row in (*model.atoms.values(), *rows.values()) for q in row.values()
-        })
-        for x, row in rows.items():
-            nums = [q.numerator * (scale // q.denominator) for q in row.values()]
-            memo[x, None] = (tuple(row), nums)
+    memo.setdefault(None, 1)
     column = memo.get(formula)
     if column is not None and state in column:
         return _fraction(column[state], memo[None])
@@ -318,8 +308,7 @@ def eval_formula(
         if isinstance(f, Modal):
             targets = []
             for x in xs:
-                row = memo.get((x, None))
-                keys = model.successors(x) if row is None else row[0]
+                keys = model.trans.get(x, ())
                 targets += keys if plain else [y for _, y in keys]
             children = ((f.arg, dict.fromkeys(targets)),)
         elif isinstance(f, (Neg, Minus)):
@@ -387,8 +376,9 @@ def _fill(model: FiniteModel, memo: dict, f: Formula, xs, column: dict) -> None:
 def _fill_modal(model: FiniteModel, memo: dict, f: Modal, xs, column: dict) -> None:
     """The modal operator's sweep at each state of `xs`, over its scaled
     edges and its argument's column.  The operator's constants (`M{p}`'s p,
-    `dia{l,c}`'s c and the distances) and the rows of states added after
-    the table started are scaled in one call."""
+    `dia{l,c}`'s c and the distances) and the edge degrees of the rows read
+    here for the first time are scaled in one call; those rows are then
+    stored in the table."""
     op, kind = f.op, model.kind
     if isinstance(op, Diamond):
         if kind != "fuzzyrel":
@@ -406,16 +396,17 @@ def _fill_modal(model: FiniteModel, memo: dict, f: Modal, xs, column: dict) -> N
         consts = (op.c, *space.matrix[space.index(op.label)])
     else:
         raise ModelError(f"unknown modal operator {op!r}")
-    late, degrees = {}, []
+    rows, degrees = [], []
     for x in xs:
         if (x, None) not in memo:
-            late[x] = row = model.successors(x)
+            row = model.successors(x)
+            rows.append((x, row))
             degrees += row.values()
     nums = _scaled(memo, *consts, *degrees)
     i = len(consts)
     consts = nums[:i]
-    for x, row in late.items():
-        late[x] = (row, nums[i:i + len(row)])
+    for x, row in rows:
+        memo[x, None] = (tuple(row), nums[i:i + len(row)])
         i += len(row)
     arg = memo.get(f.arg)
     if arg is None:  # no state of `xs` has a successor
@@ -426,13 +417,13 @@ def _fill_modal(model: FiniteModel, memo: dict, f: Modal, xs, column: dict) -> N
         reach, *dists = consts
         slacks = {label: reach - d for label, d in zip(space.labels, dists)}
         for x in xs:
-            keys, edges = late.get(x) or memo[x, None]
+            keys, edges = memo[x, None]
             column[x] = metric_diamond_sweep(
                 [(label, d, value(y)) for (label, y), d in zip(keys, edges)], slacks
             )
         return
     for x in xs:
-        keys, edges = late.get(x) or memo[x, None]
+        keys, edges = memo[x, None]
         pairs = zip(edges, map(value, keys))
         if isinstance(op, Diamond):
             column[x] = diamond_sweep(pairs)
@@ -447,8 +438,11 @@ def check_sequent(model: FiniteModel, state: str, seq: Sequent) -> bool:
 
     The literals share one fresh table, not `model.values`, evaluated by the
     same loop as `eval_formula`'s: the check is independent of any value
-    cached before, and leaves no cache behind.
+    cached before, and leaves no cache behind.  An unknown state raises
+    `ModelError`, also for an empty sequent.
     """
+    if not model.has_state(state):
+        raise ModelError(f"unknown state {state!r}")
     memo: dict = {}
     return all(
         interval.contains(eval_formula(model, state, f, memo)) for f, interval in seq.items()
@@ -472,11 +466,8 @@ class WitnessDag:
     table (`model.values`) for the whole solve, in one column per
     subformula.  That table stays valid although the model grows, because
     the DAG only adds states: a state and the states below it never change
-    once added, and a column gains the new states as they are read.  The
-    table holds the rows of the states that existed when it started; the row
-    of a state added later is scaled on each read, in the one call that
-    scales the reading operator's constants, as the solver reads it about
-    once.
+    once added, and a column gains the new states as they are read.  A new
+    state's row enters the table on its first read, as every row does.
 
     `witness(root)` extracts the states reachable from a root as a
     `FiniteModel`, named s0 (the root), s1, ... in breadth-first order, with

@@ -362,3 +362,4 @@ class TestEvalAndValidate:
             capsys, "eval", "--model", str(path), "--state", "nope", "--formula", "0"
         )
         assert code == 2
+        assert err.startswith("error: ") and "'nope'" in err and "internal" not in err

@@ -409,18 +409,18 @@ class TestWitnessDagGrowth:
                 assert got == reference_eval(dag.model, base[2], f)
 
 
-def assert_table_at_scale(m, states):
-    """Each state's row in the table is its successor keys and its edge
+def assert_table_at_scale(m):
+    """Each row in the table is its state's successor keys and edge
     numerators over the table's current scale, and each subformula's column
     holds its values at that scale."""
     scale = m.values[None]
-    for x in states:
-        row = m.successors(x)
-        assert m.values[x, None] == (tuple(row), [q * scale for q in row.values()])
-    for f, column in m.values.items():
-        if isinstance(f, Formula):
-            for x, n in column.items():
-                assert F(n, scale) == reference_eval(m, x, f)
+    for key, entry in m.values.items():
+        if isinstance(key, tuple):
+            row = m.successors(key[0])
+            assert entry == (tuple(row), [q * scale for q in row.values()])
+        elif isinstance(key, Formula):
+            for x, n in entry.items():
+                assert F(n, scale) == reference_eval(m, x, key)
 
 
 class TestRowTable:
@@ -444,7 +444,7 @@ class TestRowTable:
             for x in m.states:
                 eval_formula(m, x, first)
             start = m.values[None]
-            assert_table_at_scale(m, m.states)
+            assert_table_at_scale(m)
             # Constants with new prime denominators, in `-`, `M{p}` and
             # `dia{l,c}`, each growing the scale of the table built above.
             arg = Minus(Atom(rng.choice(ATOMS)), prime_constant(rng))
@@ -461,7 +461,9 @@ class TestRowTable:
                         assert got == reference_eval(m, x, f)
                         assert got == eval_formula(m, x, f, memo={})
             assert m.values[None] % start == 0 and m.values[None] > start
-            assert_table_at_scale(m, m.states)
+            # Every state was read under a modal operator, so every row is in.
+            assert all((x, None) in m.values for x in m.states)
+            assert_table_at_scale(m)
 
     @pytest.mark.parametrize("kind", ["prob", "fuzzyrel", "metric"])
     def test_state_added_later_is_scaled_on_read(self, kind):
@@ -489,10 +491,10 @@ class TestRowTable:
                     assert got == reference_eval(dag.model, x, f)
                     assert got == eval_formula(dag.model, x, f, memo={})
             assert dag.model.values[None] % (23 * old) == 0
-            # The later state is never put in the table; the rows that
-            # were grew with the scale.
-            assert (new, None) not in dag.model.values
-            assert_table_at_scale(dag.model, base)
+            # The later state's row entered the table on its first read; it
+            # and the rows that were grew with the scale.
+            assert (new, None) in dag.model.values
+            assert_table_at_scale(dag.model)
 
 
 def rand_operator(rng, kind, space):
@@ -534,7 +536,7 @@ class TestSetAtATime:
                     got = eval_formula(m, x, f)
                     assert got == reference_eval(m, x, f)
                     assert got == eval_formula(m, x, f, memo={})
-                assert_table_at_scale(m, m.states)
+                assert_table_at_scale(m)
 
     def test_scale_grows_after_a_sibling_column(self):
         # In `op (s & (b - c))`, the entry `s` is computed first, at every
@@ -555,13 +557,13 @@ class TestSetAtATime:
                     assert got == reference_eval(m, x, f)
                     assert got == eval_formula(m, x, f, memo={})
                 assert m.values[None] % start[None] == 0 and m.values[None] > start[None]
-                assert_table_at_scale(m, m.states)
+                assert_table_at_scale(m)
 
     @pytest.mark.parametrize("kind", ["prob", "metric"])
     def test_states_added_later_share_one_entry(self, kind):
         # Two states added after the table started are one entry's states
-        # under `M{p}` or `dia{l,c}`; their rows, which bring new
-        # denominators, are scaled with the operator's new constant.
+        # under `M{p}` or `dia{l,c}`; their rows, first read there, bring new
+        # denominators and are scaled with the operator's new constant.
         rng = random.Random(103)
         space = TestWitnessDagGrowth.SPACE if kind == "metric" else None
         for _ in range(10):
@@ -582,8 +584,8 @@ class TestSetAtATime:
                 assert got == eval_formula(dag.model, top, f, memo={})
                 for x in late:
                     assert eval_formula(dag.model, x, f.arg) == reference_eval(dag.model, x, f.arg)
-            assert all((x, None) not in dag.model.values for x in (*late, top))
-            assert_table_at_scale(dag.model, base)
+            assert all((x, None) in dag.model.values for x in (*late, top))
+            assert_table_at_scale(dag.model)
 
     def test_deep_formula_at_every_state_of_a_cycle(self):
         states = ("x0", "x1", "x2")
@@ -613,6 +615,13 @@ class TestCheckSequent:
 
     def test_empty_sequent(self):
         assert check_sequent(one_successor_model(), "x", Sequent())
+
+    def test_unknown_state(self):
+        m = one_successor_model()
+        for seq in (Sequent(), Sequent([(parse("dia a"), iv(0, 1))])):
+            with pytest.raises(ModelError, match="unknown state 'nope'"):
+                check_sequent(m, "nope", seq)
+        assert m.values == {}
 
 
 def rand_dag_state(rng, dag, kind, n_states):
