@@ -9,21 +9,22 @@ A model is a finite coalgebra of one of four kinds plus an atom valuation:
 
 Evaluation is exact, bottom-up and set-at-a-time: one subformula over a set
 of states per step.  It is memoized in the model's own value table, shared
-by every `eval_formula` call on that model, with one column per subformula:
-`int` numerators over one scale that starts at 1 and only grows; `Fraction`
-stays at the boundary.  The table also holds each state's successor row as
-`int` edge numerators, stored on its first read and multiplied with the
-values whenever the scale grows.  The table is sound because a model is not
-changed after its first evaluation; the one model that is, a `WitnessDag`'s,
-only gains states.  A solve grows its witness in a `WitnessDag`.
+by every `eval_formula` call on that model.  Every entry but the scale is a
+dict of `int` numerators over that one scale, which starts at 1 and only
+grows: one column per subformula, and each state's successor row, stored on
+its first read.  `Fraction` stays at the boundary.  The table is sound
+because a model is not changed after its first evaluation; the one model
+that is, a `WitnessDag`'s, only gains states.  A solve grows its witness in
+a `WitnessDag`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import lcm
 from operator import attrgetter
 
@@ -207,11 +208,7 @@ class FiniteModel:
                     for x, row in raw_trans.items()
                 }
             else:
-                trans = {
-                    x: _parse_row(x, "transition degree",
-                                  [((e["label"], e["to"]), e["deg"]) for e in row])
-                    for x, row in raw_trans.items()
-                }
+                trans = {x: _parse_edges(x, row) for x, row in raw_trans.items()}
             atoms = {
                 x: _parse_row(x, "atom value", row.items()) for x, row in raw_atoms.items()
             }
@@ -249,28 +246,37 @@ def _parse_row(x, what: str, items) -> dict:
         raise
 
 
-def eval_formula(
-    model: FiniteModel,
-    state: str,
-    formula: Formula,
-    memo: dict | None = None,
-) -> Fraction:
+def _parse_edges(x, edges) -> dict:
+    """State x's JSON list of metric edges as {(label, target): degree}.  Two
+    edges with one label and one target raise `ModelError`."""
+    items = [((e["label"], e["to"]), e["deg"]) for e in edges]
+    row = _parse_row(x, "transition degree", items)
+    if len(row) < len(items):
+        seen = set()
+        for (label, y), _ in items:
+            if (label, y) in seen:
+                raise ModelError(f"two edges at state {x!r} with label {label!r} to {y!r}")
+            seen.add((label, y))
+    return row
+
+
+def eval_formula(model: FiniteModel, state: str, formula: Formula) -> Fraction:
     """Exact truth degree of `formula` at `state`.
 
-    Values are memoized in `memo`, by default the model's own table
-    `model.values`, so repeated calls on one model share every value
-    computed before.  This relies on the model not being changed after its
-    first evaluation (a `WitnessDag` only adds states, which leaves the
-    values at existing states as they are).
+    Values are memoized in the model's own table `model.values`, so repeated
+    calls on one model share every value computed before.  This relies on
+    the model not being changed after its first evaluation (a `WitnessDag`
+    only adds states, which leaves the values at existing states as they
+    are); `dataclasses.replace(model)` is the same model with an empty table.
 
-    The table holds one column per subformula f, `memo[f] = {state: value}`,
-    each value an `int` numerator over one scale D, kept under the key None:
-    1 when the table starts, then grown, with every entry, to fit each atom
-    value, edge degree, distance or formula constant read.  The operators
-    take only min, 1 - x, x - c, mass sums and reach - distance, so values
-    lie in (1/D)Z.  Under (state, None) the table holds each state's row, as
-    its successor keys and its edge numerators over D: stored on the row's
-    first read, and multiplied with the values when D grows.
+    Every entry of the table but one is a dict of `int` numerators over one
+    scale D, which the table keeps under the key None: 1 when the table
+    starts, then grown, with every numerator, to fit each atom value, edge
+    degree, distance or formula constant read.  The operators take only
+    min, 1 - x, x - c, mass sums and reach - distance, so values lie in
+    (1/D)Z.  Each subformula f has its column, `table[f] = {state: value}`;
+    each state x read under a modal operator has its row, `table[x, None] =
+    {successor key: edge numerator}`, stored on its first read.
 
     Evaluation runs bottom-up, one subformula over a set of states at a
     time, on an explicit stack, so formula depth is not bounded by the
@@ -285,8 +291,7 @@ def eval_formula(
     """
     if not model.has_state(state):
         raise ModelError(f"unknown state {state!r}")
-    if memo is None:
-        memo = model.values
+    memo = model.values
     memo.setdefault(None, 1)
     column = memo.get(formula)
     if column is not None and state in column:
@@ -327,20 +332,18 @@ def eval_formula(
 
 def _scaled(memo: dict, *qs) -> list[int]:
     """The rationals `qs` as numerators over the table's scale, which first
-    grows to a multiple of their denominators, with every numerator in it:
-    each column's values, in place, and each row's edge numerators."""
+    grows to a multiple of their denominators, with every numerator of
+    every column and row in it, in place."""
     if not qs:
         return []
     scale = memo[None]
     grown = lcm(scale, *map(_denominator, qs))
     if grown != scale:
         k = grown // scale
-        for key, v in memo.items():
-            if v.__class__ is dict:
-                for x, n in v.items():
-                    v[x] = n * k
-            elif key is not None:
-                memo[key] = (v[0], [n * k for n in v[1]])
+        del memo[None]
+        for entry in memo.values():
+            for x, n in entry.items():
+                entry[x] = n * k
         memo[None] = grown
     return [q.numerator * (grown // q.denominator) for q in qs]
 
@@ -374,8 +377,9 @@ def _fill(model: FiniteModel, memo: dict, f: Formula, xs, column: dict) -> None:
 
 
 def _fill_modal(model: FiniteModel, memo: dict, f: Modal, xs, column: dict) -> None:
-    """The modal operator's sweep at each state of `xs`, over its scaled
-    edges and its argument's column.  The operator's constants (`M{p}`'s p,
+    """The modal operator's sweep at each state of `xs`, over its row and its
+    argument's column.  The sweep is chosen once, with the check of the
+    operator against the model kind.  The operator's constants (`M{p}`'s p,
     `dia{l,c}`'s c and the distances) and the edge degrees of the rows read
     here for the first time are scaled in one call; those rows are then
     stored in the table."""
@@ -383,17 +387,20 @@ def _fill_modal(model: FiniteModel, memo: dict, f: Modal, xs, column: dict) -> N
     if isinstance(op, Diamond):
         if kind != "fuzzyrel":
             raise ModelError(f"diamond evaluated on a {kind!r} model")
-        consts = ()
+        sweep, consts = diamond_sweep, ()
     elif isinstance(op, (Generally, MoreThan)):
         if kind != "prob":
             name = "'generally'" if isinstance(op, Generally) else "M{p}"
             raise ModelError(f"{name} evaluated on a {kind!r} model")
-        consts = (op.p,) if isinstance(op, MoreThan) else ()
+        if isinstance(op, Generally):
+            sweep, consts = generally_sweep, ()
+        else:
+            sweep, consts = more_than_sweep, (op.p,)
     elif isinstance(op, MetricDiamond):
         if kind not in ("metric", "metric-crisp"):
             raise ModelError(f"metric diamond evaluated on a {kind!r} model")
         space = model.space
-        consts = (op.c, *space.matrix[space.index(op.label)])
+        sweep, consts = None, (op.c, *space.matrix[space.index(op.label)])
     else:
         raise ModelError(f"unknown modal operator {op!r}")
     rows, degrees = [], []
@@ -402,50 +409,41 @@ def _fill_modal(model: FiniteModel, memo: dict, f: Modal, xs, column: dict) -> N
             row = model.successors(x)
             rows.append((x, row))
             degrees += row.values()
-    nums = _scaled(memo, *consts, *degrees)
-    i = len(consts)
-    consts = nums[:i]
+    nums = iter(_scaled(memo, *consts, *degrees))
+    consts = list(islice(nums, len(consts)))
     for x, row in rows:
-        memo[x, None] = (tuple(row), nums[i:i + len(row)])
-        i += len(row)
+        memo[x, None] = dict(zip(row, nums))
     arg = memo.get(f.arg)
     if arg is None:  # no state of `xs` has a successor
         column.update(dict.fromkeys(xs, 0))
         return
     value = arg.__getitem__
-    if isinstance(op, MetricDiamond):
+    if sweep is None:  # `dia{l,c}`, whose edges carry labels
         reach, *dists = consts
         slacks = {label: reach - d for label, d in zip(space.labels, dists)}
         for x in xs:
-            keys, edges = memo[x, None]
             column[x] = metric_diamond_sweep(
-                [(label, d, value(y)) for (label, y), d in zip(keys, edges)], slacks
+                [(label, d, value(y)) for (label, y), d in memo[x, None].items()], slacks
             )
         return
     for x in xs:
-        keys, edges = memo[x, None]
-        pairs = zip(edges, map(value, keys))
-        if isinstance(op, Diamond):
-            column[x] = diamond_sweep(pairs)
-        elif isinstance(op, Generally):
-            column[x] = generally_sweep(pairs)
-        else:
-            column[x] = more_than_sweep(pairs, consts[0])
+        row = memo[x, None]
+        column[x] = sweep(zip(row.values(), map(value, row)), *consts)
 
 
 def check_sequent(model: FiniteModel, state: str, seq: Sequent) -> bool:
     """Exact membership of every literal's truth degree in its interval.
 
-    The literals share one fresh table, not `model.values`, evaluated by the
-    same loop as `eval_formula`'s: the check is independent of any value
-    cached before, and leaves no cache behind.  An unknown state raises
-    `ModelError`, also for an empty sequent.
+    The literals are evaluated on `dataclasses.replace(model)`, the same
+    model with an empty table of its own: the check is independent of any
+    value cached in `model.values`, and leaves no cache behind.  An unknown
+    state raises `ModelError`, also for an empty sequent.
     """
     if not model.has_state(state):
         raise ModelError(f"unknown state {state!r}")
-    memo: dict = {}
+    fresh = replace(model)
     return all(
-        interval.contains(eval_formula(model, state, f, memo)) for f, interval in seq.items()
+        interval.contains(eval_formula(fresh, state, f)) for f, interval in seq.items()
     )
 
 
@@ -533,24 +531,21 @@ class WitnessDag:
         names = {root: "s0"}
         order = [root]
         count = 1
-        for x in order:  # grows while it is read: breadth-first
-            for key in trans[x]:
-                y = key if plain else key[1]
-                if y in names:
-                    continue
-                if y == self.sink:
-                    names[y] = "sink"
-                else:
-                    names[y] = f"s{count}"
-                    count += 1
-                order.append(y)
         out_trans: dict = {}
+        # `order` grows while it is read: breadth-first.  Each state's row is
+        # renamed as its successors are named.
         for x in order:
-            row = trans[x]
-            if plain:
-                out_trans[names[x]] = {names[y]: d for y, d in row.items()}
-            else:
-                out_trans[names[x]] = {(label, names[y]): d for (label, y), d in row.items()}
+            row = out_trans[names[x]] = {}
+            for key, d in trans[x].items():
+                y = key if plain else key[1]
+                if y not in names:
+                    if y == self.sink:
+                        names[y] = "sink"
+                    else:
+                        names[y] = f"s{count}"
+                        count += 1
+                    order.append(y)
+                row[names[y] if plain else (key[0], names[y])] = d
         return FiniteModel(
             kind,
             tuple(names[x] for x in order),

@@ -87,15 +87,16 @@ def sat(
     logic: OneStepLogic,
     caps: SolverCaps | None = None,
     stats: SolveStats | None = None,
-    verify: bool | None = None,
+    verify: bool = True,
     declared_atoms=(),
     trace: TraceFn | None = None,
 ) -> Verdict:
     """Decide satisfiability of an exact sequent over formulas.
 
     Returns a verdict carrying a checkable witness model on success.  With
-    `verify` (defaulting to the interpreter's debug mode) the witness is
-    model-checked against the input before returning.  `declared_atoms`
+    `verify` (the default) the finished witness is model-checked against
+    the input on a fresh value table before returning, under `python -O`
+    too; a witness that fails raises `AssertionError`.  `declared_atoms`
     extends the atom signature: every witness state gives them value 0
     unless an atom literal pins them, so they never change a verdict.
     `trace`, when given, receives every propositional rule application of
@@ -103,8 +104,6 @@ def sat(
     counters and level tables of `stats` are kept only when it is given.
     """
     caps = caps or SolverCaps()
-    if verify is None:
-        verify = __debug__
     _check_signature(seq, logic)
     dag = WitnessDag(logic.kind, logic.space)
     defaults = {name: ZERO for name in sorted(set(declared_atoms))}
@@ -131,9 +130,10 @@ def sat(
                 stats._bump(stats.level_peak_size, depth, gamma.combined_size())
             # An end-sequent's labels are Modal or Atom, and none of its
             # intervals is empty (the Ax rule closed those).
-            atoms, lits, args = dict(defaults), [], []
+            atoms, modals, lits, args = dict(defaults), [], [], []
             for label, interval in gamma.items():
                 if isinstance(label, Modal):
+                    modals.append((label, interval))
                     lits.append((label.op, interval))
                     args.append(label.arg)
                 else:
@@ -161,14 +161,12 @@ def sat(
                 support = sum(1 for w in edges if w != 0)
                 stats.witness_branching.append((len(lits), support))
             state = dag.add(edges, found.children, atoms)
-            for label, interval in gamma.items():
-                if isinstance(label, Modal):
-                    value = eval_formula(dag.model, state, label)
-                    if not interval.contains(value):
-                        raise AssertionError(
-                            f"witness state gives {label} the value {value}, "
-                            f"outside {interval}"
-                        )
+            for label, interval in modals:
+                value = eval_formula(dag.model, state, label)
+                if not interval.contains(value):
+                    raise AssertionError(
+                        f"witness state gives {label} the value {value}, outside {interval}"
+                    )
             return state
         return None
 
@@ -207,7 +205,7 @@ def sat_threshold(
     logic: OneStepLogic,
     caps: SolverCaps | None = None,
     stats: SolveStats | None = None,
-    verify: bool | None = None,
+    verify: bool = True,
 ) -> Verdict:
     """Decide whether the formula attains a truth degree `comp p` somewhere."""
     interval = Interval.from_comparison(comp, p)

@@ -262,6 +262,20 @@ class TestErrorContract:
         code, out, err = run(capsys, "validate", "--model", str(path))
         assert code == 2 and out == "" and err.startswith("error:") and "label" in err
 
+    def test_duplicate_metric_edge_exit_two(self, capsys, tmp_path):
+        model = {
+            "kind": "metric",
+            "states": ["x"],
+            "trans": {"x": [{"label": "e", "to": "x", "deg": "1/2"},
+                            {"label": "e", "to": "x", "deg": "1"}]},
+            "metric": {"labels": ["e"], "dist": [["0"]]},
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run(capsys, "validate", "--model", str(path))
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "'x'" in err and "'e'" in err and "internal" not in err
+
     @pytest.mark.parametrize("command", ["validate", "eval"])
     @pytest.mark.parametrize("bad", [["1/2"], {"n": "1/2"}])
     def test_model_degree_not_a_string_exit_two(self, capsys, tmp_path, command, bad):

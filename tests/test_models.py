@@ -249,7 +249,7 @@ class TestValueTable:
                 pairs = [(x, f) for x in m.states for f in formulas]
                 rng.shuffle(pairs)
                 for x, f in pairs:
-                    assert eval_formula(m, x, f) == eval_formula(m, x, f, memo={})
+                    assert eval_formula(m, x, f) == eval_formula(dataclasses.replace(m), x, f)
                 assert m.values
 
     def test_check_sequent_ignores_the_table(self):
@@ -402,7 +402,7 @@ class TestWitnessDagGrowth:
                 # the operator's constant and its row both grow the scale.
                 new = dag_state(dag, rng, base, (11, 13, 17, 19))
                 got = eval_formula(dag.model, new, f)
-                assert got == eval_formula(dag.model, new, f, memo={})
+                assert got == eval_formula(dataclasses.replace(dag.model), new, f)
                 assert got == reference_eval(dag.model, new, f)
             for f in small:
                 got = eval_formula(dag.model, base[2], f)
@@ -410,14 +410,17 @@ class TestWitnessDagGrowth:
 
 
 def assert_table_at_scale(m):
-    """Each row in the table is its state's successor keys and edge
-    numerators over the table's current scale, and each subformula's column
-    holds its values at that scale."""
+    """Each row in the table is its state's successor row, each edge degree
+    as its numerator over the table's current scale, and each subformula's
+    column holds its values at that scale."""
     scale = m.values[None]
     for key, entry in m.values.items():
+        if key is not None:
+            assert all(n.__class__ is int for n in entry.values())
         if isinstance(key, tuple):
             row = m.successors(key[0])
-            assert entry == (tuple(row), [q * scale for q in row.values()])
+            assert entry == {y: q * scale for y, q in row.items()}
+            assert list(entry) == list(row)
         elif isinstance(key, Formula):
             for x, n in entry.items():
                 assert F(n, scale) == reference_eval(m, x, key)
@@ -459,7 +462,7 @@ class TestRowTable:
                     for x in m.states:
                         got = eval_formula(m, x, f)
                         assert got == reference_eval(m, x, f)
-                        assert got == eval_formula(m, x, f, memo={})
+                        assert got == eval_formula(dataclasses.replace(m), x, f)
             assert m.values[None] % start == 0 and m.values[None] > start
             # Every state was read under a modal operator, so every row is in.
             assert all((x, None) in m.values for x in m.states)
@@ -489,7 +492,7 @@ class TestRowTable:
                 for x, f in [(new, f) for f in after + before] + [(base[2], f) for f in after]:
                     got = eval_formula(dag.model, x, f)
                     assert got == reference_eval(dag.model, x, f)
-                    assert got == eval_formula(dag.model, x, f, memo={})
+                    assert got == eval_formula(dataclasses.replace(dag.model), x, f)
             assert dag.model.values[None] % (23 * old) == 0
             # The later state's row entered the table on its first read; it
             # and the rows that were grew with the scale.
@@ -535,7 +538,7 @@ class TestSetAtATime:
                 for x, f in pairs:
                     got = eval_formula(m, x, f)
                     assert got == reference_eval(m, x, f)
-                    assert got == eval_formula(m, x, f, memo={})
+                    assert got == eval_formula(dataclasses.replace(m), x, f)
                 assert_table_at_scale(m)
 
     def test_scale_grows_after_a_sibling_column(self):
@@ -550,13 +553,14 @@ class TestSetAtATime:
                 sibling = Modal(rand_operator(rng, kind, space), Atom("a"))
                 f = Modal(rand_operator(rng, kind, space),
                           And(sibling, Minus(Atom("b"), prime_constant(rng))))
-                start = {}
-                eval_formula(m, m.states[0], Atom("a"), start)
+                start = dataclasses.replace(m)
+                eval_formula(start, m.states[0], Atom("a"))
                 for x in m.states:
                     got = eval_formula(m, x, f)
                     assert got == reference_eval(m, x, f)
-                    assert got == eval_formula(m, x, f, memo={})
-                assert m.values[None] % start[None] == 0 and m.values[None] > start[None]
+                    assert got == eval_formula(dataclasses.replace(m), x, f)
+                scale = start.values[None]
+                assert m.values[None] % scale == 0 and m.values[None] > scale
                 assert_table_at_scale(m)
 
     @pytest.mark.parametrize("kind", ["prob", "metric"])
@@ -581,7 +585,7 @@ class TestSetAtATime:
                 f = Modal(op, Modal(op, Minus(Atom(rng.choice(ATOMS)), prime_constant(rng))))
                 got = eval_formula(dag.model, top, f)
                 assert got == reference_eval(dag.model, top, f)
-                assert got == eval_formula(dag.model, top, f, memo={})
+                assert got == eval_formula(dataclasses.replace(dag.model), top, f)
                 for x in late:
                     assert eval_formula(dag.model, x, f.arg) == reference_eval(dag.model, x, f.arg)
             assert all((x, None) in dag.model.values for x in (*late, top))
@@ -601,7 +605,7 @@ class TestSetAtATime:
         for i, x in enumerate(states):
             expected = F((i + 2000) % 3 + 1, 4)
             assert eval_formula(m, x, f) == expected
-            assert eval_formula(m, x, f, memo={}) == expected
+            assert eval_formula(dataclasses.replace(m), x, f) == expected
 
 
 class TestCheckSequent:
@@ -784,6 +788,16 @@ class TestJsonAndValidate:
         for dist in ([[None]], [[[1]]]):
             with pytest.raises(MetricSpaceError):
                 MetricSpace.from_json({"labels": ["l"], "dist": dist})
+
+    def test_duplicate_metric_edge(self):
+        data = {"kind": "metric", "states": ["x"],
+                "trans": {"x": [{"label": "l", "to": "x", "deg": "1/2"},
+                                {"label": "l", "to": "x", "deg": "1"}]},
+                "metric": {"labels": ["l", "m"], "dist": [["0", "1"], ["1", "0"]]}}
+        with pytest.raises(ModelError, match="two edges at state 'x' with label 'l' to 'x'"):
+            FiniteModel.from_json(data)
+        data["trans"]["x"][1]["label"] = "m"
+        assert FiniteModel.from_json(data).trans == {"x": {("l", "x"): F(1, 2), ("m", "x"): 1}}
 
     def test_metric_space_axioms(self):
         with pytest.raises(MetricSpaceError):

@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction as F
 
@@ -14,6 +16,7 @@ from nexfuz.numerics import Comp, Interval, NumericError
 from nexfuz.onestep import Conclusion
 from nexfuz.prop_tableau import saturate
 from nexfuz.sequents import Sequent
+from nexfuz import solver
 from nexfuz.solver import SolveStats, SolverCaps, sat, sat_threshold
 from nexfuz.syntax import And, Atom, Diamond, Modal, Neg, modal_depth, parse, to_text
 
@@ -50,6 +53,36 @@ class TestBasics:
         v = sat_threshold(parse("G a"), Comp.GE, F(1, 2), get_logic("lgen"))
         assert v.sat
         assert eval_formula(v.model, v.state, parse("G a")) >= F(1, 2)
+
+    def test_witness_checked_under_optimize(self):
+        # `python -O` drops asserts and sets `__debug__` to False; the fresh
+        # check of the finished witness still runs, by default, in `sat` and
+        # in `sat_threshold`.
+        code = (
+            "from fractions import Fraction\n"
+            "import nexfuz.solver as solver\n"
+            "from nexfuz.logics import get_logic\n"
+            "from nexfuz.numerics import Comp, Interval\n"
+            "from nexfuz.sequents import Sequent\n"
+            "from nexfuz.syntax import parse\n"
+            "calls = []\n"
+            "check = solver.check_sequent\n"
+            "solver.check_sequent = lambda *a: calls.append(a) or check(*a)\n"
+            "logic, half = get_logic('alc'), Fraction(1, 2)\n"
+            "seq = Sequent([(parse('dia a'), Interval.from_comparison(Comp.GE, half))])\n"
+            "print(solver.sat(seq, logic).sat, "
+            "solver.sat_threshold(parse('dia a'), Comp.GE, half, logic).sat, "
+            "__debug__, len(calls))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (os.path.dirname(os.path.dirname(solver.__file__)),
+                        os.environ.get("PYTHONPATH")) if p
+        )}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout
+        assert out.split() == ["True", "True", "False", "2"]
 
     def test_threshold_refuses_floats(self):
         with pytest.raises(NumericError):
