@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import solver
+from . import jsonfile, solver
 from .lp import CapExceeded
 from .logics import LOGIC_NAMES, get_logic
 from .metricspace import MetricSpace
@@ -91,8 +91,7 @@ def _run_solve(args) -> int:
     if args.max_literals is not None:
         caps.max_layer_literals = args.max_literals
     if args.sequent:
-        with open(args.sequent, "r", encoding="utf-8") as fh:
-            seq = Sequent.from_json(json.load(fh))
+        seq = Sequent.from_json(jsonfile.load(args.sequent))
     else:
         p = parse_rational(args.p)
         seq = Sequent([(parse(args.formula), Interval.from_comparison(_CMP[args.cmp], p))])

@@ -42,10 +42,19 @@ sum, so moving weight from a vector onto one that dominates it
 coordinatewise never breaks a bound.  The all-ones vector is consistent
 ((1, 1) is each literal's own interval) and dominates every vector, so some
 distribution over the consistent vectors meets the bounds iff weight 1 on
-the all-ones vector does, an O(n) check.  The search visits the vectors by
-descending popcount, all-ones first, and never asks about a vector that a
-child-satisfiable one already visited dominates: only the maximal
-child-satisfiable vectors (an antichain) can matter to the weight system.
+the all-ones vector does, an O(n) check in `int` (`_needed_bits`).  The
+search visits the vectors by descending popcount, all-ones first, and never
+asks about a vector that a child-satisfiable one already visited dominates:
+only the maximal child-satisfiable vectors (an antichain) can matter to the
+weight system.
+
+The search holds each vector as an `int` bit mask, the first literal's bits
+most significant, so the masks' order is the tuples' lexicographic order
+and `u` dominates `v` iff `u | v == u`.  It compares the mass bounds in
+`int`, straight from each interval's endpoint pairs and each `M{p}`'s p;
+`Fraction`s, `mass_bounds` and `mass_system` enter only when two or more
+vectors reach the simplex.  The tuple vectors and `MassBound`s below serve
+the reference enumeration `conclusions()`.
 """
 
 from __future__ import annotations
@@ -136,6 +145,56 @@ def mass_system(cfg: Sequence[ConfigVector], conds: Sequence[MassBound | None]) 
     return sys_
 
 
+def _needed_bits(lits: Sequence[Literal]) -> int | None:
+    """`_mass_possible` in `int`, for every configuration at once: the mask
+    of the bits that the union of a configuration's vectors must hold, or
+    None when some bound fails even with all the weight on its states (then
+    no configuration is feasible, the all-ones vector included).
+
+    With all weight on a coordinate's states, its sum is 1 when some vector
+    of the configuration has its bit, and 0 when none does.  A bound
+    `>= t` or `> t`, with 0 <= t <= 1, holds at 0 only as `>= 0`, and fails
+    at 1 only as `> 1`.  The thresholds are those of `mass_bounds`, read
+    from the interval's endpoint pairs and from M{p}'s p.
+    """
+    need = 0
+    for op, interval in lits:
+        ln, ld, hn, hd = interval.endpoint_pairs()
+        lo_open, hi_open = interval.lo_open, interval.hi_open
+        if isinstance(op, Generally):
+            # mass >(=) lo, and mass >(=) 1 - hi with the upper flag's strictness.
+            lower, upper = (ln, ld, lo_open), (hd - hn, hd, hi_open)
+        else:
+            # mass > p, and mass >= 1 - p.
+            pn, pd = op.p.numerator, op.p.denominator
+            lower, upper = (pn, pd, True), (pd - pn, pd, False)
+        need <<= 2
+        # A bound is vacuous when no value lies beyond it: a closed 0 or 1.
+        for bit, live, (num, den, strict) in (
+            (2, ln or lo_open, lower), (1, hn != hd or hi_open, upper)
+        ):
+            if not live:
+                continue
+            if strict and num == den:
+                return None
+            if num or strict:
+                need |= bit
+    return need
+
+
+def _visits(lits: Sequence[Literal]) -> list[tuple[int, Cells]]:
+    """The consistent vectors as bit masks, with their cells, in the
+    search's visiting order: by descending popcount, lexicographically
+    within one popcount, so the all-ones vector comes first."""
+    masks, cells = [0], [()]
+    for _, interval in lits:
+        parts = literal_cells(interval)
+        masks = [vec << 2 | lower << 1 | upper for vec in masks for (lower, upper), _ in parts]
+        cells = [tup + (cell,) for tup in cells for _, cell in parts]
+    # A stable sort: reversed, it still keeps equal popcounts in mask order.
+    return sorted(zip(masks, cells), key=lambda visit: visit[0].bit_count(), reverse=True)
+
+
 def _mass_possible(cfg: Sequence[ConfigVector], conds) -> bool:
     """Necessary condition: each bound is met with all weight on its states."""
     for pos, cond in enumerate(conds):
@@ -218,61 +277,71 @@ class ProbabilisticLogic(OneStepLogic):
         bound.  Otherwise the consistent vectors are visited by descending
         popcount, lexicographically within one popcount, so the all-ones
         vector comes first; when its child is satisfiable it is the
-        conclusion, with weight 1.  A vector that a child-satisfiable
-        vector already visited dominates is skipped, never asked about, so
-        the child-satisfiable vectors kept form an antichain, and the
-        weight system is solved over them.
+        conclusion, with weight 1, and no other vector is built.  A vector
+        that a child-satisfiable vector already visited dominates is
+        skipped, never asked about, so the child-satisfiable vectors kept
+        form an antichain, and the weight system is solved over them.  The
+        vectors are bit masks and the bounds are compared in `int`
+        (module docstring).
         """
         if not lits:
             return SearchSuccess(_EMPTY_CONCLUSION, [])
-        conds = mass_bounds(lits)
         # Refutation before any recursion: every bound is a lower bound, and
         # the all-ones vector is consistent and dominates every vector.
-        if not _mass_possible([(1,) * len(conds)], conds):
+        if _needed_bits(lits) is None:
             return None
-
-        visits = sorted(consistent_vectors(lits), key=lambda visit: -sum(visit[0]))
-        good: list[tuple[ConfigVector, Cells, int]] = []
-        for vec, cells in visits:
+        # The all-ones vector's cells are the literals' own intervals.
+        cells = tuple(interval for _, interval in lits)
+        child = yield cells
+        if child is not None:
+            # All-ones: it alone meets every bound (checked above).
+            return SearchSuccess(Conclusion((cells,), (ONE,)), [child])
+        masks: list[int] = []
+        good: list[tuple[Cells, int]] = []
+        for vec, cells in _visits(lits)[1:]:
             # Skip a vector some good vector dominates: moving its weight
             # onto the dominator never lowers a coordinate sum, and every
             # bound is a lower bound on a coordinate sum.
-            if any(all(g >= v for g, v in zip(other, vec)) for other, _, _ in good):
+            if any(vec | other == other for other in masks):
                 continue
             child = yield cells
-            if child is None:
-                continue
-            if sum(vec) == len(vec):
-                # All-ones: it alone meets every bound (checked above).
-                return SearchSuccess(Conclusion((cells,), (ONE,)), [child])
-            good.append((vec, cells, child))
-        weights = self._weights_over([vec for vec, _, _ in good], conds)
+            if child is not None:
+                masks.append(vec)
+                good.append((cells, child))
+        weights = self._weights_over(masks, lits)
         if weights is None:
             return None
         support = [k for k, w in enumerate(weights) if w != 0]
         conclusion = Conclusion(
-            tuple(good[k][1] for k in support), tuple(weights[k] for k in support)
+            tuple(good[k][0] for k in support), tuple(weights[k] for k in support)
         )
-        return SearchSuccess(conclusion, [good[k][2] for k in support])
+        return SearchSuccess(conclusion, [good[k][1] for k in support])
 
     @staticmethod
-    def _weights_over(
-        cfg: Sequence[ConfigVector], conds: Sequence[MassBound | None]
-    ) -> list[Fraction] | None:
-        """Weights over the good antichain, by the simplex; the prefilter
-        alone decides a single vector, which must carry weight 1.
+    def _weights_over(cfg: Sequence[int], lits: Sequence[Literal]) -> list[Fraction] | None:
+        """Weights over the good antichain, given as bit masks, by the
+        simplex; the `int` prefilter (`_needed_bits` against the masks'
+        union) alone decides a single vector, which must carry weight 1.
 
-        At most 1 + (number of non-vacuous bounds) <= 2n+1 weights are
-        nonzero, so dropping the zero ones leaves a configuration of the
-        rule.  The simplex returns a basic solution over one row for the
-        weight sum, one per non-vacuous bound and one capping its shared
-        slack delta at 1, so at most that many of its columns are nonzero.
-        Delta is one of them: with a strict bound a feasible answer has
-        delta > 0, and with none delta occurs in the cap row alone, so
-        maximizing it drives it to 1.
+        Only two or more vectors build the `Fraction` system: tuple
+        vectors, `mass_bounds` and `mass_system`.  At most
+        1 + (number of non-vacuous bounds) <= 2n+1 weights are nonzero, so
+        dropping the zero ones leaves a configuration of the rule.  The
+        simplex returns a basic solution over one row for the weight sum,
+        one per non-vacuous bound and one capping its shared slack delta at
+        1, so at most that many of its columns are nonzero.  Delta is one
+        of them: with a strict bound a feasible answer has delta > 0, and
+        with none delta occurs in the cap row alone, so maximizing it
+        drives it to 1.
         """
-        if not cfg or not _mass_possible(cfg, conds):
+        need = _needed_bits(lits)
+        union = 0
+        for vec in cfg:
+            union |= vec
+        if not cfg or need is None or union & need != need:
             return None
         if len(cfg) == 1:
             return [ONE]
-        return lp.simplex_feasible(mass_system(cfg, conds))
+        width = 2 * len(lits)
+        vectors = [tuple(vec >> k & 1 for k in range(width - 1, -1, -1)) for vec in cfg]
+        return lp.simplex_feasible(mass_system(vectors, mass_bounds(lits)))

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from . import jsonfile
 from .numerics import NumericError, format_rational, parse_rational, to_fraction
 
 
@@ -86,5 +86,6 @@ class MetricSpace:
 
     @staticmethod
     def load(path: str) -> MetricSpace:
-        with open(path, "r", encoding="utf-8") as fh:
-            return MetricSpace.from_json(json.load(fh))
+        """The space in a JSON file; a repeated key in any object raises
+        `ValueError`."""
+        return MetricSpace.from_json(jsonfile.load(path))

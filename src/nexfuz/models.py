@@ -28,6 +28,7 @@ from itertools import islice
 from math import lcm
 from operator import attrgetter
 
+from . import jsonfile
 from .liftings import diamond_sweep, generally_sweep, metric_diamond_sweep, more_than_sweep
 from .metricspace import MetricSpace, MetricSpaceError
 from .numerics import ONE, ZERO, format_rational, parse_rational
@@ -223,8 +224,9 @@ class FiniteModel:
 
     @staticmethod
     def load(path: str) -> FiniteModel:
-        with open(path, "r", encoding="utf-8") as fh:
-            return FiniteModel.from_json(json.load(fh))
+        """The model in a JSON file; a repeated key in any object raises
+        `ValueError`."""
+        return FiniteModel.from_json(jsonfile.load(path))
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

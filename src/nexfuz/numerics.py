@@ -192,6 +192,11 @@ class Interval:
             return Interval.make(p, ONE, lo_open=op.strict)
         return Interval.make(ZERO, p, hi_open=op.strict)
 
+    def endpoint_pairs(self) -> tuple[int, int, int, int]:
+        """The endpoints as reduced `int` pairs: lo's numerator and
+        denominator, then hi's."""
+        return self._ln, self._ld, self._hn, self._hd
+
     def endpoint_bits(self) -> int:
         """Binary encoding size of both endpoints in lowest terms (a zero
         numerator still takes one digit)."""

@@ -43,6 +43,10 @@ from .sequents import Sequent
 from .syntax import Formula, Modal, modal_depth, subformulas
 
 
+# The memo's answer for a sequent not solved yet (None means UNSAT).
+_UNSOLVED = object()
+
+
 @dataclass
 class SolverCaps:
     """Explicit limits; exceeding one raises CapExceeded, never UNSAT."""
@@ -153,7 +157,9 @@ def sat(
                     break
                 # Arguments may repeat: their cells meet by intersection.
                 child = Sequent(zip(args, cells))
-                state = memo[child] if child in memo else (yield child)
+                state = memo.get(child, _UNSOLVED)
+                if state is _UNSOLVED:
+                    state = yield child
             if found is None:
                 continue
             edges = found.conclusion.edges

@@ -277,6 +277,43 @@ class TestErrorContract:
         assert "'x'" in err and "'e'" in err and "internal" not in err
 
     @pytest.mark.parametrize("command", ["validate", "eval"])
+    @pytest.mark.parametrize("text, key", [
+        ('{"kind":"fuzzyrel","states":["x","y"],'
+         '"trans":{"x":{"y":"1/2","y":"1"}},"atoms":{"y":{"a":"1"}}}', "y"),
+        ('{"kind":"fuzzyrel","states":["x","y"],'
+         '"trans":{"x":{"y":"1/2"}},"atoms":{"y":{"a":"1","a":"0"}}}', "a"),
+        ('{"kind":"prob","states":["x"],"states":["x","y"],'
+         '"trans":{"x":{"x":"1"}}}', "states"),
+    ], ids=["transition-row", "atom-row", "top-level"])
+    def test_model_repeated_key_exit_two(self, capsys, tmp_path, command, text, key):
+        # json.load keeps the last of two equal keys; a model file must not
+        # mean something other than it says.
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        argv = [command, "--model", str(path)]
+        if command == "eval":
+            argv += ["--state", "x", "--formula", "dia a"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert repr(key) in err and "internal" not in err
+
+    def test_metric_space_repeated_key_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text('{"labels": ["e", "f"], "dist": [["0"]], "labels": ["e"]}')
+        code, out, err = run(capsys, "solve", "--logic", "metric-fuzzy", "--formula",
+                             "dia{e,0} a", "--metric-space", str(path))
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "'labels'" in err and "internal" not in err
+
+    def test_sequent_repeated_key_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text('{"literals": [{"formula": "a", "interval": "[0,0]",'
+                        ' "interval": "[1,1]"}]}')
+        code, out, err = run(capsys, "solve", "--logic", "alc", "--sequent", str(path))
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "'interval'" in err and "internal" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "eval"])
     @pytest.mark.parametrize("bad", [["1/2"], {"n": "1/2"}])
     def test_model_degree_not_a_string_exit_two(self, capsys, tmp_path, command, bad):
         fuzzy = {"kind": "fuzzyrel", "states": ["x"], "trans": {"x": {"x": "1/2"}},

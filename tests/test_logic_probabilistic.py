@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -11,6 +11,7 @@ from nexfuz.liftings import generally_value, more_than_value
 from nexfuz.logics import get_logic
 from nexfuz.logics.probabilistic import (
     _mass_possible,
+    _needed_bits,
     config_feasible,
     consistent_vectors,
     literal_cells,
@@ -317,8 +318,69 @@ class TestSoundnessSampling:
         self._run("mp", 402)
 
 
+def _edge_interval(rng):
+    """A random non-empty interval that often sits on a boundary: ends drawn
+    from 0, 1 and denominators up to 6, each end closed or open, so that
+    [0,0], [1,1] and closed or open 0 and 1 ends all come up."""
+    while True:
+        lo, hi = sorted(rng.choice((F(0), F(1), rand_rational(rng, 6))) for _ in range(2))
+        interval = iv(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+        if not interval.is_empty:
+            return interval
+
+
+def _edge_gamma(rng, flavor):
+    """1-4 literals over `_edge_interval`s; M{p} draws p = 0 and p = 1 often."""
+    return tuple(
+        (
+            Generally() if flavor == "lgen"
+            else MoreThan(rng.choice((F(0), F(1), rand_rational(rng, 6)))),
+            _edge_interval(rng),
+        )
+        for _ in range(rng.randint(1, 4))
+    )
+
+
+def _reference_search(gamma, child):
+    """The search on tuple vectors and `Fraction` bounds: the cells it asks
+    about, in order, and its conclusion's (cells, edges, children), or None.
+
+    Its order is `consistent_vectors` stably sorted by descending popcount,
+    minus the vectors a child-satisfiable one already asked about
+    dominates; it stops at a satisfiable all-ones child, and otherwise
+    solves the weight system over the satisfiable vectors it kept."""
+    conds = mass_bounds(gamma)
+    asked = []
+    if not _mass_possible([(1,) * len(conds)], conds):
+        return asked, None
+    good = []
+    for vec, cells in sorted(consistent_vectors(gamma), key=lambda visit: -sum(visit[0])):
+        if any(_dominates(other, vec) for other, _, _ in good):
+            continue
+        asked.append(cells)
+        state = child(cells)
+        if state is None:
+            continue
+        if all(vec):
+            return asked, ((cells,), (F(1),), [state])
+        good.append((vec, cells, state))
+    cfg = [vec for vec, _, _ in good]
+    if not cfg or not _mass_possible(cfg, conds):
+        return asked, None
+    weights = [F(1)] if len(cfg) == 1 else lp.simplex_feasible(mass_system(cfg, conds))
+    if weights is None:
+        return asked, None
+    support = [k for k, w in enumerate(weights) if w != 0]
+    return asked, (
+        tuple(good[k][1] for k in support),
+        tuple(weights[k] for k in support),
+        [good[k][2] for k in support],
+    )
+
+
 class TestSearchAgreement:
-    """The vector-level decision procedure matches naive enumeration."""
+    """The vector-level decision procedure matches naive enumeration, and
+    asks about exactly the reference's cells, in the reference's order."""
 
     def test_verdicts_match(self):
         rng = random.Random(501)
@@ -351,6 +413,123 @@ class TestSearchAgreement:
                         break
                 fast = run_search(logic, gamma, child)
                 assert (naive is None) == (fast is None), (flavor, gamma, pivot)
+
+    def _edge_run(self, flavor, seed):
+        """Boundary literals, 1-4 of them.  The verdict oracle is
+        `conclusions()` up to two literals; past that its enumeration is
+        too long when the answer is UNSAT, and the oracle is its
+        Caratheodory equivalent, the simplex over every child-satisfiable
+        consistent vector."""
+        rng = random.Random(seed)
+        logic = get_logic(flavor)
+        outcomes = set()
+        for _ in range(150):
+            gamma = _edge_gamma(rng, flavor)
+            vectors = list(consistent_vectors(gamma))
+            index = {cells: k for k, (_, cells) in enumerate(vectors)}
+            pivots = [rand_rational(rng, 6) for _ in gamma]
+            hits_needed = rng.randint(0, len(gamma))
+
+            def child(cells):
+                # A pure function of the cells, so that both searches get the
+                # same answers; a satisfiable child's state is its vector's
+                # index, and the first vector is state 0.
+                hits = sum(cell.contains(p) for cell, p in zip(cells, pivots))
+                return index[cells] if hits >= hits_needed else None
+
+            asked = []
+
+            def recorded(cells):
+                asked.append(cells)
+                return child(cells)
+
+            fast = run_search(logic, gamma, recorded)
+            ref_asked, ref = _reference_search(gamma, child)
+            assert asked == ref_asked, (gamma, pivots, hits_needed)
+            if ref is None:
+                assert fast is None, gamma
+            else:
+                got = fast.conclusion.cells, fast.conclusion.edges, fast.children
+                assert got == ref, gamma
+            if len(gamma) <= 2:
+                naive = next(
+                    (c for c in logic.conclusions(gamma)
+                     if all(child(cells) is not None for cells in c.cells)),
+                    None,
+                )
+                assert (naive is None) == (fast is None), gamma
+            else:
+                conds = mass_bounds(gamma)
+                sat = [vec for vec, cells in vectors if child(cells) is not None]
+                feasible = bool(sat) and lp.simplex_feasible(mass_system(sat, conds)) is not None
+                assert feasible == (fast is not None), gamma
+            outcomes.add((len(gamma), fast is not None, len(asked) > 1))
+        return outcomes
+
+    def test_boundary_literals_generally(self):
+        outcomes = self._edge_run("lgen", 511)
+        assert {n for n, _, _ in outcomes} == {1, 2, 3, 4}
+        assert {(sat, more) for _, sat, more in outcomes} == {
+            (True, False), (True, True), (False, True)
+        }
+
+    def test_boundary_literals_more_than(self):
+        outcomes = self._edge_run("mp", 512)
+        assert {n for n, _, _ in outcomes} == {1, 2, 3, 4}
+        assert {(sat, more) for _, sat, more in outcomes} >= {
+            (True, False), (True, True), (False, True)
+        }
+
+
+def _mask(vec):
+    """A tuple vector as the search's bit mask, its first bit most
+    significant."""
+    mask = 0
+    for bit in vec:
+        mask = mask << 1 | bit
+    return mask
+
+
+class TestNeededBits:
+    """The search's `int` refutation and prefilter against `_mass_possible`
+    over `mass_bounds`, on every non-empty set of consistent vectors."""
+
+    GRID = sorted({F(k, d) for d in range(1, 7) for k in range(d + 1)})
+
+    def _literals(self):
+        """Every literal over the grid: all four openness combinations, and
+        G or M{p} for every grid p."""
+        flags = (False, True)
+        ops = [Generally()] + [MoreThan(p) for p in self.GRID]
+        for lo, hi, lo_open, hi_open in product(self.GRID, self.GRID, flags, flags):
+            interval = iv(lo, hi, lo_open, hi_open)
+            if not interval.is_empty:
+                yield from ((op, interval) for op in ops)
+
+    def _check(self, gamma):
+        """Returns whether the refutation fired."""
+        conds = mass_bounds(gamma)
+        need = _needed_bits(gamma)
+        assert (need is not None) == _mass_possible([(1,) * len(conds)], conds), gamma
+        vecs = [vec for vec, _ in consistent_vectors(gamma)]
+        for k in range(1, len(vecs) + 1):
+            for cfg in combinations(vecs, k):
+                union = 0
+                for vec in cfg:
+                    union |= _mask(vec)
+                fast = need is not None and union & need == need
+                assert fast == _mass_possible(cfg, conds), (gamma, cfg)
+        return need is None
+
+    def test_one_literal(self):
+        lits = list(self._literals())
+        assert sum(self._check((lit,)) for lit in lits) > 0
+
+    def test_two_literals(self):
+        rng = random.Random(901)
+        lits = list(self._literals())
+        refuted = sum(self._check((rng.choice(lits), rng.choice(lits))) for _ in range(250))
+        assert 0 < refuted < 250
 
 
 def _rand_gamma(rng, flavor):
@@ -433,7 +612,7 @@ class TestDominanceSearch:
             assert full == (
                 lp.simplex_feasible(mass_system(maximal, conds)) is not None
             ), (gamma, good)
-            assert full == (LGEN._weights_over(maximal, conds) is not None)
+            assert full == (LGEN._weights_over([_mask(v) for v in maximal], gamma) is not None)
             for cfg in (good, maximal):
                 if len(cfg) <= 8:
                     weights = lp.feasible(mass_system(cfg, conds), cap=8, nonneg=True)
@@ -523,7 +702,7 @@ class TestSimplexSupport:
             assert limit <= 2 * len(gamma) + 1
             for weights in (
                 lp.simplex_feasible(mass_system(cfg, conds)),
-                LGEN._weights_over(cfg, conds),
+                LGEN._weights_over([_mask(v) for v in cfg], gamma),
             ):
                 if weights is None:
                     continue
