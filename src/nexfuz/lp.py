@@ -9,9 +9,12 @@ Two engines:
   columns than rows; the probabilistic logic's support bound rests on
   this.
 * :func:`feasible` -- Fourier-Motzkin elimination with native handling of
-  strict inequalities, exponential in the variable count.  It is the
-  reference engine: the reference enumeration `conclusions()` and the tests
-  use it as an oracle for the simplex.
+  strict inequalities, exponential in the variable count and capped at
+  `MAX_FM_VARS` variables.  An equality enters as two inequalities, so
+  there is one elimination path, and an explicit elimination order names
+  each variable once.  It is the reference engine: the reference
+  enumeration `conclusions()` and the tests use it as an oracle for the
+  simplex.
 
 Both return an exact rational witness point or None, and verify a witness
 by re-substitution before returning it.
@@ -74,8 +77,9 @@ def system(num_vars: int) -> LinSystem:
 # ---------------------------------------------------------------------------
 #
 # Internal row form: (coeffs, strict, rhs) meaning coeffs . x < rhs when
-# strict else coeffs . x <= rhs.  Equalities are eliminated by substitution
-# before the elimination loop.
+# strict else coeffs . x <= rhs.  An equality enters as two such rows.
+
+MAX_FM_VARS = 64
 
 
 def _check_const_row(strict: bool, rhs: Fraction) -> bool:
@@ -101,79 +105,43 @@ def _dedupe(rows):
 
 def feasible(
     sys_: LinSystem,
-    cap: int = 64,
     order: Sequence[int] | None = None,
     nonneg: bool = False,
 ) -> list[Fraction] | None:
     """Fourier-Motzkin feasibility; returns an exact witness point or None.
 
-    `order` optionally fixes the variable elimination order (useful to
-    cross-check that the verdict does not depend on it).  With `nonneg`
-    the variables are taken to be nonnegative, as in `simplex_feasible`.
+    Every constraint becomes `<=`/`<` rows (an equality becomes two), and
+    the variables are eliminated one by one.  `order` optionally fixes the
+    elimination order, naming each variable once (useful to cross-check that
+    the verdict does not depend on it).  With `nonneg` the variables are
+    taken to be nonnegative, as in `simplex_feasible`.  Systems over more
+    than `MAX_FM_VARS` variables raise `CapExceeded`.
     """
     n = sys_.num_vars
-    if n > cap:
-        raise CapExceeded(f"linear system has {n} variables (cap {cap})")
+    if n > MAX_FM_VARS:
+        raise CapExceeded(f"linear system has {n} variables (cap {MAX_FM_VARS})")
+    if order is None:
+        order = range(n)
+    elif sorted(order) != list(range(n)):
+        raise LpError("elimination order must name each variable once")
 
     rows: list[tuple[list[Fraction], bool, Fraction]] = []
     if nonneg:
         for j in range(n):
             rows.append(([-ONE if k == j else ZERO for k in range(n)], False, ZERO))
-    eqs: list[tuple[list[Fraction], Fraction]] = []
     for c in sys_.constraints:
-        if c.rel == EQ:
-            eqs.append((list(c.coeffs), c.rhs))
-        elif c.rel in (Comp.LE, Comp.LT):
+        if c.rel in (EQ, Comp.LE, Comp.LT):
             rows.append((list(c.coeffs), c.rel is Comp.LT, c.rhs))
-        elif c.rel in (Comp.GE, Comp.GT):
+        if c.rel in (EQ, Comp.GE, Comp.GT):
             rows.append(([-x for x in c.coeffs], c.rel is Comp.GT, -c.rhs))
-        else:
+        elif c.rel not in (Comp.LE, Comp.LT):
             raise LpError(f"unknown relation {c.rel!r}")
 
-    # Eliminate equalities by substitution; record var = const + expr . x.
-    subst: list[tuple[int, list[Fraction], Fraction]] = []
-    active = list(range(n))
-    while eqs:
-        coeffs, rhs = eqs.pop()
-        pivot = next((j for j in active if coeffs[j] != 0), None)
-        if pivot is None:
-            if any(c != 0 for c in coeffs):
-                raise LpError("internal: equality over eliminated variables")
-            if rhs != 0:
-                return None
-            continue
-        pc = coeffs[pivot]
-        expr = [(-coeffs[j] / pc if j != pivot else ZERO) for j in range(n)]
-        const = rhs / pc
-        subst.append((pivot, expr, const))
-        active.remove(pivot)
-
-        def substitute(row_coeffs, row_rhs, pivot=pivot, expr=expr, const=const):
-            f = row_coeffs[pivot]
-            if f == 0:
-                return row_coeffs, row_rhs
-            out = [row_coeffs[j] + f * expr[j] for j in range(n)]
-            out[pivot] = ZERO
-            return out, row_rhs - f * const
-
-        eqs = [substitute(c2, r2) for c2, r2 in eqs]
-        rows = [
-            (sc, s2, sr)
-            for (sc, sr), s2 in ((substitute(c2, r2), s2) for c2, s2, r2 in rows)
-        ]
-
-    if order is None:
-        elim_order = list(active)
-    else:
-        elim_order = [v for v in order if v in active]
-        if set(elim_order) != set(active):
-            raise LpError("elimination order must cover the free variables")
-
-    # Eliminate inequalities variable by variable, keeping the bound lists
+    # Eliminate the variables one by one, keeping the bound lists
     # for witness back-substitution.  A bound is (expr, strict, const) and
     # reads var <= const + expr . x (upper) or var >= const + expr . x.
     saved: list[tuple[int, list, list]] = []
-    for var in elim_order:
+    for var in order:
         lowers, uppers, rest_rows = [], [], []
         for coeffs, strict, rhs in rows:
             a = coeffs[var]
@@ -232,8 +200,6 @@ def feasible(
             point[var] = lo[0]
         else:
             point[var] = (lo[0] + hi[0]) / 2
-    for var, expr, const in reversed(subst):
-        point[var] = const + sum((expr[j] * point[j] for j in range(n)), ZERO)
 
     if not sys_.check(point) or (nonneg and any(x < 0 for x in point)):
         raise LpError("internal: witness fails re-substitution")

@@ -462,29 +462,32 @@ class WitnessDag:
     reached from several places is one shared state, not a copy.  States
     are numbered in the order they are added; one inert `sink` state with a
     self-loop serves every probabilistic witness that needs a dummy
-    successor.  Values at the states are cached in the DAG model's own
-    table (`model.values`) for the whole solve, in one column per
-    subformula.  That table stays valid although the model grows, because
-    the DAG only adds states: a state and the states below it never change
-    once added, and a column gains the new states as they are read.  A new
-    state's row enters the table on its first read, as every row does.
+    successor.  Every state, the sink included, gives each of
+    `declared_atoms` the value 0 unless its own atoms pin it.  Values at the
+    states are cached in the DAG model's own table (`model.values`) for the
+    whole solve, in one column per subformula.  That table stays valid
+    although the model grows, because the DAG only adds states: a state and
+    the states below it never change once added, and a column gains the new
+    states as they are read.  A new state's row enters the table on its
+    first read, as every row does.
 
     `witness(root)` extracts the states reachable from a root as a
     `FiniteModel`, named s0 (the root), s1, ... in breadth-first order, with
     the sink keeping its name.
     """
 
-    def __init__(self, kind: str, space: MetricSpace | None = None):
+    def __init__(self, kind: str, space: MetricSpace | None = None, declared_atoms=()):
         if kind not in KINDS:
             raise ModelError(f"unknown model kind {kind!r}")
         # States are ints while the DAG grows; names are given on extraction.
         self.model = FiniteModel(kind, (), {}, {}, space)
         self.sink: int | None = None
+        self.declared = {name: ZERO for name in sorted(set(declared_atoms))}
 
     def _new_state(self, row: dict, atoms: dict[str, Fraction]) -> int:
         x = len(self.model.trans)
         self.model.trans[x] = row
-        self.model.atoms[x] = atoms
+        self.model.atoms[x] = {**self.declared, **atoms}
         return x
 
     def add(
@@ -524,7 +527,7 @@ class WitnessDag:
                     row[label, target] = max(row.get((label, target), ZERO), degree)
         if kind == "prob":
             _check_distribution(row, "witness distribution")
-        return self._new_state(row, dict(atoms or {}))
+        return self._new_state(row, atoms or {})
 
     def witness(self, root: int) -> FiniteModel:
         """The states reachable from `root`, renamed, as a finite model."""

@@ -36,7 +36,7 @@ from typing import Generator
 
 from .lp import CapExceeded
 from .models import FiniteModel, WitnessDag, check_sequent, eval_formula
-from .numerics import ZERO, Comp, Interval
+from .numerics import Comp, Interval
 from .onestep import OneStepLogic
 from .prop_tableau import TraceFn, saturate
 from .sequents import Sequent
@@ -101,16 +101,16 @@ def sat(
     `verify` (the default) the finished witness is model-checked against
     the input on a fresh value table before returning, under `python -O`
     too; a witness that fails raises `AssertionError`.  `declared_atoms`
-    extends the atom signature: every witness state gives them value 0
-    unless an atom literal pins them, so they never change a verdict.
+    extends the atom signature: every witness state, the probabilistic
+    `sink` included, gives them value 0 unless an atom literal pins them,
+    so they never change a verdict.
     `trace`, when given, receives every propositional rule application of
     every layer the solve saturates (see `prop_tableau.saturate`).  The
     counters and level tables of `stats` are kept only when it is given.
     """
     caps = caps or SolverCaps()
     _check_signature(seq, logic)
-    dag = WitnessDag(logic.kind, logic.space)
-    defaults = {name: ZERO for name in sorted(set(declared_atoms))}
+    dag = WitnessDag(logic.kind, logic.space, declared_atoms)
     memo: dict[Sequent, int | None] = {}  # sequent -> its DAG state, None if UNSAT
     # Checked against this solve's own depth: `stats` may carry another
     # solve's counters.
@@ -134,7 +134,7 @@ def sat(
                 stats._bump(stats.level_peak_size, depth, gamma.combined_size())
             # An end-sequent's labels are Modal or Atom, and none of its
             # intervals is empty (the Ax rule closed those).
-            atoms, modals, lits, args = dict(defaults), [], [], []
+            atoms, modals, lits, args = {}, [], [], []
             for label, interval in gamma.items():
                 if isinstance(label, Modal):
                     modals.append((label, interval))

@@ -581,7 +581,7 @@ class TestDominance:
             system = mass_system(vecs, conds)
             assert possible == (lp.simplex_feasible(system) is not None), gamma
             if len(vecs) <= 8:
-                assert possible == (lp.feasible(system, cap=8, nonneg=True) is not None), gamma
+                assert possible == (lp.feasible(system, nonneg=True) is not None), gamma
             outcomes.add(possible)
         return outcomes
 
@@ -615,7 +615,7 @@ class TestDominanceSearch:
             assert full == (LGEN._weights_over([_mask(v) for v in maximal], gamma) is not None)
             for cfg in (good, maximal):
                 if len(cfg) <= 8:
-                    weights = lp.feasible(mass_system(cfg, conds), cap=8, nonneg=True)
+                    weights = lp.feasible(mass_system(cfg, conds), nonneg=True)
                     assert full == (weights is not None), (gamma, cfg)
             outcomes.add(full)
         assert outcomes == {True, False}

@@ -7,6 +7,7 @@ import pytest
 from nexfuz.lp import (
     CapExceeded,
     EQ,
+    LpError,
     feasible,
     simplex_feasible,
     system,
@@ -45,6 +46,13 @@ class TestExamples:
         with pytest.raises(CapExceeded):
             feasible(system(65))
 
+    def test_order_names_each_variable_once(self):
+        s = system(3)
+        for order in ([0, 1], [0, 1, 1], [0, 1, 3], [0, 1, 2, 2]):
+            with pytest.raises(LpError):
+                feasible(s, order=order)
+        assert feasible(s, order=[2, 0, 1]) == [0, 0, 0]
+
     def test_equality_only(self):
         s = system(2)
         s.add([1, 1], EQ, 1)
@@ -53,19 +61,48 @@ class TestExamples:
         assert point == [F(1, 2), F(1, 2)]
 
 
-def _random_system(rng: random.Random, num_vars: int, max_den: int = 8):
+def _boxed(num_vars: int):
+    """A system over `num_vars` variables, each boxed into [0, 1]."""
     s = system(num_vars)
     for j in range(num_vars):
         row = [0] * num_vars
         row[j] = 1
         s.add(row, Comp.GE, 0)
         s.add(row, Comp.LE, 1)
+    return s
+
+
+def _random_system(rng: random.Random, num_vars: int, max_den: int = 8):
+    s = _boxed(num_vars)
     for _ in range(rng.randint(1, 4)):
         coeffs = [F(rng.randint(-2, 2)) for _ in range(num_vars)]
         rhs = F(rng.randint(-max_den, max_den), max_den)
         rel = rng.choice([Comp.LE, Comp.LT, Comp.GE, Comp.GT, EQ])
         s.add(coeffs, rel, rhs)
     return s
+
+
+def _equality_systems():
+    """Boxed systems on the edge cases of equalities, each with its verdict:
+    an all-zero equality, a repeated one, contradictory ones, and equalities
+    next to strict rows."""
+    cases = [
+        (1, [([0], EQ, 0)], True),
+        (1, [([0], EQ, F(1, 2))], False),
+        (2, [([1, 1], EQ, F(1, 2)), ([1, 1], EQ, F(1, 2))], True),
+        (2, [([1, 1], EQ, 1), ([1, 1], EQ, F(1, 2))], False),
+        (2, [([1, 1], EQ, 1), ([1, 0], Comp.GT, F(1, 2))], True),
+        (2, [([1, -1], EQ, 0), ([1, -1], Comp.LT, 0)], False),
+        (1, [([2], EQ, 1), ([1], Comp.LT, F(1, 2))], False),
+        (3, [([1, 1, 1], EQ, 1), ([1, -1, 0], EQ, 0), ([0, 1, -1], Comp.GT, 0)], True),
+    ]
+    out = []
+    for n, rows, verdict in cases:
+        s = _boxed(n)
+        for row in rows:
+            s.add(*row)
+        out.append((s, verdict))
+    return out
 
 
 def _grid_point(s, num_vars, density: int):
@@ -100,11 +137,11 @@ class TestAgainstGrid:
 class TestOrderIndependence:
     def test_permuted_elimination_agrees(self):
         rng = random.Random(55)
-        for _ in range(150):
-            n = rng.randint(1, 3)
-            s = _random_system(rng, n)
+        cases = [(_random_system(rng, rng.randint(1, 3)), None) for _ in range(150)]
+        for s, verdict in cases + _equality_systems():
             base = feasible(s)
-            for order in itertools.permutations(range(n)):
+            assert verdict is None or (base is not None) == verdict
+            for order in itertools.permutations(range(s.num_vars)):
                 other = feasible(s, order=list(order))
                 assert (other is None) == (base is None)
                 if other is not None:
@@ -129,14 +166,14 @@ class TestSimplexAgreement:
         # `_random_system` boxes every variable into [0, 1], so the
         # simplex's nonnegative variables lose no solution.
         rng = random.Random(909)
-        for _ in range(150):
-            n = rng.randint(1, 3)
-            s = _random_system(rng, n)
+        systems = [_random_system(rng, rng.randint(1, 3)) for _ in range(150)]
+        for s in systems + [s for s, _ in _equality_systems()]:
             a = feasible(s)
             b = simplex_feasible(s)
             assert (a is None) == (b is None)
-            if b is not None:
-                assert s.check(b)
+            for point in (a, b):
+                if point is not None:
+                    assert s.check(point)
 
     def test_nonneg_matches_explicit_rows(self):
         # `nonneg` in elimination, and the simplex (whose variables are

@@ -322,12 +322,26 @@ class TestRecursionShape:
                             checked += 1
 
     def test_atoms_transparency(self):
+        # Declared atoms that no literal pins change no verdict, and every
+        # witness state gives them 0, the probabilistic sink included.
         rng = random.Random(92)
+        extra = ("unused1", "unused2")
+        sinks = 0
         for _ in range(20):
             seq = rand_sequent(rng, "lgen", depth=2, max_den=8)
-            base = sat(seq, get_logic("lgen")).sat
-            again = sat(seq, get_logic("lgen")).sat  # fresh instance, extra atoms unused
-            assert base == again
+            base = sat(seq, get_logic("lgen"))
+            again = sat(seq, get_logic("lgen"), declared_atoms=extra)
+            assert base.sat == again.sat
+            if again.sat:
+                for state in again.model.states:
+                    assert [again.model.atoms[state][a] for a in extra] == [0, 0], state
+                sinks += "sink" in again.model.states
+        assert sinks > 0
+        # Half of the root's mass goes to the sink, where `G G b` reads b.
+        seq = Sequent([(parse("G a"), Interval.from_comparison(Comp.GE, F(1, 2)))])
+        verdict = sat(seq, get_logic("lgen"), declared_atoms=("b",))
+        assert verdict.model.atoms["sink"] == {"b": 0}
+        assert eval_formula(verdict.model, verdict.state, parse("G G b")) == 0
 
 
 def g_chain(nesting: int) -> str:
