@@ -132,8 +132,10 @@ def _cells_vector(combo) -> ConfigVector:
 def mass_system(cfg: Sequence[ConfigVector], conds: Sequence[MassBound | None]) -> lp.LinSystem:
     """Weights summing to 1 whose coordinate sums satisfy the bounds.
 
-    The weights must also be nonnegative; that is left to the engine, since
-    the simplex would keep each `x_k >= 0` row as a tableau row of its own.
+    The weights must also be nonnegative.  The system has no sign rows: the
+    simplex's variables are nonnegative already, and would keep each
+    `x_k >= 0` row as a tableau row of its own, so `config_feasible` adds
+    them for Fourier-Motzkin, whose variables are free.
     """
     sys_ = lp.system(len(cfg))
     sys_.add([ONE] * len(cfg), lp.EQ, ONE)
@@ -214,7 +216,10 @@ def config_feasible(
         return [] if all(c is None for c in conds) else None
     if not _mass_possible(cfg, conds):
         return None
-    return lp.feasible(mass_system(cfg, conds), nonneg=True)
+    sys_ = mass_system(cfg, conds)
+    for k in range(len(cfg)):
+        sys_.add([ONE if j == k else ZERO for j in range(len(cfg))], Comp.GE, ZERO)
+    return lp.feasible(sys_)
 
 
 # No successor constraints: a single inert dummy successor takes the mass.

@@ -2,19 +2,19 @@
 
 Two engines:
 
-* :func:`simplex_feasible` -- two-phase simplex, the one engine of the
-  solver's hot path (the probabilistic weight systems).  It has no
-  variable-count cap; strict inequalities are handled by maximizing a
-  shared slack.  Its witness is a basic solution, with no more nonzero
-  columns than rows; the probabilistic logic's support bound rests on
-  this.
-* :func:`feasible` -- Fourier-Motzkin elimination with native handling of
-  strict inequalities, exponential in the variable count and capped at
-  `MAX_FM_VARS` variables.  An equality enters as two inequalities, so
-  there is one elimination path, and an explicit elimination order names
-  each variable once.  It is the reference engine: the reference
-  enumeration `conclusions()` and the tests use it as an oracle for the
-  simplex.
+* :func:`simplex_feasible` -- one two-phase simplex routine over
+  nonnegative variables, the one engine of the solver's hot path (the
+  probabilistic weight systems).  It has no variable-count cap; strict
+  inequalities are handled by maximizing a shared slack.  Its witness is a
+  basic solution, with no more nonzero columns than rows; the
+  probabilistic logic's support bound rests on this.
+* :func:`feasible` -- Fourier-Motzkin elimination over free variables, with
+  native handling of strict inequalities, exponential in the variable
+  count and capped at `MAX_FM_VARS` variables.  A sign condition is an
+  ordinary row.  An equality enters as two inequalities, so there is one
+  elimination path, and an explicit elimination order names each variable
+  once.  It is the reference engine: the reference enumeration
+  `conclusions()` and the tests use it as an oracle for the simplex.
 
 Both return an exact rational witness point or None, and verify a witness
 by re-substitution before returning it.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .numerics import Comp, ONE, ZERO
+from .numerics import Comp, ONE, ZERO, to_fraction
 
 
 class CapExceeded(RuntimeError):
@@ -46,6 +46,10 @@ class Constraint:
     rel: Comp | str
     rhs: Fraction
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.rel, Comp) and self.rel != EQ:
+            raise LpError(f"unknown relation {self.rel!r}")
+
     def evaluate(self, point: Sequence[Fraction]) -> bool:
         lhs = sum((c * x for c, x in zip(self.coeffs, point)), ZERO)
         if self.rel == EQ:
@@ -59,10 +63,12 @@ class LinSystem:
     constraints: list[Constraint]
 
     def add(self, coeffs: Iterable, rel, rhs) -> None:
-        row = tuple(Fraction(c) for c in coeffs)
+        """Add `coeffs . x rel rhs`; the numbers are read by `to_fraction`,
+        so a float raises `NumericError`."""
+        row = tuple(to_fraction(c) for c in coeffs)
         if len(row) != self.num_vars:
             raise LpError(f"constraint arity {len(row)} != {self.num_vars}")
-        self.constraints.append(Constraint(row, rel, Fraction(rhs)))
+        self.constraints.append(Constraint(row, rel, to_fraction(rhs)))
 
     def check(self, point: Sequence[Fraction]) -> bool:
         return all(c.evaluate(point) for c in self.constraints)
@@ -103,19 +109,16 @@ def _dedupe(rows):
     return [(list(k), s, r) for k, (s, r) in best.items()] + out_zero
 
 
-def feasible(
-    sys_: LinSystem,
-    order: Sequence[int] | None = None,
-    nonneg: bool = False,
-) -> list[Fraction] | None:
-    """Fourier-Motzkin feasibility; returns an exact witness point or None.
+def feasible(sys_: LinSystem, order: Sequence[int] | None = None) -> list[Fraction] | None:
+    """Fourier-Motzkin feasibility over free variables; returns an exact
+    witness point or None.
 
+    A sign condition such as `x >= 0` is an ordinary row of the system.
     Every constraint becomes `<=`/`<` rows (an equality becomes two), and
     the variables are eliminated one by one.  `order` optionally fixes the
     elimination order, naming each variable once (useful to cross-check that
-    the verdict does not depend on it).  With `nonneg` the variables are
-    taken to be nonnegative, as in `simplex_feasible`.  Systems over more
-    than `MAX_FM_VARS` variables raise `CapExceeded`.
+    the verdict does not depend on it).  Systems over more than
+    `MAX_FM_VARS` variables raise `CapExceeded`.
     """
     n = sys_.num_vars
     if n > MAX_FM_VARS:
@@ -126,16 +129,11 @@ def feasible(
         raise LpError("elimination order must name each variable once")
 
     rows: list[tuple[list[Fraction], bool, Fraction]] = []
-    if nonneg:
-        for j in range(n):
-            rows.append(([-ONE if k == j else ZERO for k in range(n)], False, ZERO))
     for c in sys_.constraints:
         if c.rel in (EQ, Comp.LE, Comp.LT):
             rows.append((list(c.coeffs), c.rel is Comp.LT, c.rhs))
         if c.rel in (EQ, Comp.GE, Comp.GT):
             rows.append(([-x for x in c.coeffs], c.rel is Comp.GT, -c.rhs))
-        elif c.rel not in (Comp.LE, Comp.LT):
-            raise LpError(f"unknown relation {c.rel!r}")
 
     # Eliminate the variables one by one, keeping the bound lists
     # for witness back-substitution.  A bound is (expr, strict, const) and
@@ -201,7 +199,7 @@ def feasible(
         else:
             point[var] = (lo[0] + hi[0]) / 2
 
-    if not sys_.check(point) or (nonneg and any(x < 0 for x in point)):
+    if not sys_.check(point):
         raise LpError("internal: witness fails re-substitution")
     return point
 
@@ -211,18 +209,46 @@ def feasible(
 # ---------------------------------------------------------------------------
 
 
-def _simplex_max(c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]):
-    """Maximize c.x subject to A x = b, x >= 0 (b >= 0 required).
+def simplex_feasible(sys_: LinSystem) -> list[Fraction] | None:
+    """Feasibility over nonnegative variables, with an exact witness; no
+    variable-count cap.
 
-    Two-phase dense tableau simplex with Bland's rule and a maintained
-    reduced-cost row.  Returns (status, x) with status in {"optimal",
-    "unbounded", "infeasible"}.
+    A two-phase dense tableau simplex with Bland's rule and a maintained
+    reduced-cost row.  Every inequality gets a slack, and the strict ones
+    share a slack `delta`, which phase 2 maximizes up to 1; a strict row
+    holds when delta ends positive.  Phase 1 minimizes the sum of one
+    artificial per row, so a nonzero residual means infeasible.
     """
-    m = len(A)
-    n = len(c)
-    rows = [list(A[i]) + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    obj: list[Fraction] = []  # reduced costs z_j - c_j, then objective value
+    n = sys_.num_vars
+    eqs = [c for c in sys_.constraints if c.rel == EQ]
+    ineqs = [c for c in sys_.constraints if c.rel != EQ]
+    # Columns: x, delta, one slack per inequality and one for delta's cap
+    # (the "real" ones), then one artificial per row, then the right-hand side.
+    real = n + 1 + len(ineqs) + 1
+    width = real + len(eqs) + len(ineqs) + 1
+    rows: list[list[Fraction]] = []
+
+    def add_row(coeffs, delta, slack, rhs) -> None:
+        row = [ZERO] * (width + 1)
+        row[:n] = coeffs
+        row[n] = delta
+        if slack is not None:
+            row[n + 1 + slack] = ONE
+        row[-1] = rhs
+        if rhs < 0:
+            row = [-v for v in row]
+        row[real + len(rows)] = ONE
+        rows.append(row)
+
+    for c in eqs:
+        add_row(c.coeffs, ZERO, None, c.rhs)
+    for k, c in enumerate(ineqs):
+        sign = -ONE if c.rel.is_lower else ONE
+        add_row([sign * x for x in c.coeffs], ONE if c.rel.strict else ZERO, k, sign * c.rhs)
+    add_row([ZERO] * n, ONE, len(ineqs), ONE)  # delta <= 1
+
+    basis = list(range(real, width))
+    obj: list[Fraction] = []  # reduced costs z_j - c_j, then the objective value
 
     def pivot(r: int, col: int) -> None:
         piv = rows[r][col]
@@ -239,28 +265,21 @@ def _simplex_max(c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]):
             obj[:] = [v - f * w for v, w in zip(obj, prow)]
         basis[r] = col
 
-    def reset_objective(cost: list[Fraction]) -> None:
-        obj.clear()
-        width = len(rows[0])
-        acc = [ZERO] * width
+    def optimize(cost: list[Fraction], allowed: int) -> None:
+        """Maximize cost . x, entering only the first `allowed` columns."""
+        acc = [ZERO] * (width + 1)
         for i in range(len(rows)):
             cb = cost[basis[i]]
             if cb != 0:
                 acc = [a + cb * v for a, v in zip(acc, rows[i])]
-        obj.extend(a - cj for a, cj in zip(acc[:-1], cost + [ZERO]))
-        obj.append(acc[-1])
-
-    def run(allowed: int) -> str:
+        obj[:] = [a - cj for a, cj in zip(acc, cost + [ZERO])]
         while True:
-            entering = None
-            for j in range(allowed):
-                if obj[j] < 0 and j not in basis:
-                    entering = j
-                    break
+            # Bland: the lowest improving column enters, and among the rows
+            # of least ratio the one of lowest basic column leaves.
+            entering = next((j for j in range(allowed) if obj[j] < 0), None)
             if entering is None:
-                return "optimal"
-            leaving = None
-            best = None
+                return
+            leaving = best = None
             for i in range(len(rows)):
                 if rows[i][entering] > 0:
                     ratio = rows[i][-1] / rows[i][entering]
@@ -270,86 +289,31 @@ def _simplex_max(c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]):
                         best = ratio
                         leaving = i
             if leaving is None:
-                return "unbounded"
+                # Phase 1's objective is at most 0, and phase 2's is delta <= 1.
+                raise LpError("internal: bounded simplex objective is unbounded")
             pivot(leaving, entering)
 
-    total = n + m
-    phase1 = [ZERO] * n + [-ONE] * m
-    reset_objective(phase1)
-    run(total)
-    value = sum((phase1[basis[i]] * rows[i][-1] for i in range(len(rows))), ZERO)
-    if value != 0:
-        return "infeasible", None
-    # Drive artificials out of the basis; rows that cannot pivot are redundant.
+    optimize([ZERO] * real + [-ONE] * (width - real), width)
+    if obj[-1] != 0:
+        return None
+    # Drive the artificials out of the basis; rows that cannot pivot are redundant.
     for i in range(len(rows) - 1, -1, -1):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if rows[i][j] != 0), None)
+        if basis[i] >= real:
+            col = next((j for j in range(real) if rows[i][j] != 0), None)
             if col is None:
                 del rows[i]
                 del basis[i]
             else:
                 pivot(i, col)
-    reset_objective(list(c) + [ZERO] * m)
-    status = run(n)
-    if status == "unbounded":
-        return "unbounded", None
-    x = [ZERO] * n
-    for i in range(len(rows)):
-        if basis[i] < n:
-            x[basis[i]] = rows[i][-1]
-    return "optimal", x
-
-
-def simplex_feasible(sys_: LinSystem) -> list[Fraction] | None:
-    """Feasibility over nonnegative variables, with an exact witness; no
-    variable-count cap.
-
-    Strict inequalities are enforced by maximizing a shared slack and
-    requiring it positive.
-    """
-    n = sys_.num_vars
-    ineqs = [c for c in sys_.constraints if c.rel != EQ]
-    eqs = [c for c in sys_.constraints if c.rel == EQ]
-    has_strict = any(c.rel in (Comp.LT, Comp.GT) for c in ineqs)
-    # Columns: x, delta, slack per inequality + bound.
-    cols = n + 1 + len(ineqs) + 1
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-
-    def new_row(coeffs, delta_coef, slack_index, rhs):
-        row = [ZERO] * cols
-        row[:n] = coeffs
-        row[n] = delta_coef
-        if slack_index is not None:
-            row[n + 1 + slack_index] = ONE
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        A.append(row)
-        b.append(rhs)
-
-    for c in eqs:
-        new_row(c.coeffs, ZERO, None, c.rhs)
-    for k, c in enumerate(ineqs):
-        if c.rel in (Comp.LE, Comp.LT):
-            coeffs, rhs = list(c.coeffs), c.rhs
-        else:
-            coeffs, rhs = [-x for x in c.coeffs], -c.rhs
-        delta = ONE if c.rel.strict else ZERO
-        new_row(coeffs, delta, k, rhs)
-    new_row([ZERO] * n, ONE, len(ineqs), ONE)  # delta <= 1
-
-    objective = [ZERO] * cols
-    objective[n] = ONE
-    status, x = _simplex_max(objective, A, b)
-    if status == "infeasible":
+    cost = [ZERO] * width
+    cost[n] = ONE
+    optimize(cost, real)
+    point = [ZERO] * (n + 1)
+    for i, col in enumerate(basis):
+        if col <= n:
+            point[col] = rows[i][-1]
+    if point.pop() == 0 and any(c.rel.strict for c in ineqs):
         return None
-    if status == "unbounded":
-        raise LpError("internal: bounded slack objective reported unbounded")
-    if has_strict and x[n] == 0:
-        return None
-    point = x[:n]
     if not sys_.check(point):
         raise LpError("internal: simplex witness fails re-substitution")
     return point
-

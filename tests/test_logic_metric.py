@@ -6,16 +6,18 @@ from helpers import (
     rand_interval,
     rand_metric_space,
     rand_rational,
+    rand_sequent,
     run_search,
 )
 
 from nexfuz.liftings import metric_diamond_value
 from nexfuz.logics import MetricLogic, get_logic
 from nexfuz.metricspace import MetricSpace
+from nexfuz.models import FiniteModel, check_sequent
 from nexfuz.numerics import EMPTY, Interval, UNIT
 from nexfuz.sequents import Sequent
 from nexfuz.solver import sat
-from nexfuz.syntax import MetricDiamond, parse
+from nexfuz.syntax import And, MetricDiamond, Minus, Modal, Neg, parse
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
@@ -175,3 +177,52 @@ class TestSearchAgreement:
             if fast is not None:
                 assert fast.children == [0] * len(fast.conclusion.cells)
                 assert len(fast.conclusion.edges) == len(fast.children)
+
+
+def _metric_formula(f):
+    """An `alc` formula with every `dia` made `dia{l,1}`."""
+    if isinstance(f, Modal):
+        return Modal(MetricDiamond("l", F(1)), _metric_formula(f.arg))
+    if isinstance(f, Neg):
+        return Neg(_metric_formula(f.arg))
+    if isinstance(f, Minus):
+        return Minus(_metric_formula(f.arg), f.c)
+    if isinstance(f, And):
+        return And(_metric_formula(f.left), _metric_formula(f.right))
+    return f
+
+
+def _relabel(model, kind, space, edge):
+    """`model` with each successor row's keys mapped by `edge`."""
+    trans = {x: {edge(key): d for key, d in row.items()} for x, row in model.trans.items()}
+    return FiniteModel(kind, model.states, trans, model.atoms, space, model.root)
+
+
+class TestAlcTranslation:
+    """`alc` as `metric-fuzzy` over one label at distance 0: `dia φ` is
+    `dia{l,1} φ`, since the metric term min(degree, value, 1 - 0) is the
+    relational one.  The two searches share no code, so each is an oracle
+    for the other: the verdicts agree, and each witness, relabelled, is a
+    witness of the other sequent."""
+
+    def test_verdicts_and_witnesses_agree(self):
+        space = MetricSpace.from_json({"labels": ["l"], "dist": [["0"]]})
+        alc, metric = get_logic("alc"), get_logic("metric-fuzzy", space)
+        rng = random.Random(2024)
+        satisfiable = 0
+        for _ in range(800):
+            seq = rand_sequent(rng, "alc", depth=3, max_den=8, max_literals=3)
+            mapped = Sequent([(_metric_formula(f), interval) for f, interval in seq.items()])
+            a, m = sat(seq, alc), sat(mapped, metric)
+            assert a.sat == m.sat, seq
+            if not a.sat:
+                continue
+            satisfiable += 1
+            for verdict, kind, target, edge in (
+                (a, "metric", mapped, lambda y: ("l", y)),
+                (m, "fuzzyrel", seq, lambda key: key[1]),
+            ):
+                model = _relabel(verdict.model, kind, space if kind == "metric" else None, edge)
+                model.validate()
+                assert check_sequent(model, verdict.state, target), (seq, kind)
+        assert 0 < satisfiable < 800

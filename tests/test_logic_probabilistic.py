@@ -549,6 +549,16 @@ def _dominates(u, v):
     return all(a >= b for a, b in zip(u, v))
 
 
+def _fm_weights(system):
+    """Fourier-Motzkin on a mass system, with the `x_k >= 0` rows that its
+    free variables need (the simplex's are nonnegative already)."""
+    n = system.num_vars
+    signed = lp.LinSystem(n, list(system.constraints))
+    for k in range(n):
+        signed.add([1 if j == k else 0 for j in range(n)], Comp.GE, 0)
+    return lp.feasible(signed)
+
+
 class TestDominance:
     """The lemma behind the one-step refutation: every mass bound is a lower
     bound and the all-ones vector is consistent, so the mass system over all
@@ -581,7 +591,7 @@ class TestDominance:
             system = mass_system(vecs, conds)
             assert possible == (lp.simplex_feasible(system) is not None), gamma
             if len(vecs) <= 8:
-                assert possible == (lp.feasible(system, nonneg=True) is not None), gamma
+                assert possible == (_fm_weights(system) is not None), gamma
             outcomes.add(possible)
         return outcomes
 
@@ -615,7 +625,7 @@ class TestDominanceSearch:
             assert full == (LGEN._weights_over([_mask(v) for v in maximal], gamma) is not None)
             for cfg in (good, maximal):
                 if len(cfg) <= 8:
-                    weights = lp.feasible(mass_system(cfg, conds), nonneg=True)
+                    weights = _fm_weights(mass_system(cfg, conds))
                     assert full == (weights is not None), (gamma, cfg)
             outcomes.add(full)
         assert outcomes == {True, False}

@@ -6,13 +6,14 @@ import pytest
 
 from nexfuz.lp import (
     CapExceeded,
+    Constraint,
     EQ,
     LpError,
     feasible,
     simplex_feasible,
     system,
 )
-from nexfuz.numerics import Comp
+from nexfuz.numerics import Comp, NumericError
 
 
 class TestExamples:
@@ -52,6 +53,34 @@ class TestExamples:
             with pytest.raises(LpError):
                 feasible(s, order=order)
         assert feasible(s, order=[2, 0, 1]) == [0, 0, 0]
+
+    def test_variables_are_free(self):
+        # Elimination's variables are free and the simplex's nonnegative;
+        # a sign condition is an ordinary row.
+        s = system(1)
+        s.add([1], Comp.LE, F(-1, 2))
+        assert feasible(s) == [F(-1, 2)]
+        assert simplex_feasible(s) is None
+        s.add([1], Comp.GE, 0)
+        assert feasible(s) is None
+        assert simplex_feasible(s) is None
+
+    def test_add_reads_exact_numbers_and_known_relations(self):
+        s = system(1)
+        for rel in (EQ, *Comp):
+            s.add([F(1, 2)], rel, "1/4")
+            s.add(["1/2"], rel, 0)
+        assert s.constraints[0] == Constraint((F(1, 2),), EQ, F(1, 4))
+        with pytest.raises(NumericError):
+            s.add([0.1], Comp.LE, F(3, 10))
+        with pytest.raises(NumericError):
+            s.add([F(1, 10)], Comp.LE, 0.3)
+        for rel in ("<=", "=", None):
+            with pytest.raises(LpError):
+                s.add([1], rel, 1)
+        with pytest.raises(LpError):
+            Constraint((F(1),), "<", F(1))
+        assert len(s.constraints) == 10
 
     def test_equality_only(self):
         s = system(2)
@@ -176,11 +205,11 @@ class TestSimplexAgreement:
                     assert s.check(point)
 
     def test_nonneg_matches_explicit_rows(self):
-        # `nonneg` in elimination, and the simplex (whose variables are
-        # always nonnegative), solve the system with x_j >= 0 rows added;
-        # the random rows carry no box, so the sign decides some verdicts.
+        # The simplex's variables are always nonnegative; elimination's are
+        # free, so it solves the system with x_j >= 0 rows added.  The
+        # random rows carry no box, so the sign decides some verdicts.
         rng = random.Random(910)
-        flag_decided = 0
+        sign_decided = 0
         for _ in range(200):
             n = rng.randint(1, 3)
             s = system(n)
@@ -189,17 +218,16 @@ class TestSimplexAgreement:
                 rel = rng.choice([Comp.LE, Comp.LT, Comp.GE, Comp.GT, EQ])
                 s.add(coeffs, rel, F(rng.randint(-8, 8), 8))
             free = feasible(s) is not None
-            a = feasible(s, nonneg=True)
             b = simplex_feasible(s)
             for j in range(n):
                 s.add([1 if k == j else 0 for k in range(n)], Comp.GE, 0)
-            expected = feasible(s) is not None
-            assert (a is not None) == expected == (b is not None)
+            a = feasible(s)
+            assert (a is None) == (b is None)
             for point in (a, b):
                 if point is not None:
                     assert s.check(point)
-            flag_decided += free and not expected
-        assert flag_decided > 0
+            sign_decided += free and a is None
+        assert sign_decided > 0
 
     def test_strict_only_at_boundary(self):
         s = system(1)
