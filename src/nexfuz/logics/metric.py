@@ -4,7 +4,10 @@ A literal dia{l,c} v in <a,b> asks for a labelled successor: some edge with
 label m within *lower reach* of l (the truncated slack c - d(l,m) still
 meets the lower bound) leading to a state where v meets the lower bound,
 while every edge whose label lies within *upper reach* (slack exceeding the
-upper bound) must keep min(degree, value) under the upper bound.
+upper bound) must keep min(degree, value) under the upper bound.  Both
+reaches are decided in `int`: the space keeps its distances as numerators
+over one scale, and each slack is compared with the literal's bounds by
+cross-multiplication, with no `Fraction` built per label.
 
 The modal rule dedicates one successor state to each literal with a
 non-trivial lower bound.  For every pair (upper bound k, state j) that can
@@ -29,7 +32,7 @@ from itertools import product
 from typing import Iterator
 
 from ..metricspace import MetricSpace
-from ..numerics import Interval, ONE, UNIT, ZERO
+from ..numerics import Interval, ONE, UNIT
 from ..onestep import Cells, Conclusion, Literal, OneStepLogic, SearchSteps, SearchSuccess
 from ..sequents import SequentError
 from ..syntax import MetricDiamond, ModalOp
@@ -87,17 +90,27 @@ class MetricLogic(OneStepLogic):
         bound (lower reach, in label order; None for a vacuous lower bound,
         whose literal is not a state), and those whose slack alone already
         exceeds the upper bound (upper reach; empty for a vacuous upper
-        bound, since slacks lie in [0, 1])."""
-        lower_ray, upper_ray = lit.interval.lower_ray(), lit.interval.upper_ray()
-        is_state, has_upper = lower_ray != UNIT, upper_ray != UNIT
+        bound, since slacks lie in [0, 1]).
+
+        With c = cn/cd and the space's distances D(l, m)/S, the slack is
+        max(0, cn S - cd D(l, m)) / (cd S), so each test is one `int`
+        cross-multiplication with a bound's reduced pair."""
+        interval = lit.interval
+        ln, ld, hn, hd = interval.endpoint_pairs()
+        lo_open, hi_open = interval.lo_open, interval.hi_open
+        # A bound is vacuous exactly when it is a closed 0 (lower) or 1 (upper).
+        is_state, has_upper = ln != 0 or lo_open, hn != hd or hi_open
         lower, upper = [] if is_state else None, set()
         if is_state or has_upper:
-            distances = self.space.matrix[self.space.index(lit.label)]
-            for m, d in zip(self.space.labels, distances):
-                slack = max(ZERO, lit.reach - d)
-                if is_state and lower_ray.contains(slack):
+            space = self.space
+            cn, cd = lit.reach.as_integer_ratio()
+            top, den = cn * space.scale, cd * space.scale
+            lo, hi = ln * den, hn * den  # the bounds over the slacks' denominator
+            for m, d in zip(space.labels, space.scaled_row(lit.label)):
+                slack = max(0, top - cd * d)
+                if is_state and (slack * ld > lo if lo_open else slack * ld >= lo):
                     lower.append(m)
-                if has_upper and not upper_ray.contains(slack):
+                if has_upper and (slack * hd >= hi if hi_open else slack * hd > hi):
                     upper.add(m)
         return lower, upper
 

@@ -42,6 +42,9 @@ EQ = "=="
 
 @dataclass(frozen=True)
 class Constraint:
+    """`coeffs . x rel rhs`; the numbers are read by `to_fraction`, so a
+    float raises `NumericError`."""
+
     coeffs: tuple[Fraction, ...]
     rel: Comp | str
     rhs: Fraction
@@ -49,6 +52,8 @@ class Constraint:
     def __post_init__(self) -> None:
         if not isinstance(self.rel, Comp) and self.rel != EQ:
             raise LpError(f"unknown relation {self.rel!r}")
+        object.__setattr__(self, "coeffs", tuple(to_fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "rhs", to_fraction(self.rhs))
 
     def evaluate(self, point: Sequence[Fraction]) -> bool:
         lhs = sum((c * x for c, x in zip(self.coeffs, point)), ZERO)
@@ -63,12 +68,10 @@ class LinSystem:
     constraints: list[Constraint]
 
     def add(self, coeffs: Iterable, rel, rhs) -> None:
-        """Add `coeffs . x rel rhs`; the numbers are read by `to_fraction`,
-        so a float raises `NumericError`."""
-        row = tuple(to_fraction(c) for c in coeffs)
-        if len(row) != self.num_vars:
-            raise LpError(f"constraint arity {len(row)} != {self.num_vars}")
-        self.constraints.append(Constraint(row, rel, to_fraction(rhs)))
+        """Add the `Constraint` `coeffs . x rel rhs`."""
+        row = Constraint(tuple(coeffs), rel, rhs)
+        _check_arity(row, self.num_vars)
+        self.constraints.append(row)
 
     def check(self, point: Sequence[Fraction]) -> bool:
         return all(c.evaluate(point) for c in self.constraints)
@@ -76,6 +79,11 @@ class LinSystem:
 
 def system(num_vars: int) -> LinSystem:
     return LinSystem(num_vars, [])
+
+
+def _check_arity(row: Constraint, num_vars: int) -> None:
+    if len(row.coeffs) != num_vars:
+        raise LpError(f"constraint arity {len(row.coeffs)} != {num_vars}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +138,7 @@ def feasible(sys_: LinSystem, order: Sequence[int] | None = None) -> list[Fracti
 
     rows: list[tuple[list[Fraction], bool, Fraction]] = []
     for c in sys_.constraints:
+        _check_arity(c, n)
         if c.rel in (EQ, Comp.LE, Comp.LT):
             rows.append((list(c.coeffs), c.rel is Comp.LT, c.rhs))
         if c.rel in (EQ, Comp.GE, Comp.GT):
@@ -220,6 +229,8 @@ def simplex_feasible(sys_: LinSystem) -> list[Fraction] | None:
     artificial per row, so a nonzero residual means infeasible.
     """
     n = sys_.num_vars
+    for c in sys_.constraints:
+        _check_arity(c, n)
     eqs = [c for c in sys_.constraints if c.rel == EQ]
     ineqs = [c for c in sys_.constraints if c.rel != EQ]
     # Columns: x, delta, one slack per inequality and one for delta's cap

@@ -1,8 +1,15 @@
-"""Finite metric label spaces given by explicit rational distance matrices."""
+"""Finite metric label spaces given by explicit rational distance matrices.
+
+A space keeps its `Fraction` matrix, and beside it the same distances as
+`int` numerators over one scale, built once when the space is made.  The
+metric checks run on those `int`s, and so does the metric logic's reach
+test.  With zero self-distances and symmetry checked first, the triangle
+inequality needs checking only for i < j.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -18,6 +25,10 @@ class MetricSpaceError(ValueError):
 class MetricSpace:
     labels: tuple[str, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
+    # The distances as `int` numerators over `scale`, derived from `matrix`:
+    # row-major in one flat tuple, which every witness's space keeps.
+    scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.labels)
@@ -26,8 +37,9 @@ class MetricSpace:
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise MetricSpaceError("distance matrix shape does not match labels")
         # Every check below is invariant under a positive scale, so they run in int.
-        scale = lcm(*(v.denominator for row in self.matrix for v in row))
-        d = [[v.numerator * (scale // v.denominator) for v in row] for row in self.matrix]
+        ratios = [[v.as_integer_ratio() for v in row] for row in self.matrix]
+        scale = lcm(*[q for row in ratios for _, q in row])
+        d = [[p * (scale // q) for p, q in row] for row in ratios]
         # Self-distance, sign and symmetry hold everywhere before any triangle
         # is checked, so a negative distance is not reported as a triangle.
         for i, row in enumerate(d):
@@ -38,11 +50,18 @@ class MetricSpace:
                     raise MetricSpaceError("negative distance")
                 if dij != d[j][i]:
                     raise MetricSpaceError("distance matrix is not symmetric")
-        for row in d:
-            for j, dij in enumerate(row):
-                for k, dik in enumerate(row):
-                    if dij > dik + d[k][j]:
+        # The triangle d(i, j) <= d(i, k) + d(k, j) holds for i = j (0 <= 2 d(i, k)),
+        # and the case i > j is the case (j, i) mirrored, so only i < j is
+        # checked, reading d(k, j) as d(j, k).
+        for i, row in enumerate(d):
+            for j in range(i + 1, n):
+                dij = row[j]
+                for dik, djk in zip(row, d[j]):
+                    if dij > dik + djk:
                         raise MetricSpaceError("triangle inequality violated")
+        # From a list, so the kept tuple is allocated at its exact size.
+        object.__setattr__(self, "scaled", tuple([v for row in d for v in row]))
+        object.__setattr__(self, "scale", scale)
 
     @staticmethod
     def make(labels, matrix) -> MetricSpace:
@@ -60,6 +79,13 @@ class MetricSpace:
 
     def dist(self, a: str, b: str) -> Fraction:
         return self.matrix[self.index(a)][self.index(b)]
+
+    def scaled_row(self, label: str) -> tuple[int, ...]:
+        """The distances from `label` to every label, in label order, as
+        `int` numerators over `scale`."""
+        n = len(self.labels)
+        start = self.index(label) * n
+        return self.scaled[start:start + n]
 
     def to_json(self) -> dict:
         return {
@@ -79,10 +105,10 @@ class MetricSpace:
         if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
             raise MetricSpaceError("metric space 'dist' must be rows of rationals")
         try:
-            matrix = [[parse_rational(v) for v in row] for row in dist]
+            matrix = tuple(tuple(parse_rational(v) for v in row) for row in dist)
         except (AttributeError, TypeError) as exc:
             raise MetricSpaceError("metric space 'dist' must be rows of rationals") from exc
-        return MetricSpace.make(labels, matrix)
+        return MetricSpace(tuple(labels), matrix)
 
     @staticmethod
     def load(path: str) -> MetricSpace:

@@ -173,13 +173,7 @@ class Interval:
         lo = to_fraction(lo)
         hi = to_fraction(hi)
         # A Fraction is in lowest terms already, over a positive denominator.
-        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        if not (0 <= ln <= ld and 0 <= hn <= hd):
-            raise NumericError(f"interval endpoints outside [0, 1]: {lo}, {hi}")
-        x, y = ln * hd, hn * ld
-        if x > y or (x == y and (lo_open or hi_open)):
-            return EMPTY
-        return Interval(ln, ld, hn, hd, lo_open, hi_open)
+        return _checked(*lo.as_integer_ratio(), *hi.as_integer_ratio(), lo_open, hi_open)
 
     @staticmethod
     def point(q) -> Interval:
@@ -319,6 +313,19 @@ class Interval:
                 f"lo_open={self.lo_open!r}, hi_open={self.hi_open!r})")
 
 
+def _checked(ln: int, ld: int, hn: int, hd: int, lo_open: bool, hi_open: bool) -> Interval:
+    """The interval over the reduced endpoints ln/ld and hn/hd (positive
+    denominators), EMPTY when they meet no value; both must lie in [0, 1]."""
+    if not (0 <= ln <= ld and 0 <= hn <= hd):
+        raise NumericError(
+            f"interval endpoints outside [0, 1]: {Fraction(ln, ld)}, {Fraction(hn, hd)}"
+        )
+    x, y = ln * hd, hn * ld
+    if x > y or (x == y and (lo_open or hi_open)):
+        return EMPTY
+    return Interval(ln, ld, hn, hd, lo_open, hi_open)
+
+
 def _reduced(ln: int, ld: int, hn: int, hd: int, lo_open: bool, hi_open: bool) -> Interval:
     """The interval over the endpoints ln/ld <= hn/hd (positive
     denominators), each brought to lowest terms."""
@@ -346,9 +353,9 @@ def parse_interval(text: str) -> Interval:
     if "," not in body:
         raise NumericError(f"invalid interval literal {text!r}")
     lo_text, hi_text = body.split(",", 1)
-    lo = parse_rational(lo_text)
-    hi = parse_rational(hi_text)
-    return Interval.make(lo, hi, lo_open=s[0] == "(", hi_open=s[-1] == ")")
+    lo = parse_rational(lo_text).as_integer_ratio()
+    hi = parse_rational(hi_text).as_integer_ratio()
+    return _checked(*lo, *hi, s[0] == "(", s[-1] == ")")
 
 
 def format_interval(interval: Interval) -> str:

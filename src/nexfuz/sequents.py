@@ -5,7 +5,8 @@ intersection, in one loop, and each rewrite is one copy of the map.  Entries
 with an empty interval are retained rather than eagerly closed, so the axiom
 rule of the tableau fires explicitly.  The hash is computed on first use:
 the tableau's intermediate sequents are never hashed, only the sequents the
-solver memoizes are.
+solver memoizes are.  So is the combined size, which only the solver's
+statistics read.
 """
 
 from __future__ import annotations
@@ -33,18 +34,18 @@ def _merged(m: dict, literals: Iterable[tuple[Formula, Interval]]) -> dict:
 def _of(m: dict[Formula, Interval]) -> Sequent:
     out = Sequent.__new__(Sequent)
     out._map = m
-    out._hash = None
+    out._hash = out._size = None
     return out
 
 
 class Sequent:
     """An immutable map from formulas to intervals, in insertion order."""
 
-    __slots__ = ("_map", "_hash")
+    __slots__ = ("_map", "_hash", "_size")
 
     def __init__(self, literals: Iterable[tuple[Formula, Interval]] = ()):
         self._map = _merged({}, literals)
-        self._hash = None
+        self._hash = self._size = None
 
     def insert(self, label: Formula, interval: Interval) -> Sequent:
         """Add a literal; an existing entry for the label is intersected."""
@@ -88,11 +89,12 @@ class Sequent:
 
     def combined_size(self) -> int:
         """Sum of literal sizes; each literal adds its formula size, the binary
-        sizes of the four interval endpoints, and 3."""
-        total = 0
-        for f, interval in self._map.items():
-            total += size(f) + interval.endpoint_bits() + 3
-        return total
+        sizes of the four interval endpoints, and 3; computed on first use."""
+        if self._size is None:
+            self._size = sum(
+                size(f) + interval.endpoint_bits() + 3 for f, interval in self._map.items()
+            )
+        return self._size
 
     def to_json(self) -> dict:
         return {

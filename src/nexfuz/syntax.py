@@ -4,7 +4,9 @@ The propositional base is: constant 0, fuzzy negation, truncated subtraction
 of a rational constant, and minimum.  Modal operators are pluggable; atoms
 are treated as nullary modal operators and therefore appear as leaves.
 Formulas and modal operators are hash-consed in one table, so equal syntax
-is one object.
+is one object.  The table's keys hold a rational constant as its reduced
+numerator and denominator, so interning hashes and compares `int`s; the
+node's field keeps the `Fraction`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class _KeyedRef(weakref.ref):
 
 # Hash-consing (Filliatre & Conchon, "Type-safe modular hash-consing", 2006):
 # every live syntax node, formula or modal operator, is registered here under
-# its class index and fields, so constructing a node equal to a live one
+# its class index and fields, a rational constant entering as its reduced
+# numerator and denominator `int`s, so constructing a node equal to a live one
 # returns that very object.  Equality and hashing of nodes are therefore
 # those of object identity, and a node's size and modal depth are computed
 # once, from its fields', when it is first built.  The table holds nodes
@@ -71,17 +74,17 @@ class _Node:
         return f"{type(self).__name__}<{self}>"
 
 
-def _node(key: tuple, size: int, depth: int | None):
-    """The live node for intern key `(class index, *fields)`, the class index
-    pointing into `_CLASSES`; built and registered with `size` and modal
-    depth `depth` (None for an operator) if there is none."""
+def _node(key: tuple, fields: tuple, size: int, depth: int | None):
+    """The live node for intern key `key`, whose first item is the class
+    index into `_CLASSES`; built with slot values `fields`, `size` and modal
+    depth `depth` (None for an operator), and registered, if there is none."""
     ref = _NODES.get(key)
     node = ref and ref()
     if node is not None:
         return node
     cls = _CLASSES[key[0]]
     node = object.__new__(cls)
-    for slot, value in zip(cls.__slots__, key[1:]):
+    for slot, value in zip(cls.__slots__, fields):
         object.__setattr__(node, slot, value)
     object.__setattr__(node, "size", size)
     if depth is not None:
@@ -92,12 +95,14 @@ def _node(key: tuple, size: int, depth: int | None):
     return node
 
 
-def _unit(c, what: str) -> Fraction:
-    """`c` as an exact constant in [0, 1]; a float is refused."""
+def _unit(c, what: str) -> tuple[Fraction, int, int]:
+    """`c` as an exact constant in [0, 1], with its reduced numerator and
+    denominator; a float is refused."""
     c = to_fraction(c)
-    if not 0 <= c.numerator <= c.denominator:
+    n, d = c.as_integer_ratio()
+    if not 0 <= n <= d:
         raise NumericError(f"{what} {c} outside [0, 1]")
-    return c
+    return c, n, d
 
 
 def _name(name: str, what: str) -> str:
@@ -125,7 +130,7 @@ class Diamond(ModalOp):
     __slots__ = ()
 
     def __new__(cls):
-        return _node((6,), 1, None)
+        return _node((6,), (), 1, None)
 
     def __str__(self) -> str:
         return "dia"
@@ -137,7 +142,7 @@ class Generally(ModalOp):
     __slots__ = ()
 
     def __new__(cls):
-        return _node((7,), 1, None)
+        return _node((7,), (), 1, None)
 
     def __str__(self) -> str:
         return "G"
@@ -149,8 +154,8 @@ class MoreThan(ModalOp):
     __slots__ = ("p",)
 
     def __new__(cls, p: Fraction):
-        p = _unit(p, "probability parameter")
-        return _node((8, p), bit_length(p.numerator) + bit_length(p.denominator), None)
+        p, n, d = _unit(p, "probability parameter")
+        return _node((8, n, d), (p,), bit_length(n) + bit_length(d), None)
 
     def __str__(self) -> str:
         return f"M{{{self.p}}}"
@@ -162,7 +167,9 @@ class MetricDiamond(ModalOp):
     __slots__ = ("label", "c")
 
     def __new__(cls, label: str, c: Fraction):
-        return _node((9, _name(label, "label"), _unit(c, "reach bound")), 1, None)
+        label = _name(label, "label")
+        c, n, d = _unit(c, "reach bound")
+        return _node((9, label, n, d), (label, c), 1, None)
 
     def __str__(self) -> str:
         return f"dia{{{self.label},{self.c}}}"
@@ -186,7 +193,7 @@ class Zero(Formula):
     __slots__ = ()
 
     def __new__(cls):
-        return _node((0,), 1, 0)
+        return _node((0,), (), 1, 0)
 
 
 class Atom(Formula):
@@ -195,14 +202,14 @@ class Atom(Formula):
     def __new__(cls, name: str):
         if _name(name, "atom name") in _PREFIX_WORDS:
             raise ValueError(f"atom name {name!r} is a prefix word")
-        return _node((1, name), 1, 0)
+        return _node((1, name), (name,), 1, 0)
 
 
 class Neg(Formula):
     __slots__ = ("arg",)
 
     def __new__(cls, arg: Formula):
-        return _node((2, arg), arg.size + 1, arg.modal_depth)
+        return _node((2, arg), (arg,), arg.size + 1, arg.modal_depth)
 
 
 class Minus(Formula):
@@ -211,25 +218,24 @@ class Minus(Formula):
     __slots__ = ("arg", "c")
 
     def __new__(cls, arg: Formula, c: Fraction):
-        c = _unit(c, "shift constant")
-        size = arg.size + bit_length(c.numerator) + bit_length(c.denominator) + 1
-        return _node((3, arg, c), size, arg.modal_depth)
+        c, n, d = _unit(c, "shift constant")
+        size = arg.size + bit_length(n) + bit_length(d) + 1
+        return _node((3, arg, n, d), (arg, c), size, arg.modal_depth)
 
 
 class And(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
-        return _node(
-            (4, left, right), left.size + right.size + 1, max(left.modal_depth, right.modal_depth)
-        )
+        return _node((4, left, right), (left, right), left.size + right.size + 1,
+                     max(left.modal_depth, right.modal_depth))
 
 
 class Modal(Formula):
     __slots__ = ("op", "arg")
 
     def __new__(cls, op: ModalOp, arg: Formula):
-        return _node((5, op, arg), arg.size + op.size, arg.modal_depth + 1)
+        return _node((5, op, arg), (op, arg), arg.size + op.size, arg.modal_depth + 1)
 
 
 _CLASSES = (Zero, Atom, Neg, Minus, And, Modal, Diamond, Generally, MoreThan, MetricDiamond)

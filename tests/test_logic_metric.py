@@ -12,6 +12,7 @@ from helpers import (
 
 from nexfuz.liftings import metric_diamond_value
 from nexfuz.logics import MetricLogic, get_logic
+from nexfuz.logics.metric import _Lit
 from nexfuz.metricspace import MetricSpace
 from nexfuz.models import FiniteModel, check_sequent
 from nexfuz.numerics import EMPTY, Interval, UNIT
@@ -69,6 +70,67 @@ class TestConclusions:
         logic = get_logic("metric-fuzzy", SINGLE)
         (c,) = logic.conclusions((lit("l", 1, iv(0, "1/2")),))
         assert c.cells == ()
+
+
+def reference_reach(space, lit):
+    """`MetricLogic._reach` over `Fraction`s: each slack max(0, c - d(l, m))
+    is built and tested against the literal's rays."""
+    lower_ray, upper_ray = lit.interval.lower_ray(), lit.interval.upper_ray()
+    is_state, has_upper = lower_ray != UNIT, upper_ray != UNIT
+    lower, upper = [] if is_state else None, set()
+    if is_state or has_upper:
+        distances = space.matrix[space.index(lit.label)]
+        for m, d in zip(space.labels, distances):
+            slack = max(F(0), lit.reach - d)
+            if is_state and lower_ray.contains(slack):
+                lower.append(m)
+            if has_upper and not upper_ray.contains(slack):
+                upper.add(m)
+    return lower, upper
+
+
+class TestReach:
+    def test_integer_reach_matches_fraction_reach(self):
+        rng = random.Random(4242)
+        # (side, openness) -> literals with a slack exactly on that bound
+        ties = {(side, is_open): 0 for side in ("lo", "hi") for is_open in (False, True)}
+        shapes = set()
+        for _ in range(3000):
+            space = rand_metric_space(rng, max_labels=5)
+            label = rng.choice(space.labels)
+            c = rng.choice([F(0), F(1), rand_rational(rng, 8)])
+            slacks = [max(F(0), c - d) for d in space.matrix[space.index(label)]]
+            # Bounds are drawn from the slacks, 0, 1 and random values, so
+            # that ties and vacuous bounds both come up often.
+            lo, hi = sorted(
+                rng.choice([*slacks, F(0), F(1), rand_rational(rng, 8)]) for _ in range(2)
+            )
+            interval = Interval.make(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+            if interval.is_empty:
+                continue
+            lit = _Lit(0, label, c, interval)
+            logic = MetricLogic(space, crisp=rng.random() < 0.5)
+            assert logic._reach(lit) == reference_reach(space, lit), (space, lit)
+            shapes.add((interval.lo_open, interval.hi_open, lo == 0, hi == 1))
+            ties["lo", interval.lo_open] += lo in slacks and lo != 0
+            ties["hi", interval.hi_open] += hi in slacks and hi != 1
+        # All four open/closed combinations, each with a lower bound at 0 or
+        # not and an upper bound at 1 or not; a closed 0 and a closed 1 are
+        # the vacuous bounds.
+        assert len(shapes) == 16, shapes
+        assert min(ties.values()) >= 50, ties
+
+    def test_examples(self):
+        logic = MetricLogic(PAIR)
+        # slacks from l: 1/2 at l, 1/5 at m
+        assert logic._reach(_Lit(0, "l", F(1, 2), iv("1/5", 1))) == (["l", "m"], set())
+        assert logic._reach(_Lit(0, "l", F(1, 2), iv("1/5", 1, lo_open=True))) == (["l"], set())
+        assert logic._reach(_Lit(0, "l", F(1, 2), iv(0, "1/5"))) == (None, {"l"})
+        assert logic._reach(_Lit(0, "l", F(1, 2), iv(0, "1/5", hi_open=True))) == (None, {"l", "m"})
+        assert logic._reach(_Lit(0, "l", F(0), iv(0, 1))) == (None, set())
+        assert logic._reach(_Lit(0, "l", F(0), iv(0, 0))) == (None, set())
+        # slacks from m at c = 1: 7/10 at l, 1 at m
+        assert logic._reach(_Lit(0, "m", F(1), iv(1, 1))) == (["m"], set())
 
 
 class TestRealize:

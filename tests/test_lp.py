@@ -82,6 +82,34 @@ class TestExamples:
             Constraint((F(1),), "<", F(1))
         assert len(s.constraints) == 10
 
+    def test_direct_constraint_is_read_exactly(self):
+        # A constraint built directly, not through `add`, is read by
+        # `to_fraction` too: a float is refused, and text is exact.
+        with pytest.raises(NumericError):
+            Constraint((0.1,), Comp.LE, F(3, 10))
+        with pytest.raises(NumericError):
+            Constraint((F(1, 10),), Comp.LE, 0.3)
+        s = system(1)
+        s.constraints.append(Constraint(("1/10",), Comp.LE, "3/10"))
+        s.constraints.append(Constraint((1,), Comp.GE, 3))
+        assert s.constraints[0] == Constraint((F(1, 10),), Comp.LE, F(3, 10))
+        assert all(type(v) is F for c in s.constraints for v in (*c.coeffs, c.rhs))
+        assert feasible(s) == [F(3)]
+        assert simplex_feasible(s) == [F(3)]
+
+    def test_row_arity_is_checked_on_entry(self):
+        s = system(2)
+        s.add([1, 1], Comp.LE, 1)
+        with pytest.raises(LpError, match="arity"):
+            s.add([1], Comp.LE, 1)
+        for coeffs in ((1,), (1, 1, 1)):
+            s.constraints.append(Constraint(coeffs, Comp.LE, 1))
+            for engine in (feasible, simplex_feasible):
+                with pytest.raises(LpError, match="arity"):
+                    engine(s)
+            s.constraints.pop()
+        assert feasible(s) is not None and simplex_feasible(s) is not None
+
     def test_equality_only(self):
         s = system(2)
         s.add([1, 1], EQ, 1)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -36,6 +37,15 @@ def reference_error(labels, matrix):
 def error_of(labels, matrix):
     try:
         MetricSpace.make(labels, matrix)
+    except MetricSpaceError as exc:
+        return str(exc)
+    return None
+
+
+def json_error_of(labels, matrix):
+    data = {"labels": list(labels), "dist": [[str(v) for v in row] for row in matrix]}
+    try:
+        MetricSpace.from_json(data)
     except MetricSpaceError as exc:
         return str(exc)
     return None
@@ -113,6 +123,68 @@ class TestIntegerCheckParity:
             matrix = [[0, ab, ac], [ab, 0, bc], [ac, bc, 0]]
             assert reference_error(labels, matrix) == expected
             assert error_of(labels, matrix) == expected
+
+
+def break_axiom(rng, d, kind):
+    """Make the metric `d` fail the axiom `kind` in place ("valid" keeps it)."""
+    n = len(d)
+    i, k, j = rng.sample(range(n), 3) if n >= 3 else (0, 0, n - 1)
+    positive = F(rng.randint(1, 4), rng.choice(DENOMINATORS))
+    if kind == "diagonal":
+        d[i][i] = rng.choice([positive, -positive])
+    elif kind == "negative":
+        d[i][j] = d[j][i] = -positive
+    elif kind == "asymmetric":
+        d[i][j] += positive
+    elif kind == "triangle":
+        d[i][j] = d[j][i] = d[i][k] + d[k][j] + F(1, d[i][k].denominator * d[k][j].denominator)
+
+
+EXPECTED_KIND = {
+    "valid": None,
+    "diagonal": "nonzero self-distance",
+    "negative": "negative distance",
+    "asymmetric": "distance matrix is not symmetric",
+    "triangle": "triangle inequality violated",
+}
+
+
+class TestOneToFiveLabels:
+    def test_each_axiom_broken_at_every_size(self):
+        # The check reads d(i, j) <= d(i, k) + d(k, j) only for i < j; it must
+        # fail exactly when the full check over every i, j, k does, with its
+        # message, whether the space comes from `make` or from JSON.
+        rng = random.Random(1517)
+        for n in range(1, 6):
+            labels = [f"l{m}" for m in range(n)]
+            kinds = ["valid", "diagonal"]
+            kinds += ["negative", "asymmetric"] if n >= 2 else []
+            kinds += ["triangle"] if n >= 3 else []
+            for kind in kinds:
+                for _ in range(40):
+                    d = rand_metric(rng, n)
+                    break_axiom(rng, d, kind)
+                    expected = reference_error(labels, d)
+                    assert expected is None or expected.startswith(EXPECTED_KIND[kind])
+                    assert (expected is None) == (kind == "valid")
+                    assert error_of(labels, d) == expected, (labels, d)
+                    assert json_error_of(labels, d) == expected, (labels, d)
+
+    def test_integer_distances_are_kept_over_one_scale(self):
+        rng = random.Random(1518)
+        for n in range(1, 6):
+            labels = [f"l{m}" for m in range(n)]
+            d = rand_metric(rng, n)
+            space = MetricSpace.make(labels, d)
+            assert space.scale == lcm(*(v.denominator for row in d for v in row))
+            assert space.scaled == tuple(v * space.scale for row in d for v in row)
+            assert all(type(v) is int for v in space.scaled)
+            for label, row in zip(labels, d):
+                assert space.scaled_row(label) == tuple(v * space.scale for v in row)
+            # Equality, hash and repr read only the labels and the matrix.
+            twin = MetricSpace.from_json(space.to_json())
+            assert twin == space and hash(twin) == hash(space)
+            assert repr(space) == f"MetricSpace(labels={space.labels!r}, matrix={space.matrix!r})"
 
 
 class TestRejections:

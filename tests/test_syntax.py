@@ -322,8 +322,9 @@ class TestInterning:
         assert f.modal_depth == modal_depth(f) == reference_depth(f)
 
     def test_table_holds_formulas_weakly(self):
+        # A constant enters a key as its reduced numerator and denominator.
         text = "dia{fresh_label_q,1/7919} (fresh_atom_q - 1/2) & ~M{1/9973} fresh_atom_q"
-        keys = [(1, "fresh_atom_q"), (8, F(1, 9973)), (9, "fresh_label_q", F(1, 7919))]
+        keys = [(1, "fresh_atom_q"), (8, 1, 9973), (9, "fresh_label_q", 1, 7919)]
         f = parse(text)
         assert all(key in syntax._NODES for key in keys)
         measures = (f.size, f.modal_depth, to_text(f))
@@ -335,6 +336,30 @@ class TestInterning:
         assert all(ref() is not None for ref in syntax._NODES.values())
         g = parse(text)
         assert (g.size, g.modal_depth, to_text(g)) == measures
+
+    def test_interning_hashes_no_fraction(self, monkeypatch):
+        calls = []
+
+        def counted(q, hash_=F.__hash__):
+            calls.append(q)
+            return hash_(q)
+
+        monkeypatch.setattr(F, "__hash__", counted)
+        hash(F(1, 3))
+        assert len(calls) == 1  # the count sees a Fraction's hash
+        calls.clear()
+        f = parse("dia{l,2/4} a - 2/6 & M{3/6} b")
+        assert calls == []
+        assert (f.left.c, f.left.arg.op.c, f.right.op.p) == (F(1, 3), F(1, 2), F(1, 2))
+
+    def test_equal_constants_are_one_node(self):
+        f = parse("a - 2/4")
+        assert f is parse("a - 1/2") is Minus(Atom("a"), F(1, 2))
+        assert type(f.c) is F and f.c == F(1, 2)
+        assert MoreThan("2/4") is MoreThan(F(1, 2)) is MoreThan("0.5")
+        assert MetricDiamond("l", "2/4") is MetricDiamond("l", F(1, 2))
+        assert parse("M{2/4} a & dia{l,2/4} a") is parse("M{1/2} a & dia{l,1/2} a")
+        assert MetricDiamond("l", F(1, 2)) is not MetricDiamond("m", F(1, 2))
 
     def test_pickling_rebuilds_the_same_node(self):
         f = parse("dia{l,1/3} a & M{2/5} b & G dia c")
