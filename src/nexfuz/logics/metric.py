@@ -26,7 +26,6 @@ degree-dodging option disappears and the pair set grows accordingly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
@@ -34,6 +33,7 @@ from typing import Iterator
 from ..metricspace import MetricSpace
 from ..numerics import Interval, ONE, UNIT
 from ..onestep import Cells, Conclusion, Literal, OneStepLogic, SearchSteps, SearchSuccess
+from ..records import Record, Value
 from ..sequents import SequentError
 from ..syntax import MetricDiamond, ModalOp
 
@@ -41,12 +41,11 @@ from ..syntax import MetricDiamond, ModalOp
 _CRISP_DEGREE = Interval.point(ONE)
 
 
-@dataclass(frozen=True)
-class _Lit:
-    index: int
-    label: str
-    reach: Fraction
-    interval: Interval
+class _Lit(Value):
+    __slots__ = _fields = ("index", "label", "reach", "interval")
+
+    def __init__(self, index: int, label: str, reach: Fraction, interval: Interval):
+        self.index, self.label, self.reach, self.interval = index, label, reach, interval
 
 
 def _conclusion(built: list[tuple[str, Cells, Interval]]) -> Conclusion:
@@ -61,18 +60,24 @@ def _conclusion(built: list[tuple[str, Cells, Interval]]) -> Conclusion:
     return Conclusion(tuple(b[1] for b in built), tuple(edges))
 
 
-@dataclass
-class _Layer:
+class _Layer(Record):
     """What every conclusion of one end-sequent shares: its literals, the
     states (literals with a non-vacuous lower bound), each state's lower
     reach, each literal's upper reach, and, per state, the upper bounds it
     must choose for."""
 
-    lits: list[_Lit]
-    states: list[_Lit]
-    lower_reach: dict[int, list[str]]
-    upper_reach: dict[int, set[str]]
-    paired: dict[int, list[int]]  # state index -> paired literal indices
+    __slots__ = _fields = ("lits", "states", "lower_reach", "upper_reach", "paired")
+
+    def __init__(
+        self,
+        lits: list[_Lit],
+        states: list[_Lit],
+        lower_reach: dict[int, list[str]],
+        upper_reach: dict[int, set[str]],
+        paired: dict[int, list[int]],  # state index -> paired literal indices
+    ):
+        self.lits, self.states, self.paired = lits, states, paired
+        self.lower_reach, self.upper_reach = lower_reach, upper_reach
 
 
 class MetricLogic(OneStepLogic):

@@ -59,7 +59,6 @@ the reference enumeration `conclusions()`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence
@@ -67,6 +66,7 @@ from typing import Iterator, Sequence
 from .. import lp
 from ..numerics import Comp, Interval, ONE, ZERO
 from ..onestep import Cells, Conclusion, Literal, OneStepLogic, SearchSteps, SearchSuccess
+from ..records import Value
 from ..syntax import Generally, ModalOp, MoreThan
 
 ConfigVector = tuple[int, ...]
@@ -74,14 +74,15 @@ ConfigVector = tuple[int, ...]
 DEFAULT_ENUM_LITERALS = 6
 
 
-@dataclass(frozen=True)
-class MassBound:
+class MassBound(Value):
     """Lower bound `rel` `threshold` on the total mass of the states whose
     value meets the literal's lower bound (for its lower mass bound) or its
     upper bound (for its upper mass bound)."""
 
-    rel: Comp
-    threshold: Fraction
+    __slots__ = _fields = ("rel", "threshold")
+
+    def __init__(self, rel: Comp, threshold: Fraction):
+        self.rel, self.threshold = rel, threshold
 
 
 def mass_bounds(lits: Sequence[Literal]) -> list[MassBound | None]:

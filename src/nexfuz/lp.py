@@ -22,11 +22,11 @@ by re-substitution before returning it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .numerics import Comp, ONE, ZERO, to_fraction
+from .records import Record, Value
 
 
 class CapExceeded(RuntimeError):
@@ -40,20 +40,18 @@ class LpError(RuntimeError):
 EQ = "=="
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Value):
     """`coeffs . x rel rhs`; the numbers are read by `to_fraction`, so a
     float raises `NumericError`."""
 
-    coeffs: tuple[Fraction, ...]
-    rel: Comp | str
-    rhs: Fraction
+    __slots__ = _fields = ("coeffs", "rel", "rhs")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rel, Comp) and self.rel != EQ:
-            raise LpError(f"unknown relation {self.rel!r}")
-        object.__setattr__(self, "coeffs", tuple(to_fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", to_fraction(self.rhs))
+    def __init__(self, coeffs: tuple[Fraction, ...], rel: Comp | str, rhs: Fraction):
+        if not isinstance(rel, Comp) and rel != EQ:
+            raise LpError(f"unknown relation {rel!r}")
+        self.coeffs = tuple(to_fraction(c) for c in coeffs)
+        self.rel = rel
+        self.rhs = to_fraction(rhs)
 
     def evaluate(self, point: Sequence[Fraction]) -> bool:
         lhs = sum((c * x for c, x in zip(self.coeffs, point)), ZERO)
@@ -62,10 +60,11 @@ class Constraint:
         return self.rel.holds(lhs, self.rhs)
 
 
-@dataclass
-class LinSystem:
-    num_vars: int
-    constraints: list[Constraint]
+class LinSystem(Record):
+    __slots__ = _fields = ("num_vars", "constraints")
+
+    def __init__(self, num_vars: int, constraints: list[Constraint]):
+        self.num_vars, self.constraints = num_vars, constraints
 
     def add(self, coeffs: Iterable, rel, rhs) -> None:
         """Add the `Constraint` `coeffs . x rel rhs`."""

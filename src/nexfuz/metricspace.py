@@ -9,28 +9,27 @@ inequality needs checking only for i < j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from . import jsonfile
 from .numerics import NumericError, format_rational, parse_rational, to_fraction
+from .records import Value
 
 
 class MetricSpaceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MetricSpace:
-    labels: tuple[str, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-    # The distances as `int` numerators over `scale`, derived from `matrix`:
+class MetricSpace(Value):
+    # `scaled` and `scale` are derived from `matrix`, so they take no part in
+    # equality, hash or repr: the distances as `int` numerators over `scale`,
     # row-major in one flat tuple, which every witness's space keeps.
-    scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
+    _fields = ("labels", "matrix")
+    __slots__ = (*_fields, "scaled", "scale")
 
-    def __post_init__(self):
+    def __init__(self, labels: tuple[str, ...], matrix: tuple[tuple[Fraction, ...], ...]):
+        self.labels, self.matrix = labels, matrix
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise MetricSpaceError("duplicate labels")
@@ -60,8 +59,8 @@ class MetricSpace:
                     if dij > dik + djk:
                         raise MetricSpaceError("triangle inequality violated")
         # From a list, so the kept tuple is allocated at its exact size.
-        object.__setattr__(self, "scaled", tuple([v for row in d for v in row]))
-        object.__setattr__(self, "scale", scale)
+        self.scaled = tuple([v for row in d for v in row])
+        self.scale = scale
 
     @staticmethod
     def make(labels, matrix) -> MetricSpace:
@@ -108,6 +107,8 @@ class MetricSpace:
             matrix = tuple(tuple(parse_rational(v) for v in row) for row in dist)
         except (AttributeError, TypeError) as exc:
             raise MetricSpaceError("metric space 'dist' must be rows of rationals") from exc
+        except NumericError as exc:
+            raise MetricSpaceError(str(exc)) from exc
         return MetricSpace(tuple(labels), matrix)
 
     @staticmethod

@@ -17,10 +17,10 @@ whose successors are all satisfiable is a generator the solver drives
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Iterator
 
 from .numerics import Interval
+from .records import Record, Value
 from .syntax import ModalOp
 
 # One modal literal of an end-sequent: Modal(op, arg) in interval, for an
@@ -32,8 +32,7 @@ Literal = tuple[ModalOp, Interval]
 Cells = tuple[Interval, ...]
 
 
-@dataclass(frozen=True)
-class Conclusion:
+class Conclusion(Value):
     """One alternative of a modal rule: the cells of each successor state,
     and the root's edge to each, in the encoding of the
     logic's model kind: a weight ("prob"), a degree ("fuzzyrel") or a
@@ -46,14 +45,18 @@ class Conclusion:
     re-check it.
     """
 
-    cells: tuple[Cells, ...]
-    edges: tuple
+    __slots__ = _fields = ("cells", "edges")
+
+    def __init__(self, cells: tuple[Cells, ...], edges: tuple):
+        self.cells, self.edges = cells, edges
 
 
-@dataclass
-class SearchSuccess:
-    conclusion: Conclusion
-    children: list[int]  # the witness-DAG state of each successor
+class SearchSuccess(Record):
+    __slots__ = _fields = ("conclusion", "children")
+
+    def __init__(self, conclusion: Conclusion, children: list[int]):
+        self.conclusion = conclusion
+        self.children = children  # the witness-DAG state of each successor
 
 
 # Yields the cells of successors, receives their states (None:

@@ -15,37 +15,41 @@ so the stream of open end-sequents is exhaustive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .numerics import ZERO
+from .records import Value
 from .sequents import Sequent
 from .syntax import And, Atom, Minus, Modal, Neg, Zero
 
 
-@dataclass(frozen=True)
-class Closed:
+class Closed(Value):
     """The sequent is closed (an axiom rule fired)."""
 
-    rule: str
+    __slots__ = _fields = ("rule",)
+
+    def __init__(self, rule: str):
+        self.rule = rule
 
 
-@dataclass(frozen=True)
-class One:
-    rule: str
-    conclusion: Sequent
+class One(Value):
+    __slots__ = _fields = ("rule", "conclusion")
+
+    def __init__(self, rule: str, conclusion: Sequent):
+        self.rule, self.conclusion = rule, conclusion
 
 
-@dataclass(frozen=True)
-class Two:
-    rule: str
-    left: Sequent
-    right: Sequent
+class Two(Value):
+    __slots__ = _fields = ("rule", "left", "right")
+
+    def __init__(self, rule: str, left: Sequent, right: Sequent):
+        self.rule, self.left, self.right = rule, left, right
 
 
-@dataclass(frozen=True)
-class Saturated:
+class Saturated(Value):
     """Only modal and atom labels with non-empty intervals remain."""
+
+    __slots__ = ()
 
 
 RuleResult = Closed | One | Two | Saturated

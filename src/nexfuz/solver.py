@@ -39,6 +39,7 @@ from .models import FiniteModel, WitnessDag, check_sequent, eval_formula
 from .numerics import Comp, Interval
 from .onestep import OneStepLogic
 from .prop_tableau import TraceFn, saturate
+from .records import Record
 from .sequents import Sequent
 from .syntax import Formula, Modal, modal_depth, subformulas
 
@@ -47,11 +48,14 @@ from .syntax import Formula, Modal, modal_depth, subformulas
 _UNSOLVED = object()
 
 
-@dataclass
-class SolverCaps:
+class SolverCaps(Record):
     """Explicit limits; exceeding one raises CapExceeded, never UNSAT."""
 
-    max_layer_literals: int = 8  # distinct modal literals of one end-sequent
+    __slots__ = _fields = ("max_layer_literals",)
+
+    def __init__(self, max_layer_literals: int = 8):
+        # distinct modal literals of one end-sequent
+        self.max_layer_literals = max_layer_literals
 
 
 @dataclass
@@ -69,11 +73,11 @@ class SolveStats:
         table[level] = max(table.get(level, 0), value)
 
 
-@dataclass
-class Verdict:
-    sat: bool
-    model: FiniteModel | None = None
-    state: str | None = None
+class Verdict(Record):
+    __slots__ = _fields = ("sat", "model", "state")
+
+    def __init__(self, sat: bool, model: FiniteModel | None = None, state: str | None = None):
+        self.sat, self.model, self.state = sat, model, state
 
     def __bool__(self) -> bool:
         return self.sat

@@ -219,8 +219,31 @@ class TestRejections:
         with pytest.raises(ValueError):
             MetricSpace.from_json(data)
 
+    def test_bad_distance_text_is_a_metric_space_error(self):
+        # `from_json` and `make` reject the same text with the same error.
+        for text in ("1e-3", "1e-10000000", "1/0", "x", ""):
+            with pytest.raises(MetricSpaceError) as made:
+                MetricSpace.make(["a"], [[text]])
+            with pytest.raises(MetricSpaceError) as loaded:
+                MetricSpace.from_json({"labels": ["a"], "dist": [[text]]})
+            assert str(loaded.value) == str(made.value) and text in str(made.value)
+
 
 class TestMatrix:
+    def test_scaled_takes_no_part_in_equality_hash_or_repr(self):
+        space = MetricSpace.make(["l", "m"], [[0, "1/2"], ["1/2", 0]])
+        twin = MetricSpace.from_json({"labels": ["l", "m"], "dist": [["0", "2/4"], ["1/2", "0"]]})
+        twin.scaled, twin.scale = (0, 1, 1, 0, 9), 7
+        assert space == twin and hash(space) == hash(twin) and repr(space) == repr(twin)
+        assert hash(space) == hash((space.labels, space.matrix))
+        assert repr(space) == (
+            "MetricSpace(labels=('l', 'm'), matrix=((Fraction(0, 1), Fraction(1, 2)), "
+            "(Fraction(1, 2), Fraction(0, 1))))"
+        )
+        assert space != MetricSpace.make(["m", "l"], [[0, "1/2"], ["1/2", 0]])
+        assert space != MetricSpace.make(["l", "m"], [[0, "1/3"], ["1/3", 0]])
+        assert space != (space.labels, space.matrix)
+
     def test_entries_stay_fractions(self):
         space = MetricSpace.make(["l", "m", "n"], [[0, 1, "1/2"], [1, 0, F(1, 2)], ["0.5", F(1, 2), 0]])
         assert all(type(v) is F for row in space.matrix for v in row)

@@ -15,6 +15,14 @@ Comput. 1977), with the rest of the formula under one box per level:
 On this crisp fragment `T_0 > 1/2` is satisfiable in `alc` iff `T_0` is
 classically satisfiable, iff the QBF is true.  Each verdict is checked
 against the brute-force evaluator below, which uses nothing from nexfuz.
+
+The same holds with each `dia` read in two other instance logics, whose
+searches share no code with `alc`'s:
+- `mp`, with `dia` as `M{0}`: the largest value on a successor of positive
+  mass.  Every probabilistic state has a successor, as its weights sum to 1,
+  and Ladner's formulas assert a successor at every level anyway;
+- `metric-crisp`, with `dia` as `dia{l,1}` over one label at distance 0,
+  whose value is `min(degree, value, 1 - 0)` on crisp edges.
 """
 
 import random
@@ -23,7 +31,8 @@ from fractions import Fraction
 import pytest
 
 from nexfuz import (
-    Comp, Interval, Sequent, SolverCaps, check_sequent, get_logic, parse, sat_threshold,
+    Comp, Interval, MetricSpace, Sequent, SolverCaps, check_sequent, get_logic, parse,
+    sat_threshold,
 )
 
 
@@ -45,15 +54,16 @@ def qbf_true(quants, clauses, values=()) -> bool:
     return all(branches) if quants[len(values)] else any(branches)
 
 
-def ladner_text(quants, clauses) -> str:
+def ladner_text(quants, clauses, dia: str = "dia") -> str:
+    """Ladner's formula, with `dia` as the text of the diamond."""
     t = " & ".join(
         "(" + " | ".join(f"x{j}" if positive else f"~x{j}" for j, positive in clause) + ")"
         for clause in clauses
     )
     for i in reversed(range(len(quants))):
-        q = f"(dia x{i} & dia ~x{i})" if quants[i] else "dia ~0"
-        p = " & ".join(f"(~x{j} | ~dia ~x{j}) & (x{j} | ~dia x{j})" for j in range(i + 1))
-        t = f"{q} & ~dia ~(({p}) & ({t}))"
+        q = f"({dia} x{i} & {dia} ~x{i})" if quants[i] else f"{dia} ~0"
+        p = " & ".join(f"(~x{j} | ~{dia} ~x{j}) & (x{j} | ~{dia} x{j})" for j in range(i + 1))
+        t = f"{q} & ~{dia} ~(({p}) & ({t}))"
     return t
 
 
@@ -64,14 +74,17 @@ def instances():
             yield random_qbf(rng, n)
 
 
-@pytest.mark.slow
-def test_ladner_encoding_matches_brute_force():
-    logic = get_logic("alc")
+def check_against_brute_force(logic, dia: str, max_n: int) -> None:
+    """Every instance over at most `max_n` variables, read in `logic` with
+    `dia` as the diamond: its verdict is the QBF's truth value, and each SAT
+    witness validates and satisfies the input."""
     caps = SolverCaps(max_layer_literals=64)
     half = Fraction(1, 2)
     verdicts = []
     for quants, clauses in instances():
-        formula = parse(ladner_text(quants, clauses))
+        if len(quants) > max_n:
+            continue
+        formula = parse(ladner_text(quants, clauses, dia))
         verdict = sat_threshold(formula, Comp.GT, half, logic, caps=caps, verify=True)
         expected = qbf_true(quants, clauses)
         assert verdict.sat == expected, (quants, clauses)
@@ -81,3 +94,17 @@ def test_ladner_encoding_matches_brute_force():
             assert check_sequent(verdict.model, verdict.state, seq)
         verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.slow
+def test_ladner_encoding_matches_brute_force():
+    check_against_brute_force(get_logic("alc"), "dia", 4)
+
+
+def test_ladner_encoding_under_mp_matches_brute_force():
+    check_against_brute_force(get_logic("mp"), "M{0}", 3)
+
+
+def test_ladner_encoding_under_metric_crisp_matches_brute_force():
+    space = MetricSpace.from_json({"labels": ["l"], "dist": [["0"]]})
+    check_against_brute_force(get_logic("metric-crisp", space), "dia{l,1}", 4)
