@@ -433,12 +433,15 @@ def _fill_modal(model: FiniteModel, memo: dict, f: Modal, xs, column: dict) -> N
         column[x] = sweep(zip(row.values(), map(value, row)), *consts)
 
 
-def check_sequent(model: FiniteModel, state: str, seq: Sequent) -> bool:
+def check_sequent(model: FiniteModel, state: str, seq: Sequent, checks=()) -> bool:
     """Exact membership of every literal's truth degree in its interval.
 
     The literals are evaluated on `dataclasses.replace(model)`, the same
     model with an empty table of its own: the check is independent of any
-    value cached in `model.values`, and leaves no cache behind.  An unknown
+    value cached in `model.values`, and leaves no cache behind.  Each of
+    `checks`, a `(state, formula, interval)` triple, is evaluated after the
+    sequent in the same fresh table, so a value the sequent's literals
+    computed is a table hit, and must lie in its interval too.  An unknown
     state raises `ModelError`, also for an empty sequent.
     """
     if not model.has_state(state):
@@ -446,7 +449,7 @@ def check_sequent(model: FiniteModel, state: str, seq: Sequent) -> bool:
     fresh = replace(model)
     return all(
         interval.contains(eval_formula(fresh, state, f)) for f, interval in seq.items()
-    )
+    ) and all(interval.contains(eval_formula(fresh, x, f)) for x, f, interval in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +466,17 @@ class WitnessDag:
     are numbered in the order they are added; one inert `sink` state with a
     self-loop serves every probabilistic witness that needs a dummy
     successor.  Every state, the sink included, gives each of
-    `declared_atoms` the value 0 unless its own atoms pin it.  Values at the
-    states are cached in the DAG model's own table (`model.values`) for the
-    whole solve, in one column per subformula.  That table stays valid
-    although the model grows, because the DAG only adds states: a state and
-    the states below it never change once added, and a column gains the new
-    states as they are read.  A new state's row enters the table on its
-    first read, as every row does.
+    `declared_atoms` the value 0 unless its own atoms pin it.  The DAG model
+    (`model`) may be evaluated while it grows: its table stays valid,
+    because the DAG only adds states, so a state and the states below it
+    never change once added, and a column gains the new states as they are
+    read.  A new state's row enters the table on its first read, as every
+    row does.
 
     `witness(root)` extracts the states reachable from a root as a
     `FiniteModel`, named s0 (the root), s1, ... in breadth-first order, with
-    the sink keeping its name.
+    the sink keeping its name; `extract(root)` also returns the name of
+    each extracted state.
     """
 
     def __init__(self, kind: str, space: MetricSpace | None = None, declared_atoms=()):
@@ -531,6 +534,11 @@ class WitnessDag:
 
     def witness(self, root: int) -> FiniteModel:
         """The states reachable from `root`, renamed, as a finite model."""
+        return self.extract(root)[0]
+
+    def extract(self, root: int) -> tuple[FiniteModel, dict[int, str]]:
+        """`witness(root)`, and the witness name of each DAG state it keeps,
+        in breadth-first order."""
         kind, trans, atoms = self.model.kind, self.model.trans, self.model.atoms
         plain = kind in ("prob", "fuzzyrel")
         names = {root: "s0"}
@@ -558,4 +566,4 @@ class WitnessDag:
             {names[x]: atoms[x] for x in order},
             self.model.space,
             "s0",
-        )
+        ), names

@@ -41,8 +41,8 @@ class Conclusion(Value):
 
     Whatever truth values the successors take inside their cells, every
     literal of the premise evaluates on these edges into its interval.  The
-    solver checks this for every state it adds, so an instance need not
-    re-check it.
+    solver checks this for every state it adds, in one fresh value table
+    after its search, so an instance need not re-check it.
     """
 
     __slots__ = _fields = ("cells", "edges")

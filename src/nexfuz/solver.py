@@ -12,8 +12,16 @@ The decision procedure, per modal level:
    each argument with its cell (literals may share an argument, and then
    its cells meet by intersection);
 4. on success, add a state with the conclusion's edges, over the
-   children's states, to the solve's witness DAG, and check that every
-   modal literal of the end-sequent evaluates there into its interval.
+   children's states, to the solve's witness DAG, and record the modal
+   literals of the end-sequent, each of which must evaluate there into its
+   interval.
+
+When the search ends, one fresh value table over the returned witness
+checks the input's literals at its root (with `verify`), then the recorded
+literals of every state the witness keeps, which the root's evaluation
+has mostly computed already; the states it does not keep (children of a
+failed parent, every state of an UNSAT solve) are checked in one fresh
+table over the DAG.  So each subformula is evaluated once at each state.
 
 Each sequent is solved by one generator, `solve` in `sat`: it saturates the
 layer, splits each end-sequent and drives the instance search (see
@@ -101,13 +109,15 @@ def sat(
 ) -> Verdict:
     """Decide satisfiability of an exact sequent over formulas.
 
-    Returns a verdict carrying a checkable witness model on success.  With
-    `verify` (the default) the finished witness is model-checked against
-    the input on a fresh value table before returning, under `python -O`
-    too; a witness that fails raises `AssertionError`.  `declared_atoms`
-    extends the atom signature: every witness state, the probabilistic
-    `sink` included, gives them value 0 unless an atom literal pins them,
-    so they never change a verdict.
+    Returns a verdict carrying a checkable witness model on success.  Every
+    state the solve adds is checked, on a fresh value table after the
+    search, under `python -O` too: each modal literal of the end-sequent it
+    realizes must evaluate there into its interval.  With `verify` (the
+    default) the same table over the finished witness first checks the
+    input at its root.  A failed check raises `AssertionError`.
+    `declared_atoms` extends the atom signature: every witness state, the
+    probabilistic `sink` included, gives them value 0 unless an atom literal
+    pins them, so they never change a verdict.
     `trace`, when given, receives every propositional rule application of
     every layer the solve saturates (see `prop_tableau.saturate`).  The
     counters and level tables of `stats` are kept only when it is given.
@@ -116,6 +126,7 @@ def sat(
     _check_signature(seq, logic)
     dag = WitnessDag(logic.kind, logic.space, declared_atoms)
     memo: dict[Sequent, int | None] = {}  # sequent -> its DAG state, None if UNSAT
+    added = []  # (DAG state, its end-sequent's modal literals), checked after the search
     # Checked against this solve's own depth: `stats` may carry another
     # solve's counters.
     depth_bound = max((modal_depth(f) for f, _ in seq.items()), default=0)
@@ -133,19 +144,22 @@ def sat(
             stats._bump(stats.level_input_size, depth, current.combined_size())
             hook = partial(stats._bump, stats.level_peak_stack, depth)
         for gamma in saturate(current, trace=trace, stack_hook=hook):
-            if stats is not None:
-                # No child built below is larger than its end-sequent.
-                stats._bump(stats.level_peak_size, depth, gamma.combined_size())
             # An end-sequent's labels are Modal or Atom, and none of its
             # intervals is empty (the Ax rule closed those).
             atoms, modals, lits, args = {}, [], [], []
+            size = 0  # `gamma.combined_size()`, summed here only with `stats`
             for label, interval in gamma.items():
+                if stats is not None:
+                    size += label.size + interval.endpoint_bits() + 3
                 if isinstance(label, Modal):
                     modals.append((label, interval))
                     lits.append((label.op, interval))
                     args.append(label.arg)
                 else:
                     atoms[label.name] = interval.pick()
+            if stats is not None:
+                # No child built below is larger than its end-sequent.
+                stats._bump(stats.level_peak_size, depth, size)
             if len(lits) > caps.max_layer_literals:
                 raise CapExceeded(
                     f"{len(lits)} modal literals in one end-sequent "
@@ -171,12 +185,7 @@ def sat(
                 support = sum(1 for w in edges if w != 0)
                 stats.witness_branching.append((len(lits), support))
             state = dag.add(edges, found.children, atoms)
-            for label, interval in modals:
-                value = eval_formula(dag.model, state, label)
-                if not interval.contains(value):
-                    raise AssertionError(
-                        f"witness state gives {label} the value {value}, outside {interval}"
-                    )
+            added.append((state, modals))
             return state
         return None
 
@@ -197,15 +206,35 @@ def sat(
         state = None
 
     root = memo[seq]
+    names = {}
     result = Verdict(False)
     if root is not None:
-        model = dag.witness(root)
+        model, names = dag.extract(root)
         result = Verdict(True, model, model.root)
-        # A fresh evaluation of the finished model, independent of the
-        # values cached while it was built.
-        if verify and not check_sequent(model, model.root, seq):
-            raise AssertionError("witness model fails to satisfy the input sequent")
+        kept = [(names[x], label, interval)
+                for x, modals in added if x in names for label, interval in modals]
+        _check_witness(model, model.root, seq if verify else Sequent(), kept)
+    rest = [(x, label, interval)
+            for x, modals in added if x not in names for label, interval in modals]
+    if rest:
+        _check_witness(dag.model, rest[0][0], Sequent(), rest)
     return result
+
+
+def _check_witness(model: FiniteModel, state, seq: Sequent, checks: list) -> None:
+    """Raise `AssertionError` unless `check_sequent` passes.  A failure names
+    the first `(state, label, interval)` of `checks` outside its interval,
+    evaluated on `model`'s own table, which the solve never fills; with none
+    of them outside, it is the input sequent's."""
+    if check_sequent(model, state, seq, checks):
+        return
+    for x, label, interval in checks:
+        value = eval_formula(model, x, label)
+        if not interval.contains(value):
+            raise AssertionError(
+                f"witness state gives {label} the value {value}, outside {interval}"
+            )
+    raise AssertionError("witness model fails to satisfy the input sequent")
 
 
 def sat_threshold(

@@ -19,6 +19,7 @@ from helpers import (
     reference_more_than_value,
 )
 
+from nexfuz import models
 from nexfuz.metricspace import MetricSpace, MetricSpaceError
 from nexfuz.models import (
     FiniteModel,
@@ -282,6 +283,38 @@ class TestValueTable:
             before = copy.deepcopy(m.values)
             assert check_sequent(m, m.states[0], seq)
             assert m.values == before  # the columns, the rows and the scale under None
+
+    def test_check_sequent_checks_more_states_in_its_fresh_table(self, monkeypatch):
+        # The (state, formula, interval) triples are evaluated after the
+        # sequent, on the same fresh copy of the model; a value outside its
+        # interval at any one of them fails the check.
+        rng = random.Random(73)
+        for kind, logics in KIND_LOGICS.items():
+            space = rand_metric_space(rng) if kind.startswith("metric") else None
+            m = rand_model(rng, kind, 4, space=space, max_den=6)
+            root = m.states[0]
+            fs = [rand_formula(rng, logics[0], 2, space, max_den=6) for _ in range(3)]
+            v = reference_eval(m, root, fs[0])
+            seq = Sequent([(fs[0], iv(v, v))])
+            checks = []
+            for x in m.states:
+                for f in fs:
+                    v = reference_eval(m, x, f)
+                    checks.append((x, f, iv(v, v)))
+            tables = []
+            real = models.eval_formula
+            monkeypatch.setattr(
+                models, "eval_formula", lambda model, x, f: tables.append(model) or real(model, x, f)
+            )
+            assert check_sequent(m, root, seq, checks)
+            assert len(tables) == 1 + len(checks)
+            assert all(t is tables[0] for t in tables) and tables[0] is not m
+            for k, (x, f, interval) in enumerate(checks):
+                v = interval.lo
+                miss = iv(0, v, hi_open=True) if v > 0 else iv(0, 1, lo_open=True)
+                assert not check_sequent(m, root, seq, [*checks[:k], (x, f, miss), *checks[k + 1:]])
+            monkeypatch.undo()
+            assert m.values == {}
 
     def test_constants_stay_hash_consed_across_scales(self):
         text = "M{3/7} (a - 2/11) & G (b - 5/13)"

@@ -16,7 +16,7 @@ from nexfuz.numerics import Comp, Interval, NumericError
 from nexfuz.onestep import Conclusion
 from nexfuz.prop_tableau import saturate
 from nexfuz.sequents import Sequent
-from nexfuz import solver
+from nexfuz import models, solver
 from nexfuz.solver import SolveStats, SolverCaps, sat, sat_threshold
 from nexfuz.syntax import And, Atom, Diamond, Modal, Neg, modal_depth, parse, to_text
 
@@ -266,6 +266,15 @@ class TestRealizeCheck:
         with pytest.raises(AssertionError, match=r"dia a the value 0, outside \[1/2,1\]"):
             sat(seq, ZeroDegreeWitness(ALC), verify=False)
 
+    def test_state_the_root_cannot_reach_is_checked(self):
+        # The root is UNSAT (`c & ~c` is at most 1/2), but the state added for
+        # `dia a in [1/2,1]` before that branch died is still checked.
+        seq = Sequent([(parse("dia dia a"), iv("1/2", 1)), (parse("dia (c & ~c)"), iv("3/4", 1))])
+        assert not sat(seq, NaiveWrapper(ALC)).sat
+        for verify in (False, True):
+            with pytest.raises(AssertionError, match=r"dia a the value 0, outside \[1/2,1\]"):
+                sat(seq, ZeroDegreeWitness(ALC), verify=verify)
+
 
 class TestRecursionShape:
     def test_depth_bounded_by_modal_depth(self):
@@ -284,6 +293,17 @@ class TestRecursionShape:
         assert sat_threshold(parse("dia dia a"), Comp.GE, F(1, 2), ALC, stats=stats).sat
         assert sat_threshold(parse("a"), Comp.GE, F(1, 2), ALC, stats=stats).sat
         assert stats.max_depth == 2 and stats.nodes == 4
+
+    def test_each_state_swept_once(self, monkeypatch):
+        # The check of every added state shares the fresh table of the
+        # input's check at the root: one diamond sweep per state with a
+        # successor, not one more for each state's own check.
+        calls = []
+        sweep = models.diamond_sweep
+        monkeypatch.setattr(models, "diamond_sweep", lambda *a: calls.append(1) or sweep(*a))
+        verdict = sat_threshold(parse("dia " * 2000 + "a"), Comp.GE, F(1, 2), ALC)
+        assert verdict.sat and len(verdict.model.states) == 2001
+        assert len(calls) <= 2001
 
     def test_no_stats_no_level_tables(self, monkeypatch):
         # Without `stats` the solver keeps no level tables, so it never
