@@ -28,10 +28,11 @@ class FuzzyAlcLogic(OneStepLogic):
 
     def conclusions(self, lits: tuple[Literal, ...]) -> Iterator[Conclusion]:
         states, degrees = [], []
+        uppers = [interval.upper_ray() for _, interval in lits]
         for i, (_, interval_i) in enumerate(lits):
-            cells, allowed = [], interval_i.lower_ray()
-            for _, interval_j in lits:
-                upper = interval_j.upper_ray()
+            lower = interval_i.lower_ray()
+            cells, allowed = [], lower
+            for upper in uppers:
                 if interval_i.intersect(upper).is_empty:
                     cells.append(upper)
                 else:
@@ -39,7 +40,7 @@ class FuzzyAlcLogic(OneStepLogic):
                     allowed = allowed.intersect(upper)
             # Literal i's own upper ray always meets its interval, so it
             # only ever caps the degree.
-            cells[i] = interval_i.lower_ray()
+            cells[i] = lower
             if allowed.is_empty:
                 raise SequentError("internal: empty degree range in diamond conclusion")
             states.append(tuple(cells))

@@ -129,6 +129,10 @@ class Interval:
     :meth:`from_comparison`, which canonicalize degenerate inputs to the
     single EMPTY value.  The endpoints read as `Fraction`s through `lo` and
     `hi`.  The hash and `is_empty` are computed once, at construction.
+
+    An interval is an immutable value, so an operation whose result equals
+    one of its operands, or UNIT, returns that object instead of building a
+    new one.  Intervals are compared by value (`==`), never by identity.
     """
 
     __slots__ = ("_ln", "_ld", "_hn", "_hd", "lo_open", "hi_open", "is_empty", "_hash")
@@ -207,17 +211,31 @@ class Interval:
     def lower_ray(self) -> Interval:
         """The values meeting the lower bound: [lo,1] or (lo,1].
 
-        The bound is vacuous exactly when the ray is UNIT.  A non-empty
+        The bound is vacuous exactly when the ray equals UNIT.  A non-empty
         interval's rays are non-empty, so they need no canonicalization.
+        The result may be `self` (when hi is a closed 1) or UNIT (when lo
+        is a closed 0); compare it by value.
         """
         if self.is_empty:
             return EMPTY
+        if self._hn == self._hd and not self.hi_open:
+            return self
+        if self._ln == 0 and not self.lo_open:
+            return UNIT
         return Interval(self._ln, self._ld, 1, 1, self.lo_open, False)
 
     def upper_ray(self) -> Interval:
-        """The values meeting the upper bound: [0,hi] or [0,hi)."""
+        """The values meeting the upper bound: [0,hi] or [0,hi).
+
+        The result may be `self` (when lo is a closed 0) or UNIT (when hi
+        is a closed 1); compare it by value.
+        """
         if self.is_empty:
             return EMPTY
+        if self._ln == 0 and not self.lo_open:
+            return self
+        if self._hn == self._hd and not self.hi_open:
+            return UNIT
         return Interval(0, 1, self._hn, self._hd, False, self.hi_open)
 
     def below(self) -> Interval:
@@ -248,26 +266,36 @@ class Interval:
         return self.contains(to_fraction(q))
 
     def intersect(self, other: Interval) -> Interval:
+        """The values in both intervals.  At equal endpoints the result is
+        open where either operand is.  When one operand supplies both
+        bounds the result is that operand; compare it by value."""
         if self.is_empty or other.is_empty:
             return EMPTY
+        # The operand whose lower bound, openness included, is the
+        # result's, and likewise for the upper bound; None where both are.
         x, y = self._ln * other._ld, other._ln * self._ld
-        if x > y:
-            ln, ld, lo_open = self._ln, self._ld, self.lo_open
-        elif y > x:
-            ln, ld, lo_open = other._ln, other._ld, other.lo_open
+        if x != y:
+            low = self if x > y else other
+        elif self.lo_open != other.lo_open:
+            low = self if self.lo_open else other
         else:
-            ln, ld, lo_open = self._ln, self._ld, self.lo_open or other.lo_open
+            low = None
         x, y = self._hn * other._hd, other._hn * self._hd
-        if x < y:
-            hn, hd, hi_open = self._hn, self._hd, self.hi_open
-        elif y < x:
-            hn, hd, hi_open = other._hn, other._hd, other.hi_open
+        if x != y:
+            high = self if x < y else other
+        elif self.hi_open != other.hi_open:
+            high = self if self.hi_open else other
         else:
-            hn, hd, hi_open = self._hn, self._hd, self.hi_open or other.hi_open
+            high = None
+        if low is None:
+            return self if high is None else high
+        if high is None or high is low:
+            return low
+        ln, ld, hn, hd = low._ln, low._ld, high._hn, high._hd
         x, y = ln * hd, hn * ld
-        if x > y or (x == y and (lo_open or hi_open)):
+        if x > y or (x == y and (low.lo_open or high.hi_open)):
             return EMPTY
-        return Interval(ln, ld, hn, hd, lo_open, hi_open)
+        return Interval(ln, ld, hn, hd, low.lo_open, high.hi_open)
 
     def complement(self) -> Interval:
         """The pointwise image {1 - x : x in I}; openness flags swap sides.

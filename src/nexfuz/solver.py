@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Generator
 
 from .lp import CapExceeded
@@ -68,7 +67,26 @@ class SolverCaps(Record):
 
 @dataclass
 class SolveStats:
-    """Counters backing the space-shape assertions in the test suite."""
+    """Counters backing the space-shape assertions in the test suite.
+
+    A level is a sequent's modal depth below the input, which is level 0.
+
+    - `max_depth`: the deepest level solved;
+    - `nodes`: the sequents solved, one per distinct sequent;
+    - `level_input_size`: per level, the largest `combined_size()` of a
+      sequent solved there;
+    - `level_peak_size`: per level, the largest `combined_size()` of an
+      end-sequent its saturation yielded (no child is larger);
+    - `level_peak_stack`: per level, the highest depth of the saturation
+      stack;
+    - `witness_branching`: per probabilistic state added, the number of
+      modal literals and the support size of its conclusion.
+
+    One `SolveStats` passed to several solves adds up `nodes`, keeps the
+    maximum of `max_depth` and, key by key, of each level table, and
+    appends to `witness_branching`.  A solve stopped by `CapExceeded`
+    leaves every value recorded up to the cap.
+    """
 
     max_depth: int = 0
     nodes: int = 0
@@ -76,9 +94,6 @@ class SolveStats:
     level_peak_size: dict[int, int] = field(default_factory=dict)
     level_peak_stack: dict[int, int] = field(default_factory=dict)
     witness_branching: list[tuple[int, int]] = field(default_factory=list)
-
-    def _bump(self, table: dict[int, int], level: int, value: int) -> None:
-        table[level] = max(table.get(level, 0), value)
 
 
 class Verdict(Record):
@@ -140,26 +155,35 @@ def sat(
         hook = None
         if stats is not None:
             stats.nodes += 1
-            stats.max_depth = max(stats.max_depth, depth)
-            stats._bump(stats.level_input_size, depth, current.combined_size())
-            hook = partial(stats._bump, stats.level_peak_stack, depth)
+            if depth > stats.max_depth:
+                stats.max_depth = depth
+            size, table = current.combined_size(), stats.level_input_size
+            if table.get(depth, -1) < size:
+                table[depth] = size
+            # The saturation stack's rising depths; the last is its peak.
+            peaks = []
+            hook = peaks.append
         for gamma in saturate(current, trace=trace, stack_hook=hook):
+            if stats is not None:
+                # No child built below is larger than its end-sequent.  Its
+                # size is cached: at a level with no propositional rule
+                # left, `gamma` is `current`.
+                size, table = gamma.combined_size(), stats.level_peak_size
+                if table.get(depth, -1) < size:
+                    table[depth] = size
+                table = stats.level_peak_stack
+                if table.get(depth, -1) < peaks[-1]:
+                    table[depth] = peaks[-1]
             # An end-sequent's labels are Modal or Atom, and none of its
             # intervals is empty (the Ax rule closed those).
             atoms, modals, lits, args = {}, [], [], []
-            size = 0  # `gamma.combined_size()`, summed here only with `stats`
             for label, interval in gamma.items():
-                if stats is not None:
-                    size += label.size + interval.endpoint_bits() + 3
                 if isinstance(label, Modal):
                     modals.append((label, interval))
                     lits.append((label.op, interval))
                     args.append(label.arg)
                 else:
                     atoms[label.name] = interval.pick()
-            if stats is not None:
-                # No child built below is larger than its end-sequent.
-                stats._bump(stats.level_peak_size, depth, size)
             if len(lits) > caps.max_layer_literals:
                 raise CapExceeded(
                     f"{len(lits)} modal literals in one end-sequent "
@@ -187,6 +211,11 @@ def sat(
             state = dag.add(edges, found.children, atoms)
             added.append((state, modals))
             return state
+        if stats is not None:
+            # The stack may have risen after the last end-sequent.
+            table = stats.level_peak_stack
+            if table.get(depth, -1) < peaks[-1]:
+                table[depth] = peaks[-1]
         return None
 
     # The depth-first recursion over child sequents, on an explicit stack of

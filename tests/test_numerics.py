@@ -217,6 +217,60 @@ class TestRays:
         assert EMPTY.upper_ray() is EMPTY
 
 
+class TestSharedResults:
+    """An operation whose result equals an operand, or UNIT, returns that
+    object; only these tests compare intervals by identity."""
+
+    GRID = [F(0), F(1, 3), F(1, 2), F(1)]
+    BUILT = [Interval.make(*args) for args in product(GRID, GRID, (False, True), (False, True))]
+    BUILT = [i for i in BUILT if not i.is_empty]
+
+    def test_ray_of_a_ray_is_the_ray(self):
+        ray = iv("1/4", 1, lo_open=True)
+        assert ray.lower_ray() is ray
+        ray = iv(0, "3/4", hi_open=True)
+        assert ray.upper_ray() is ray
+        for i in self.BUILT:
+            low, up = i.lower_ray(), i.upper_ray()
+            assert low.lower_ray() is low and up.upper_ray() is up, i
+
+    def test_vacuous_ray_is_unit(self):
+        assert iv(0, "1/2").lower_ray() is UNIT
+        assert iv("1/2", 1).upper_ray() is UNIT
+        assert UNIT.lower_ray() is UNIT and UNIT.upper_ray() is UNIT
+        for i in self.BUILT:
+            if i != UNIT:
+                for ray in (i.lower_ray(), i.upper_ray()):
+                    assert (ray == UNIT) == (ray is UNIT), (i, ray)
+
+    def test_intersect_returns_the_operand_with_both_bounds(self):
+        a = iv("1/4", "3/4", lo_open=True)
+        assert a.intersect(UNIT) is a and UNIT.intersect(a) is a
+        inner = iv("1/3", "1/2", hi_open=True)
+        assert a.intersect(inner) is inner and inner.intersect(a) is inner
+        twin = iv("1/4", "3/4", lo_open=True)
+        assert a.intersect(twin) is a and twin.intersect(a) is twin
+
+    def test_intersect_on_a_grid(self):
+        for i, j in product(self.BUILT, self.BUILT):
+            got = i.intersect(j)
+            if got == i:
+                assert got is i, (i, j)
+            elif got == j:
+                assert got is j, (i, j)
+
+    def test_mixed_openness_at_equal_endpoints_is_open(self):
+        closed, open_lo = iv("1/4", "3/4"), iv("1/4", 1, lo_open=True)
+        for got in (closed.intersect(open_lo), open_lo.intersect(closed)):
+            assert got == iv("1/4", "3/4", lo_open=True) and got.lo_open
+        closed, open_hi = iv("1/4", "3/4"), iv(0, "3/4", hi_open=True)
+        for got in (closed.intersect(open_hi), open_hi.intersect(closed)):
+            assert got == iv("1/4", "3/4", hi_open=True) and got.hi_open
+        # One operand open at both ends supplies both bounds.
+        both = iv("1/4", "3/4", True, True)
+        assert closed.intersect(both) is both and both.intersect(closed) is both
+
+
 class TestCompOps:
     def test_dual_table(self):
         assert Comp.GT.dual() is Comp.LT

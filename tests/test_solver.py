@@ -293,6 +293,66 @@ class TestRecursionShape:
         assert sat_threshold(parse("dia dia a"), Comp.GE, F(1, 2), ALC, stats=stats).sat
         assert sat_threshold(parse("a"), Comp.GE, F(1, 2), ALC, stats=stats).sat
         assert stats.max_depth == 2 and stats.nodes == 4
+        # Over two solves each level table holds the key-wise maximum of the
+        # two solves' own tables, and `witness_branching` is concatenated.
+        rng = random.Random(94)
+        for name in ("alc", "lgen"):
+            for _ in range(15):
+                seqs = [rand_sequent(rng, name, depth=2, max_den=8) for _ in range(2)]
+                apart = [SolveStats(), SolveStats()]
+                for seq, one in zip(seqs, apart):
+                    sat(seq, get_logic(name), stats=one)
+                both = SolveStats()
+                for seq in seqs:
+                    sat(seq, get_logic(name), stats=both)
+                first, second = apart
+                assert both.nodes == first.nodes + second.nodes
+                assert both.max_depth == max(first.max_depth, second.max_depth)
+                for table in ("level_input_size", "level_peak_size", "level_peak_stack"):
+                    t1, t2 = getattr(first, table), getattr(second, table)
+                    assert getattr(both, table) == {
+                        k: max(t1.get(k, -1), t2.get(k, -1)) for k in t1.keys() | t2.keys()
+                    }, table
+                assert both.witness_branching == (first.witness_branching
+                                                  + second.witness_branching)
+
+    @pytest.mark.parametrize("name, text, tables", [
+        # The cap stops the child at level 1, after level 0 has split.
+        ("alc", "(a | dia (b & (dia a & dia ~b))) & c",
+         (1, 2, {0: 24, 1: 15}, {0: 34, 1: 27}, {0: 2, 1: 1})),
+        # The cap stops the root, after its stack has risen to 3.
+        ("lgen", "(a | G (b | G a)) & (c | G (G a & G ~b))",
+         (0, 1, {0: 34}, {0: 47}, {0: 3})),
+    ])
+    def test_stats_at_a_cap(self, name, text, tables):
+        # The values a solve records before the cap stops it.
+        stats = SolveStats()
+        with pytest.raises(CapExceeded, match="2 modal literals"):
+            sat_threshold(parse(text), Comp.GE, F(1, 2), get_logic(name),
+                          caps=SolverCaps(max_layer_literals=1), stats=stats)
+        assert (stats.max_depth, stats.nodes, stats.level_input_size, stats.level_peak_size,
+                stats.level_peak_stack) == tables
+        assert stats.witness_branching == []
+
+    def test_intervals_built_independent_of_depth(self, monkeypatch):
+        # Each `dia` level of the chain meets, intersects and ray-splits
+        # intervals it already holds, and builds no new one: only the
+        # input's threshold interval is built, at any depth.
+        built = []
+        init = Interval.__init__
+
+        def counting(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(Interval, "__init__", counting)
+        counts = []
+        for n in (100, 500):
+            formula = parse("dia " * n + "a")
+            built.clear()
+            assert sat_threshold(formula, Comp.GE, F(1, 2), ALC).sat
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 2, counts
 
     def test_each_state_swept_once(self, monkeypatch):
         # The check of every added state shares the fresh table of the
