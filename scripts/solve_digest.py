@@ -17,7 +17,6 @@ difference and 0 when all match.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -58,7 +57,7 @@ def solve_record(job: dict) -> dict:
         "sat": verdict.sat,
         "state": verdict.state,
         "model": verdict.model.to_json() if verdict.sat else None,
-        "stats": dataclasses.asdict(stats),
+        "stats": {name: getattr(stats, name) for name in stats._fields},
     }
 
 

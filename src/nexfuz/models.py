@@ -21,7 +21,6 @@ a `WitnessDag`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -32,6 +31,7 @@ from . import jsonfile
 from .liftings import diamond_sweep, generally_sweep, metric_diamond_sweep, more_than_sweep
 from .metricspace import MetricSpace, MetricSpaceError
 from .numerics import ONE, ZERO, format_rational, parse_rational
+from .records import Record, replace
 from .sequents import Sequent
 from .syntax import (
     And,
@@ -79,25 +79,28 @@ def _check_distribution(row: dict, what: str) -> None:
         raise ModelError(f"{what} sums to {sum(row.values(), ZERO)}, not 1")
 
 
-@dataclass
-class FiniteModel:
-    kind: str
-    states: tuple[str, ...]
-    # prob/fuzzyrel: {state: {successor: degree}};
-    # metric kinds:  {state: {(label, successor): degree}}
-    trans: dict
-    atoms: dict[str, dict[str, Fraction]]
-    space: MetricSpace | None = None
-    root: str | None = None
-    # Caches that evaluation fills (`values` is `eval_formula`'s table); a model is
-    # not changed after its first evaluation.  Not init fields, so `dataclasses.replace`
-    # starts a model afresh; not compared, so equality ignores them.
-    values: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _state_set: frozenset | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+class FiniteModel(Record):
+    # `trans` is {state: {successor: degree}} for prob/fuzzyrel and
+    # {state: {(label, successor): degree}} for the metric kinds.
+    # `values` and `_state_set` are caches that evaluation fills (`values` is
+    # `eval_formula`'s table); a model is not changed after its first
+    # evaluation.  They are not fields, so `records.replace` starts a model
+    # afresh, and equality and repr ignore them.
+    _fields = ("kind", "states", "trans", "atoms", "space", "root")
+    __slots__ = (*_fields, "values", "_state_set")
+
+    def __init__(
+        self,
+        kind: str,
+        states: tuple[str, ...],
+        trans: dict,
+        atoms: dict[str, dict[str, Fraction]],
+        space: MetricSpace | None = None,
+        root: str | None = None,
+    ):
+        self.kind, self.states, self.trans, self.atoms = kind, states, trans, atoms
+        self.space, self.root = space, root
+        self.values, self._state_set = {}, None
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -269,7 +272,7 @@ def eval_formula(model: FiniteModel, state: str, formula: Formula) -> Fraction:
     calls on one model share every value computed before.  This relies on
     the model not being changed after its first evaluation (a `WitnessDag`
     only adds states, which leaves the values at existing states as they
-    are); `dataclasses.replace(model)` is the same model with an empty table.
+    are); `records.replace(model)` is the same model with an empty table.
 
     Every entry of the table but one is a dict of `int` numerators over one
     scale D, which the table keeps under the key None: 1 when the table
@@ -436,7 +439,7 @@ def _fill_modal(model: FiniteModel, memo: dict, f: Modal, xs, column: dict) -> N
 def check_sequent(model: FiniteModel, state: str, seq: Sequent, checks=()) -> bool:
     """Exact membership of every literal's truth degree in its interval.
 
-    The literals are evaluated on `dataclasses.replace(model)`, the same
+    The literals are evaluated on `records.replace(model)`, the same
     model with an empty table of its own: the check is independent of any
     value cached in `model.values`, and leaves no cache behind.  Each of
     `checks`, a `(state, formula, interval)` triple, is evaluated after the

@@ -37,7 +37,6 @@ and witnesses are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Generator
 
@@ -65,8 +64,7 @@ class SolverCaps(Record):
         self.max_layer_literals = max_layer_literals
 
 
-@dataclass
-class SolveStats:
+class SolveStats(Record):
     """Counters backing the space-shape assertions in the test suite.
 
     A level is a sequent's modal depth below the input, which is level 0.
@@ -88,12 +86,26 @@ class SolveStats:
     leaves every value recorded up to the cap.
     """
 
-    max_depth: int = 0
-    nodes: int = 0
-    level_input_size: dict[int, int] = field(default_factory=dict)
-    level_peak_size: dict[int, int] = field(default_factory=dict)
-    level_peak_stack: dict[int, int] = field(default_factory=dict)
-    witness_branching: list[tuple[int, int]] = field(default_factory=list)
+    __slots__ = _fields = (
+        "max_depth", "nodes", "level_input_size", "level_peak_size", "level_peak_stack",
+        "witness_branching",
+    )
+
+    def __init__(
+        self,
+        max_depth: int = 0,
+        nodes: int = 0,
+        level_input_size: dict[int, int] | None = None,
+        level_peak_size: dict[int, int] | None = None,
+        level_peak_stack: dict[int, int] | None = None,
+        witness_branching: list[tuple[int, int]] | None = None,
+    ):
+        # A table left out is a new one, never one shared with another instance.
+        self.max_depth, self.nodes = max_depth, nodes
+        self.level_input_size = {} if level_input_size is None else level_input_size
+        self.level_peak_size = {} if level_peak_size is None else level_peak_size
+        self.level_peak_stack = {} if level_peak_stack is None else level_peak_stack
+        self.witness_branching = [] if witness_branching is None else witness_branching
 
 
 class Verdict(Record):

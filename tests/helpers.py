@@ -1,9 +1,9 @@
-"""Shared test utilities: random generators, direct one-step evaluation, a
-stand-alone runner for the one-step searches, the point-set reference
-liftings, the default conclusion enumeration of an instance, the
-`Fraction`-endpoint reference interval, the comparison-negation
-rays, small interval, sequent and formula predicates, and an independent
-classical modal-logic oracle."""
+"""Shared test utilities: random generators (boundary literals among them),
+direct one-step evaluation, a stand-alone runner for the one-step searches,
+the point-set reference liftings, the default conclusion enumeration of an
+instance, the `Fraction`-endpoint reference interval, the
+comparison-negation rays, small interval, sequent and formula predicates,
+and an independent classical modal-logic oracle."""
 
 from __future__ import annotations
 
@@ -49,6 +49,29 @@ def rand_interval(rng: random.Random, max_den: int = 16) -> Interval:
     x, y = sorted((rand_rational(rng, max_den), rand_rational(rng, max_den)))
     return Interval.make(x, y, lo_open=x != y and rng.random() < 0.3,
                          hi_open=x != y and rng.random() < 0.3)
+
+
+def edge_interval(rng: random.Random) -> Interval:
+    """A random non-empty interval that often sits on a boundary: ends drawn
+    from 0, 1 and denominators up to 6, each end closed or open, so that
+    [0,0], [1,1] and closed or open 0 and 1 ends all come up."""
+    while True:
+        lo, hi = sorted(rng.choice((ZERO, ONE, rand_rational(rng, 6))) for _ in range(2))
+        interval = Interval.make(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+        if not interval.is_empty:
+            return interval
+
+
+def edge_gamma(rng: random.Random, flavor: str) -> tuple:
+    """1-4 literals over `edge_interval`s; M{p} draws p = 0 and p = 1 often."""
+    return tuple(
+        (
+            Generally() if flavor == "lgen"
+            else MoreThan(rng.choice((ZERO, ONE, rand_rational(rng, 6)))),
+            edge_interval(rng),
+        )
+        for _ in range(rng.randint(1, 4))
+    )
 
 
 def rand_modal_op(rng: random.Random, logic_name: str, space: MetricSpace | None = None,

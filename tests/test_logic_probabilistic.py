@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from helpers import onestep_modal_value, rand_interval, rand_rational, run_search
+from helpers import edge_gamma, onestep_modal_value, rand_interval, rand_rational, run_search
 
 from nexfuz import lp
 from nexfuz.liftings import generally_value, more_than_value
@@ -318,29 +318,6 @@ class TestSoundnessSampling:
         self._run("mp", 402)
 
 
-def _edge_interval(rng):
-    """A random non-empty interval that often sits on a boundary: ends drawn
-    from 0, 1 and denominators up to 6, each end closed or open, so that
-    [0,0], [1,1] and closed or open 0 and 1 ends all come up."""
-    while True:
-        lo, hi = sorted(rng.choice((F(0), F(1), rand_rational(rng, 6))) for _ in range(2))
-        interval = iv(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
-        if not interval.is_empty:
-            return interval
-
-
-def _edge_gamma(rng, flavor):
-    """1-4 literals over `_edge_interval`s; M{p} draws p = 0 and p = 1 often."""
-    return tuple(
-        (
-            Generally() if flavor == "lgen"
-            else MoreThan(rng.choice((F(0), F(1), rand_rational(rng, 6)))),
-            _edge_interval(rng),
-        )
-        for _ in range(rng.randint(1, 4))
-    )
-
-
 def _reference_search(gamma, child):
     """The search on tuple vectors and `Fraction` bounds: the cells it asks
     about, in order, and its conclusion's (cells, edges, children), or None.
@@ -424,7 +401,7 @@ class TestSearchAgreement:
         logic = get_logic(flavor)
         outcomes = set()
         for _ in range(150):
-            gamma = _edge_gamma(rng, flavor)
+            gamma = edge_gamma(rng, flavor)
             vectors = list(consistent_vectors(gamma))
             index = {cells: k for k, (_, cells) in enumerate(vectors)}
             pivots = [rand_rational(rng, 6) for _ in gamma]

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -19,7 +18,7 @@ from helpers import (
     reference_more_than_value,
 )
 
-from nexfuz import models
+from nexfuz import models, records
 from nexfuz.metricspace import MetricSpace, MetricSpaceError
 from nexfuz.models import (
     FiniteModel,
@@ -250,7 +249,7 @@ class TestValueTable:
                 pairs = [(x, f) for x in m.states for f in formulas]
                 rng.shuffle(pairs)
                 for x, f in pairs:
-                    assert eval_formula(m, x, f) == eval_formula(dataclasses.replace(m), x, f)
+                    assert eval_formula(m, x, f) == eval_formula(records.replace(m), x, f)
                 assert m.values
 
     def test_check_sequent_ignores_the_table(self):
@@ -265,9 +264,21 @@ class TestValueTable:
     def test_replace_starts_a_fresh_table(self):
         m = one_successor_model()
         assert eval_formula(m, "x", parse("dia a")) == F(1, 2)
-        other = dataclasses.replace(m, atoms={"x": {"a": F(0)}, "y": {"a": F(1, 4)}})
+        other = records.replace(m, atoms={"x": {"a": F(0)}, "y": {"a": F(1, 4)}})
         assert eval_formula(other, "x", parse("dia a")) == F(1, 4)
         assert eval_formula(m, "x", parse("dia a")) == F(1, 2)
+
+    def test_records_replace(self):
+        m = one_successor_model()
+        eval_formula(m, "x", parse("dia a"))
+        fresh = records.replace(m)
+        assert fresh == m and fresh is not m and fresh.values == {} and m.values
+        atoms = {"x": {"a": F(0)}, "y": {"a": F(1, 4)}}
+        other = records.replace(m, atoms=atoms)
+        assert other.atoms is atoms and other.trans is m.trans and other.values == {}
+        assert other == FiniteModel("fuzzyrel", ("x", "y"), m.trans, atoms)
+        with pytest.raises(TypeError, match="no field values"):
+            records.replace(m, values={})
 
     def test_check_sequent_leaves_the_table_and_scale(self):
         rng = random.Random(67)
@@ -435,7 +446,7 @@ class TestWitnessDagGrowth:
                 # the operator's constant and its row both grow the scale.
                 new = dag_state(dag, rng, base, (11, 13, 17, 19))
                 got = eval_formula(dag.model, new, f)
-                assert got == eval_formula(dataclasses.replace(dag.model), new, f)
+                assert got == eval_formula(records.replace(dag.model), new, f)
                 assert got == reference_eval(dag.model, new, f)
             for f in small:
                 got = eval_formula(dag.model, base[2], f)
@@ -495,7 +506,7 @@ class TestRowTable:
                     for x in m.states:
                         got = eval_formula(m, x, f)
                         assert got == reference_eval(m, x, f)
-                        assert got == eval_formula(dataclasses.replace(m), x, f)
+                        assert got == eval_formula(records.replace(m), x, f)
             assert m.values[None] % start == 0 and m.values[None] > start
             # Every state was read under a modal operator, so every row is in.
             assert all((x, None) in m.values for x in m.states)
@@ -525,7 +536,7 @@ class TestRowTable:
                 for x, f in [(new, f) for f in after + before] + [(base[2], f) for f in after]:
                     got = eval_formula(dag.model, x, f)
                     assert got == reference_eval(dag.model, x, f)
-                    assert got == eval_formula(dataclasses.replace(dag.model), x, f)
+                    assert got == eval_formula(records.replace(dag.model), x, f)
             assert dag.model.values[None] % (23 * old) == 0
             # The later state's row entered the table on its first read; it
             # and the rows that were grew with the scale.
@@ -571,7 +582,7 @@ class TestSetAtATime:
                 for x, f in pairs:
                     got = eval_formula(m, x, f)
                     assert got == reference_eval(m, x, f)
-                    assert got == eval_formula(dataclasses.replace(m), x, f)
+                    assert got == eval_formula(records.replace(m), x, f)
                 assert_table_at_scale(m)
 
     def test_scale_grows_after_a_sibling_column(self):
@@ -586,12 +597,12 @@ class TestSetAtATime:
                 sibling = Modal(rand_operator(rng, kind, space), Atom("a"))
                 f = Modal(rand_operator(rng, kind, space),
                           And(sibling, Minus(Atom("b"), prime_constant(rng))))
-                start = dataclasses.replace(m)
+                start = records.replace(m)
                 eval_formula(start, m.states[0], Atom("a"))
                 for x in m.states:
                     got = eval_formula(m, x, f)
                     assert got == reference_eval(m, x, f)
-                    assert got == eval_formula(dataclasses.replace(m), x, f)
+                    assert got == eval_formula(records.replace(m), x, f)
                 scale = start.values[None]
                 assert m.values[None] % scale == 0 and m.values[None] > scale
                 assert_table_at_scale(m)
@@ -618,7 +629,7 @@ class TestSetAtATime:
                 f = Modal(op, Modal(op, Minus(Atom(rng.choice(ATOMS)), prime_constant(rng))))
                 got = eval_formula(dag.model, top, f)
                 assert got == reference_eval(dag.model, top, f)
-                assert got == eval_formula(dataclasses.replace(dag.model), top, f)
+                assert got == eval_formula(records.replace(dag.model), top, f)
                 for x in late:
                     assert eval_formula(dag.model, x, f.arg) == reference_eval(dag.model, x, f.arg)
             assert all((x, None) in dag.model.values for x in (*late, top))
@@ -638,7 +649,7 @@ class TestSetAtATime:
         for i, x in enumerate(states):
             expected = F((i + 2000) % 3 + 1, 4)
             assert eval_formula(m, x, f) == expected
-            assert eval_formula(dataclasses.replace(m), x, f) == expected
+            assert eval_formula(records.replace(m), x, f) == expected
 
 
 class TestCheckSequent:

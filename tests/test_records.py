@@ -7,7 +7,10 @@ with `dataclasses.make_dataclass`, frozen where the class is a `Value`.
 
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -17,12 +20,13 @@ from nexfuz.logics.metric import _Layer, _Lit
 from nexfuz.logics.probabilistic import MassBound
 from nexfuz.lp import EQ, Constraint, LinSystem, LpError
 from nexfuz.metricspace import MetricSpace
+from nexfuz.models import FiniteModel
 from nexfuz.numerics import UNIT, Comp, Interval, NumericError
 from nexfuz.onestep import Conclusion, SearchSuccess
 from nexfuz.prop_tableau import Closed, One, Saturated, Two
 from nexfuz.records import Record, Value
 from nexfuz.sequents import Sequent
-from nexfuz.solver import SolverCaps, Verdict
+from nexfuz.solver import SolveStats, SolverCaps, Verdict
 from nexfuz.syntax import parse
 
 HALF = Interval.make(F(1, 2), 1)
@@ -32,6 +36,9 @@ C1 = Conclusion(((UNIT,),), (F(1),))
 C2 = Conclusion(((HALF,),), (F(1),))
 ROW = Constraint((F(1),), Comp.LE, F(1, 2))
 LIT = _Lit(0, "l", F(1), HALF)
+SPACE = MetricSpace(("l",), ((F(0),),))
+TRANS = {"x": {"y": F(1)}, "y": {}}
+ATOMS = {"x": {"a": F(0)}, "y": {"a": F(1, 2)}}
 
 # Per class, field values that differ from the first entry's in one field
 # each, and for most classes an entry equal to the first, built afresh.
@@ -63,6 +70,21 @@ SAMPLES = {
         ([LIT], [LIT], {0: []}, {0: set()}, {0: []}),
         ([LIT], [LIT], {0: ["l"]}, {0: {"l"}}, {0: []}),
         ([LIT], [LIT], {0: ["l"]}, {0: set()}, {0: [0]}),
+    ],
+    FiniteModel: [
+        ("fuzzyrel", ("x", "y"), TRANS, ATOMS, None, None),
+        ("prob", ("x", "y"), TRANS, ATOMS, None, None),
+        ("fuzzyrel", ("y", "x"), TRANS, ATOMS, None, None),
+        ("fuzzyrel", ("x", "y"), {"x": {"y": F(1, 2)}, "y": {}}, ATOMS, None, None),
+        ("fuzzyrel", ("x", "y"), TRANS, {"x": {"a": F(0)}, "y": {"a": F(1)}}, None, None),
+        ("fuzzyrel", ("x", "y"), TRANS, ATOMS, SPACE, None),
+        ("fuzzyrel", ("x", "y"), TRANS, ATOMS, None, "x"),
+        ("fuzzyrel", ("x", "y"), {"x": {"y": F(2, 2)}, "y": {}}, ATOMS, None, None),
+    ],
+    SolveStats: [
+        (0, 0, {}, {}, {}, []), (1, 0, {}, {}, {}, []), (0, 1, {}, {}, {}, []),
+        (0, 0, {0: 1}, {}, {}, []), (0, 0, {}, {0: 1}, {}, []), (0, 0, {}, {}, {0: 1}, []),
+        (0, 0, {}, {}, {}, [(1, 2)]), (0, 0, {}, {}, {}, []),
     ],
     MassBound: [(Comp.GT, F(1, 2)), (Comp.GE, F(1, 2)), (Comp.GT, F(1, 3)), (Comp.GT, F(2, 4))],
     MetricSpace: [
@@ -150,6 +172,20 @@ class TestValues:
         assert verdict.model is None and verdict.state is None
         assert Verdict(True, state="s0") == Verdict(True, None, "s0")
 
+    def test_model_and_stats_defaults(self):
+        model = FiniteModel("fuzzyrel", ("x", "y"), TRANS, ATOMS)
+        assert model == FiniteModel("fuzzyrel", ("x", "y"), TRANS, ATOMS, None, None)
+        assert model.trans is TRANS and model.values == {} and model._state_set is None
+        assert not model.has_state("z") and model._state_set == {"x", "y"}
+        assert model == FiniteModel("fuzzyrel", ("x", "y"), TRANS, ATOMS)  # caches ignored
+        first, second = SolveStats(), SolveStats()
+        assert first == SolveStats(0, 0, {}, {}, {}, [])
+        for name in SolveStats._fields[2:]:
+            # A new table for each instance; one passed in is kept as is.
+            assert getattr(first, name) is not getattr(second, name)
+            table = getattr(first, name)
+            assert getattr(SolveStats(**{name: table}), name) is table
+
     def test_solver_caps_default(self):
         caps = SolverCaps()
         assert caps.max_layer_literals == 8 and caps == SolverCaps(8)
@@ -158,9 +194,22 @@ class TestValues:
 
 
 class TestStructure:
-    def test_only_models_and_stats_are_dataclasses(self):
+    def test_import_loads_no_dataclasses(self):
+        # `dataclasses` imports `inspect`, which imports `ast`, `dis` and
+        # `tokenize`: more time than the package's own import takes.
+        src = os.path.dirname(os.path.dirname(nexfuz.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        code = "import sys, nexfuz; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_no_class_is_a_dataclass(self):
         found = {cls.__qualname__ for cls in nexfuz_classes() if hasattr(cls, "__dataclass_fields__")}
-        assert found == {"FiniteModel", "SolveStats"}
+        assert found == set()
 
     def test_every_record_is_slotted(self):
         records = {cls for cls in nexfuz_classes() if issubclass(cls, Record)}
